@@ -1108,19 +1108,19 @@ def run_shortcut_tree_experiment(
 def _distributed_mst_cell(
     *, n: int, diameter_value: int, log_factor: float, seed: int
 ) -> list:
-    """E10 cell: shortcut vs induced-only distributed Boruvka at one size."""
-    from ..applications.distributed_mst import distributed_boruvka_mst
+    """E10 cell: shortcut vs raw-fragment-tree Boruvka consumer at one size."""
+    from ..applications.shortcut_mst import shortcut_boruvka_mst
 
     inst = _cached_lower_bound_instance(n, diameter_value)
     weighted = with_random_weights(
         inst.graph, rng=derive_seed(seed, "E10", n, "weights")
     )
-    with_sc = distributed_boruvka_mst(
-        weighted, use_shortcuts=True, diameter_value=diameter_value,
+    with_sc = shortcut_boruvka_mst(
+        weighted, engine="shortcut", diameter_value=diameter_value,
         log_factor=log_factor, rng=derive_seed(seed, "E10", n, "shortcut"),
     )
-    without_sc = distributed_boruvka_mst(
-        weighted, use_shortcuts=False, rng=derive_seed(seed, "E10", n, "induced")
+    without_sc = shortcut_boruvka_mst(
+        weighted, engine="raw", rng=derive_seed(seed, "E10", n, "induced")
     )
     _, kruskal_weight = kruskal_mst(weighted)
     weight_ok = (
@@ -1132,10 +1132,10 @@ def _distributed_mst_cell(
         diameter_value,
         weight_ok,
         with_sc.phases,
-        max(with_sc.simulated_rounds_per_phase, default=0),
-        max(without_sc.simulated_rounds_per_phase, default=0),
-        sum(with_sc.simulated_rounds_per_phase),
-        sum(without_sc.simulated_rounds_per_phase),
+        max(with_sc.rounds_per_phase, default=0),
+        max(without_sc.rounds_per_phase, default=0),
+        with_sc.total_rounds,
+        without_sc.total_rounds,
     ]
 
 
@@ -1160,7 +1160,12 @@ def plan_distributed_mst_experiment(
             "max_phase_rounds_shortcut", "max_phase_rounds_induced",
             "total_rounds_shortcut", "total_rounds_induced",
         ],
-        notes=[f"log_factor={log_factor}, seed={seed}; rounds columns are the simulated MWOE stages"],
+        notes=[
+            f"log_factor={log_factor}, seed={seed}; shortcut_boruvka_mst with "
+            "engine='shortcut' vs engine='raw' (induced = bare fragment trees); "
+            "phase rounds = 1 id-exchange round + the simulated tree and "
+            "aggregation stages"
+        ],
     )
 
 
@@ -1174,11 +1179,13 @@ def run_distributed_mst_experiment(
 ) -> ExperimentTable:
     """E10: simulated distributed Boruvka — shortcut-augmented vs induced-only trees.
 
-    The MWOE stage of every Boruvka phase runs on the CONGEST simulator; the
-    table compares the maximum per-phase simulated rounds when the fragment
-    trees are grown over Kogan-Parter augmented subgraphs against the
-    no-shortcut baseline, on lower-bound instances whose fragments become
-    long paths.
+    Runs the shortcut consumer :func:`~repro.applications.shortcut_mst.
+    shortcut_boruvka_mst` twice per size: with every phase's MWOE
+    aggregation routed over a fresh Kogan-Parter shortcut
+    (``engine="shortcut"``) and over the bare fragment trees
+    (``engine="raw"``, the no-shortcut baseline), on lower-bound instances
+    whose fragments become long paths.  The table compares the maximum and
+    total per-phase simulated rounds.
     """
     tasks, reduce = plan_distributed_mst_experiment(
         sizes=sizes, diameter_value=diameter_value, log_factor=log_factor, seed=seed,

@@ -27,10 +27,7 @@ promises — rounds saved by routing aggregates through shortcut edges.
 The reported rounds cover the aggregation runtime (the per-phase loop
 above); the cost of *constructing* each shortcut distributedly is measured
 separately by the E5/E13 pipeline experiments and is not double-charged
-here.  Relative to :mod:`repro.applications.distributed_mst` (the earlier
-E10 ablation), this consumer runs the aggregation itself on the engine's
-flat link-mask path and re-samples the shortcut from the real merged-part
-partition every phase instead of reusing ad-hoc adjacency dictionaries.
+here.  The E10 ablation compares the two engines phase by phase.
 """
 
 from __future__ import annotations

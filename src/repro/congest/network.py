@@ -52,6 +52,12 @@ A round costs O(nodes-and-links-actually-touched), not O(n + links):
   nodes halt instead of ticking no-op handlers: the engine revives every
   node exactly at the declared rounds and charges silent stretches between
   them without executing them, keeping the measured round count identical.
+* **Fault injection.**  ``run(..., adversary=...)`` runs the same loop on
+  the ring path (bulk and express have no per-message delivery point):
+  ring delivery goes through ``_deliver_adversarial``, which asks the
+  adversary about every message, and the adversary's crash/recover rounds
+  join the timers, so a silent-stretch jump never skips a scheduled fault
+  and a run does not end while faults are still scheduled.
 """
 
 from __future__ import annotations
@@ -99,8 +105,8 @@ class RoundLimitExceeded(RuntimeError):
 class PartialRunError(RoundLimitExceeded):
     """A fault-injected run stalled before quiescence.
 
-    Raised instead of the bare :class:`RoundLimitExceeded` when an
-    adversarial run (``Network.run(..., adversary=...)``) hits
+    Raised instead of the bare :class:`RoundLimitExceeded` when a run under
+    an adversary (``Network.run(..., adversary=...)``) hits
     ``max_rounds``: under faults a stall usually means the adversary starved
     a primitive of an un-retried message, and the partial metrics plus the
     surviving active-set size are the debugging evidence.  Subclasses
@@ -342,35 +348,29 @@ class Network:
                 nodes left halted by the earlier run stay halted until this
                 algorithm's ``initialize`` wakes them or a message arrives).
             adversary: optional :class:`~repro.congest.adversary.Adversary`
-                interposed on the delivery path (message drops/duplication/
-                latency/reordering and scheduled node crashes).  ``None``
-                keeps the fault-free fast path untouched; a no-fault
-                adversary produces bit-identical metrics through the
-                metered ring path.  A stalled adversarial run raises
+                hooked into ring delivery (message drops/duplication/
+                latency/reordering and scheduled node crashes).  It turns
+                off the bulk and express paths, which have no per-message
+                delivery point; a no-fault adversary therefore produces
+                bit-identical metrics through the metered ring path.  A
+                stalled run under an adversary raises
                 :class:`PartialRunError` instead of the bare limit error.
 
         Returns:
             The :class:`RunMetrics` of the run.
         """
-        if adversary is not None:
-            return self._run_adversarial(
-                algorithm,
-                adversary,
-                max_rounds=max_rounds,
-                raise_on_limit=raise_on_limit,
-                reset=reset,
-            )
         if reset and self._ran:
             self.reset()
         if getattr(algorithm, "bulk_capable", False):
-            bulk = self._try_bulk(algorithm, max_rounds, raise_on_limit)
+            bulk = self._try_bulk(algorithm, max_rounds, raise_on_limit, adversary)
             if bulk is not None:
                 return bulk
         metrics = RunMetrics()
         metrics._edge_counts = [0] * self._csr.num_edges
         metrics._edge_list = self._csr.edge_list
         # Sends enqueue without touching a counter; the send total is an
-        # invariant of the queues instead: sent = delivered + backlog growth.
+        # invariant of the queues instead: sent = delivered + dropped −
+        # duplicated + backlog growth.
         backlog_start = self._pending_backlog()
         self._ran = True
         self._structures_clean = False
@@ -380,8 +380,13 @@ class Network:
         # so every link queue is pass-through and messages can be placed
         # straight into the receivers' next-round inboxes — no per-link
         # delivery pass at all.  Multi-channel algorithms (the random-delay
-        # scheduler) and runs resuming with ring traffic use the ring path.
-        express = bool(getattr(algorithm, "single_channel", False)) and not self._active
+        # scheduler), runs resuming with ring traffic and runs under an
+        # adversary use the ring path.
+        express = (
+            adversary is None
+            and bool(getattr(algorithm, "single_channel", False))
+            and not self._active
+        )
         if not express and self._pending_receivers:
             self._flush_pending_to_rings()
 
@@ -412,9 +417,29 @@ class Network:
         # charging the remaining (provably no-op) checkpoints.
         timer_probe = getattr(algorithm, "pending_timer_work", None)
 
+        # The adversary's crash/recover schedule joins the timers in the
+        # silent-stretch jump and the quiescence check below, so neither
+        # skips over a scheduled fault.  Crashed nodes sit out initialize,
+        # stage hand-offs and timer rounds.
+        crashed: set[int] = set()
+        event_rounds: tuple = ()
+        num_events = event_pos = 0
+        if adversary is not None:
+            adversary.reset(self)
+            event_rounds = tuple(adversary.event_rounds())
+            num_events = len(event_rounds)
+            # Round-0 events: nodes crashed "before the run" never initialize.
+            events = adversary.begin_round(0)
+            if events:
+                self._apply_fault_events(events, algorithm, crashed, metrics)
+            while event_pos < num_events and event_rounds[event_pos] <= 0:
+                event_pos += 1
+
         for ctx in nodes:
             ctx._express_pending = pending
             ctx._edge_counts = edge_counts
+            if crashed and ctx.node_id in crashed:
+                continue
             algorithm.initialize(ctx)
             ctx._sent_this_round.clear()
 
@@ -431,18 +456,19 @@ class Network:
                     timers_needed = False
                 if timers_needed:
                     # Silent but not quiescent: a timer is still pending.
-                    # Every round before it provably executes nothing, so
-                    # charge the stretch in one step and run the timer round.
-                    jump = timers[timer_pos] - 1
-                    if jump > metrics.rounds:
-                        metrics.rounds = jump if jump < max_rounds else max_rounds
-                        if metrics.rounds >= max_rounds:
-                            continue
+                    # Every round before it (or before an earlier scheduled
+                    # fault) provably executes nothing, so charge the
+                    # stretch in one step and run the forced round.
+                    forced = timers[timer_pos]
+                    if event_pos < num_events and event_rounds[event_pos] < forced:
+                        forced = event_rounds[event_pos]
                 else:
                     # Quiescent: no message in flight, every node halted.
                     if composed:
                         advanced = False
                         for ctx in nodes:
+                            if crashed and ctx.node_id in crashed:
+                                continue
                             if algorithm.advance_stage(ctx):
                                 advanced = True
                             ctx._sent_this_round.clear()
@@ -456,10 +482,25 @@ class Network:
                             if num_timers:
                                 algorithm.current_round = metrics.rounds
                             continue
-                    metrics.terminated = True
-                    metrics.messages_sent = metrics.messages_delivered - backlog_start
-                    self._structures_clean = True
-                    return metrics
+                    if event_pos == num_events:
+                        metrics.terminated = True
+                        metrics.messages_sent = (
+                            metrics.messages_delivered
+                            + metrics.messages_dropped
+                            - metrics.messages_duplicated
+                            - backlog_start
+                        )
+                        self._structures_clean = True
+                        return metrics
+                    # Quiescent, but faults are still scheduled: a recovery
+                    # can re-inject work and a crash wipes observable state,
+                    # so the schedule must play out.
+                    forced = event_rounds[event_pos]
+                jump = forced - 1
+                if jump > metrics.rounds:
+                    metrics.rounds = jump if jump < max_rounds else max_rounds
+                    if metrics.rounds >= max_rounds:
+                        continue
 
             metrics.rounds += 1
             timer_fired = False
@@ -472,7 +513,15 @@ class Network:
                         timer_pos += 1
             elif num_timers:
                 algorithm.current_round = metrics.rounds
-            if express:
+            if adversary is not None:
+                round_no = metrics.rounds
+                while event_pos < num_events and event_rounds[event_pos] <= round_no:
+                    event_pos += 1
+                events = adversary.begin_round(round_no)
+                if events:
+                    self._apply_fault_events(events, algorithm, crashed, metrics)
+                receivers = self._deliver_adversarial(metrics, adversary, round_no, crashed)
+            elif express:
                 # Express flip: the pending lists ARE the inboxes; swap them
                 # with the (empty) inbox pool so both recycle with zero
                 # allocation, and account deliveries per receiver.
@@ -494,10 +543,12 @@ class Network:
 
             # The ids to run this round, ascending (matching the legacy
             # full-scan order): awake nodes plus this round's receivers —
-            # or every node when a timer is due.  sorted() copies, so
+            # or every live node when a timer is due.  sorted() copies, so
             # handlers are free to halt()/wake().
             if timer_fired:
                 to_run = range(len(nodes))
+                if crashed:
+                    to_run = [v for v in to_run if v not in crashed]
             elif not awake:
                 to_run = sorted(receivers)
             elif receivers:
@@ -526,7 +577,11 @@ class Network:
                 ctx._sent_this_round.clear()
 
         metrics.messages_sent = (
-            metrics.messages_delivered + self._pending_backlog() - backlog_start
+            metrics.messages_delivered
+            + metrics.messages_dropped
+            - metrics.messages_duplicated
+            + self._pending_backlog()
+            - backlog_start
         )
         if express and pending_receivers:
             # Count-at-send ran ahead of the legacy count-at-delivery
@@ -538,8 +593,13 @@ class Network:
         self._structures_clean = True
         metrics.terminated = False
         if raise_on_limit:
-            raise RoundLimitExceeded(
-                f"algorithm {algorithm.name!r} did not terminate within {max_rounds} rounds",
+            if adversary is None:
+                error, stall = RoundLimitExceeded, "did not terminate"
+            else:
+                error = PartialRunError
+                stall = f"stalled under adversary {adversary.name!r}: no quiescence"
+            raise error(
+                f"algorithm {algorithm.name!r} {stall} within {max_rounds} rounds",
                 metrics=metrics,
                 last_active_set=len(awake),
             )
@@ -559,17 +619,21 @@ class Network:
             stacklevel=4,
         )
 
-    def _try_bulk(self, algorithm, max_rounds: int, raise_on_limit: bool):
+    def _try_bulk(self, algorithm, max_rounds: int, raise_on_limit: bool, adversary):
         """Attempt a vectorized run; ``None`` means use the per-node path.
 
-        Declined configurations (retry mode) warn once per network so the
-        de-optimization is observable; dirty queues and kernel build guards
-        (packed-key overflow) fall back silently — they are per-run
-        conditions, not configuration mistakes.
+        Declined configurations (retry mode, or a bulk-eligible one under an
+        adversary, which needs a per-message delivery point) warn once per
+        network so the de-optimization is observable; dirty queues and
+        kernel build guards (packed-key overflow) fall back silently — they
+        are per-run conditions, not configuration mistakes.
         """
         if not algorithm.bulk_supported():
-            if getattr(algorithm, "retry", None) is not None:
+            if adversary is None and getattr(algorithm, "retry", None) is not None:
                 self._warn_bulk_fallback(algorithm, "retry")
+            return None
+        if adversary is not None:
+            self._warn_bulk_fallback(algorithm, "adversary")
             return None
         if self._active or self._pending_receivers or not self._structures_clean:
             return None
@@ -620,203 +684,8 @@ class Network:
         return metrics
 
     # ------------------------------------------------------------------
-    # adversarial execution
+    # fault injection (the adversary's hooks on the ring path)
     # ------------------------------------------------------------------
-    def _run_adversarial(
-        self,
-        algorithm: DistributedAlgorithm,
-        adversary,
-        *,
-        max_rounds: int,
-        raise_on_limit: bool,
-        reset: bool,
-    ) -> RunMetrics:
-        """The fault-injected twin of :meth:`run`.
-
-        Kept as a separate loop so the fault-free hot path stays untouched.
-        Differences from :meth:`run`:
-
-        * always the metered ring path — the express lane has no per-message
-          delivery point for the adversary to interpose on (the oracle suite
-          pins express ≡ ring metrics, so a no-fault adversary remains
-          bit-identical to an adversary-free run);
-        * ``adversary.begin_round`` is consulted every executed round and
-          its crash/recover schedule is merged into the silent-stretch
-          fast-forward, so a jump never skips over a scheduled fault;
-        * hitting ``max_rounds`` raises :class:`PartialRunError` carrying
-          the partial metrics.
-        """
-        if getattr(algorithm, "bulk_capable", False) and algorithm.bulk_supported():
-            # A bulk-eligible configuration takes the per-node path under an
-            # adversary (the delivery interposition point is per-message).
-            self._warn_bulk_fallback(algorithm, "adversary")
-        if reset and self._ran:
-            self.reset()
-        metrics = RunMetrics()
-        metrics._edge_counts = [0] * self._csr.num_edges
-        metrics._edge_list = self._csr.edge_list
-        backlog_start = self._pending_backlog()
-        self._ran = True
-        self._structures_clean = False
-        if self._pending_receivers:
-            self._flush_pending_to_rings()
-
-        adversary.reset(self)
-        event_rounds: tuple = tuple(adversary.event_rounds())
-        num_events = len(event_rounds)
-        event_pos = 0
-
-        nodes = self._node_list
-        edge_counts = metrics._edge_counts
-        timers: tuple = getattr(algorithm, "wake_at_rounds", ()) or ()
-        num_timers = len(timers)
-        timer_pos = 0
-        if num_timers:
-            algorithm.current_round = 0
-        timer_probe = getattr(algorithm, "pending_timer_work", None)
-
-        crashed: set[int] = set()
-        awake = self._awake
-        inbox_of = self._inbox_of
-
-        # Round-0 events: nodes crashed "before the run" never initialize.
-        events = adversary.begin_round(0)
-        if events:
-            self._apply_fault_events(events, algorithm, crashed, metrics)
-        while event_pos < num_events and event_rounds[event_pos] <= 0:
-            event_pos += 1
-
-        for ctx in nodes:
-            ctx._express_pending = None
-            ctx._edge_counts = edge_counts
-            if ctx.node_id in crashed:
-                continue
-            algorithm.initialize(ctx)
-            ctx._sent_this_round.clear()
-
-        composed = isinstance(algorithm, ComposedAlgorithm)
-        on_round = algorithm.on_round
-        pending_receivers = self._pending_receivers
-        num_nodes = len(nodes)
-
-        while metrics.rounds < max_rounds:
-            if not self._active and not pending_receivers and not awake:
-                timers_needed = timer_pos < num_timers
-                if timers_needed and timer_probe is not None and not timer_probe():
-                    timers_needed = False
-                if timers_needed:
-                    # Jump to the next forced round: the earlier of the next
-                    # algorithm timer and the next scheduled fault event.
-                    forced = timers[timer_pos]
-                    if event_pos < num_events and event_rounds[event_pos] < forced:
-                        forced = event_rounds[event_pos]
-                    jump = forced - 1
-                    if jump > metrics.rounds:
-                        metrics.rounds = jump if jump < max_rounds else max_rounds
-                        if metrics.rounds >= max_rounds:
-                            continue
-                else:
-                    if composed:
-                        advanced = False
-                        for ctx in nodes:
-                            if ctx.node_id in crashed:
-                                continue
-                            if algorithm.advance_stage(ctx):
-                                advanced = True
-                            ctx._sent_this_round.clear()
-                        if advanced:
-                            timers = algorithm.rebase_timers(metrics.rounds)
-                            num_timers = len(timers)
-                            timer_pos = 0
-                            if num_timers:
-                                algorithm.current_round = metrics.rounds
-                            continue
-                    if event_pos < num_events:
-                        # Quiescent, but faults are still scheduled — a
-                        # recovery can re-inject work and a crash wipes
-                        # observable state, so the schedule must play out.
-                        jump = event_rounds[event_pos] - 1
-                        if jump > metrics.rounds:
-                            metrics.rounds = jump if jump < max_rounds else max_rounds
-                            if metrics.rounds >= max_rounds:
-                                continue
-                    else:
-                        metrics.terminated = True
-                        metrics.messages_sent = (
-                            metrics.messages_delivered
-                            + metrics.messages_dropped
-                            - metrics.messages_duplicated
-                            - backlog_start
-                        )
-                        self._structures_clean = True
-                        return metrics
-
-            metrics.rounds += 1
-            round_no = metrics.rounds
-            timer_fired = False
-            if timer_pos < num_timers:
-                algorithm.current_round = round_no
-                if timers[timer_pos] <= round_no:
-                    timer_fired = True
-                    timer_pos += 1
-                    while timer_pos < num_timers and timers[timer_pos] <= round_no:
-                        timer_pos += 1
-            elif num_timers:
-                algorithm.current_round = round_no
-            while event_pos < num_events and event_rounds[event_pos] <= round_no:
-                event_pos += 1
-            events = adversary.begin_round(round_no)
-            if events:
-                self._apply_fault_events(events, algorithm, crashed, metrics)
-
-            receivers = self._deliver_adversarial(metrics, adversary, round_no, crashed)
-
-            if timer_fired:
-                to_run = (
-                    range(num_nodes)
-                    if not crashed
-                    else sorted(set(range(num_nodes)) - crashed)
-                )
-            elif not awake:
-                to_run = sorted(receivers)
-            elif receivers:
-                to_run = sorted(awake.union(receivers))
-            else:
-                to_run = sorted(awake)
-            for v in to_run:
-                ctx = nodes[v]
-                inbox = inbox_of[v]
-                if inbox:
-                    if ctx.halted:
-                        ctx.halted = False
-                        on_round(ctx, inbox)
-                        if not ctx.halted:
-                            awake.add(v)
-                    else:
-                        on_round(ctx, inbox)
-                    inbox.clear()
-                else:
-                    on_round(ctx, _NO_MESSAGES)
-                ctx._sent_this_round.clear()
-
-        metrics.messages_sent = (
-            metrics.messages_delivered
-            + metrics.messages_dropped
-            - metrics.messages_duplicated
-            + self._pending_backlog()
-            - backlog_start
-        )
-        self._structures_clean = True
-        metrics.terminated = False
-        if raise_on_limit:
-            raise PartialRunError(
-                f"algorithm {algorithm.name!r} stalled under adversary "
-                f"{adversary.name!r}: no quiescence within {max_rounds} rounds",
-                metrics=metrics,
-                last_active_set=len(awake),
-            )
-        return metrics
-
     def _apply_fault_events(self, events, algorithm, crashed: set, metrics: RunMetrics) -> None:
         """Apply one round's crash/recover events from the adversary."""
         nodes = self._node_list

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.congest import (
     Adversary,
     AsyncScheduler,
+    ComposedAlgorithm,
     CrashAdversary,
     DropAdversary,
     DuplicateAdversary,
@@ -39,10 +40,25 @@ from repro.congest import (
 )
 from repro.congest.adversary import RetryPolicy, random_crash_schedule
 from repro.congest.primitives import DistributedBFS, extract_bfs_tree
+from repro.congest.primitives.leader import FloodMax
 from repro.graphs import bfs_distances, grid_graph, path_graph
 from repro.rng import derive_seed
 
-pytestmark = pytest.mark.faults
+pytestmark = [
+    pytest.mark.faults,
+    # By design this module runs bulk-capable BFS under adversaries and in
+    # retry mode, where the bulk path must decline (and says so).
+    pytest.mark.filterwarnings("ignore::repro.congest.bulk.BulkFallbackWarning"),
+]
+
+
+def _flood_then_scheduler():
+    """A composition whose second stage declares timers (delays 0 and 7)."""
+    scheduler = RandomDelayScheduler([
+        DistributedBFS({0}, prefix="s0_", algorithm_id=0),
+        DistributedBFS({35}, prefix="s1_", algorithm_id=1),
+    ], [0, 7])
+    return ComposedAlgorithm([FloodMax(), scheduler])
 
 
 def _metric_tuple(metrics):
@@ -95,6 +111,9 @@ class TestIdentityPins:
             return RandomDelayScheduler(algos, [0, 2, 5, 9])
 
         self._clean_vs(NullAdversary(), fleet)
+
+    def test_null_adversary_composed_timer_stage(self):
+        self._clean_vs(NullAdversary(), _flood_then_scheduler)
 
     def test_retry_mode_null_adversary_matches_no_adversary(self):
         # The retry protocol itself is deterministic: with no faults to
@@ -214,6 +233,17 @@ class TestCrashAdversary:
         # whole path ends up labelled despite the mid-run wipe.
         _, dist = extract_bfs_tree(net)
         assert dist == bfs_distances(g, 0)
+
+    def test_crash_inside_composed_timer_stage(self):
+        # FloodMax goes quiescent at round 11; node 14 crashes at round 15,
+        # before the scheduler's delayed BFS fires its timer, so that timer
+        # round has to skip the crashed (state-wiped) node.
+        net = Network(grid_graph(6, 6))
+        metrics = net.run(_flood_then_scheduler(),
+                          adversary=CrashAdversary({14: 15}))
+        assert metrics.crashes == 1
+        assert metrics.terminated
+        assert net.node(14).state == {}
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="never crashes"):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.applications import estimate_aggregation_rounds, partwise_aggregate
-from repro.graphs import cluster_star_graph, cycle_graph, grid_graph
+from repro.congest.primitives.aggregation import aggregate_over_shortcut
+from repro.graphs import cluster_star_graph, cycle_graph, grid_graph, grid_strip_partition
 from repro.shortcuts import Partition, Shortcut, build_kogan_parter_shortcut
 
 
@@ -23,7 +24,6 @@ class TestAnalyticAggregation:
         g, partition, shortcut = cluster_setup
         values = {v: float(v) for v in g.vertices()}
         result = partwise_aggregate(shortcut, values, op="min")
-        assert result.mode == "analytic"
         for idx in range(partition.num_parts):
             assert result.values[idx] == float(min(partition.part(idx)))
 
@@ -81,30 +81,31 @@ class TestEstimateRounds:
 
 
 class TestSimulatedAggregation:
+    """The simulated aggregation over ``G[S_i] ∪ H_i`` agrees with the
+    analytic one part for part."""
+
     def test_simulated_matches_analytic_on_clusters(self, cluster_setup):
         g, partition, shortcut = cluster_setup
         values = {v: float(v) for v in g.vertices()}
         analytic = partwise_aggregate(shortcut, values, op="min")
-        simulated = partwise_aggregate(shortcut, values, op="min", simulate=True, rng=3)
-        assert simulated.mode == "simulated"
+        simulated = aggregate_over_shortcut(shortcut, values, "min", rng=3)
         assert simulated.values == analytic.values
         assert simulated.rounds > 0
+        assert simulated.rounds == simulated.bfs_rounds + simulated.aggregation_rounds
 
     def test_simulated_with_kp_shortcut(self):
         g = grid_graph(6, 6)
-        from repro.graphs import grid_strip_partition
-
-        parts = grid_strip_partition(6, 6, strip_height=2)
-        partition = Partition(g, parts)
+        partition = Partition(g, grid_strip_partition(6, 6, strip_height=2))
         kp = build_kogan_parter_shortcut(g, partition, diameter_value=10, log_factor=0.3, rng=1)
         values = {v: float(v % 7) for v in g.vertices()}
         analytic = partwise_aggregate(kp.shortcut, values, op="min")
-        simulated = partwise_aggregate(kp.shortcut, values, op="min", simulate=True, rng=5)
+        simulated = aggregate_over_shortcut(kp.shortcut, values, "min", rng=5)
         assert simulated.values == analytic.values
+        assert sorted(simulated.simulated_parts) == list(range(partition.num_parts))
 
     def test_simulated_sum(self, cluster_setup):
         g, partition, shortcut = cluster_setup
         values = {v: 2 for v in g.vertices()}
-        simulated = partwise_aggregate(shortcut, values, op="sum", simulate=True, rng=7)
+        simulated = aggregate_over_shortcut(shortcut, values, "sum", rng=7)
         for idx in range(partition.num_parts):
             assert simulated.values[idx] == 2 * len(partition.part(idx))

@@ -16,6 +16,7 @@ from repro.applications.shortcut_mst import (
     CONSUMER_ENGINES,
     shortcut_boruvka_mst,
 )
+from repro.graphs import cycle_graph, grid_graph, hub_diameter_graph
 from repro.graphs.components import connected_components
 from repro.graphs.generators import (
     GENERATOR_FAMILIES,
@@ -93,6 +94,55 @@ class TestShortcutMSTOracle:
 
         result = shortcut_boruvka_mst(WeightedGraph(0))
         assert result.edges == [] and result.weight == 0.0
+
+
+class TestBoruvkaSmallInstances:
+    @pytest.mark.parametrize("engine", CONSUMER_ENGINES)
+    def test_matches_kruskal_on_grid(self, engine):
+        weighted = with_random_weights(grid_graph(5, 5), rng=1)
+        result = shortcut_boruvka_mst(weighted, engine=engine, rng=2)
+        _, kruskal_weight = kruskal_mst(weighted)
+        assert abs(result.weight - kruskal_weight) < 1e-9
+        assert len(result.edges) == 24
+        assert result.engine == engine
+
+    def test_matches_kruskal_on_hub_graph(self):
+        graph = hub_diameter_graph(80, 6, extra_edge_prob=0.03, rng=3)
+        weighted = with_random_weights(graph, rng=4)
+        result = shortcut_boruvka_mst(weighted, engine="shortcut", log_factor=0.3, rng=5)
+        _, kruskal_weight = kruskal_mst(weighted)
+        assert abs(result.weight - kruskal_weight) < 1e-9
+
+    def test_matches_kruskal_on_cycle(self):
+        weighted = with_random_weights(cycle_graph(20), rng=6)
+        result = shortcut_boruvka_mst(weighted, engine="raw", rng=7)
+        _, kruskal_weight = kruskal_mst(weighted)
+        assert abs(result.weight - kruskal_weight) < 1e-9
+        assert len(result.edges) == 19
+
+    def test_round_bookkeeping(self):
+        weighted = with_random_weights(grid_graph(5, 5), rng=8)
+        result = shortcut_boruvka_mst(weighted, engine="shortcut", rng=9)
+        assert result.phases == len(result.bfs_rounds_per_phase)
+        assert result.phases == len(result.aggregation_rounds_per_phase)
+        # Each phase pays one fragment-id exchange round on top of the two
+        # simulated aggregation stages.
+        for total, bfs, agg in zip(result.rounds_per_phase,
+                                   result.bfs_rounds_per_phase,
+                                   result.aggregation_rounds_per_phase):
+            assert total == 1 + bfs + agg
+        assert all(r > 0 for r in result.rounds_per_phase)
+
+    def test_engines_agree_on_long_fragment_instance(self):
+        # On the lower-bound topology fragments quickly become long paths;
+        # both routings must still return the same (Kruskal) tree.
+        inst = lower_bound_instance(120, 6)
+        weighted = with_random_weights(inst.graph, rng=10)
+        with_sc = shortcut_boruvka_mst(weighted, engine="shortcut",
+                                       diameter_value=6, log_factor=0.3, rng=11)
+        raw = shortcut_boruvka_mst(weighted, engine="raw", rng=12)
+        kruskal_edges, _ = kruskal_mst(weighted)
+        assert with_sc.edges == raw.edges == sorted(kruskal_edges)
 
 
 class TestComponentsOracle:
