@@ -618,13 +618,10 @@ def shortcut_link_masks(shortcut, part_indices: Sequence[int]) -> list[CSRLinkMa
     directions of every edge of ``G[S_i] ∪ H_i``.
     """
     csr = shortcut.graph.csr()
-    masks = []
-    for i in part_indices:
-        ids = shortcut.augmented_edge_ids(i)
-        masks.append(CSRLinkMask.from_edge_ids(
-            csr, np.fromiter(ids, dtype=np.int64, count=len(ids))
-        ))
-    return masks
+    return [
+        CSRLinkMask.from_edge_ids(csr, shortcut.augmented_edge_id_array(i))
+        for i in part_indices
+    ]
 
 
 def aggregate_over_shortcut(

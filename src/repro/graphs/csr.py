@@ -30,6 +30,16 @@ over these link ids and materializes, per node, the permitted out-neighbour
 and out-link lists the distributed BFS primitives consume — replacing the
 per-part dict-of-sets adjacency maps the distributed driver used to build in
 O(n·Δ) Python per diameter guess.
+
+Batched subgraph BFS
+--------------------
+The dilation measurement BFSes every part's augmented subgraph from several
+sources.  :meth:`AdjacencyArrays.edge_subgraph` cuts a compact local-id CSR
+out of the snapshot for an edge-id list, and :func:`bfs_distance_rows` runs
+one BFS per source on it, all sources advancing together: each level is a
+handful of numpy passes over the flat ``(source, vertex)`` frontier, with
+the next frontier deduped by sort plus neighbour compare
+(:func:`sorted_unique`).
 """
 
 from __future__ import annotations
@@ -215,6 +225,32 @@ class AdjacencyArrays:
                 self.edge_ids, kind="stable"
             ).reshape(-1, 2)
         return table
+
+    def edge_subgraph(
+        self, edge_ids: np.ndarray, extra_vertices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Compact local-id CSR of the subgraph spanned by ``edge_ids``.
+
+        The subgraph's vertices are the endpoints of the listed edges plus
+        ``extra_vertices`` (which may be isolated).  Local ids follow
+        ascending global id.  ``edge_ids`` must be distinct.  The adjacency
+        entries resolve through :attr:`edge_positions`, so the cost is
+        ``O(k log k)`` in the subgraph size, never ``O(n + m)``.
+
+        Returns:
+            ``(vertices, starts, targets)``: the sorted global ids, and the
+            local CSR row pointers and neighbour array that
+            :func:`bfs_distance_rows` traverses.
+        """
+        pos = np.sort(self.edge_positions[edge_ids].ravel())
+        rows = self.rows[pos]
+        vertices = sorted_unique(np.concatenate((rows, extra_vertices)))
+        # Uninitialised on purpose: only the subgraph's vertices are read.
+        local_of = np.empty(self.num_vertices, dtype=np.int64)
+        local_of[vertices] = np.arange(len(vertices))
+        starts = np.zeros(len(vertices) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(local_of[rows], minlength=len(vertices)), out=starts[1:])
+        return vertices, starts, local_of[self.indices[pos]]
 
 
 class CSRLinkMask:
@@ -477,54 +513,59 @@ def component_labels(csr: CSRGraph) -> tuple[array, int]:
     return labels, current
 
 
-class LocalSubgraphCSR:
-    """A compact CSR-like view of a subgraph, re-labelled to local ids.
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Return the distinct entries of ``values`` in ascending order.
 
-    Built once from an edge list plus extra (possibly isolated) vertices and
-    then traversed many times — this is the workhorse of the dilation
-    measurement, where every part's augmented subgraph is BFS-ed from many
-    sources.  Local ids are assigned in ascending global-vertex order.
-
-    Attributes:
-        vertices: sorted global ids of the subgraph's vertices.
-        local_of: map global id -> local id.
-        adjacency: list of local-id neighbour lists.
+    Sort plus neighbour compare: ``np.unique`` on integers hashes in recent
+    numpy releases and is an order of magnitude slower on the frontier-sized
+    arrays the kernels below dedupe.
     """
+    values = np.sort(values)
+    if len(values) > 1:
+        keep = np.empty(len(values), dtype=bool)
+        keep[0] = True
+        np.not_equal(values[1:], values[:-1], out=keep[1:])
+        values = values[keep]
+    return values
 
-    __slots__ = ("vertices", "local_of", "adjacency")
 
-    def __init__(self, edges: Iterable[tuple[int, int]], extra_vertices: Iterable[int] = ()) -> None:
-        edges = list(edges)
-        verts: set[int] = set(extra_vertices)
-        for u, v in edges:
-            verts.add(u)
-            verts.add(v)
-        self.vertices = sorted(verts)
-        self.local_of = {g: i for i, g in enumerate(self.vertices)}
-        adjacency: list[list[int]] = [[] for _ in self.vertices]
-        local_of = self.local_of
-        for u, v in edges:
-            lu = local_of[u]
-            lv = local_of[v]
-            adjacency[lu].append(lv)
-            adjacency[lv].append(lu)
-        self.adjacency = adjacency
+def bfs_distance_rows(
+    starts: np.ndarray, targets: np.ndarray, sources: np.ndarray
+) -> np.ndarray:
+    """One independent BFS per source, all advanced together.
 
-    def bfs_distances(self, source_global: int) -> array:
-        """Return local-id hop distances from a global source vertex."""
-        adjacency = self.adjacency
-        dist = array("l", [UNREACHED]) * len(adjacency)
-        s = self.local_of[source_global]
-        dist[s] = 0
-        frontier = [s]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt: list[int] = []
-            for u in frontier:
-                for v in adjacency[u]:
-                    if dist[v] == UNREACHED:
-                        dist[v] = depth
-                        nxt.append(v)
-            frontier = nxt
-        return dist
+    ``starts`` / ``targets`` are a CSR over local ids (as returned by
+    :meth:`AdjacencyArrays.edge_subgraph`).  Each frontier is a flat array of
+    ``(source row, vertex)`` pairs encoded as ``row * L + vertex``; one level
+    gathers every pair's adjacency slice at once, drops pairs whose target
+    is already labelled, and dedupes the rest by sort plus neighbour compare.
+    Memory is ``O(len(sources) * L)``: callers batch many sources in chunks.
+
+    Returns:
+        An ``int32`` array of shape ``(len(sources), L)`` of hop distances,
+        :data:`UNREACHED` where a vertex is not reachable from the row's
+        source.
+    """
+    size = len(starts) - 1
+    degree = np.diff(starts)
+    sources = np.asarray(sources, dtype=np.int64)
+    dist = np.full(len(sources) * size, UNREACHED, dtype=np.int32)
+    frontier = np.arange(len(sources), dtype=np.int64) * size + sources
+    dist[frontier] = 0
+    depth = 0
+    while len(frontier):
+        depth += 1
+        vertex = frontier % size
+        counts = degree[vertex]
+        total = int(counts.sum())
+        if not total:
+            break
+        # Ragged gather: entry j of the output walks the adjacency slice of
+        # the frontier pair it was repeated from.
+        entries = np.arange(total)
+        entries += np.repeat(starts[vertex] - (np.cumsum(counts) - counts), counts)
+        keys = targets[entries]
+        keys += np.repeat(frontier - vertex, counts)
+        frontier = sorted_unique(keys[dist[keys] == UNREACHED])
+        dist[frontier] = depth
+    return dist.reshape(len(sources), size)

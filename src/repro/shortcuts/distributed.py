@@ -63,8 +63,6 @@ from random import Random
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..congest.network import Network, RunMetrics
 from ..congest.primitives.bfs import DistributedBFS
 from ..congest.primitives.concurrent_bfs import ConcurrentMaskedBFS
@@ -153,18 +151,10 @@ def geometric_guesses(lower: int, upper: int) -> list[int]:
     return guesses
 
 
-def _partition_labels(partition: Partition) -> np.ndarray:
-    """Vertex labels: part index per vertex, ``-1`` outside every part."""
-    labels = np.full(partition.graph.num_vertices, -1, dtype=np.int64)
-    for idx in range(partition.num_parts):
-        labels[list(partition.part(idx))] = idx
-    return labels
-
-
 def _intra_part_mask(partition: Partition) -> CSRLinkMask:
     """The link mask of the union of induced subgraphs ``G[S_i]``."""
     return CSRLinkMask.intra_partition(
-        partition.graph.csr(), _partition_labels(partition)
+        partition.graph.csr(), partition.vertex_labels()
     )
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import Optional
 
+import numpy as np
+
 from ..graphs.graph import Graph
 from ..graphs.partitions import validate_parts
 from ..graphs.traversal import diameter
@@ -93,6 +95,14 @@ class Partition:
     def leaders(self) -> list[int]:
         """Return the leader of every part, in part order (cached)."""
         return list(self._leaders)
+
+    def vertex_labels(self) -> np.ndarray:
+        """Return the part index of every vertex (``-1`` outside every part),
+        as a fresh ``int64`` array of length ``graph.num_vertices``."""
+        labels = np.full(self.graph.num_vertices, -1, dtype=np.int64)
+        for idx, part in enumerate(self._parts):
+            labels[np.fromiter(part, dtype=np.int64, count=len(part))] = idx
+        return labels
 
     def part_edges(self, index: int) -> list[tuple[int, int]]:
         """Return the edges of the induced subgraph ``G[S_index]`` (canonical form)."""

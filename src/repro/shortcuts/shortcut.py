@@ -12,11 +12,15 @@ such that
 subgraphs and computes congestion, dilation and quality.
 
 Internally every ``H_i`` is a set of dense *edge ids* from the host graph's
-:class:`~repro.graphs.csr.CSRGraph` snapshot, so the congestion counters are
-flat ``array('l')`` accumulators indexed by edge id and the dilation BFS runs
-on compact local-id adjacency (see
-:class:`~repro.graphs.csr.LocalSubgraphCSR`) instead of per-call dict/set
-churn.  The public API is unchanged and still speaks canonical edge tuples.
+:class:`~repro.graphs.csr.CSRGraph` snapshot, and the quality measures run
+on numpy arrays over those ids.  One cached per-edge *owner* array (the
+part whose induced subgraph contains the edge, ``-1`` for none) gives every
+part's induced edges.  Congestion is one ``np.bincount`` over those plus
+one vectorized increment per ``H_i`` over its remaining ids.  The dilation
+BFS runs on the augmented subgraph's compact local-id CSR
+(:meth:`~repro.graphs.csr.AdjacencyArrays.edge_subgraph`), from all of a
+part's sources at once (:func:`~repro.graphs.csr.bfs_distance_rows`).  The
+public API still speaks canonical edge tuples.
 
 Measurement conventions
 -----------------------
@@ -30,23 +34,32 @@ between two **part** vertices inside the augmented subgraph
 bounds (Theorem 3.1 bounds ``dist_H(s, t)`` for ``s, t ∈ S_j``) and the one
 the applications rely on; the full subgraph diameter can be larger or even
 infinite because sampled edges may land outside the part's component, which
-is irrelevant for routing inside the part.  ``dilation(mode="component")``
-additionally measures the diameter of the connected component of the
-augmented subgraph that contains the part, for completeness.
+is irrelevant for routing inside the part.
+
+*Sampled dilation* (``exact=False``) BFSes from the part leader plus
+``sample_size`` vertices drawn from the caller's rng.  Without an rng it
+draws nothing: it runs a double sweep (BFS from the leader, then from the
+smallest-id part vertex farthest from it), so the value is deterministic.
+Either way it lies in ``[true/2, true]``.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Optional, Sequence as SequenceT
 
-from ..graphs.csr import UNREACHED, LocalSubgraphCSR
+import numpy as np
+
+from ..graphs.csr import UNREACHED, bfs_distance_rows
 from ..graphs.graph import Graph, Subgraph, union_subgraph
 from ..graphs.traversal import INFINITY
 from ..rng import RandomLike, ensure_rng
 from .partition import Partition
+
+#: Cap on ``sources x vertices`` distance cells one batched dilation BFS
+#: holds at a time (int32 each); exact mode runs its sources in chunks.
+_BFS_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -157,7 +170,7 @@ class Shortcut:
 
     def _init_from_ids(self, partition: Partition, id_sets: list[set[int]]) -> None:
         self._subgraph_ids = id_sets
-        self._part_edge_id_cache: list[Optional[frozenset[int]]] = [None] * partition.num_parts
+        self._owner_cache: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -165,24 +178,35 @@ class Shortcut:
         """Number of parts (and of shortcut subgraphs)."""
         return self.partition.num_parts
 
-    def _part_edge_ids(self, index: int) -> frozenset[int]:
-        """Edge ids of the induced subgraph ``G[S_index]`` (cached)."""
-        cached = self._part_edge_id_cache[index]
+    def _edge_owners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The per-edge owner array and the induced edge ids grouped by part.
+
+        Returns ``(owner, grouped, bounds)`` (built once): ``owner[e]`` is the
+        part whose induced subgraph ``G[S_i]`` contains edge ``e`` (``-1``
+        for none), and ``grouped[bounds[i]:bounds[i + 1]]`` lists part
+        ``i``'s induced edge ids in ascending order.
+        """
+        cached = self._owner_cache
         if cached is None:
-            csr = self._csr
-            indptr = csr.indptr
-            indices = csr.indices
-            edge_ids = csr.edge_ids
-            part = self.partition.part(index)
-            ids: set[int] = set()
-            for u in part:
-                for i in range(indptr[u], indptr[u + 1]):
-                    v = indices[i]
-                    if v > u and v in part:
-                        ids.add(edge_ids[i])
-            cached = frozenset(ids)
-            self._part_edge_id_cache[index] = cached
+            arrays = self._csr.adjacency_arrays()
+            labels = self.partition.vertex_labels()
+            label_u = labels[arrays.edge_u]
+            owner = np.where(label_u == labels[arrays.edge_v], label_u, -1)
+            induced = np.flatnonzero(owner >= 0)
+            grouped = induced[np.argsort(owner[induced], kind="stable")]
+            bounds = np.searchsorted(owner[grouped], np.arange(self.num_parts + 1))
+            cached = self._owner_cache = (owner, grouped, bounds)
         return cached
+
+    def _part_edge_ids(self, index: int) -> np.ndarray:
+        """Edge ids of the induced subgraph ``G[S_index]``, ascending."""
+        _, grouped, bounds = self._edge_owners()
+        return grouped[bounds[index]:bounds[index + 1]]
+
+    def _outside_edge_ids(self, index: int) -> np.ndarray:
+        """Edge ids of ``H_index`` that are not induced edges of the part."""
+        ids = self.subgraph_edge_id_array(index)
+        return ids[self._edge_owners()[0][ids] != index]
 
     def subgraph_edge_ids(self, index: int) -> set[int]:
         """Return the edge ids of ``H_index`` (ids refer to ``graph.csr()``)."""
@@ -195,14 +219,18 @@ class Shortcut:
         consumers (the distributed driver builds its per-part CSR link masks
         from these).
         """
-        import numpy as np
-
         ids = self._subgraph_ids[index]
         return np.fromiter(ids, dtype=np.int64, count=len(ids))
 
     def augmented_edge_ids(self, index: int) -> set[int]:
         """Return the edge ids of ``G[S_index] ∪ H_index``."""
-        return self._part_edge_ids(index) | self._subgraph_ids[index]
+        return set(self._part_edge_ids(index).tolist()) | self._subgraph_ids[index]
+
+    def augmented_edge_id_array(self, index: int) -> np.ndarray:
+        """Return the distinct edge ids of ``G[S_index] ∪ H_index`` as a numpy
+        ``int64`` array (induced edges first, ascending, then the rest of
+        ``H_index`` in set order)."""
+        return np.concatenate((self._part_edge_ids(index), self._outside_edge_ids(index)))
 
     def subgraph_edges(self, index: int) -> set[tuple[int, int]]:
         """Return the edge set ``H_index`` (canonical edge tuples)."""
@@ -237,7 +265,7 @@ class Shortcut:
         # Iterate the part and shortcut id collections directly rather than
         # materializing their union: re-adding an edge present in both is
         # idempotent on the adjacency sets.
-        for ids in (self._part_edge_ids(index), self._subgraph_ids[index]):
+        for ids in (self._part_edge_ids(index).tolist(), self._subgraph_ids[index]):
             for e in ids:
                 u, v = edge_list[e]
                 su = get(u)
@@ -257,28 +285,27 @@ class Shortcut:
     # ------------------------------------------------------------------
     # quality measures
     # ------------------------------------------------------------------
-    def _edge_load_array(self) -> array:
-        """Per-edge load as a flat ``array('l')`` indexed by edge id."""
-        load = array("l", [0]) * self._csr.num_edges
+    def _edge_load_array(self) -> np.ndarray:
+        """Per-edge load as a flat ``int64`` array indexed by edge id."""
+        _, grouped, _ = self._edge_owners()
+        load = np.bincount(grouped, minlength=self._csr.num_edges)
         for i in range(self.num_parts):
-            for e in self._part_edge_ids(i):
-                load[e] += 1
-            shortcut_ids = self._subgraph_ids[i]
-            part_ids = self._part_edge_id_cache[i]
-            for e in shortcut_ids:
-                if e not in part_ids:  # type: ignore[operator]
-                    load[e] += 1
+            # One H_i holds each id once, so a fancy-index increment counts
+            # every id (and never materializes all parts' ids at once).
+            load[self._outside_edge_ids(i)] += 1
         return load
 
     def congestion(self) -> int:
         """Return the congestion: max #augmented subgraphs sharing one edge."""
         load = self._edge_load_array()
-        return max(load, default=0)
+        return int(load.max()) if len(load) else 0
 
     def edge_loads(self) -> dict[tuple[int, int], int]:
         """Return the full per-edge load map (edges with zero load omitted)."""
+        load = self._edge_load_array()
+        loaded = np.flatnonzero(load)
         edge_list = self._csr.edge_list
-        return {edge_list[e]: c for e, c in enumerate(self._edge_load_array()) if c}
+        return {edge_list[e]: c for e, c in zip(loaded.tolist(), load[loaded].tolist())}
 
     def part_dilation(self, index: int, *, exact: bool = True, rng: RandomLike = None,
                       sample_size: int = 4) -> float:
@@ -290,34 +317,44 @@ class Shortcut:
                 ``sample_size`` random part vertices, which gives a value in
                 ``[true/2, true]`` (the leader eccentricity alone is already a
                 2-approximation).
-            rng: randomness for the sampled variant.
+            rng: randomness for the sampled variant.  Without one, the
+                sampled variant is the deterministic double sweep (see the
+                module docstring) and draws nothing.
         """
         part = self.partition.part(index)
         if len(part) <= 1:
             return 0.0
-        edge_list = self._csr.edge_list
-        view = LocalSubgraphCSR(
-            (edge_list[e] for e in self.augmented_edge_ids(index)), part
-        )
-        if exact:
-            sources = list(part)
-        else:
+        sampled: Optional[list[int]] = None
+        if not exact and rng is not None:
             r = ensure_rng(rng)
-            sources = [self.partition.leader(index)]
+            sampled = [self.partition.leader(index)]
             pool = list(part)
             for _ in range(min(sample_size, len(pool))):
-                sources.append(r.choice(pool))
-        local_of = view.local_of
-        part_locals = [local_of[t] for t in part]
+                sampled.append(r.choice(pool))
+        part_ids = np.sort(np.fromiter(part, dtype=np.int64, count=len(part)))
+        vertices, starts, targets = self._csr.adjacency_arrays().edge_subgraph(
+            self.augmented_edge_id_array(index), part_ids
+        )
+        part_locals = np.searchsorted(vertices, part_ids)
+        if exact:
+            sources_local = part_locals
+        elif sampled is not None:
+            sources_local = np.searchsorted(vertices, sampled)
+        else:
+            leader = np.searchsorted(vertices, [self.partition.leader(index)])
+            first = bfs_distance_rows(starts, targets, leader)[0, part_locals]
+            if (first == UNREACHED).any():
+                return INFINITY
+            # argmax returns the first maximum: the smallest farthest id.
+            sources_local = part_locals[np.argmax(first)][None]
+        chunk = max(1, _BFS_CELLS // len(vertices))
         worst = 0
-        for s in sources:
-            dist = view.bfs_distances(s)
-            for t in part_locals:
-                d = dist[t]
-                if d == UNREACHED:
-                    return INFINITY
-                if d > worst:
-                    worst = d
+        for lo in range(0, len(sources_local), chunk):
+            dist = bfs_distance_rows(starts, targets, sources_local[lo:lo + chunk])
+            dist = dist[:, part_locals]
+            if (dist == UNREACHED).any():
+                return INFINITY
+            worst = max(worst, int(dist.max()))
         return float(worst)
 
     def dilation(self, *, exact: bool = True, rng: RandomLike = None) -> float:

@@ -59,7 +59,8 @@ def verify_shortcut(
         max_congestion: optional congestion budget.
         max_dilation: optional dilation budget.
         exact_dilation: measure dilation exactly (pass ``False`` for the
-            cheaper 2-approximation on large instances).
+            cheaper 2-approximation on large instances: the deterministic
+            double sweep of :meth:`Shortcut.part_dilation` without an rng).
 
     Returns:
         A :class:`VerificationResult`; ``violations`` lists every failure.

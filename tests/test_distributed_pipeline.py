@@ -38,7 +38,7 @@ from repro.shortcuts import (
     geometric_guesses,
     measure_diameter_probe,
 )
-from repro.shortcuts.distributed import _intra_part_mask, _partition_labels
+from repro.shortcuts.distributed import _intra_part_mask
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +87,7 @@ class TestCSRLinkMask:
         inst = lower_bound_instance(60, 6)
         partition = Partition(inst.graph, inst.parts, validate=False)
         csr = inst.graph.csr()
-        mask = CSRLinkMask.intra_partition(csr, _partition_labels(partition))
+        mask = CSRLinkMask.intra_partition(csr, partition.vertex_labels())
         part_of = partition.part_of
         for v in range(csr.num_vertices):
             pv = part_of(v)

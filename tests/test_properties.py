@@ -9,6 +9,10 @@ the structural invariants that the rest of the library depends on:
 * every shortcut construction yields only real graph edges, congestion
   consistent with the per-edge load map, and dilation no worse than the
   un-shortcut baseline;
+* the array quality engine (owner array + bincount congestion, batched
+  masked BFS dilation) matches per-edge brute force and the per-part Python
+  BFS it replaced (:class:`LocalSubgraphCSR`, kept here as the oracle),
+  draw for draw in the sampled modes;
 * Boruvka MST weight equals Kruskal MST weight on arbitrary weighted graphs.
 """
 
@@ -16,8 +20,11 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import deque
+from collections.abc import Iterable
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -31,13 +38,18 @@ from repro.graphs import (
     is_connected,
     spanning_forest,
 )
+from repro.graphs.csr import UNREACHED, CSRGraph, bfs_distance_rows, bfs_levels
 from repro.graphs.generators import GENERATOR_FAMILIES, make_family_graph
+from repro.rng import RandomLike, ensure_rng
 from repro.shortcuts import (
     Partition,
     Shortcut,
     build_empty_shortcut,
+    build_ghaffari_haeupler_shortcut,
     build_kogan_parter_shortcut,
+    build_naive_shortcut,
 )
+from repro.shortcuts import shortcut as shortcut_module
 from repro.shortcuts.verification import is_valid_shortcut, verify_shortcut
 
 # ----------------------------------------------------------------------
@@ -310,6 +322,176 @@ def _oracle_dilation(shortcut: Shortcut) -> float:
     )
 
 
+# ----------------------------------------------------------------------
+# reference quality engine: the per-part Python BFS the arrays replaced
+# ----------------------------------------------------------------------
+class LocalSubgraphCSR:
+    """A compact CSR-like view of a subgraph, re-labelled to local ids.
+
+    Built once from an edge list plus extra (possibly isolated) vertices and
+    then BFS-ed from many sources.  Local ids are assigned in ascending
+    global-vertex order.
+
+    Attributes:
+        vertices: sorted global ids of the subgraph's vertices.
+        local_of: map global id -> local id.
+        adjacency: list of local-id neighbour lists.
+    """
+
+    __slots__ = ("vertices", "local_of", "adjacency")
+
+    def __init__(self, edges: Iterable[tuple[int, int]], extra_vertices: Iterable[int] = ()) -> None:
+        edges = list(edges)
+        verts: set[int] = set(extra_vertices)
+        for u, v in edges:
+            verts.add(u)
+            verts.add(v)
+        self.vertices = sorted(verts)
+        self.local_of = {g: i for i, g in enumerate(self.vertices)}
+        adjacency: list[list[int]] = [[] for _ in self.vertices]
+        local_of = self.local_of
+        for u, v in edges:
+            lu = local_of[u]
+            lv = local_of[v]
+            adjacency[lu].append(lv)
+            adjacency[lv].append(lu)
+        self.adjacency = adjacency
+
+    def bfs_distances(self, source_global: int) -> array:
+        """Return local-id hop distances from a global source vertex."""
+        adjacency = self.adjacency
+        dist = array("l", [UNREACHED]) * len(adjacency)
+        s = self.local_of[source_global]
+        dist[s] = 0
+        frontier = [s]
+        depth = 0
+        while frontier:
+            depth += 1
+            nxt: list[int] = []
+            for u in frontier:
+                for v in adjacency[u]:
+                    if dist[v] == UNREACHED:
+                        dist[v] = depth
+                        nxt.append(v)
+            frontier = nxt
+        return dist
+
+
+def _reference_part_dilation(
+    shortcut: Shortcut, index: int, *, exact: bool = True, rng: RandomLike = None,
+    sample_size: int = 4,
+) -> float:
+    """``Shortcut.part_dilation`` before the array engine, source for source:
+    the same source list (same draws from ``rng``), one Python BFS per
+    source, and the double sweep when sampling without an rng."""
+    partition = shortcut.partition
+    part = partition.part(index)
+    if len(part) <= 1:
+        return 0.0
+    view = LocalSubgraphCSR(shortcut.augmented_edges(index), part)
+    local_of = view.local_of
+    part_locals = [local_of[t] for t in part]
+    if exact:
+        sources = list(part)
+    elif rng is None:
+        dist = view.bfs_distances(partition.leader(index))
+        if any(dist[t] == UNREACHED for t in part_locals):
+            return float("inf")
+        far = max(dist[t] for t in part_locals)
+        sources = [min(v for v in part if dist[local_of[v]] == far)]
+    else:
+        r = ensure_rng(rng)
+        sources = [partition.leader(index)]
+        pool = list(part)
+        for _ in range(min(sample_size, len(pool))):
+            sources.append(r.choice(pool))
+    worst = 0
+    for s in sources:
+        dist = view.bfs_distances(s)
+        for t in part_locals:
+            if dist[t] == UNREACHED:
+                return float("inf")
+            worst = max(worst, dist[t])
+    return float(worst)
+
+
+def _reference_dilation(shortcut: Shortcut, *, exact: bool = True, rng: RandomLike = None) -> float:
+    """``Shortcut.dilation`` before the array engine, including its early
+    return on the first disconnected part (later parts draw nothing)."""
+    worst = 0.0
+    for i in range(shortcut.num_parts):
+        d = _reference_part_dilation(shortcut, i, exact=exact, rng=rng)
+        if d == float("inf"):
+            return d
+        worst = max(worst, d)
+    return worst
+
+
+def _oracle_edge_loads(shortcut: Shortcut) -> dict[tuple[int, int], int]:
+    """Per-edge brute force: the augmented subgraphs containing each edge."""
+    partition = shortcut.partition
+    parts = [set(partition.part(i)) for i in range(partition.num_parts)]
+    subs = [shortcut.subgraph_edges(i) for i in range(partition.num_parts)]
+    loads = {}
+    for u, v in shortcut.graph.edges():
+        load = sum(
+            1
+            for i in range(partition.num_parts)
+            if (u in parts[i] and v in parts[i]) or (u, v) in subs[i]
+        )
+        if load:
+            loads[(u, v)] = load
+    return loads
+
+
+SHORTCUT_KINDS = ("kogan_parter", "naive", "ghaffari_haeupler", "random", "scattered")
+
+
+@st.composite
+def family_shortcuts(draw):
+    """A shortcut over a graph drawn across every generator family.
+
+    Kinds: Kogan-Parter samples; the shared-edge-list baselines (naive,
+    Ghaffari-Haeupler); random ``H_i`` given for a prefix of the parts only
+    (trailing empty subgraphs); and ``scattered`` parts — unvalidated
+    random vertex sets, so singletons and parts disconnected in their
+    augmented subgraph (infinite dilation) both occur.
+    """
+    family = draw(st.sampled_from(sorted(GENERATOR_FAMILIES)))
+    n = draw(st.integers(8, 26))
+    seed = draw(st.integers(0, 10_000))
+    kind = draw(st.sampled_from(SHORTCUT_KINDS))
+    num_parts = draw(st.integers(1, 4))
+    g = make_family_graph(family, n, rng=seed)
+    rng = random.Random(seed + 1)
+    if kind == "scattered":
+        vertices = list(g.vertices())
+        rng.shuffle(vertices)
+        sizes = [rng.randint(1, max(1, n // num_parts)) for _ in range(num_parts)]
+        parts, at = [], 0
+        for size in sizes:
+            if at + size > len(vertices):
+                break
+            parts.append(set(vertices[at:at + size]))
+            at += size
+        partition = Partition(g, parts, validate=False)
+    else:
+        partition = Partition(g, _carve_connected_parts(g, rng, num_parts))
+    if kind == "kogan_parter":
+        return build_kogan_parter_shortcut(g, partition, log_factor=0.4, rng=seed).shortcut
+    if kind == "naive":
+        return build_naive_shortcut(g, partition)
+    if kind == "ghaffari_haeupler":
+        return build_ghaffari_haeupler_shortcut(
+            g, partition, size_threshold=rng.choice([None, 1.0, 3.0])
+        )
+    edges = list(g.edges())
+    given = rng.randint(0, partition.num_parts)
+    return Shortcut(partition, [
+        rng.sample(edges, rng.randint(0, len(edges))) for _ in range(given)
+    ])
+
+
 class TestVerificationAgainstOracle:
     """``is_valid_shortcut`` / ``verify_shortcut`` vs per-edge and per-path
     brute force, on random graphs drawn across every generator family."""
@@ -378,6 +560,94 @@ class TestVerificationAgainstOracle:
         assert approx_a <= exact
         if exact < float("inf"):
             assert approx_a >= exact / 2.0
+
+    # -- the array engine vs the per-part Python engine it replaced --------
+    @given(random_graphs(), st.integers(0, 1000))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_batched_bfs_rows_match_single_source_bfs(self, g, seed):
+        # The kernel on a random edge subset (isolated vertices included via
+        # the extra-vertex list) vs one plain BFS per source on that subset.
+        rng = random.Random(seed)
+        csr = g.csr()
+        ids = sorted(rng.sample(range(csr.num_edges), rng.randint(0, csr.num_edges)))
+        everyone = np.arange(g.num_vertices, dtype=np.int64)
+        vertices, starts, targets = csr.adjacency_arrays().edge_subgraph(
+            np.asarray(ids, dtype=np.int64), everyone
+        )
+        assert vertices.tolist() == everyone.tolist()
+        sources = [rng.randrange(g.num_vertices) for _ in range(rng.randint(1, 5))]
+        rows = bfs_distance_rows(starts, targets, np.asarray(sources))
+        sub = CSRGraph(g.num_vertices, [csr.edge_list[e] for e in ids])
+        for row, source in zip(rows.tolist(), sources):
+            assert row == list(bfs_levels(sub, [source])[0])
+
+    @given(family_shortcuts())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_congestion_and_edge_loads_match_brute_force(self, shortcut):
+        loads = _oracle_edge_loads(shortcut)
+        assert shortcut.edge_loads() == loads
+        assert shortcut.congestion() == max(loads.values(), default=0)
+        for i in range(shortcut.num_parts):
+            ids = shortcut.augmented_edge_id_array(i).tolist()
+            assert len(ids) == len(set(ids))
+            assert set(ids) == shortcut.augmented_edge_ids(i)
+
+    @given(family_shortcuts())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_exact_dilation_matches_reference_engine(self, shortcut):
+        for i in range(shortcut.num_parts):
+            assert shortcut.part_dilation(i) == _reference_part_dilation(shortcut, i)
+        assert shortcut.dilation() == _reference_dilation(shortcut)
+        assert shortcut.dilation() == _oracle_dilation(shortcut)
+
+    @given(family_shortcuts())
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_exact_dilation_is_independent_of_source_chunking(self, shortcut):
+        expected = [shortcut.part_dilation(i) for i in range(shortcut.num_parts)]
+        saved = shortcut_module._BFS_CELLS
+        shortcut_module._BFS_CELLS = 1  # one source per batched BFS
+        try:
+            chunked = [shortcut.part_dilation(i) for i in range(shortcut.num_parts)]
+        finally:
+            shortcut_module._BFS_CELLS = saved
+        assert chunked == expected
+
+    @given(family_shortcuts(), st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_sampled_dilation_with_int_rng_matches_reference_engine(self, shortcut, seed):
+        # An int seeds one fresh Random per part: same sources, same values.
+        for i in range(shortcut.num_parts):
+            assert shortcut.part_dilation(i, exact=False, rng=seed) == (
+                _reference_part_dilation(shortcut, i, exact=False, rng=seed)
+            )
+        assert shortcut.dilation(exact=False, rng=seed) == (
+            _reference_dilation(shortcut, exact=False, rng=seed)
+        )
+
+    @given(family_shortcuts(), st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_sampled_dilation_with_shared_rng_consumes_the_same_draws(self, shortcut, seed):
+        # One stream threaded through every part, stopped by the early
+        # INFINITY return: value and final stream state both match.
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert shortcut.dilation(exact=False, rng=ours) == (
+            _reference_dilation(shortcut, exact=False, rng=theirs)
+        )
+        assert ours.getstate() == theirs.getstate()
+
+    @given(family_shortcuts())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_sampled_dilation_without_rng_is_a_deterministic_double_sweep(self, shortcut):
+        exact = shortcut.dilation()
+        swept = shortcut.dilation(exact=False)
+        assert swept == shortcut.dilation(exact=False)
+        assert swept == _reference_dilation(shortcut, exact=False)
+        assert verify_shortcut(shortcut, exact_dilation=False).dilation == swept
+        assert swept <= exact
+        if exact < float("inf"):
+            assert swept >= exact / 2.0
+        else:
+            assert swept == exact
 
 
 # ----------------------------------------------------------------------
