@@ -96,7 +96,6 @@ def shortcut_connected_components(
     crashes: int = 0,
     adversary_seed: Optional[int] = None,
     recover_after: Optional[int] = None,
-    retry: Optional[RetryPolicy] = None,
 ) -> ComponentsResult:
     """Label the connected components with the simulated consumer loop.
 
@@ -122,8 +121,6 @@ def shortcut_connected_components(
             instance — fault streams are never drawn from OS entropy).
         recover_after: revive crashed nodes after this many rounds
             (``None`` = no recovery).
-        retry: override the default :class:`RetryPolicy` used when faults
-            are enabled.
 
     Returns:
         A :class:`ComponentsResult`.
@@ -154,8 +151,7 @@ def shortcut_connected_components(
                 "drop_rate/crashes need a reproducible fault stream: pass "
                 "adversary_seed=<int> (or an int rng seed to derive it from)"
             )
-    if faulty and retry is None:
-        retry = RetryPolicy()
+    retry = RetryPolicy() if faulty else None
 
     uf = UnionFind(n)
     network = Network(graph)
@@ -192,7 +188,7 @@ def shortcut_connected_components(
             shortcut, candidates, "min",
             network=network, identity=NO_CANDIDATE, rng=r,
             max_rounds=max_rounds_per_phase,
-            retry=retry if faulty else None, adversary=adversary,
+            retry=retry, adversary=adversary,
         )
         rounds_per_phase.append(1 + outcome.rounds)
         messages += outcome.messages

@@ -158,7 +158,6 @@ def shortcut_boruvka_mst(
     crashes: int = 0,
     adversary_seed: Optional[int] = None,
     recover_after: Optional[int] = None,
-    retry: Optional[RetryPolicy] = None,
 ) -> ShortcutMSTResult:
     """Run the fully simulated shortcut-consumer Boruvka MST.
 
@@ -188,8 +187,6 @@ def shortcut_boruvka_mst(
             instance — fault streams are never drawn from OS entropy).
         recover_after: revive crashed nodes (with wiped state) this many
             rounds after their crash; ``None`` = no recovery.
-        retry: override the default :class:`RetryPolicy` used when faults
-            are enabled.
 
     Returns:
         A :class:`ShortcutMSTResult`; the edge set equals the Kruskal MST
@@ -222,8 +219,7 @@ def shortcut_boruvka_mst(
                 "drop_rate/crashes need a reproducible fault stream: pass "
                 "adversary_seed=<int> (or an int rng seed to derive it from)"
             )
-    if faulty and retry is None:
-        retry = RetryPolicy()
+    retry = RetryPolicy() if faulty else None
 
     uf = UnionFind(n)
     network = Network(graph)
@@ -260,7 +256,7 @@ def shortcut_boruvka_mst(
             shortcut, candidates, "min",
             network=network, identity=NO_CANDIDATE, rng=r,
             max_rounds=max_rounds_per_phase,
-            retry=retry if faulty else None, adversary=adversary,
+            retry=retry, adversary=adversary,
         )
         # One extra round per phase for the neighbour fragment-id exchange
         # behind the local candidate computation.

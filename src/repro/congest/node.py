@@ -290,9 +290,10 @@ class NodeContext:
         the duplicate-send guard is skipped on the ring path, and (c) the
         payload is a scalar or small scalar tuple, so per-send payload
         validation is skipped too (the in-tree primitives only ever send
-        ``(int, int)`` announcements over this path).  Per-link bandwidth
-        accounting (strict capacity, backlog maxima) is identical to
-        :meth:`multicast`.
+        ``(int, int)`` announcements over this path, plus the reliable
+        channel's wire tuples, whose fields it validates once per unit).
+        Per-link bandwidth accounting (strict capacity, backlog maxima) is
+        identical to :meth:`multicast`.
         """
         queues = self._queues
         if queues is None:

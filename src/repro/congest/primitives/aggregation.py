@@ -67,7 +67,8 @@ from .trees import AGGREGATE_OPS
 #: Sentinel distinguishing "no input value at this node" from any real value.
 _MISSING = object()
 
-#: Unit kinds of the retry-mode reliable channel (see :class:`PartAggregation`).
+#: Unit kinds of the retry-mode reliable channel: positions in the
+#: ``(ann, up, down)`` clean-tag table the channel decodes units into.
 _ANN = 0
 _UP = 1
 _DOWN = 2
@@ -222,14 +223,14 @@ class PartAggregation(DistributedAlgorithm):
         # waiting nodes halt and the engine revives everyone exactly then.
         self.wake_at_rounds = tuple(sorted({d for d in self.delays if d > 0}))
         self.retry = retry
+        self._channel = None
         if retry is not None:
-            checkpoints = retry.checkpoints()
-            self._checkpoints = frozenset(checkpoints)
+            self._channel = ReliableChannel(
+                {idx: intern(p + "rel") for idx, p in enumerate(prefixes)}, retry
+            )
             self.wake_at_rounds = tuple(sorted(
-                set(self.wake_at_rounds) | set(checkpoints)
+                set(self.wake_at_rounds) | set(self._channel.checkpoints)
             ))
-            self._tags_rel = [intern(p + "rel") for p in prefixes]
-            self._channel = ReliableChannel(num, self._tags_rel)
 
     # ------------------------------------------------------------------
     bulk_capable = True
@@ -264,10 +265,8 @@ class PartAggregation(DistributedAlgorithm):
         e = starts[v + 1]
         if s != e:
             parent = self.parents[idx][v]
-            if self.retry is not None:
-                channel = self._channel
-                for nbr in mask.targets[s:e]:
-                    channel.send_unit(idx, v, nbr, _ANN, parent)
+            if self._channel is not None:
+                self._channel.send_units(idx, v, mask.targets[s:e], _ANN, parent)
                 return
             node.multicast_links(
                 mask.links[s:e], mask.targets[s:e], self._tags_ann[idx],
@@ -285,63 +284,13 @@ class PartAggregation(DistributedAlgorithm):
                 self._start_instance(lst.pop(0)[1], node)
             if not lst:
                 del self._pending[node.node_id]
-        if self.retry is not None:
-            channel = self._channel
-            channel.flush(node)
-            if channel.has_work(node.node_id):
-                node.wake()
-                return
+        if self._channel is not None:
+            self._channel.end_round(node, self.current_round)
+            return
         node.halt()
 
     # ------------------------------------------------------------------
-    def _on_round_retry(self, node: NodeContext, messages: list[Message]) -> None:
-        v = node.node_id
-        pending = self._pending
-        if pending:
-            lst = pending.get(v)
-            if lst:
-                rnd = self.current_round
-                while lst and lst[0][0] <= rnd:
-                    self._start_instance(lst.pop(0)[1], node)
-                if not lst:
-                    del pending[v]
-        channel = self._channel
-        if messages:
-            touched: list[int] = []
-            for msg in messages:
-                idx = msg.algorithm_id
-                if msg.tag != self._tags_rel[idx]:
-                    continue
-                unit = channel.on_message(idx, v, msg.sender, msg.payload)
-                if unit is None:
-                    continue
-                kind, value = unit
-                if kind == _ANN:
-                    heard = self._heard[idx]
-                    heard[v] = heard.get(v, 0) + 1
-                    if value == v:
-                        self._child_targets[idx].setdefault(v, []).append(msg.sender)
-                    touched.append(idx)
-                elif kind == _UP:
-                    self._child_values[idx].setdefault(v, []).append(value)
-                    touched.append(idx)
-                else:
-                    self._deliver_down(idx, v, node, value)
-            for idx in touched:
-                self._maybe_send_up(idx, v, node)
-        current_round = self.current_round
-        if current_round is not None and current_round in self._checkpoints:
-            channel.at_checkpoint(v)
-        channel.flush(node)
-        if channel.has_work(v):
-            if node.halted:
-                node.wake()
-        else:
-            node.halt()
-
     def on_round(self, node: NodeContext, messages: list[Message]) -> None:
-        if self.retry is not None:
-            return self._on_round_retry(node, messages)
         pending = self._pending
         if pending:
             v = node.node_id
@@ -356,6 +305,12 @@ class PartAggregation(DistributedAlgorithm):
                     self._start_instance(lst.pop(0)[1], node)
                 if not lst:
                     del pending[v]
+        channel = self._channel
+        if channel is not None and messages:
+            # Retry mode: the units decode to the clean-mode messages.
+            messages = channel.receive(
+                node, messages, (self._tags_ann, self._tags_up, self._tags_down)
+            )
         if messages:
             v = node.node_id
             touched: list[int] = []
@@ -378,6 +333,9 @@ class PartAggregation(DistributedAlgorithm):
                     self._deliver_down(idx, v, node, msg.payload)
             for idx in touched:
                 self._maybe_send_up(idx, v, node)
+        if channel is not None:
+            channel.end_round(node, self.current_round)
+            return
         node.halt()
 
     # ------------------------------------------------------------------
@@ -406,7 +364,7 @@ class PartAggregation(DistributedAlgorithm):
             self.results[idx] = combined
             self._deliver_down(idx, v, node, combined)
         elif parent != UNREACHED:
-            if self.retry is not None:
+            if self._channel is not None:
                 self._channel.send_unit(idx, v, parent, _UP, combined)
             else:
                 node.send(
@@ -424,10 +382,8 @@ class PartAggregation(DistributedAlgorithm):
         self.delivered[idx][v] = value
         targets = self._child_targets[idx].get(v)
         if targets:
-            if self.retry is not None:
-                channel = self._channel
-                for nbr in targets:
-                    channel.send_unit(idx, v, nbr, _DOWN, value)
+            if self._channel is not None:
+                self._channel.send_units(idx, v, targets, _DOWN, value)
                 return
             node.multicast_links(
                 self._child_links[idx][v], targets, self._tags_down[idx],
@@ -436,15 +392,15 @@ class PartAggregation(DistributedAlgorithm):
 
     # ------------------------------------------------------------------
     def pending_timer_work(self) -> bool:
-        if self.retry is None:
+        if self._channel is None:
             return True
         # Delayed instance starts are timer-driven too, so the remaining
         # timers still matter while any start is outstanding.
-        return self._channel.total_pending > 0 or bool(self._pending)
+        return self._channel.pending_timer_work() or bool(self._pending)
 
     def on_crash(self, node: NodeContext) -> None:
         v = node.node_id
-        if self.retry is not None:
+        if self._channel is not None:
             self._channel.on_crash(v)
         for idx in range(len(self.masks)):
             self._heard[idx].pop(v, None)

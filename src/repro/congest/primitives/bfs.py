@@ -13,6 +13,13 @@ traffic this completes in ``depth`` rounds and sends O(1) messages per edge;
 under congestion (several BFS instances sharing a link) the link queues
 stretch the round count, which is exactly the effect the random-delay
 scheduling theorem (Theorem 2.1 in the paper, [Gha15]) controls.
+
+Retry mode (``retry=RetryPolicy(...)``) tolerates message loss by changing
+only the transport: the same start and relaxation code runs over a
+:class:`~repro.congest.primitives.reliable.ReliableChannel`, whose units
+carry the clean ``(dist, root)`` announcements (an improved distance
+supersedes the neighbour's pending older one); numbering, acks and
+retransmission all live in the channel.
 """
 
 from __future__ import annotations
@@ -24,6 +31,10 @@ from ..adversary import RetryPolicy
 from ..algorithm import DistributedAlgorithm
 from ..message import Message
 from ..node import NodeContext
+from .reliable import ReliableChannel
+
+#: Unit kind of a retry-mode announcement on the reliable channel.
+_ANNOUNCE = 0
 
 
 class DistributedBFS(DistributedAlgorithm):
@@ -56,16 +67,14 @@ class DistributedBFS(DistributedAlgorithm):
         algorithm_id: id used to tag messages when running under the
             random-delay scheduler.
         retry: optional :class:`~repro.congest.adversary.RetryPolicy`
-            enabling the drop-tolerant ack/retransmit mode: every
-            announcement stays *pending* until the receiver acks it, and
-            pending announcements are retransmitted at the policy's
-            checkpoint rounds (declared through the engine's timer
-            protocol, with a ``pending_timer_work`` probe so fully-acked
-            runs terminate without burning the remaining checkpoints).
-            Payloads become ``(dist, root, ack_dist)`` with ``-1`` sentinels
-            — one wire message per (link, round) combining announce and
-            ack, so the CONGEST discipline is unchanged.  A retry-mode
-            instance is single-run, like the fleet primitives.
+            enabling the drop-tolerant mode: the same start and relaxation
+            logic, with every announcement carried as a unit of a
+            :class:`~repro.congest.primitives.reliable.ReliableChannel`
+            (sequence numbers, acks, checkpoint retransmits; a re-announced
+            better distance supersedes the neighbour's pending older one).
+            The channel sends at most one wire message per link per round,
+            so the CONGEST discipline is unchanged.  A retry-mode instance
+            is single-run, like the fleet primitives.
     """
 
     name = "bfs"
@@ -104,12 +113,10 @@ class DistributedBFS(DistributedAlgorithm):
         self._key_root = intern(prefix + "root")
         self._key_allowed = intern(prefix + "__allowed")
         self.retry = retry
+        self._channel = None
         if retry is not None:
-            checkpoints = retry.checkpoints()
-            self.wake_at_rounds = checkpoints
-            self._checkpoints = frozenset(checkpoints)
-            self._key_pending = intern(prefix + "__pending")
-            self._unacked = 0
+            self._channel = ReliableChannel({algorithm_id: self._tag_explore}, retry)
+            self.wake_at_rounds = self._channel.checkpoints
 
     # ------------------------------------------------------------------
     bulk_capable = True
@@ -152,6 +159,18 @@ class DistributedBFS(DistributedAlgorithm):
         if self.max_depth is not None and dist >= self.max_depth:
             return
         mask = self.allowed_links
+        channel = self._channel
+        if channel is not None:
+            v = node.node_id
+            if mask is not None:
+                targets = mask.targets[mask.starts[v]:mask.starts[v + 1]]
+            else:
+                targets = self._allowed_neighbors(node)
+            channel.send_units(
+                self.algorithm_id, v, targets, _ANNOUNCE,
+                (dist, node.state[self._key_root]),
+            )
+            return
         if mask is not None:
             starts = mask.starts
             v = node.node_id
@@ -175,124 +194,33 @@ class DistributedBFS(DistributedAlgorithm):
 
     # ------------------------------------------------------------------
     def initialize(self, node: NodeContext) -> None:
-        if self.retry is not None:
-            if node.node_id in self.sources:
-                node.state[self._key_dist] = 0
-                node.state[self._key_parent] = node.node_id
-                node.state[self._key_root] = node.node_id
-                self._send_retry(node, self._retry_targets(node, 0), None)
-            node.halt()
-            return
         if node.node_id in self.sources:
             node.state[self._key_dist] = 0
             node.state[self._key_parent] = node.node_id
             node.state[self._key_root] = node.node_id
             self._announce(node)
-        node.halt()
-
-    # ------------------------------------------------------------------
-    # retry/ack mode
-    # ------------------------------------------------------------------
-    def _retry_targets(self, node: NodeContext, dist: int) -> list[int]:
-        """Fresh (caller-owned) list of announce targets at distance ``dist``."""
-        if self.max_depth is not None and dist >= self.max_depth:
-            return []
-        mask = self.allowed_links
-        if mask is not None:
-            starts = mask.starts
-            v = node.node_id
-            return list(mask.targets[starts[v]:starts[v + 1]])
-        return list(self._allowed_neighbors(node))
-
-    def _send_retry(self, node: NodeContext, announce: list[int],
-                    owed: Optional[dict[int, int]]) -> None:
-        """One send pass: announcements (with piggybacked acks) plus bare acks.
-
-        Each neighbour gets at most one message, so the per-round
-        duplicate-send guard and the single-channel declaration both hold.
-        """
-        tag = self._tag_explore
-        algorithm_id = self.algorithm_id
-        state = node.state
-        if announce:
-            dist = state[self._key_dist]
-            root = state[self._key_root]
-            pending = state.get(self._key_pending)
-            if pending is None:
-                pending = state[self._key_pending] = {}
-            for nbr in announce:
-                ack = -1 if owed is None else owed.pop(nbr, -1)
-                if nbr not in pending:
-                    self._unacked += 1
-                pending[nbr] = dist
-                node.send(nbr, tag, (dist, root, ack), algorithm_id=algorithm_id)
-        if owed:
-            for nbr, dist in owed.items():
-                node.send(nbr, tag, (-1, -1, dist), algorithm_id=algorithm_id)
-
-    def _on_round_retry(self, node: NodeContext, messages: list[Message]) -> None:
-        tag = self._tag_explore
-        algorithm_id = self.algorithm_id
-        state = node.state
-        key_pending = self._key_pending
-        owed: Optional[dict[int, int]] = None
-        best: Optional[tuple[int, int, int]] = None
-        for msg in messages:
-            if msg.tag != tag or msg.algorithm_id != algorithm_id:
-                continue
-            dist, root, ack_dist = msg.payload
-            sender = msg.sender
-            if ack_dist != -1:
-                pending = state.get(key_pending)
-                # Acks match the exact announced distance: distances only
-                # ever improve, so a stale ack cannot clear a fresher
-                # (smaller-distance) pending announcement.
-                if pending is not None and pending.get(sender) == ack_dist:
-                    del pending[sender]
-                    self._unacked -= 1
-            if dist != -1:
-                # Every received announcement is owed an ack — including
-                # duplicates, whose previous ack may have been dropped.
-                if owed is None:
-                    owed = {}
-                owed[sender] = dist
-                candidate = (dist + 1, root, sender)
-                if best is None or candidate < best:
-                    best = candidate
-        announce: Optional[list[int]] = None
-        if best is not None:
-            current = state.get(self._key_dist)
-            new_dist, root, sender = best
-            if current is None or new_dist < current:
-                state[self._key_dist] = new_dist
-                state[self._key_parent] = sender
-                state[self._key_root] = root
-                announce = self._retry_targets(node, new_dist)
-        current_round = self.current_round
-        if current_round is not None and current_round in self._checkpoints:
-            pending = state.get(key_pending)
-            if pending:
-                if announce is None:
-                    announce = list(pending)
-                else:
-                    known = set(announce)
-                    announce.extend(nbr for nbr in pending if nbr not in known)
-        self._send_retry(node, announce, owed)
+        if self._channel is not None:
+            self._channel.end_round(node, self.current_round)
+            return
         node.halt()
 
     def pending_timer_work(self) -> bool:
-        return self.retry is None or self._unacked > 0
+        return self._channel is None or self._channel.pending_timer_work()
 
     def on_crash(self, node: NodeContext) -> None:
-        if self.retry is None:
-            return
-        pending = node.state.get(self._key_pending)
-        if pending:
-            self._unacked -= len(pending)
+        if self._channel is not None:
+            self._channel.on_crash(node.node_id)
 
     def on_round(self, node: NodeContext, messages: list[Message]) -> None:
-        if self.retry is not None:
-            return self._on_round_retry(node, messages)
+        channel = self._channel
+        if channel is not None:
+            # Retry mode: the clean relaxation below over the decoded units.
+            self._relax(node, channel.receive(node, messages, (channel.tags,)))
+            channel.end_round(node, self.current_round)
+            return
+        self._relax(node, messages)
+
+    def _relax(self, node: NodeContext, messages: list[Message]) -> None:
         tag = self._tag_explore
         algorithm_id = self.algorithm_id
         if len(messages) == 1:

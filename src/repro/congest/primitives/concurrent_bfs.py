@@ -43,6 +43,12 @@ which is no strict improvement) — in particular the adopted parent
 identical on every other link; total messages drop by about one per tree
 edge, and the measured rounds are those of this (still perfectly honest)
 CONGEST algorithm.
+
+Retry mode (``retry=RetryPolicy(...)``) keeps the start-delay ticking and
+the relaxation code of the clean fleet and swaps only the transport: each
+instance's ``(dist, root)`` announcements become units of one shared
+:class:`~repro.congest.primitives.reliable.ReliableChannel`, which owns
+numbering, acks, deduplication and checkpoint retransmission.
 """
 
 from __future__ import annotations
@@ -54,9 +60,13 @@ from ..adversary import RetryPolicy
 from ..algorithm import DistributedAlgorithm
 from ..message import Message
 from ..node import NodeContext
+from .reliable import ReliableChannel
 
 #: Distance label for nodes an instance has not reached.
 UNREACHED = -1
+
+#: Unit kind of a retry-mode announcement on the reliable channel.
+_ANNOUNCE = 0
 
 
 def _unreached() -> int:
@@ -83,15 +93,14 @@ class ConcurrentMaskedBFS(DistributedAlgorithm):
             parent (see the module docstring).  Off by default so the
             schedule stays bit-identical to the generic scheduler oracle.
         retry: optional :class:`~repro.congest.adversary.RetryPolicy`
-            enabling the drop-tolerant ack/retransmit mode, exactly as in
-            :class:`~repro.congest.primitives.bfs.DistributedBFS`: payloads
-            become ``(dist, root, ack_dist)`` with ``-1`` sentinels, every
-            announcement stays pending until acked at its exact distance,
-            and pending announcements are retransmitted at the policy's
-            checkpoint rounds (timer protocol + ``pending_timer_work``
-            probe).  Echo suppression is ignored in this mode — under loss
-            the "provably useless" echo may be the retransmission a
-            neighbour needs.  A retry-mode instance is single-run.
+            enabling the drop-tolerant mode, exactly as in
+            :class:`~repro.congest.primitives.bfs.DistributedBFS`: the same
+            start and relaxation logic, with announcements carried as units
+            of a :class:`~repro.congest.primitives.reliable.ReliableChannel`
+            over the instances' ``<prefix>explore`` tags.  Echo suppression
+            is ignored in this mode — under loss the "provably useless" echo
+            may be the retransmission a neighbour needs.  A retry-mode
+            instance is single-run.
 
     Outputs are read back from the algorithm object: ``dist``, ``parent``
     and ``root`` are per-instance lists indexed by node id, with
@@ -124,7 +133,7 @@ class ConcurrentMaskedBFS(DistributedAlgorithm):
         self.max_depth = max_depth
         self.prefixes = list(prefixes)
         self.tags = [intern(p + "explore") for p in self.prefixes]
-        self.suppress_parent_echo = suppress_parent_echo
+        self.suppress_parent_echo = suppress_parent_echo and retry is None
         n = num_vertices
         num = len(self.sources)
         if sparse_labels:
@@ -151,17 +160,10 @@ class ConcurrentMaskedBFS(DistributedAlgorithm):
             lst.sort()
         self._pending = pending
         self.retry = retry
+        self._channel = None
         if retry is not None:
-            checkpoints = retry.checkpoints()
-            self.wake_at_rounds = checkpoints
-            self._checkpoints = frozenset(checkpoints)
-            # idx -> {v: {nbr: announced dist}} awaiting acks.
-            self._rt_pending: list[dict[int, dict[int, int]]] = [
-                {} for _ in range(num)
-            ]
-            # v -> set(idx) with un-acked announcements (checkpoint scan).
-            self._rt_nodes: dict[int, set[int]] = {}
-            self._unacked = 0
+            self._channel = ReliableChannel(dict(enumerate(self.tags)), retry)
+            self.wake_at_rounds = self._channel.checkpoints
 
     # ------------------------------------------------------------------
     bulk_capable = True
@@ -187,180 +189,43 @@ class ConcurrentMaskedBFS(DistributedAlgorithm):
             s = starts[v]
             e = starts[v + 1]
             if s != e:
-                node.multicast_links(
-                    mask.links[s:e], mask.targets[s:e], self.tags[idx], (0, v), idx
-                )
+                self._emit(idx, node, mask.links[s:e], mask.targets[s:e], (0, v))
+
+    def _emit(self, idx: int, node: NodeContext, links, targets, payload) -> None:
+        """Announce ``payload`` over one instance's links (the transport)."""
+        channel = self._channel
+        if channel is None:
+            node.multicast_links(links, targets, self.tags[idx], payload, idx)
+        else:
+            channel.send_units(idx, node.node_id, targets, _ANNOUNCE, payload)
 
     def initialize(self, node: NodeContext) -> None:
         lst = self._pending.get(node.node_id)
+        ticking = False
         if lst:
-            start = self._start if self.retry is None else self._start_retry
             while lst and lst[0][0] <= 0:
-                start(lst.pop(0)[1], node)
+                self._start(lst.pop(0)[1], node)
             if lst:
                 # Later starts pending: stay awake and tick a round counter
                 # until the last of this source's instances has started.
                 node.state["__cmb_round"] = 0
-                node.wake()
-                return
-            del self._pending[node.node_id]
-        node.halt()
-
-    # ------------------------------------------------------------------
-    # retry/ack mode
-    # ------------------------------------------------------------------
-    def _retry_targets(self, idx: int, v: int) -> list[int]:
-        """Fresh (caller-owned) announce-target list of instance ``idx``."""
-        mask = self.masks[idx]
-        starts = mask.starts
-        return list(mask.targets[starts[v]:starts[v + 1]])
-
-    def _send_retry_idx(self, idx: int, node: NodeContext,
-                        announce: Optional[list[int]],
-                        owed: Optional[dict[int, int]]) -> None:
-        """One send pass for one instance: at most one message per neighbour.
-
-        Announcements carry one piggybacked ack each; leftover acks go out
-        bare — same wire discipline as ``DistributedBFS._send_retry``.
-        """
-        v = node.node_id
-        tag = self.tags[idx]
-        if announce:
-            dist = self.dist[idx][v]
-            root = self.root[idx][v]
-            by_node = self._rt_pending[idx]
-            pend = by_node.get(v)
-            if pend is None:
-                pend = by_node[v] = {}
-                self._rt_nodes.setdefault(v, set()).add(idx)
-            for nbr in announce:
-                ack = -1 if owed is None else owed.pop(nbr, -1)
-                if nbr not in pend:
-                    self._unacked += 1
-                pend[nbr] = dist
-                node.send(nbr, tag, (dist, root, ack), idx)
-        if owed:
-            for nbr, dist in owed.items():
-                node.send(nbr, tag, (-1, -1, dist), idx)
-
-    def _start_retry(self, idx: int, node: NodeContext) -> None:
-        v = node.node_id
-        self.dist[idx][v] = 0
-        self.parent[idx][v] = v
-        self.root[idx][v] = v
-        if 0 < self.max_depth:
-            self._send_retry_idx(idx, node, self._retry_targets(idx, v), None)
-
-    def _on_round_retry(self, node: NodeContext, messages: list[Message]) -> None:
-        v = node.node_id
-        started: list[int] = []
-        keep_ticking = False
-        pending_starts = self._pending
-        if pending_starts:
-            lst = pending_starts.get(v)
-            if lst is not None:
-                rnd = node.state.get("__cmb_round", 0) + 1
-                node.state["__cmb_round"] = rnd
-                while lst and lst[0][0] <= rnd:
-                    started.append(lst.pop(0)[1])
-                if lst:
-                    keep_ticking = True
-                else:
-                    del pending_starts[v]
-        owed: Optional[dict[int, dict[int, int]]] = None  # idx -> {nbr: dist}
-        best: Optional[dict[int, tuple[int, int, int]]] = None
-        for msg in messages:
-            idx = msg.algorithm_id
-            dist, root, ack_dist = msg.payload
-            sender = msg.sender
-            if ack_dist != -1:
-                by_node = self._rt_pending[idx]
-                pend = by_node.get(v)
-                # Exact-distance matching: distances only improve, so a
-                # stale ack cannot clear a fresher pending announcement.
-                if pend is not None and pend.get(sender) == ack_dist:
-                    del pend[sender]
-                    self._unacked -= 1
-                    if not pend:
-                        del by_node[v]
-                        ids = self._rt_nodes.get(v)
-                        if ids is not None:
-                            ids.discard(idx)
-                            if not ids:
-                                del self._rt_nodes[v]
-            if dist != -1:
-                # Every received announcement is owed an ack — including
-                # duplicates, whose previous ack may have been dropped.
-                if owed is None:
-                    owed = {}
-                owed.setdefault(idx, {})[sender] = dist
-                candidate = (dist + 1, root, sender)
-                if best is None:
-                    best = {idx: candidate}
-                else:
-                    prev = best.get(idx)
-                    if prev is None or candidate < prev:
-                        best[idx] = candidate
-        announce: dict[int, list[int]] = {}
-        for idx in started:
-            self.dist[idx][v] = 0
-            self.parent[idx][v] = v
-            self.root[idx][v] = v
-            if 0 < self.max_depth:
-                announce[idx] = self._retry_targets(idx, v)
-        if best is not None:
-            for idx, (nd, root, sender) in best.items():
-                di = self.dist[idx]
-                cur = di[v]
-                if cur == UNREACHED or nd < cur:
-                    di[v] = nd
-                    self.parent[idx][v] = sender
-                    self.root[idx][v] = root
-                    if nd < self.max_depth:
-                        announce[idx] = self._retry_targets(idx, v)
-        current_round = self.current_round
-        if current_round is not None and current_round in self._checkpoints:
-            ids = self._rt_nodes.get(v)
-            if ids:
-                by_idx = self._rt_pending
-                for idx in sorted(ids):
-                    pend = by_idx[idx].get(v)
-                    if not pend:
-                        continue
-                    lst = announce.get(idx)
-                    if lst is None:
-                        announce[idx] = list(pend)
-                    else:
-                        known = set(lst)
-                        lst.extend(nbr for nbr in pend if nbr not in known)
-        if announce or owed:
-            ids = set(announce)
-            if owed:
-                ids.update(owed)
-            for idx in sorted(ids):
-                self._send_retry_idx(
-                    idx, node, announce.get(idx),
-                    None if owed is None else owed.get(idx),
-                )
-        if keep_ticking:
-            if node.halted:
-                node.wake()
+                ticking = True
+            else:
+                del self._pending[node.node_id]
+        if self._channel is not None:
+            self._channel.end_round(node, self.current_round, ticking)
+        elif ticking:
+            node.wake()
         else:
             node.halt()
 
     def pending_timer_work(self) -> bool:
-        return self.retry is None or self._unacked > 0
+        return self._channel is None or self._channel.pending_timer_work()
 
     def on_crash(self, node: NodeContext) -> None:
         v = node.node_id
-        if self.retry is not None:
-            ids = self._rt_nodes.pop(v, None)
-            if ids:
-                by_idx = self._rt_pending
-                for idx in ids:
-                    pend = by_idx[idx].pop(v, None)
-                    if pend:
-                        self._unacked -= len(pend)
+        if self._channel is not None:
+            self._channel.on_crash(v)
         # The labels ARE the node's protocol state (kept off node.state for
         # speed), so a crash must wipe them in every mode.
         for idx in range(len(self.sources)):
@@ -407,31 +272,44 @@ class ConcurrentMaskedBFS(DistributedAlgorithm):
                             del links[at]
                             if not targets:
                                 return
-                    node.multicast_links(
-                        links, targets, self.tags[idx], (nd, root), idx,
-                    )
+                    self._emit(idx, node, links, targets, (nd, root))
+
+    def _tick(self, node: NodeContext) -> bool:
+        """Advance a source's round counter and start the instances due.
+
+        Returns whether later starts remain (the node must keep ticking).
+        """
+        v = node.node_id
+        lst = self._pending.get(v)
+        if not lst:
+            return False
+        rnd = node.state["__cmb_round"] + 1
+        node.state["__cmb_round"] = rnd
+        while lst and lst[0][0] <= rnd:
+            self._start(lst.pop(0)[1], node)
+        if lst:
+            return True
+        del self._pending[v]
+        return False
 
     def on_round(self, node: NodeContext, messages: list[Message]) -> None:
-        if self.retry is not None:
-            return self._on_round_retry(node, messages)
-        pending = self._pending
-        if pending:
-            v = node.node_id
-            lst = pending.get(v)
-            if lst:
-                rnd = node.state["__cmb_round"] + 1
-                node.state["__cmb_round"] = rnd
-                while lst and lst[0][0] <= rnd:
-                    self._start(lst.pop(0)[1], node)
-                if lst:
-                    # Keep ticking for the remaining starts; process any
-                    # messages first.
-                    if messages:
-                        self._dispatch(node, messages)
-                    if node.halted:
-                        node.wake()
-                    return
-                del pending[v]
+        channel = self._channel
+        if channel is not None:
+            # Retry mode: the clean start and relaxation logic over the
+            # decoded units, with the channel's end-of-round hand-off.
+            ticking = bool(self._pending) and self._tick(node)
+            messages = channel.receive(node, messages, (self.tags,))
+            if messages:
+                self._dispatch(node, messages)
+            channel.end_round(node, self.current_round, ticking)
+            return
+        if self._pending and self._tick(node):
+            # Keep ticking for the remaining starts; process any messages
+            # first.
+            if messages:
+                self._dispatch(node, messages)
+            node.wake()
+            return
         if messages:
             # Single-message inboxes dominate under unit bandwidth; the
             # whole relax-and-announce step is inlined for them (this is
