@@ -420,7 +420,7 @@ def _flood_label_components(num_pieces: int, piece_size: int) -> dict:
     The classic distributed components algorithm: every vertex floods the
     extremal id it has seen, converging per component in diameter rounds —
     exactly FloodMax on a disconnected union, so the whole run rides the
-    bulk express kernel.  (The shortcut-consumer components of
+    bulk FloodMax kernel.  (The shortcut-consumer components of
     ``components_10k`` is quadratic in its early Boruvka phases — every
     singleton fragment is an aggregation instance — and infeasible at
     this size; see ROADMAP.)  The label partition is checked against the

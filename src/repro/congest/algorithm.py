@@ -74,16 +74,6 @@ class DistributedAlgorithm(ABC):
     #: Short name used in message tags and metrics reports.
     name: str = "algorithm"
 
-    #: Declares that every node sends at most one message per directed link
-    #: per round (true for any algorithm using a single ``algorithm_id``,
-    #: where the per-round duplicate-send guard enforces it).  The engine
-    #: uses this to route messages through the express delivery lane —
-    #: link queues are provably pass-through, so sends land directly in the
-    #: receiver's next-round inbox.  Leave ``False`` when nodes multiplex
-    #: several algorithm ids over one link (e.g. under the random-delay
-    #: scheduler), which needs the metered ring-buffer path.
-    single_channel: bool = False
-
     #: Timer protocol (see the module docstring): global round numbers at
     #: which every node must run ``on_round`` even while halted.  Algorithms
     #: whose nodes wait out globally known deadlines (the random-delay
@@ -203,11 +193,6 @@ class ComposedAlgorithm(DistributedAlgorithm):
         if not stages:
             raise ValueError("ComposedAlgorithm needs at least one stage")
         self.stages = stages
-        # Stages run one at a time (with global quiescence between them), so
-        # the composition is single-channel exactly when every stage is.
-        self.single_channel = all(
-            getattr(stage, "single_channel", False) for stage in stages
-        )
         self._active_stage = 0
         self._timer_base = 0
         # Stage 0 starts at round 0, so its timers need no rebasing.

@@ -13,9 +13,10 @@ The per-node path remains authoritative.  Kernels are pinned
 max link backlog, final node state) by ``tests/test_bulk_kernels.py``; every
 modelling decision below exists to reproduce an engine behaviour exactly:
 
-* **Express kernels** (:class:`FloodMaxKernel`, :class:`BFSKernel`): the
-  engine's express lane delivers every send in the next round, so one
-  pending frontier per round suffices.  Candidate ranking is a packed-key
+* **Single-channel kernels** (:class:`FloodMaxKernel`, :class:`BFSKernel`):
+  each node sends at most one message per link per round, so on a clean
+  network every send delivers from the ring queues in the next round and
+  one pending frontier per round suffices.  Candidate ranking is a packed-key
   ``np.minimum.at``/``np.maximum.at`` scatter over the compacted receiver
   set; the uniform-wave argument (all candidates of round ``r`` carry
   distance ``r``) makes the lexicographic ``(dist, root, sender)`` minimum
@@ -214,8 +215,34 @@ def _finish_metrics(kernel, network, metrics) -> None:
 
 
 # ----------------------------------------------------------------------
-# express kernels (single-channel algorithms: every send lands next round)
+# single-channel kernels (every send delivers next round)
 # ----------------------------------------------------------------------
+def _inherited_linkmax(network) -> Optional[np.ndarray]:
+    """Per-link backlog maxima left by earlier ``reset=False`` runs.
+
+    ``None`` when no run happened since the last reset, which leaves every
+    maximum at zero (the common case, and skips an O(links) copy).
+    """
+    if not network._ran:
+        return None
+    return np.asarray(network._link_max_backlog, dtype=I64)
+
+
+def _deliver_frontier(kernel, links: np.ndarray) -> None:
+    """Account the delivery of one round's frontier over ``links``.
+
+    The engine folds every delivered link's live backlog maximum into the
+    run's ``max_link_backlog``; a single-channel run records none of its
+    own, so only inherited maxima can exceed the floor of 1.
+    """
+    kernel.delivered += len(links)
+    kernel.edge_counts += np.bincount(links >> 1, minlength=len(kernel.edge_counts))
+    if kernel.inherited is not None:
+        seen = int(kernel.inherited[links].max())
+        if seen > kernel.seen_linkmax:
+            kernel.seen_linkmax = seen
+
+
 class FloodMaxKernel:
     """Bulk twin of :class:`~repro.congest.primitives.leader.FloodMax`.
 
@@ -226,7 +253,8 @@ class FloodMaxKernel:
     improvements.
     """
 
-    bulk_state = ("leader", "pending", "sent", "delivered", "edge_counts")
+    bulk_state = ("leader", "pending", "sent", "delivered", "edge_counts",
+                  "seen_linkmax")
 
     def __init__(self, algorithm, network) -> None:
         csr = network._csr
@@ -234,7 +262,9 @@ class FloodMaxKernel:
         self.n = csr.num_vertices
         self.indptr = np.asarray(csr.indptr, dtype=I64)
         self.indices = arrays.indices
-        self.adj_edges = arrays.edge_ids
+        self.links = arrays.adj_link_ids
+        self.inherited = _inherited_linkmax(network)
+        self.seen_linkmax = 0
         self.key_leader = algorithm._key_leader
         self.tag = algorithm._tag_max
         self.algorithm_id = algorithm.algorithm_id
@@ -255,11 +285,11 @@ class FloodMaxKernel:
             self.pending = None
             return
         targets = self.indices[flat]
-        edges = self.adj_edges[flat]
+        links = self.links[flat]
         values = np.repeat(self.leader[nodes], counts)
         senders = np.repeat(nodes, counts)
         self.sent += len(targets)
-        self.pending = (targets, edges, values, senders)
+        self.pending = (targets, links, values, senders)
 
     def start(self, max_rounds: int) -> None:
         # initialize: every node sets leader = own id and announces it.
@@ -269,9 +299,8 @@ class FloodMaxKernel:
         return after + 1 if self.pending is not None else None
 
     def bulk_round(self, rnd: int) -> None:
-        targets, edges, values, _ = self.pending
-        self.delivered += len(targets)
-        self.edge_counts += np.bincount(edges, minlength=len(self.edge_counts))
+        targets, links, values, _ = self.pending
+        _deliver_frontier(self, links)
         uniq, inv = np.unique(targets, return_inverse=True)
         best = np.full(len(uniq), -1, dtype=I64)
         np.maximum.at(best, inv, values)
@@ -288,15 +317,15 @@ class FloodMaxKernel:
 
     def finish(self, network, metrics, terminated: bool, final_round: int) -> None:
         _finish_metrics(self, network, metrics)
-        metrics.max_link_backlog = 1 if self.delivered else 0
+        metrics.max_link_backlog = max(1, self.seen_linkmax) if self.delivered else 0
         if self.pending is not None:
-            targets, _, values, senders = self.pending
+            _, links, values, senders = self.pending
             tag, aid = self.tag, self.algorithm_id
-            _spill_express(network, (
-                (t, Message(s, -1, tag, v, aid))
-                for t, v, s in zip(
-                    targets.tolist(), values.tolist(), senders.tolist()
-                )
+            _spill_ring(network, (
+                (act, link, Message(s, -1, tag, v, aid))
+                for act, (link, v, s) in enumerate(zip(
+                    links.tolist(), values.tolist(), senders.tolist()
+                ))
             ))
             self.pending = None
         key = self.key_leader
@@ -311,7 +340,7 @@ class BFSKernel:
 
     Eligible without retry mode and without a dict-of-sets adjacency
     restriction (a CSR ``allowed_links`` mask or the full adjacency both
-    vectorize).  The uniform-wave property of an express-lane BFS — every
+    vectorize).  The uniform-wave property of a single-channel BFS — every
     candidate delivered at round ``r`` offers distance exactly ``r`` — turns
     the engine's lexicographic ``(dist, root, sender)`` minimum into a
     ``np.minimum.at`` over packed ``root * n + sender`` keys on the
@@ -319,7 +348,7 @@ class BFSKernel:
     """
 
     bulk_state = ("dist", "parent", "root", "pending", "sent", "delivered",
-                  "edge_counts")
+                  "edge_counts", "seen_linkmax")
 
     def __init__(self, algorithm, network) -> None:
         csr = network._csr
@@ -355,6 +384,8 @@ class BFSKernel:
                     self.dist[v] = d
                     self.parent[v] = ctx.state[kp]
                     self.root[v] = ctx.state[kr]
+        self.inherited = _inherited_linkmax(network)
+        self.seen_linkmax = 0
         self.pending: Optional[tuple] = None
         self.sent = 0
         self.delivered = 0
@@ -373,10 +404,10 @@ class BFSKernel:
             self.pending = None
             return
         targets = self.targets[flat]
-        edges = self.links[flat] >> 1
+        links = self.links[flat]
         packed = np.repeat(self.root[nodes] * self.n + nodes, counts)
         self.sent += len(targets)
-        self.pending = (targets, edges, packed)
+        self.pending = (targets, links, packed)
 
     def start(self, max_rounds: int) -> None:
         src = self.sources
@@ -390,9 +421,8 @@ class BFSKernel:
         return after + 1 if self.pending is not None else None
 
     def bulk_round(self, rnd: int) -> None:
-        targets, edges, packed = self.pending
-        self.delivered += len(targets)
-        self.edge_counts += np.bincount(edges, minlength=len(self.edge_counts))
+        targets, links, packed = self.pending
+        _deliver_frontier(self, links)
         uniq, inv = np.unique(targets, return_inverse=True)
         best = np.full(len(uniq), _HUGE, dtype=I64)
         np.minimum.at(best, inv, packed)
@@ -414,20 +444,20 @@ class BFSKernel:
 
     def finish(self, network, metrics, terminated: bool, final_round: int) -> None:
         _finish_metrics(self, network, metrics)
-        metrics.max_link_backlog = 1 if self.delivered else 0
+        metrics.max_link_backlog = max(1, self.seen_linkmax) if self.delivered else 0
         if self.pending is not None:
-            targets, _, packed = self.pending
+            _, links, packed = self.pending
             n = self.n
             senders = packed % n
             roots = packed // n
             dists = self.dist[senders]
             tag, aid = self.tag, self.algorithm_id
-            _spill_express(network, (
-                (t, Message(s, -1, tag, (d, r), aid))
-                for t, s, d, r in zip(
-                    targets.tolist(), senders.tolist(),
+            _spill_ring(network, (
+                (act, link, Message(s, -1, tag, (d, r), aid))
+                for act, (link, s, d, r) in enumerate(zip(
+                    links.tolist(), senders.tolist(),
                     dists.tolist(), roots.tolist(),
-                )
+                ))
             ))
             self.pending = None
         reached = np.flatnonzero(self.dist < _HUGE)
@@ -491,26 +521,10 @@ def _prune_pending(pending: dict, final_round: int) -> None:
 # traffic in the network queues, where a ``reset=False`` follow-up run
 # delivers and counts it.  Kernels reconstruct that state exactly.
 # ----------------------------------------------------------------------
-def _spill_express(network, stream) -> None:
-    """Materialize undelivered express traffic into ``network._pending``.
-
-    ``stream`` yields ``(target, message)`` in send order; receiver pools
-    and the first-touch ``_pending_receivers`` order match what
-    ``NodeContext.multicast`` would have built during the cutoff round.
-    """
-    pending = network._pending
-    receivers = network._pending_receivers
-    for target, msg in stream:
-        pool = pending[target]
-        if not pool:
-            receivers.append(target)
-        pool.append(msg)
-
-
 def _spill_ring(network, entries) -> None:
     """Materialize undelivered ring traffic into ``network._queues``.
 
-    ``entries`` is a list of ``(act_stamp, link, message)`` with per-link
+    ``entries`` is an iterable of ``(act_stamp, link, message)`` with per-link
     FIFO order (iterate delivery rounds ascending: unit bandwidth means at
     most one delivery per link per round).  The rebuilt active list is
     sorted by activation stamp, which is the engine's activation-time

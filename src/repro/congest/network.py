@@ -41,19 +41,13 @@ A round costs O(nodes-and-links-actually-touched), not O(n + links):
   per-edge message counters live in one flat list indexed by edge id
   (exposed through the cached :attr:`RunMetrics.per_edge_messages` dict
   property and the :meth:`RunMetrics.top_k_edges` helper).
-* **Express delivery lane.**  An algorithm declaring ``single_channel``
-  sends at most one message per directed link per round (its duplicate-send
-  guard proves it), so link queues are pass-through: sends land directly in
-  the receiver's next-round inbox and the round flip is O(receivers) with
-  no per-link delivery pass at all.  Multi-channel runs (the random-delay
-  scheduler) keep the metered ring path.
 * **Timer protocol.**  An algorithm declaring ``wake_at_rounds`` (globally
   known deadlines, e.g. the scheduler's delay start rounds) lets waiting
   nodes halt instead of ticking no-op handlers: the engine revives every
   node exactly at the declared rounds and charges silent stretches between
   them without executing them, keeping the measured round count identical.
 * **Fault injection.**  ``run(..., adversary=...)`` runs the same loop on
-  the ring path (bulk and express have no per-message delivery point):
+  the ring path (bulk kernels have no per-message delivery point):
   ring delivery goes through ``_deliver_adversarial``, which asks the
   adversary about every message, and the adversary's crash/recover rounds
   join the timers, so a silent-stretch jump never skips a scheduled fault
@@ -241,7 +235,7 @@ class Network:
         """
         csr = self.graph.csr()
         if self._wiring_csr is csr:
-            if self._structures_clean and not self._active and not self._pending_receivers:
+            if self._structures_clean and not self._active:
                 self._link_max_backlog[:] = self._zero_links
                 awake = self._awake
                 awake.clear()
@@ -284,12 +278,8 @@ class Network:
         self._link_max_backlog: list[int] = [0] * num_links
         self._active: list[int] = []
         self._is_active = bytearray(num_links)
-        # Pooled per-node inboxes, reused across rounds (cleared after use),
-        # plus the express lane's next-round pending lists (swapped with the
-        # inboxes at each flip, so both pools recycle forever).
+        # Pooled per-node inboxes, reused across rounds (cleared after use).
         self._inbox_of: list[list[Message]] = [[] for _ in range(n)]
-        self._pending: list[list[Message]] = [[] for _ in range(n)]
-        self._pending_receivers: list[int] = []
         # Awake-node worklist: every node starts non-halted.  halt()/wake()
         # keep this set current, so quiescence checks and per-round node
         # selection never scan the full node table.
@@ -310,9 +300,6 @@ class Network:
             )
             for v in range(n)
         ]
-        pending_receivers = self._pending_receivers
-        for ctx in self._node_list:
-            ctx._pending_receivers = pending_receivers
         self._nodes_cache: Optional[dict[int, NodeContext]] = None
         self._ran = False
         self._structures_clean = True
@@ -350,8 +337,8 @@ class Network:
             adversary: optional :class:`~repro.congest.adversary.Adversary`
                 hooked into ring delivery (message drops/duplication/
                 latency/reordering and scheduled node crashes).  It turns
-                off the bulk and express paths, which have no per-message
-                delivery point; a no-fault adversary therefore produces
+                off the bulk path, which has no per-message delivery
+                point; a no-fault adversary therefore produces
                 bit-identical metrics through the metered ring path.  A
                 stalled run under an adversary raises
                 :class:`PartialRunError` instead of the bare limit error.
@@ -375,32 +362,7 @@ class Network:
         self._ran = True
         self._structures_clean = False
 
-        # Express lane: a single-channel algorithm sends at most one message
-        # per directed link per round (its duplicate-send guard proves it),
-        # so every link queue is pass-through and messages can be placed
-        # straight into the receivers' next-round inboxes — no per-link
-        # delivery pass at all.  Multi-channel algorithms (the random-delay
-        # scheduler), runs resuming with ring traffic and runs under an
-        # adversary use the ring path.
-        express = (
-            adversary is None
-            and bool(getattr(algorithm, "single_channel", False))
-            and not self._active
-        )
-        if not express and self._pending_receivers:
-            self._flush_pending_to_rings()
-
         nodes = self._node_list
-        pending = self._pending if express else None
-        edge_counts = metrics._edge_counts
-        if express and self._pending_receivers:
-            # Leftover express traffic from a cut-off run delivers during
-            # this run; credit it to this run's per-edge counters (its
-            # send-time counts were retracted when that run stopped).
-            out_links = self._out_links
-            for v in self._pending_receivers:
-                for m in self._pending[v]:
-                    edge_counts[out_links[m.sender][v] >> 1] += 1
         # Timer protocol (opt-in; see the module docstring of
         # repro.congest.algorithm): the algorithm declares the global rounds
         # at which every node must run, so waiting nodes can halt and the
@@ -436,8 +398,6 @@ class Network:
                 event_pos += 1
 
         for ctx in nodes:
-            ctx._express_pending = pending
-            ctx._edge_counts = edge_counts
             if crashed and ctx.node_id in crashed:
                 continue
             algorithm.initialize(ctx)
@@ -448,9 +408,8 @@ class Network:
         inbox_of = self._inbox_of
         on_round = algorithm.on_round
 
-        pending_receivers = self._pending_receivers
         while metrics.rounds < max_rounds:
-            if not self._active and not pending_receivers and not awake:
+            if not self._active and not awake:
                 timers_needed = timer_pos < num_timers
                 if timers_needed and timer_probe is not None and not timer_probe():
                     timers_needed = False
@@ -521,23 +480,6 @@ class Network:
                 if events:
                     self._apply_fault_events(events, algorithm, crashed, metrics)
                 receivers = self._deliver_adversarial(metrics, adversary, round_no, crashed)
-            elif express:
-                # Express flip: the pending lists ARE the inboxes; swap them
-                # with the (empty) inbox pool so both recycle with zero
-                # allocation, and account deliveries per receiver.
-                if pending_receivers:
-                    receivers = pending_receivers.copy()
-                    pending_receivers.clear()
-                    delivered = 0
-                    for v in receivers:
-                        plist = pending[v]
-                        delivered += len(plist)
-                        inbox_of[v], pending[v] = plist, inbox_of[v]
-                    metrics.messages_delivered += delivered
-                    if not metrics.max_link_backlog:
-                        metrics.max_link_backlog = 1
-                else:
-                    receivers = ()
             else:
                 receivers = self._deliver(metrics)
 
@@ -583,13 +525,6 @@ class Network:
             + self._pending_backlog()
             - backlog_start
         )
-        if express and pending_receivers:
-            # Count-at-send ran ahead of the legacy count-at-delivery
-            # semantics; retract the messages still awaiting their flip.
-            out_links = self._out_links
-            for v in pending_receivers:
-                for m in self._pending[v]:
-                    edge_counts[out_links[m.sender][v] >> 1] -= 1
         self._structures_clean = True
         metrics.terminated = False
         if raise_on_limit:
@@ -635,7 +570,7 @@ class Network:
         if adversary is not None:
             self._warn_bulk_fallback(algorithm, "adversary")
             return None
-        if self._active or self._pending_receivers or not self._structures_clean:
+        if self._active or not self._structures_clean:
             return None
         kernel = algorithm.bulk_kernel(self)
         if kernel is None:
@@ -816,43 +751,10 @@ class Network:
     # internals
     # ------------------------------------------------------------------
     def _pending_backlog(self) -> int:
-        """Messages queued but undelivered (O(active links + pending nodes))."""
+        """Messages queued but undelivered (O(active links))."""
         queues = self._queues
         heads = self._heads
-        total = sum(len(queues[link]) - heads[link] for link in self._active)
-        if self._pending_receivers:
-            pending = self._pending
-            total += sum(len(pending[v]) for v in self._pending_receivers)
-        return total
-
-    def _flush_pending_to_rings(self) -> None:
-        """Move leftover express traffic onto the ring buffers.
-
-        Only needed when a run is cut off by ``max_rounds`` with express
-        messages still in flight and a multi-channel algorithm follows with
-        ``reset=False``; the ring path then delivers them in FIFO order.
-        """
-        out_links = self._out_links
-        queues = self._queues
-        heads = self._heads
-        link_max = self._link_max_backlog
-        is_active = self._is_active
-        active = self._active
-        pending = self._pending
-        for v in self._pending_receivers:
-            plist = pending[v]
-            for m in plist:
-                link = out_links[m.sender][v]
-                buf = queues[link]
-                buf.append(m)
-                backlog = len(buf) - heads[link]
-                if backlog > 1 and backlog > link_max[link]:
-                    link_max[link] = backlog
-                if not is_active[link]:
-                    is_active[link] = 1
-                    active.append(link)
-            plist.clear()
-        self._pending_receivers.clear()
+        return sum(len(queues[link]) - heads[link] for link in self._active)
 
     def _deliver(self, metrics: RunMetrics) -> list[int]:
         """Deliver one round of traffic into the pooled inboxes.

@@ -75,12 +75,6 @@ class NodeContext:
     # pure overhead.  Holding the reference keeps the identity test sound
     # (validated payloads are scalars or tuples of scalars — immutable).
     _payload_ok: Any = field(default=None, repr=False, compare=False)
-    # Express-lane wiring, set by the engine per run for single-channel
-    # algorithms (see Network.run): sends bypass the link ring buffers and
-    # append straight to the receiver's next-round inbox.
-    _express_pending: Optional[list] = field(default=None, repr=False, compare=False)
-    _pending_receivers: Optional[list] = field(default=None, repr=False, compare=False)
-    _edge_counts: Optional[list] = field(default=None, repr=False, compare=False)
 
     def send(self, neighbor: int, tag: str, payload: Any = None, algorithm_id: int = 0) -> None:
         """Queue a message to ``neighbor`` for delivery next round.
@@ -130,23 +124,7 @@ class NodeContext:
             check_payload(payload)
             self._payload_ok = payload
         sent = self._sent_this_round
-        pending = self._express_pending
-        if pending is not None:
-            # Express lane (single-channel run): the one-message-per-link
-            # guard doubles as the bandwidth proof, so the message can skip
-            # the ring buffer and land in the receiver's next-round inbox.
-            if link in sent:
-                raise ValueError(
-                    f"node {self.node_id} already sent to {neighbor} for algorithm {algorithm_id} this round"
-                )
-            sent.add(link)
-            plist = pending[neighbor]
-            if not plist:
-                self._pending_receivers.append(neighbor)
-            plist.append(Message(self.node_id, neighbor, tag, payload, algorithm_id))
-            self._edge_counts[link >> 1] += 1
-            return
-        # Ring path: enqueue onto the link's ring buffer.  Duplicate-send
+        # Enqueue onto the link's ring buffer.  Duplicate-send
         # keys are packed into one int when the algorithm id is small
         # (always, in practice) so the guard costs no allocation.
         key = (link << 20) | algorithm_id if 0 <= algorithm_id < 1048576 else (neighbor, algorithm_id)
@@ -187,9 +165,7 @@ class NodeContext:
         with the hot locals hoisted — this is the per-message fast path the
         flooding primitives use.  The shared message's ``receiver`` field is
         the sentinel ``-1``: delivery routes by directed link id, never by
-        the field, and no algorithm-facing API exposes it for multicasts
-        (the engine reads it only on per-receiver pending lists, where the
-        receiver is the list index).
+        the field, and no algorithm-facing API exposes it for multicasts.
         """
         queues = self._queues
         if queues is None:
@@ -218,28 +194,8 @@ class NodeContext:
             self._payload_ok = payload
         out_link = self._out_link
         sent = self._sent_this_round
-        pending = self._express_pending
         node_id = self.node_id
         message = Message(node_id, -1, tag, payload, algorithm_id)
-        if pending is not None:
-            receivers = self._pending_receivers
-            edge_counts = self._edge_counts
-            for v in targets:
-                try:
-                    link = out_link[v]
-                except KeyError:
-                    raise ValueError(f"node {node_id} has no neighbor {v}") from None
-                if link in sent:
-                    raise ValueError(
-                        f"node {node_id} already sent to {v} for algorithm {algorithm_id} this round"
-                    )
-                sent.add(link)
-                plist = pending[v]
-                if not plist:
-                    receivers.append(v)
-                plist.append(message)
-                edge_counts[link >> 1] += 1
-            return
         heads = self._heads
         link_max = self._link_max
         is_active = self._link_is_active
@@ -287,7 +243,7 @@ class NodeContext:
         by construction for slices of a mask over the same CSR snapshot),
         (b) it sends at most once per link per round per algorithm id —
         the announce-once-per-round discipline of the BFS primitives — so
-        the duplicate-send guard is skipped on the ring path, and (c) the
+        the duplicate-send guard is skipped, and (c) the
         payload is a scalar or small scalar tuple, so per-send payload
         validation is skipped too (the in-tree primitives only ever send
         ``(int, int)`` announcements over this path, plus the reliable
@@ -303,21 +259,6 @@ class NodeContext:
             return
         node_id = self.node_id
         message = Message(node_id, -1, tag, payload, algorithm_id)
-        pending = self._express_pending
-        if pending is not None:
-            # Express lane (single-channel run): land straight in the
-            # receivers' next-round inboxes, accounting per edge.
-            receivers = self._pending_receivers
-            edge_counts = self._edge_counts
-            sent = self._sent_this_round
-            for link, v in zip(links, targets):
-                sent.add(link)
-                plist = pending[v]
-                if not plist:
-                    receivers.append(v)
-                plist.append(message)
-                edge_counts[link >> 1] += 1
-            return
         heads = self._heads
         link_max = self._link_max
         is_active = self._link_is_active

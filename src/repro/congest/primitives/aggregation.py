@@ -117,9 +117,6 @@ class PartAggregation(DistributedAlgorithm):
     """
 
     name = "part_aggregation"
-    # Instances multiplex over shared links (that is the point: congestion
-    # is the quantity being measured), so the metered ring path applies.
-    single_channel = False
 
     def __init__(
         self,

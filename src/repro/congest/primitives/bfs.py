@@ -78,9 +78,6 @@ class DistributedBFS(DistributedAlgorithm):
     """
 
     name = "bfs"
-    # One algorithm_id per instance => at most one message per link per
-    # round, so runs qualify for the engine's express delivery lane.
-    single_channel = True
 
     def __init__(
         self,

@@ -108,9 +108,6 @@ class ConcurrentMaskedBFS(DistributedAlgorithm):
     """
 
     name = "concurrent_masked_bfs"
-    # Multiple algorithm ids multiplex over shared links: ring path, exactly
-    # like the generic random-delay scheduler.
-    single_channel = False
 
     def __init__(
         self,

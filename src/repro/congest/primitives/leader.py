@@ -38,8 +38,6 @@ class FloodMax(DistributedAlgorithm):
     """
 
     name = "flood_max"
-    # One algorithm_id per instance => express-lane eligible.
-    single_channel = True
 
     def __init__(
         self,

@@ -82,7 +82,6 @@ class PipelinedNumbering(DistributedAlgorithm):
     """
 
     name = "pipelined_numbering"
-    single_channel = True
 
     def __init__(
         self,
@@ -194,9 +193,8 @@ class PipelinedNumbering(DistributedAlgorithm):
                     state[self._key_ended] += 1
             elif tag == self._tag_down:
                 self._handle_down(node, msg.payload)
-        # All claims were sent during initialization and the channel is
-        # express, so by the time any handler runs (round >= 1) the child
-        # set is final: an interior node's claims are in this very inbox,
+        # All claims were sent during initialization, one per link, so by
+        # the time any handler runs (round >= 1) the child set is final: an interior node's claims are in this very inbox,
         # processed above before any end-of-stream decision below.
         if self._key_down_queue in state:
             self._stream_down(node)

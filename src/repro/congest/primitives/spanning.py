@@ -62,10 +62,6 @@ class PartwiseFlagConvergecast(DistributedAlgorithm):
             :class:`~repro.congest.primitives.concurrent_bfs.ConcurrentMaskedBFS`.
         timeout: rounds the leaders wait before declaring success
             (``depth + 2`` for a depth-truncated tree).
-        disjoint_trees: set ``True`` when every tree is contained in its own
-            part (stage 1), which makes the algorithm single-channel and
-            eligible for the express delivery lane; stage-5 trees overlap
-            on shortcut edges and must leave this ``False``.
         prefix: message tag prefix.
 
     Output: :attr:`flagged` — the set of part indices whose leader received
@@ -82,7 +78,6 @@ class PartwiseFlagConvergecast(DistributedAlgorithm):
         tree_lookup: Callable[[int, int], tuple[Optional[int], Optional[int]]],
         *,
         timeout: int,
-        disjoint_trees: bool = False,
         prefix: str = "span_",
     ) -> None:
         if timeout < 1:
@@ -92,7 +87,6 @@ class PartwiseFlagConvergecast(DistributedAlgorithm):
         self.intra_mask = intra_mask
         self.tree_lookup = tree_lookup
         self.timeout = timeout
-        self.single_channel = disjoint_trees
         self.prefix = prefix
         self._tag_orphan = intern(prefix + "orphan")
         self._tag_flag = intern(prefix + "flag")

@@ -68,8 +68,6 @@ class TreeAggregate(DistributedAlgorithm):
     """
 
     name = "tree_aggregate"
-    # One algorithm_id per instance => express-lane eligible.
-    single_channel = True
 
     def __init__(
         self,

@@ -1,16 +1,9 @@
-"""CONGEST protocol rules (RPR010-RPR013).
+"""CONGEST protocol rules (RPR011-RPR013).
 
 The round engine trusts three structural declarations an algorithm class
 makes, and silently produces wrong metrics (or wrong runs) when the code
 drifts from them.  Each rule mechanizes one declaration:
 
-* RPR010 — ``single_channel = True`` promises at most one message per
-  directed link per round, which holds exactly when the class sends on a
-  single algorithm id (the express delivery lane skips the duplicate-send
-  guard on this promise).  A single-channel class must therefore pass
-  ``algorithm_id`` as a constant or the instance's own
-  ``self.algorithm_id`` — a *varying* id (loop index, arithmetic over a
-  base id) is channel multiplexing, which needs the metered ring path.
 * RPR011 — ``on_crash``/``on_recover`` are engine hooks with the fixed
   shape ``(self, node)``; an override with a different signature raises
   only when a fault actually hits that node, i.e. in the middle of an
@@ -33,92 +26,12 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from .context import ModuleContext, class_level_flag, class_methods, self_calls
+from .context import ModuleContext, class_methods, self_calls
 from .findings import Finding
 from .registry import rule
 
-#: Messaging methods of NodeContext and the 0-based position of their
-#: ``algorithm_id`` parameter.
-MESSAGING_METHODS = {
-    "send": 3,
-    "multicast": 3,
-    "multicast_links": 4,
-    "broadcast": 2,
-}
-
 #: Methods that run before the engine snapshots an algorithm's timers.
 TIMER_SETUP_METHODS = frozenset({"__init__", "on_start", "initialize"})
-
-
-def _algorithm_id_arg(call: ast.Call, position: int) -> Optional[ast.expr]:
-    for keyword in call.keywords:
-        if keyword.arg == "algorithm_id":
-            return keyword.value
-    if len(call.args) > position:
-        return call.args[position]
-    return None
-
-
-def _simple_assignments(func: ast.FunctionDef) -> dict[str, ast.expr]:
-    """Last ``name = <expr>`` binding for each plain local of ``func``."""
-    assigns: dict[str, ast.expr] = {}
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                assigns[target.id] = node.value
-    return assigns
-
-
-def _is_constant_channel(expr: ast.expr,
-                         assigns: dict[str, ast.expr],
-                         depth: int = 0) -> bool:
-    """True when ``expr`` is a per-instance-constant algorithm id."""
-    if isinstance(expr, ast.Constant):
-        return True
-    if (isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == "self"):
-        return True
-    if isinstance(expr, ast.Name) and depth < 8:
-        bound = assigns.get(expr.id)
-        if bound is not None:
-            return _is_constant_channel(bound, assigns, depth + 1)
-    return False
-
-
-@rule(
-    "RPR010", "single-channel-no-multiplex",
-    description=(
-        "a `single_channel = True` algorithm promises one message per link "
-        "per round; sending with a varying algorithm_id multiplexes "
-        "channels and breaks the express-lane delivery proof"
-    ),
-)
-def check_single_channel(module: ModuleContext) -> Iterator[Finding]:
-    for cls in module.classes():
-        if not class_level_flag(cls, "single_channel"):
-            continue
-        for method in class_methods(cls).values():
-            assigns = _simple_assignments(method)
-            for node in ast.walk(method):
-                if not (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)):
-                    continue
-                position = MESSAGING_METHODS.get(node.func.attr)
-                if position is None:
-                    continue
-                channel = _algorithm_id_arg(node, position)
-                if channel is None:
-                    continue
-                if not _is_constant_channel(channel, assigns):
-                    yield module.finding(
-                        node, "RPR010",
-                        f"single-channel class {cls.name} passes a varying "
-                        f"algorithm_id to {node.func.attr}(); multiplexed "
-                        "channels violate the one-message-per-link promise "
-                        "(drop `single_channel` or fix the id)",
-                    )
 
 
 def _is_algorithm_class(cls: ast.ClassDef, module: ModuleContext) -> bool:

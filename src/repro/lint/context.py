@@ -165,20 +165,3 @@ def self_calls(func: ast.FunctionDef) -> set[str]:
                 and node.func.value.id == "self"):
             called.add(node.func.attr)
     return called
-
-
-def class_level_flag(cls: ast.ClassDef, name: str) -> bool:
-    """True when the class body assigns ``name = True`` at class level."""
-    for stmt in cls.body:
-        targets: list[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        for target in targets:
-            if (isinstance(target, ast.Name) and target.id == name
-                    and isinstance(value, ast.Constant)
-                    and value.value is True):
-                return True
-    return False

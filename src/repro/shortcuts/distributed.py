@@ -214,7 +214,6 @@ def detect_large_parts(
         intra_mask,
         _state_tree_lookup(network, "lp_"),
         timeout=depth + 2,
-        disjoint_trees=True,
         prefix="lpchk_",
     )
     check_metrics = network.run(check, reset=False, max_rounds=max_rounds)
@@ -480,7 +479,6 @@ def _run_single_guess(
             intra_mask,
             lookup,
             timeout=depth_budget + 2,
-            disjoint_trees=False,
             prefix="scchk_",
         )
         check_metrics = network.run(check, reset=False, max_rounds=max_rounds)

@@ -6,9 +6,8 @@ delivery, the delay-rescanning scheduler) are re-implemented here as
 reference oracles and compared metric-for-metric against the production
 active-set engine — ``rounds``, ``messages_sent``, ``messages_delivered``,
 ``max_link_backlog`` and ``per_edge_messages`` must be identical on flood,
-BFS, leader election and random-delay-scheduler workloads, on both the
-express delivery lane (single-channel algorithms) and the ring path
-(multi-channel).
+BFS, leader election and random-delay-scheduler workloads, for
+single-channel and multi-channel algorithms alike.
 
 Also covers the engine behaviours the refactor introduced or preserved:
 ring-buffer compaction, strict bandwidth raising mid-run, ``reset=False``
@@ -200,7 +199,7 @@ def _assert_metrics_match(new_metrics, legacy):
 
 
 # ----------------------------------------------------------------------
-# engine equivalence: express lane (single-channel algorithms)
+# engine equivalence: single-channel algorithms
 # ----------------------------------------------------------------------
 class TestExpressLaneEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
@@ -426,7 +425,6 @@ class _LeaderPing(DistributedAlgorithm):
     the engine when the token arrives."""
 
     name = "leader_ping"
-    single_channel = True
 
     def initialize(self, node):
         if node.state.get("flood_leader") == node.node_id:
@@ -511,8 +509,8 @@ class TestResetFalseComposition:
         assert 1 in net._awake
 
     def test_express_then_ring_composition(self):
-        # A single-channel (express) run followed by a multi-channel (ring)
-        # scheduler run on the same un-reset network.
+        # A single-channel run followed by a multi-channel scheduler run on
+        # the same un-reset network.
         g = grid_graph(5, 5)
         net = Network(g)
         net.run(DistributedBFS({0}))
@@ -522,6 +520,28 @@ class TestResetFalseComposition:
         assert metrics.terminated
         # First run's outputs are still readable.
         assert net.node(24).state["bfs_dist"] == 8
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_cutoff_resume_meters_leftover_traffic(self, bulk, strict, monkeypatch):
+        # A cut-off BFS leaves node 1's announcements queued on 1->0 and
+        # 1->2; a follow-up in which node 1 announces again must queue
+        # behind them, one delivery per link per round.
+        monkeypatch.setattr(DistributedBFS, "bulk_capable", bulk)
+        net = Network(path_graph(4), strict_bandwidth=strict)
+        cut = net.run(DistributedBFS({0}), max_rounds=1, raise_on_limit=False)
+        assert not cut.terminated
+        follow_up = DistributedBFS({1}, max_depth=1, prefix="y_")
+        if strict:
+            with pytest.raises(BandwidthExceededError):
+                net.run(follow_up, reset=False)
+            return
+        metrics = net.run(follow_up, reset=False)
+        assert metrics.terminated
+        assert metrics.rounds == 2
+        assert metrics.max_link_backlog == 2
+        assert metrics.messages_delivered == 4
+        assert net.node(2).state["y_dist"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -562,22 +582,6 @@ class TestRunMetricsHelpers:
 
         assert RunMetrics().top_k_edges(3) == []
         assert RunMetrics().per_edge_messages == {}
-
-    def test_express_and_ring_agree_on_metrics(self):
-        # The same single-channel workload forced down the ring path (by
-        # hiding the single_channel flag) must produce identical metrics.
-        g = random_connected_graph(30, extra_edge_prob=0.1, rng=3)
-
-        class RingBFS(DistributedBFS):
-            single_channel = False
-
-        express = Network(g).run(DistributedBFS({0}))
-        ring = Network(g).run(RingBFS({0}))
-        assert express.rounds == ring.rounds
-        assert express.messages_sent == ring.messages_sent
-        assert express.messages_delivered == ring.messages_delivered
-        assert express.max_link_backlog == ring.max_link_backlog
-        assert express.per_edge_messages == ring.per_edge_messages
 
 
 # ----------------------------------------------------------------------
@@ -692,7 +696,7 @@ class TestWiredNodeContext:
         with pytest.raises(ValueError):
             net.node(0).send(2, "nope")
 
-    def test_wired_duplicate_send_raises_express_and_ring(self):
+    def test_wired_duplicate_send_raises(self):
         class DoubleSend(DistributedAlgorithm):
             name = "double"
 
@@ -705,17 +709,13 @@ class TestWiredNodeContext:
             def on_round(self, node, messages):
                 node.halt()
 
-        for single in (True, False):
-            algo = DoubleSend()
-            algo.single_channel = single
-            net = Network(path_graph(2))
-            with pytest.raises(ValueError):
-                net.run(algo)
+        net = Network(path_graph(2))
+        with pytest.raises(ValueError):
+            net.run(DoubleSend())
 
     def test_wired_multicast_duplicate_target_raises(self):
         class DupMulticast(DistributedAlgorithm):
             name = "dup_multicast"
-            single_channel = True
 
             def initialize(self, node):
                 if node.node_id == 0:

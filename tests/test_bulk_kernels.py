@@ -136,6 +136,34 @@ def test_bfs_bulk_matches_per_node(family, bulk_toggle):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("cutoff", [0, 1, 2])
+@pytest.mark.parametrize("make", [
+    lambda g: FloodMax(),
+    lambda g: DistributedBFS({0, g.num_vertices // 2}),
+], ids=["floodmax", "bfs"])
+def test_single_channel_cutoff_resume_matches_per_node(
+    family, cutoff, make, bulk_toggle
+):
+    """A cut-off kernel spills its in-flight frontier onto the ring queues,
+    where a ``reset=False`` follow-up run delivers it exactly as after a
+    cut-off per-node run.  The follow-up queues behind the spill and leaves
+    backlog maxima of 2, which a third (bulk-eligible) run must fold in."""
+
+    def once(enabled):
+        bulk_toggle(enabled)
+        g = family_graph(family)
+        net = Network(g)
+        stages = []
+        for max_rounds in (cutoff, 100_000, 100_000):
+            m = net.run(make(g), reset=False, max_rounds=max_rounds,
+                        raise_on_limit=False)
+            stages.append((metrics_tuple(m), node_states(net)))
+        return stages
+
+    assert once(True) == once(False)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("sparse", [True, False])
 def test_fleet_bulk_matches_per_node(family, sparse, bulk_toggle):
     def once(enabled):

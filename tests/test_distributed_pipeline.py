@@ -411,7 +411,7 @@ class TestSpanningConvergecast:
                 nodes[v].state.get("lp_dist"),
                 nodes[v].state.get("lp_parent"),
             ),
-            timeout=4 + 2, disjoint_trees=True,
+            timeout=4 + 2,
         )
         network.run(check, reset=False)
         assert sorted(check.flagged) == oracle
@@ -428,7 +428,7 @@ class TestSpanningConvergecast:
                 nodes[v].state.get("lp_dist"),
                 nodes[v].state.get("lp_parent"),
             ),
-            timeout=5 + 2, disjoint_trees=True,
+            timeout=5 + 2,
         )
         metrics = network.run(check, reset=False)
         assert metrics.rounds == 5 + 2
@@ -442,7 +442,7 @@ class TestSpanningConvergecast:
                 nodes[v].state.get("lp_dist"),
                 nodes[v].state.get("lp_parent"),
             ),
-            timeout=8, disjoint_trees=True,
+            timeout=8,
         )
         metrics = network.run(check, reset=False)
         assert check.flagged == set()

@@ -55,7 +55,6 @@ FLAGGED = [
     ("rpr002_flagged", "RPR002", [4, 9, 10]),
     ("rpr003_flagged", "RPR003", [9, 10, 11, 12]),
     ("rpr004_flagged", "RPR004", [5, 6, 7, 8]),
-    ("rpr010_flagged", "RPR010", [9, 10, 12]),
     ("rpr011_flagged", "RPR011", [9, 12]),
     ("rpr012_flagged", "RPR012", [9]),
     ("rpr013_flagged", "RPR013", [9, 14]),
@@ -68,7 +67,6 @@ CLEAN = [
     ("rpr002_clean", "RPR002"),
     ("rpr003_clean", "RPR003"),
     ("rpr004_clean", "RPR004"),
-    ("rpr010_clean", "RPR010"),
     ("rpr011_clean", "RPR011"),
     ("rpr012_clean", "RPR012"),
     ("rpr013_clean", "RPR013"),
@@ -281,7 +279,7 @@ class TestRuleSelection:
 
     def test_registry_covers_issue_rules(self):
         expected = {"RPR000", "RPR001", "RPR002", "RPR003", "RPR004",
-                    "RPR010", "RPR011", "RPR012", "RPR020", "RPR021",
+                    "RPR011", "RPR012", "RPR013", "RPR020", "RPR021",
                     "RPR090"}
         assert expected <= set(RULES)
 
@@ -290,7 +288,7 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RPR001", "RPR010", "RPR020", "RPR090"):
+        for rule_id in ("RPR001", "RPR011", "RPR020", "RPR090"):
             assert rule_id in out
 
     def test_unknown_rule_exits_two(self, capsys):
@@ -301,18 +299,18 @@ class TestCLI:
         # Rooted at the fixture dir (no pyproject there → default config):
         # under the repo root the fixtures are config-excluded even when
         # named explicitly, exactly like ruff's exclude semantics.
-        fixture = str(FIXTURES / "rpr010_flagged.py")
-        code = main(["lint", fixture, "--rule", "RPR010",
+        fixture = str(FIXTURES / "rpr011_flagged.py")
+        code = main(["lint", fixture, "--rule", "RPR011",
                      "--format", "json", "--root", str(FIXTURES)])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
-        assert [f["rule"] for f in payload] == ["RPR010"] * 3
+        assert [f["rule"] for f in payload] == ["RPR011"] * 2
 
     def test_repo_config_excludes_fixtures_even_named_explicitly(self, capsys):
-        fixture = str(FIXTURES / "rpr010_flagged.py")
+        fixture = str(FIXTURES / "rpr011_flagged.py")
         assert main(["lint", fixture, "--root", str(REPO_ROOT)]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_clean_file_exits_zero(self, capsys):
-        fixture = str(FIXTURES / "rpr010_clean.py")
+        fixture = str(FIXTURES / "rpr011_clean.py")
         assert main(["lint", fixture, "--root", str(FIXTURES)]) == 0
