@@ -1,6 +1,6 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark regenerates one experiment from EXPERIMENTS.md by calling
+Every benchmark regenerates one ``repro experiments`` table by calling
 the corresponding ``run_*`` function from :mod:`repro.analysis.experiments`.
 ``pytest-benchmark`` measures the wall-clock of one full experiment run
 (``rounds=1`` — the experiments are seconds-long sweeps, not microbenchmarks)

@@ -4,7 +4,7 @@ Reproduces the positioning claims of the paper: the KP quality tracks the
 Elkin lower-bound curve (within a modest factor), improves on the
 single-repetition Kitamura-style sampling for D >= 5, and — asymptotically —
 improves on the general-graph O(sqrt(n) + D) bound (at simulator scale the
-predicted crossover lies beyond reachable n, which EXPERIMENTS.md documents;
+predicted crossover lies beyond reachable n, see ``repro experiments``;
 here we check the measured values sit between the lower-bound curve and the
 naive extremes).
 """

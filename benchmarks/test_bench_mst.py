@@ -3,8 +3,8 @@
 Reproduces the plug-in behaviour of the MST corollary: the same Boruvka
 driver produces the exact MST under every engine, and the charged round
 count orders the engines by their shortcut quality (naive >> KP ~ GH at
-simulator scale; the KP vs GH asymptotic separation is documented in
-EXPERIMENTS.md via the predicted curves).
+simulator scale; the KP vs GH asymptotic separation shows in the
+predicted curves ``repro experiments`` prints).
 """
 
 from __future__ import annotations

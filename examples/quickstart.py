@@ -43,7 +43,7 @@ def main() -> None:
           f"{sorted((len(p) for p in partition.parts), reverse=True)[:5]} ...")
 
     # The Kogan-Parter construction.  log_factor < 1 keeps the sampling
-    # probability meaningfully below 1 at this small n (see EXPERIMENTS.md).
+    # probability meaningfully below 1 at this small n (see `repro experiments`).
     result = build_kogan_parter_shortcut(
         graph, partition, diameter_value=diameter, log_factor=0.25, rng=0
     )
@@ -71,7 +71,7 @@ def main() -> None:
 
     print("\nAt this simulator scale the two constructions are comparable; the")
     print("KP bound k_D log n only drops below sqrt(n) for very large n (the")
-    print("crossover is ~1e16 for D = 6) — see EXPERIMENTS.md for the curves.")
+    print("crossover is ~1e16 for D = 6) — `repro experiments` prints the curves.")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Regenerate every experiment table of EXPERIMENTS.md.
+"""Regenerate every experiment table (the script form of ``repro experiments``).
 
-Runs the full experiment harness (E1-E14, see DESIGN.md §5) and prints the
+Runs the full experiment harness (E1-E15) and prints the
 result tables.  Pass ``--fast`` for the reduced parameter sets used in CI,
 ``--workers N`` to shard the sweep cells over N processes (the tables are
 bit-identical to a serial run).
@@ -16,7 +16,7 @@ import argparse
 import sys
 import time
 
-from repro.analysis import EXPERIMENT_RUNNERS, run_all_experiments
+from repro.analysis import EXPERIMENT_RUNNERS, experiment_id_order, run_all_experiments
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -24,7 +24,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fast", action="store_true", help="use reduced parameter sets")
     parser.add_argument(
         "--experiment",
-        choices=sorted(EXPERIMENT_RUNNERS),
+        choices=experiment_id_order(EXPERIMENT_RUNNERS),
         help="run a single experiment id instead of all of them",
     )
     parser.add_argument("--seed", type=int, default=1)

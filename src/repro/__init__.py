@@ -14,7 +14,7 @@ The package is organised in layers:
 * :mod:`repro.applications` — the Section 4 applications (MST, approximate
   min-cut, approximate SSSP, 2-ECSS) driven by part-wise aggregation;
 * :mod:`repro.analysis` — predicted bound curves and the experiment harness
-  that regenerates every table in EXPERIMENTS.md.
+  that regenerates every experiment table (``repro experiments``).
 
 Quickstart::
 

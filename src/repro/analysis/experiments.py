@@ -1,10 +1,10 @@
 """Experiment harness: workload generation, sweeps and result tables.
 
 The paper has no experimental section, so the "tables and figures" this
-repository reproduces are its quantitative claims (see DESIGN.md §5 and
-EXPERIMENTS.md).  Each ``run_*`` function below regenerates one experiment:
-it builds the workloads, runs the constructions / applications, and returns
-an :class:`ExperimentTable` whose rows are what EXPERIMENTS.md reports.  The
+repository reproduces are its quantitative claims.  Each ``run_*`` function
+below regenerates one experiment: it builds the workloads, runs the
+constructions / applications, and returns an :class:`ExperimentTable` whose
+rows are what ``repro experiments`` prints.  The
 benchmark suite calls the same functions (so `pytest benchmarks/` both times
 them and re-produces the numbers), and the example scripts print them.
 
@@ -35,8 +35,8 @@ Design choices documented once here:
 * **Sampling regime.**  The default ``log_factor`` is below 1 so that the
   sampling probability stays meaningfully below 1 at simulator scale (the
   paper's exact ``p`` clamps to 1 for small ``n``, collapsing the
-  construction to the naive shortcut); EXPERIMENTS.md reports the factor
-  used for every table.
+  construction to the naive shortcut); each table's notes report the
+  factor it used.
 * **Determinism.**  Every experiment takes a seed and is reproducible —
   per cell, not just per sweep.
 """
@@ -97,7 +97,7 @@ class ExperimentTable:
     """A rendered experiment result: a named table of rows.
 
     Attributes:
-        experiment_id: identifier from DESIGN.md (e.g. ``"E1"``).
+        experiment_id: identifier in :data:`EXPERIMENT_RUNNERS` (e.g. ``"E1"``).
         title: human-readable description.
         headers: column names.
         rows: the data rows (values are rendered with :func:`render`).

@@ -22,8 +22,8 @@ On the planted-cut workloads of the experiment harness the returned value
 matches the exact minimum cut (computed by the Stoer-Wagner reference
 implementation below), and the charged rounds scale with the shortcut
 quality exactly as the corollary states.  The approximation guarantee of the
-simplified candidate set is weaker than ``(1 + ε)`` in the worst case; this
-substitution is documented in DESIGN.md.
+simplified candidate set is weaker than ``(1 + ε)`` in the worst case;
+``repro experiments --experiment E7`` reports the measured cut ratio.
 """
 
 from __future__ import annotations

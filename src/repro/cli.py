@@ -20,7 +20,7 @@ writing a script:
 * ``generate``    — build a graph of a named family (``repro generate
                     --family broom ...``), print its stats, optionally save
                     it as JSON;
-* ``experiments`` — run one or all of the EXPERIMENTS.md tables
+* ``experiments`` — run one or all of the E1-E15 experiment tables
                     (``--workers N`` shards the sweep cells over N worker
                     processes; the tables stay bit-identical to a serial
                     run);
@@ -38,7 +38,9 @@ import sys
 from typing import Optional, Sequence
 
 from . import io as repro_io
-from .analysis.experiments import EXPERIMENT_RUNNERS, make_workload, run_all_experiments
+from .analysis.experiments import (
+    EXPERIMENT_RUNNERS, experiment_id_order, make_workload, run_all_experiments,
+)
 from .applications.components import shortcut_connected_components
 from .applications.mst import boruvka_mst, default_shortcut_factory, kruskal_mst
 from .applications.shortcut_mst import CONSUMER_ENGINES, shortcut_boruvka_mst
@@ -158,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="attach unique random edge weights")
     generate.add_argument("--save", help="write the graph to this JSON file")
 
-    experiments = sub.add_parser("experiments", help="run EXPERIMENTS.md tables")
-    experiments.add_argument("--experiment", choices=sorted(EXPERIMENT_RUNNERS),
+    experiments = sub.add_parser("experiments", help="run the experiment tables")
+    experiments.add_argument("--experiment", choices=experiment_id_order(EXPERIMENT_RUNNERS),
                              help="run a single experiment (default: all, fast settings)")
     experiments.add_argument("--full", action="store_true",
                              help="use the full (slow) parameter sets when running all")

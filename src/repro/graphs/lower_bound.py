@@ -20,7 +20,7 @@ This module builds that topology exactly (for even ``D``; odd targets are
 rounded up to the next even value, matching how the paper's own analysis
 reduces odd diameters to even ones by edge subdivision), and returns both
 the graph and the canonical hard partition (the paths).  The baselines
-experiment (E4 in DESIGN.md) uses these instances to show that the measured
+experiment (``repro experiments --experiment E4``) uses these instances to show that the measured
 quality of the Kogan-Parter construction tracks the lower-bound curve shape
 while the Ghaffari-Haeupler O(sqrt(n) + D) baseline does not improve with
 growing D.

@@ -109,7 +109,7 @@ class TestWorkloads:
 class TestExperimentRunners:
     """Each experiment runner is executed with tiny parameters; the goal is
     to verify the harness produces well-formed tables whose key relations
-    hold (the full-size numbers live in EXPERIMENTS.md)."""
+    hold (the full-size numbers come from ``repro experiments``)."""
 
     def test_quality_experiment(self):
         t = run_quality_experiment(sizes=(120,), diameters=(4,), trials=1, seed=1)

@@ -154,6 +154,13 @@ class TestExperimentsCommand:
         assert main(["experiments", "--experiment", "E2", "--seed", "6"]) == 0
         assert "seed=6" in capsys.readouterr().out
 
+    def test_help_lists_experiments_in_numeric_order(self, capsys):
+        # Regression: sorted() listed the choices as E1,E10,E11,...,E2.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiments", "--help"])
+        ids = ",".join(f"E{i}" for i in range(1, 16))
+        assert "{" + ids + "}" in capsys.readouterr().out
+
     def test_workers_flag_accepted(self):
         args = build_parser().parse_args(["experiments", "--workers", "4"])
         assert args.workers == 4

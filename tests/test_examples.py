@@ -1,12 +1,15 @@
-"""Smoke tests: every example script runs end-to-end and prints its report."""
+"""Smoke tests: every example script runs end-to-end and prints its report,
+and every root document the code names exists."""
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = REPO_ROOT / "examples"
 
 
 def run_example(name: str, *args: str) -> str:
@@ -42,3 +45,13 @@ def test_reproduce_experiments_single():
     out = run_example("reproduce_experiments.py", "--fast", "--experiment", "E12")
     assert "E12" in out
     assert "probability" in out
+
+
+def test_named_root_docs_exist():
+    named = set()
+    for top in ("src", "examples", "benchmarks", "tests", ".github"):
+        for path in (REPO_ROOT / top).rglob("*"):
+            if path.is_file() and "fixtures" not in path.relative_to(REPO_ROOT).parts:
+                text = path.read_text(encoding="utf-8", errors="ignore")
+                named.update(re.findall(r"\b[A-Z][A-Z0-9_]*\.md\b", text))
+    assert sorted(d for d in named if not (REPO_ROOT / d).is_file()) == []

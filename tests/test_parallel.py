@@ -1,7 +1,7 @@
 """Tests for the deterministic parallel experiment executor.
 
 The headline property (the acceptance pin of the parallel runtime): the
-full fast-tier E1-E14 sweep produces bit-identical tables at every worker
+full fast-tier E1-E15 sweep produces bit-identical tables at every worker
 count.  The smaller tests cover the executor pieces — worker resolution,
 chunking, ordering, pickling and the serial fallback.
 """
@@ -141,7 +141,7 @@ class TestExperimentParallelism:
 @pytest.mark.slow
 class TestFullSweepBitIdentity:
     """The acceptance pin: ``--workers 4`` == ``--workers 1`` on the full
-    fast-tier E1-E14 sweep, bit for bit (timing columns excluded)."""
+    fast-tier E1-E15 sweep, bit for bit (timing columns excluded)."""
 
     def test_fast_sweep_identical_across_worker_counts(self):
         serial = run_all_experiments(fast=True, seed=1, workers=1)
