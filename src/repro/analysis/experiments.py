@@ -1584,7 +1584,7 @@ def _fault_tolerance_cell(
     from ..congest.network import PartialRunError
     from ..graphs.components import connected_components
     from ..graphs.generators import GENERATOR_FAMILIES, disjoint_union, make_family_graph
-    from ..shortcuts.shortcut import Shortcut
+    from ..shortcuts.shortcut import surviving_shortcut
 
     if family not in GENERATOR_FAMILIES:
         raise ValueError(f"unknown E15 family {family!r}")
@@ -1606,24 +1606,9 @@ def _fault_tolerance_cell(
     ).shortcut
     fault_rng = derive_rng(seed, "E15", family, size, "survive")
     victims = set(fault_rng.sample(range(n), crashes)) if crashes else set()
-    edge_list = graph.csr().edge_list
-    surviving_ids = []
-    total_edges = 0
-    lost_edges = 0
-    for i in range(partition.num_parts):
-        ids = shortcut.subgraph_edge_ids(i)
-        total_edges += len(ids)
-        kept = set()
-        for eid in ids:
-            u, v = edge_list[eid]
-            if u in victims or v in victims:
-                continue
-            if drop_rate and fault_rng.random() < drop_rate:
-                continue
-            kept.add(eid)
-        lost_edges += len(ids) - len(kept)
-        surviving_ids.append(kept)
-    survived = Shortcut.from_edge_ids(partition, surviving_ids)
+    survived = surviving_shortcut(shortcut, victims, drop_rate, fault_rng)
+    total_edges = shortcut.total_shortcut_edges()
+    lost_edges = total_edges - survived.total_shortcut_edges()
     report = survived.quality_report(exact_dilation=False, rng=fault_rng)
 
     # --- MST consumer under live faults -----------------------------

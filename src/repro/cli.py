@@ -271,30 +271,16 @@ def _command_shortcut(args: argparse.Namespace) -> int:
         # edge survives an independent Bernoulli drop; re-measure what is
         # left.  The construction above stays untouched — the projection
         # answers "how much quality does this shortcut lose under faults".
-        from .shortcuts.shortcut import Shortcut
+        from .shortcuts.shortcut import surviving_shortcut
 
         seed_base = (args.adversary_seed if args.adversary_seed is not None
                      else derive_seed(args.seed, "shortcut-faults"))
         fault_rng = derive_rng(seed_base, "survive")
         victims = (set(fault_rng.sample(range(n), min(args.crash, n)))
                    if args.crash else set())
-        edge_list = workload.graph.csr().edge_list
-        surviving_ids = []
-        total_edges = lost_edges = 0
-        for i in range(workload.partition.num_parts):
-            ids = shortcut.subgraph_edge_ids(i)
-            total_edges += len(ids)
-            kept = set()
-            for eid in ids:
-                u, v = edge_list[eid]
-                if u in victims or v in victims:
-                    continue
-                if args.drop_rate and fault_rng.random() < args.drop_rate:
-                    continue
-                kept.add(eid)
-            lost_edges += len(ids) - len(kept)
-            surviving_ids.append(kept)
-        survived = Shortcut.from_edge_ids(workload.partition, surviving_ids)
+        survived = surviving_shortcut(shortcut, victims, args.drop_rate, fault_rng)
+        total_edges = shortcut.total_shortcut_edges()
+        lost_edges = total_edges - survived.total_shortcut_edges()
         surv_report = survived.quality_report(
             exact_dilation=args.exact_dilation, rng=fault_rng)
         print(f"fault model     : drop_rate={args.drop_rate}, crashes={args.crash}")

@@ -129,7 +129,7 @@ def shortcut_from_dict(data: dict[str, Any]) -> Shortcut:
         [(int(u), int(v)) for u, v in part_edges]
         for part_edges in data.get("subgraphs", [])
     ]
-    return Shortcut(partition, subgraphs, validate_edges=True)
+    return Shortcut(partition, subgraphs)
 
 
 # ----------------------------------------------------------------------

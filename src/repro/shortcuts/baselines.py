@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+import numpy as np
+
 from ..graphs.graph import Graph
 from .kogan_parter import KoganParterResult, build_kogan_parter_shortcut
 from .partition import Partition
@@ -56,14 +58,12 @@ def build_ghaffari_haeupler_shortcut(
     n = graph.num_vertices
     if size_threshold is None:
         size_threshold = math.sqrt(n)
-    all_edges = list(graph.edges())
-    subgraphs: list[list[tuple[int, int]]] = []
-    for i in range(partition.num_parts):
-        if len(partition.part(i)) > size_threshold:
-            subgraphs.append(all_edges)
-        else:
-            subgraphs.append([])
-    return Shortcut(partition, subgraphs, validate_edges=False)
+    every_edge = np.arange(graph.num_edges, dtype=np.int64)
+    none = np.empty(0, dtype=np.int64)
+    return Shortcut.from_edge_ids(partition, [
+        every_edge if len(partition.part(i)) > size_threshold else none
+        for i in range(partition.num_parts)
+    ])
 
 
 def build_kitamura_style_shortcut(
@@ -97,12 +97,10 @@ def build_kitamura_style_shortcut(
 
 def build_naive_shortcut(graph: Graph, partition: Partition) -> Shortcut:
     """Give every part the entire graph: dilation ``D``, congestion = #parts."""
-    all_edges = list(graph.edges())
-    subgraphs = [all_edges for _ in range(partition.num_parts)]
-    return Shortcut(partition, subgraphs, validate_edges=False)
+    every_edge = np.arange(graph.num_edges, dtype=np.int64)
+    return Shortcut.from_edge_ids(partition, [every_edge] * partition.num_parts)
 
 
 def build_empty_shortcut(graph: Graph, partition: Partition) -> Shortcut:
     """Give every part no shortcut edges: congestion <= 1, dilation = max induced diameter."""
-    subgraphs: list[list[tuple[int, int]]] = [[] for _ in range(partition.num_parts)]
-    return Shortcut(partition, subgraphs, validate_edges=False)
+    return Shortcut.from_edge_ids(partition, [])

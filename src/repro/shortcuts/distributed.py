@@ -438,7 +438,7 @@ def _run_single_guess(
     bfs_metrics: Optional[RunMetrics] = None
     fleet: Optional[ConcurrentMaskedBFS] = None
     if large:
-        # Per-part permits from the sampler's edge-id sets.  For the KP
+        # Per-part permits from the sampler's edge-id arrays.  For the KP
         # sampler ``H_i`` already contains every edge incident to a part
         # member (step 1), so ``H_i`` alone *is* the augmented subgraph
         # ``G[S_i] ∪ H_i``.

@@ -3,7 +3,7 @@
 Centralized construction for a graph ``G`` of diameter ``D`` and parts
 ``S_1, ..., S_l`` (even ``D``; odd diameters are handled by the edge
 subdivision argument, see :func:`build_kogan_parter_shortcut` and
-:mod:`repro.shortcuts.odd note below`):
+:mod:`repro.shortcuts.odd_diameter`):
 
 1. every node ``v ∈ S_i`` adds all its incident edges to ``H_i``;
 2. every node ``u ∉ S_i`` adds each incident (directed) edge ``(u, v)`` to
@@ -22,14 +22,15 @@ shortcut-tree experiments in :mod:`repro.shortcuts.shortcut_trees`).
 Implementation notes
 --------------------
 * The construction works in the edge-id space of the graph's CSR snapshot
-  (:meth:`~repro.graphs.graph.Graph.csr`): Step 1 bulk-inserts incident
-  edge ids straight from the CSR adjacency arrays, and Steps 2-3 draw, per
-  (large part, repetition), one vectorized Bernoulli(p) mask over all
-  directed edges and bulk-insert the successful ids.  Each (edge,
-  repetition, part) remains an independent Bernoulli(p) — exactly the
-  paper's per-node coin flips — but the Python-level work is proportional
-  to the number of parts times repetitions, not to the number of coin
-  flips.
+  (:meth:`~repro.graphs.graph.Graph.csr`) and hands
+  :meth:`~repro.shortcuts.shortcut.Shortcut.from_edge_ids` one sorted
+  edge-id array per part.  Step 1 is one vectorized pass over the edge
+  endpoint arrays for all parts at once (:func:`incident_edge_ids`);
+  Steps 2-3 draw, per (large part, repetition), one vectorized
+  Bernoulli(p) mask over all directed edges.  Each (edge, repetition,
+  part) remains an independent Bernoulli(p) — exactly the paper's
+  per-node coin flips — but the Python-level work is proportional to the
+  number of parts times repetitions, not to the number of coin flips.
 * ``log n`` factors dominate at simulation scale: for the ``n`` reachable in
   a Python simulator the paper's ``p`` often clamps to 1 (every edge joins
   every subgraph, which degenerates to the naive shortcut).  The
@@ -49,6 +50,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..graphs.csr import sorted_unique
 from ..graphs.graph import Graph
 from ..graphs.traversal import diameter as graph_diameter
 from ..params import k_d_value, large_part_threshold, num_large_parts
@@ -158,6 +160,26 @@ def resolve_parameters(
     )
 
 
+def incident_edge_ids(partition: Partition) -> list[np.ndarray]:
+    """Step 1 of the construction for every part at once.
+
+    Returns, for each part ``S_i``, the ascending ids (into
+    ``partition.graph.csr()``) of the edges with an endpoint in ``S_i``.
+    """
+    arrays = partition.graph.csr().adjacency_arrays()
+    labels = partition.vertex_labels()
+    m = len(arrays.edge_u)
+    # One (part, edge) key per endpoint inside a part; an edge with both
+    # endpoints in one part yields that key twice and is deduplicated.
+    owner = np.concatenate((labels[arrays.edge_u], labels[arrays.edge_v]))
+    eid = np.tile(np.arange(m, dtype=np.int64), 2)
+    inside = owner >= 0
+    keys = sorted_unique(owner[inside] * m + eid[inside])
+    bounds = np.searchsorted(keys, np.arange(partition.num_parts + 1) * m)
+    ids = keys % m
+    return [ids[bounds[i]:bounds[i + 1]] for i in range(partition.num_parts)]
+
+
 def build_kogan_parter_shortcut(
     graph: Graph,
     partition: Partition,
@@ -209,7 +231,6 @@ def build_kogan_parter_shortcut(
 
     csr = graph.csr()
     large = partition.large_part_indices(threshold=params.large_threshold)
-    subgraph_ids: list[set[int]] = [set() for _ in range(partition.num_parts)]
     repetition_edges: Optional[dict[int, list[set[tuple[int, int]]]]] = None
     if track_repetitions:
         repetition_edges = {i: [set() for _ in range(params.repetitions)] for i in large}
@@ -219,12 +240,7 @@ def build_kogan_parter_shortcut(
     # (Applied to every part, large or small: it is free congestion-wise —
     # an edge can gain at most 2 this way — and it is what the paper states.)
     # ------------------------------------------------------------------
-    indptr = csr.indptr
-    edge_ids = csr.edge_ids
-    for i in range(partition.num_parts):
-        ids = subgraph_ids[i]
-        for u in partition.part(i):
-            ids.update(edge_ids[indptr[u]:indptr[u + 1]])
+    subgraph_ids = incident_edge_ids(partition)
 
     # ------------------------------------------------------------------
     # Steps 2-3: sampled edges for large parts only.  Directed edge d < 2m
@@ -236,19 +252,18 @@ def build_kogan_parter_shortcut(
         num_directed = 2 * m
         edge_list = csr.edge_list
         p = params.probability
+        every_edge = np.arange(m, dtype=np.int64)
         for part_idx in large:
-            ids = subgraph_ids[part_idx]
             if p >= 1.0 and repetition_edges is None:
                 # Degenerate clamped regime: every repetition samples every
                 # edge, so the union is simply the whole edge set.
-                ids.update(range(m))
+                subgraph_ids[part_idx] = every_edge
                 continue
             # The paper's step 2 is performed by nodes u outside S_i; if u
             # happens to be inside, the edge is already present from step 1
             # so adding it again changes nothing.  The per-repetition draws
             # stay independent Bernoulli(p) vectors (one RNG call each, so
-            # seeded streams are unchanged); their union is reduced to edge
-            # ids vectorized and inserted in one pass.
+            # seeded streams are unchanged).
             union = np.zeros(num_directed, dtype=bool)
             for rep in range(params.repetitions):
                 if p >= 1.0:
@@ -261,7 +276,9 @@ def build_kogan_parter_shortcut(
                     for d in np.flatnonzero(drawn).tolist():
                         u, v = edge_list[d >> 1]
                         rep_set.add((u, v) if d % 2 == 0 else (v, u))
-            ids.update(np.flatnonzero(union[0::2] | union[1::2]).tolist())
+            kept = union[0::2] | union[1::2]
+            kept[subgraph_ids[part_idx]] = True
+            subgraph_ids[part_idx] = np.flatnonzero(kept)
 
     shortcut = Shortcut.from_edge_ids(partition, subgraph_ids)
     return KoganParterResult(

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..graphs.graph import Graph
 from ..rng import RandomLike, ensure_rng
-from .kogan_parter import KoganParterParameters, resolve_parameters
+from .kogan_parter import KoganParterParameters, incident_edge_ids, resolve_parameters
 from .partition import Partition
 from .shortcut import Shortcut
 
@@ -144,29 +144,25 @@ def build_odd_diameter_shortcut(
 
     csr = graph.csr()
     large = partition.large_part_indices(threshold=params.large_threshold)
-    subgraph_ids: list[set[int]] = [set() for _ in range(partition.num_parts)]
 
     # Step 1: all edges incident to the part, deterministically (their
     # two-edge subdivided paths are taken with probability 1).
-    indptr = csr.indptr
-    edge_ids = csr.edge_ids
-    for i in range(partition.num_parts):
-        ids = subgraph_ids[i]
-        for u in partition.part(i):
-            ids.update(edge_ids[indptr[u]:indptr[u + 1]])
+    subgraph_ids = incident_edge_ids(partition)
 
     # Steps 2-3 on G': for each large part, repetition and directed original
     # edge, sample the two halves independently with sqrt(p) each (the two
     # vectorized masks below are exactly those independent half-edge flips).
     num_directed = 2 * csr.num_edges
     for part_idx in large:
-        ids = subgraph_ids[part_idx]
+        kept = np.zeros(csr.num_edges, dtype=bool)
+        kept[subgraph_ids[part_idx]] = True
         for _rep in range(params.repetitions):
-            kept = np.flatnonzero(
+            both = np.flatnonzero(
                 (np_rng.random(num_directed) < sqrt_p)
                 & (np_rng.random(num_directed) < sqrt_p)
             )
-            ids.update((kept >> 1).tolist())
+            kept[both >> 1] = True
+        subgraph_ids[part_idx] = np.flatnonzero(kept)
 
     shortcut = Shortcut.from_edge_ids(partition, subgraph_ids)
     return OddDiameterResult(

@@ -11,16 +11,19 @@ such that
 :class:`Shortcut` stores the ``H_i`` edge sets, exposes the augmented
 subgraphs and computes congestion, dilation and quality.
 
-Internally every ``H_i`` is a set of dense *edge ids* from the host graph's
-:class:`~repro.graphs.csr.CSRGraph` snapshot, and the quality measures run
-on numpy arrays over those ids.  One cached per-edge *owner* array (the
-part whose induced subgraph contains the edge, ``-1`` for none) gives every
+Internally every ``H_i`` is one sorted, duplicate-free, read-only ``int64``
+array of dense *edge ids* from the host graph's
+:class:`~repro.graphs.csr.CSRGraph` snapshot; the samplers and baselines
+hand those arrays in (:meth:`Shortcut.from_edge_ids`) and the quality
+measures read them directly.  One cached per-edge *owner* array (the part
+whose induced subgraph contains the edge, ``-1`` for none) gives every
 part's induced edges.  Congestion is one ``np.bincount`` over those plus
 one vectorized increment per ``H_i`` over its remaining ids.  The dilation
 BFS runs on the augmented subgraph's compact local-id CSR
 (:meth:`~repro.graphs.csr.AdjacencyArrays.edge_subgraph`), from all of a
 part's sources at once (:func:`~repro.graphs.csr.bfs_distance_rows`).  The
-public API still speaks canonical edge tuples.
+tuple views (:meth:`Shortcut.subgraph_edges` and friends) speak canonical
+edge tuples for small callers.
 
 Measurement conventions
 -----------------------
@@ -45,13 +48,14 @@ Either way it lies in ``[true/2, true]``.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence as SequenceT
+from typing import Optional
 
 import numpy as np
 
-from ..graphs.csr import UNREACHED, bfs_distance_rows
+from ..graphs.csr import UNREACHED, bfs_distance_rows, sorted_unique
 from ..graphs.graph import Graph, Subgraph, union_subgraph
 from ..graphs.traversal import INFINITY
 from ..rng import RandomLike, ensure_rng
@@ -97,79 +101,65 @@ class Shortcut:
         subgraphs: for each part, an iterable of edges (``(u, v)`` pairs of
             graph vertices) forming ``H_i``.  Every edge must exist in the
             host graph.  Missing trailing entries are treated as empty.
-        validate_edges: accepted for API compatibility but no longer skips
-            anything: every edge is resolved to its dense edge id, which
-            checks membership as a side effect at no extra cost.  (The seed
-            version could store edges absent from the host graph when this
-            was ``False``; the edge-id representation cannot, and no caller
-            in the repository relied on it.)
     """
 
     def __init__(
         self,
         partition: Partition,
         subgraphs: Sequence[Iterable[tuple[int, int]]],
-        *,
-        validate_edges: bool = True,
     ) -> None:
-        if len(subgraphs) > partition.num_parts:
-            raise ValueError(
-                f"got {len(subgraphs)} shortcut subgraphs for {partition.num_parts} parts"
-            )
-        self.partition = partition
-        self.graph = partition.graph
-        self._csr = self.graph.csr()
-        eid_map = self._csr.edge_id_map
-        id_sets: list[set[int]] = []
-        # Several baselines pass the SAME edge list for every part; convert
-        # it once and share the conversion (not the set) across parts.  The
-        # cache value holds the keyed object itself so its id cannot be
-        # recycled by the allocator while the cache is alive.
-        conversion_cache: dict[int, tuple[object, set[int]]] = {}
-        for i in range(partition.num_parts):
-            edges = subgraphs[i] if i < len(subgraphs) else ()
-            hit = conversion_cache.get(id(edges))
-            if hit is not None and hit[0] is edges:
-                cached = hit[1]
-            else:
-                cached = set()
-                for u, v in edges:
-                    if u == v:
-                        raise ValueError(f"self-loop ({u}, {v}) is not a valid edge")
-                    key = (u, v) if u < v else (v, u)
-                    eid = eid_map.get(key)
-                    if eid is None:
-                        raise ValueError(
-                            f"shortcut edge ({key[0]}, {key[1]}) is not an edge of the graph"
-                        )
-                    cached.add(eid)
-                conversion_cache[id(edges)] = (edges, cached)
-            id_sets.append(set(cached))
-        self._init_from_ids(partition, id_sets)
+        eid_map = partition.graph.csr().edge_id_map
+        arrays = []
+        for edges in subgraphs:
+            ids = []
+            for u, v in edges:
+                if u == v:
+                    raise ValueError(f"self-loop ({u}, {v}) is not a valid edge")
+                key = (u, v) if u < v else (v, u)
+                eid = eid_map.get(key)
+                if eid is None:
+                    raise ValueError(
+                        f"shortcut edge ({key[0]}, {key[1]}) is not an edge of the graph"
+                    )
+                ids.append(eid)
+            arrays.append(np.array(ids, dtype=np.int64))
+        self._init(partition, arrays)
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_edge_ids(cls, partition: Partition, id_sets: SequenceT[set[int]]) -> "Shortcut":
-        """Build a shortcut directly from per-part edge-id sets.
+    def from_edge_ids(cls, partition: Partition, arrays: Sequence[np.ndarray]) -> "Shortcut":
+        """Build a shortcut directly from one edge-id array per part.
 
-        This is the fast entry point used by the samplers, which already work
-        in edge-id space; ids refer to ``partition.graph.csr()``.  Missing
-        trailing entries are treated as empty.
+        The entry point of the samplers, which already work in edge-id
+        space; ids refer to ``partition.graph.csr()``.  Missing trailing
+        entries are treated as empty.  A sorted duplicate-free ``int64``
+        array is held without a copy (several parts may share one), so the
+        caller must not write to it afterwards.
         """
-        if len(id_sets) > partition.num_parts:
-            raise ValueError(
-                f"got {len(id_sets)} shortcut subgraphs for {partition.num_parts} parts"
-            )
         self = cls.__new__(cls)
+        self._init(partition, arrays)
+        return self
+
+    def _init(self, partition: Partition, arrays: Sequence[np.ndarray]) -> None:
+        if len(arrays) > partition.num_parts:
+            raise ValueError(
+                f"got {len(arrays)} shortcut subgraphs for {partition.num_parts} parts"
+            )
         self.partition = partition
         self.graph = partition.graph
         self._csr = self.graph.csr()
-        padded = [set(id_sets[i]) if i < len(id_sets) else set() for i in range(partition.num_parts)]
-        self._init_from_ids(partition, padded)
-        return self
-
-    def _init_from_ids(self, partition: Partition, id_sets: list[set[int]]) -> None:
-        self._subgraph_ids = id_sets
+        num_edges = self._csr.num_edges
+        held: list[np.ndarray] = []
+        for i in range(partition.num_parts):
+            ids = np.asarray(arrays[i] if i < len(arrays) else (), dtype=np.int64)
+            if len(ids) > 1 and not (ids[1:] > ids[:-1]).all():
+                ids = sorted_unique(ids)
+            if len(ids) and (ids[0] < 0 or ids[-1] >= num_edges):
+                raise ValueError(f"shortcut edge ids must lie in [0, {num_edges})")
+            view = ids.view()
+            view.flags.writeable = False
+            held.append(view)
+        self._ids = held
         self._owner_cache: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
@@ -208,39 +198,26 @@ class Shortcut:
         ids = self.subgraph_edge_id_array(index)
         return ids[self._edge_owners()[0][ids] != index]
 
-    def subgraph_edge_ids(self, index: int) -> set[int]:
-        """Return the edge ids of ``H_index`` (ids refer to ``graph.csr()``)."""
-        return set(self._subgraph_ids[index])
-
-    def subgraph_edge_id_array(self, index: int):
-        """Return the edge ids of ``H_index`` as a numpy ``int64`` array.
-
-        The copy-free companion of :meth:`subgraph_edge_ids` for vectorized
-        consumers (the distributed driver builds its per-part CSR link masks
-        from these).
-        """
-        ids = self._subgraph_ids[index]
-        return np.fromiter(ids, dtype=np.int64, count=len(ids))
-
-    def augmented_edge_ids(self, index: int) -> set[int]:
-        """Return the edge ids of ``G[S_index] ∪ H_index``."""
-        return set(self._part_edge_ids(index).tolist()) | self._subgraph_ids[index]
+    def subgraph_edge_id_array(self, index: int) -> np.ndarray:
+        """Return the edge ids of ``H_index`` (ids refer to ``graph.csr()``):
+        the shortcut's own sorted, duplicate-free, read-only ``int64`` array."""
+        return self._ids[index]
 
     def augmented_edge_id_array(self, index: int) -> np.ndarray:
-        """Return the distinct edge ids of ``G[S_index] ∪ H_index`` as a numpy
-        ``int64`` array (induced edges first, ascending, then the rest of
-        ``H_index`` in set order)."""
-        return np.concatenate((self._part_edge_ids(index), self._outside_edge_ids(index)))
+        """Return the edge ids of ``G[S_index] ∪ H_index``: a sorted,
+        duplicate-free ``int64`` array."""
+        ids = np.concatenate((self._part_edge_ids(index), self._outside_edge_ids(index)))
+        return np.sort(ids, kind="stable")  # a merge of the two ascending runs
 
     def subgraph_edges(self, index: int) -> set[tuple[int, int]]:
         """Return the edge set ``H_index`` (canonical edge tuples)."""
         edge_list = self._csr.edge_list
-        return {edge_list[e] for e in self._subgraph_ids[index]}
+        return {edge_list[e] for e in self._ids[index].tolist()}
 
     def augmented_edges(self, index: int) -> set[tuple[int, int]]:
         """Return the edges of the augmented subgraph ``G[S_index] ∪ H_index``."""
         edge_list = self._csr.edge_list
-        return {edge_list[e] for e in self.augmented_edge_ids(index)}
+        return {edge_list[e] for e in self.augmented_edge_id_array(index).tolist()}
 
     def augmented_subgraph(self, index: int) -> Subgraph:
         """Return ``G[S_index] ∪ H_index`` as a :class:`Subgraph`.
@@ -265,8 +242,8 @@ class Shortcut:
         # Iterate the part and shortcut id collections directly rather than
         # materializing their union: re-adding an edge present in both is
         # idempotent on the adjacency sets.
-        for ids in (self._part_edge_ids(index).tolist(), self._subgraph_ids[index]):
-            for e in ids:
+        for ids in (self._part_edge_ids(index), self._ids[index]):
+            for e in ids.tolist():
                 u, v = edge_list[e]
                 su = get(u)
                 if su is None:
@@ -280,7 +257,7 @@ class Shortcut:
 
     def total_shortcut_edges(self) -> int:
         """Return the total number of shortcut edges summed over parts."""
-        return sum(len(s) for s in self._subgraph_ids)
+        return sum(len(ids) for ids in self._ids)
 
     # ------------------------------------------------------------------
     # quality measures
@@ -375,7 +352,7 @@ class Shortcut:
             dilation=self.dilation(exact=exact_dilation, rng=rng),
             num_parts=self.num_parts,
             num_shortcut_edges=self.total_shortcut_edges(),
-            max_part_shortcut_edges=max((len(s) for s in self._subgraph_ids), default=0),
+            max_part_shortcut_edges=max((len(ids) for ids in self._ids), default=0),
         )
 
     def __repr__(self) -> str:
@@ -383,3 +360,29 @@ class Shortcut:
             f"Shortcut(num_parts={self.num_parts}, "
             f"total_shortcut_edges={self.total_shortcut_edges()})"
         )
+
+
+def surviving_shortcut(
+    shortcut: Shortcut, victims: Iterable[int], drop_rate: float, rng: random.Random
+) -> Shortcut:
+    """Project a fault pattern onto ``shortcut`` and return what survives.
+
+    Every ``H_i`` edge with an endpoint in ``victims`` dies; every other
+    edge survives an independent Bernoulli drop of probability
+    ``drop_rate``.  ``rng`` draws one ``random()`` per non-victim edge, part
+    by part in ascending edge-id order (nothing when ``drop_rate`` is 0), so
+    the outcome depends on the edge ids alone.
+    """
+    arrays = shortcut.graph.csr().adjacency_arrays()
+    is_victim = np.zeros(shortcut.graph.num_vertices, dtype=bool)
+    is_victim[np.fromiter(victims, dtype=np.int64)] = True
+    kept = []
+    for i in range(shortcut.num_parts):
+        ids = shortcut.subgraph_edge_id_array(i)
+        ids = ids[~(is_victim[arrays.edge_u[ids]] | is_victim[arrays.edge_v[ids]])]
+        if drop_rate:
+            draws = np.fromiter((rng.random() for _ in range(len(ids))), dtype=float,
+                                count=len(ids))
+            ids = ids[draws >= drop_rate]
+        kept.append(ids)
+    return Shortcut.from_edge_ids(shortcut.partition, kept)

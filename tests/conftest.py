@@ -13,6 +13,7 @@ Hypothesis profiles (select with ``HYPOTHESIS_PROFILE=<name>``):
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 
@@ -92,3 +93,14 @@ def weighted_hub(hub_graph) -> WeightedGraph:
 def rng() -> random.Random:
     """A deterministic Random instance."""
     return random.Random(12345)
+
+
+@pytest.fixture
+def shortcut_digest():
+    """sha256 over every part's ``H_i`` edge-id list, in part order: pins a
+    sampler's output stream across versions."""
+    def digest(shortcut) -> str:
+        listing = [(i, shortcut.subgraph_edge_id_array(i).tolist())
+                   for i in range(shortcut.num_parts)]
+        return hashlib.sha256(repr(listing).encode()).hexdigest()
+    return digest

@@ -186,7 +186,7 @@ def _fleet_fixture(n, seed, *, num_parts=None):
     )
     csr = g.csr()
     masks = [
-        CSRLinkMask.from_edge_ids(csr, shortcut.augmented_edge_ids(i))
+        CSRLinkMask.from_edge_ids(csr, shortcut.augmented_edge_id_array(i))
         for i in large
     ]
     return g, partition, shortcut, large, masks, depth_budget, delays

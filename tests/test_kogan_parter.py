@@ -253,3 +253,20 @@ class TestOddDiameterEquivalence:
             1 for _ in range(trials) if rng.random() < sqrt_p and rng.random() < sqrt_p
         )
         assert abs(direct - both_halves) / trials < 0.02
+
+
+class TestSamplerStream:
+    """The sampled edge sets are pinned across versions: a layout or loop
+    change that reorders or skips an rng draw changes these digests."""
+
+    @pytest.mark.parametrize("log_factor, expected", [
+        (1.0, "f98a9e149eb87ca2840e268082d2dfd43d3b44f5c255e0e83ce16303f01d095b"),
+        (0.05, "7bc6923e5dcec8e3827a0901ecd8a7752939a5ec765eeaa9b5bfda151cf5217b"),
+    ])
+    def test_lower_bound_1k_digest(self, shortcut_digest, log_factor, expected):
+        inst = lower_bound_instance(1000, 6)
+        partition = Partition(inst.graph, inst.parts)
+        result = build_kogan_parter_shortcut(
+            inst.graph, partition, diameter_value=6, log_factor=log_factor, rng=7
+        )
+        assert shortcut_digest(result.shortcut) == expected

@@ -67,6 +67,16 @@ class TestOddDiameterConstruction:
             for u, v in result.shortcut.subgraph_edges(i):
                 assert g.has_edge(u, v)
 
+    def test_sampler_stream_digest(self, shortcut_digest, odd_setup):
+        # Pinned across versions: sha256 over every part's H_i id list.
+        g, partition = odd_setup
+        result = build_odd_diameter_shortcut(
+            g, partition, diameter_value=5, log_factor=0.3, rng=3
+        )
+        assert shortcut_digest(result.shortcut) == (
+            "a1aa2d07992495fbfa149ce9bffce651c056d98a3d41e2241669aa1d885eef23"
+        )
+
     def test_half_edge_probability_is_sqrt(self, odd_setup):
         g, partition = odd_setup
         result = build_odd_diameter_shortcut(

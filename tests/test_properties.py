@@ -235,10 +235,10 @@ class TestShortcutProperties:
 # ----------------------------------------------------------------------
 # verification oracle: is_valid_shortcut vs brute force
 # ----------------------------------------------------------------------
-def _carve_connected_parts(g: Graph, rng: random.Random, num_parts: int) -> list[set[int]]:
+def _carve_connected_parts(g: Graph, rng: random.Random, num_parts: int) -> list[set]:
     """Disjoint connected regions grown by BFS, the common partition shape."""
     used: set[int] = set()
-    parts: list[set[int]] = []
+    parts: list[set] = []
     for _ in range(num_parts):
         available = [v for v in g.vertices() if v not in used]
         if not available:
@@ -587,10 +587,31 @@ class TestVerificationAgainstOracle:
         loads = _oracle_edge_loads(shortcut)
         assert shortcut.edge_loads() == loads
         assert shortcut.congestion() == max(loads.values(), default=0)
+        # Every H_i is a sorted, duplicate-free, read-only int64 edge-id
+        # array that the tuple view mirrors; so is every augmented array.
+        edge_list = shortcut.graph.csr().edge_list
+        tuples = [shortcut.subgraph_edges(i) for i in range(shortcut.num_parts)]
+        for i, edges in enumerate(tuples):
+            ids = shortcut.subgraph_edge_id_array(i)
+            assert ids.dtype == np.int64 and not ids.flags.writeable
+            assert ids.tolist() == sorted(set(ids.tolist()))
+            assert {edge_list[e] for e in ids.tolist()} == edges
+            augmented = shortcut.augmented_edge_id_array(i).tolist()
+            assert augmented == sorted(set(augmented))
+            assert {edge_list[e] for e in augmented} == (
+                set(shortcut.partition.part_edges(i)) | edges
+            )
+        # The tuple constructor and from_edge_ids (fed unsorted, duplicated
+        # ids) build the same arrays.
+        rebuilt = Shortcut(shortcut.partition, tuples)
+        from_ids = Shortcut.from_edge_ids(shortcut.partition, [
+            list(reversed(shortcut.subgraph_edge_id_array(i).tolist())) * 2
+            for i in range(shortcut.num_parts)
+        ])
         for i in range(shortcut.num_parts):
-            ids = shortcut.augmented_edge_id_array(i).tolist()
-            assert len(ids) == len(set(ids))
-            assert set(ids) == shortcut.augmented_edge_ids(i)
+            expected = shortcut.subgraph_edge_id_array(i).tolist()
+            assert rebuilt.subgraph_edge_id_array(i).tolist() == expected
+            assert from_ids.subgraph_edge_id_array(i).tolist() == expected
 
     @given(family_shortcuts())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -3,15 +3,21 @@
 Each test runs one fixed, seeded workload end to end and checks its answer
 against a sequential oracle or a built-in verification flag: the spanning
 flag of the distributed construction, the MST weight against Kruskal (fault
-free and at 5% message loss), component labels against the traversal, and
-aggregation results against the per-part minimum.  The inputs are the
+free and at 5% message loss), component labels against the traversal,
+aggregation results against the per-part minimum, and the 100k
+Kogan-Parter sample's congestion against a brute-force count under a
+memory ceiling.  The inputs are the
 scale tiers the rest of the suite does not reach; the layered benchmark
 (``layerbench/``) times the same consumers.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +32,7 @@ from repro.congest.primitives.leader import FloodMax, read_leaders
 from repro.congest.scheduler import draw_random_delays
 from repro.graphs.components import connected_components
 from repro.graphs.csr import CSRLinkMask
+import repro
 from repro.graphs.generators import disjoint_union, hub_diameter_graph, with_random_weights
 from repro.graphs.lower_bound import lower_bound_instance
 from repro.shortcuts.distributed import build_distributed_kogan_parter
@@ -133,3 +140,45 @@ def test_fleet_then_aggregation_100k_finds_part_minima():
     )
     network.run(aggregation, reset=False, max_rounds=400_000)
     assert list(aggregation.results) == [min(vals) for vals in values]
+
+
+_KP_SAMPLE_100K = """
+import json, resource
+import numpy as np
+from repro.graphs.lower_bound import lower_bound_instance
+from repro.shortcuts.kogan_parter import build_kogan_parter_shortcut
+from repro.shortcuts.partition import Partition
+
+inst = lower_bound_instance(100_000, 6)
+partition = Partition(inst.graph, inst.parts, validate=False)
+shortcut = build_kogan_parter_shortcut(
+    inst.graph, partition, diameter_value=6, log_factor=0.25, rng=1,
+).shortcut
+congestion = shortcut.congestion()
+dilation = shortcut.dilation(exact=False)
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+loads = np.bincount(
+    np.concatenate([shortcut.augmented_edge_id_array(i) for i in range(shortcut.num_parts)]),
+    minlength=inst.graph.num_edges,
+)
+print(json.dumps({"peak_mb": peak_mb, "congestion": congestion,
+                  "brute_congestion": int(loads.max()), "dilation": dilation}))
+"""
+
+
+def test_kp_sample_100k_fits_in_memory():
+    """The 100k sample plus its quality pass, in a fresh process so that
+    ``ru_maxrss`` is the workload's own peak (per-part Python sets took
+    2.3 GB here)."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", _KP_SAMPLE_100K],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(done.stdout)
+    assert result["peak_mb"] <= 600, result
+    assert result["congestion"] == result["brute_congestion"]
+    assert result["dilation"] < float("inf")

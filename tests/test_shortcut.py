@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.graphs import INFINITY, cycle_graph, grid_graph, path_graph, star_graph
-from repro.shortcuts import Partition, QualityReport, Shortcut
+from repro.graphs.generators import make_family_graph
+from repro.graphs.partitions import random_connected_partition, singleton_free
+from repro.rng import derive_rng
+from repro.shortcuts import Partition, QualityReport, Shortcut, build_kogan_parter_shortcut
+from repro.shortcuts.shortcut import surviving_shortcut
 
 
 class TestShortcutConstruction:
@@ -34,6 +38,12 @@ class TestShortcutConstruction:
         p = Partition(g, [{0, 1}])
         with pytest.raises(ValueError):
             Shortcut(p, [[(0, 5)]])
+
+    @pytest.mark.parametrize("ids", [[-1], [5], [0, 7]])
+    def test_out_of_range_edge_id_rejected(self, ids):
+        p = Partition(path_graph(6), [{0, 1}])  # edge ids 0..4
+        with pytest.raises(ValueError):
+            Shortcut.from_edge_ids(p, [ids])
 
     def test_edge_canonicalisation(self):
         g = cycle_graph(6)
@@ -172,3 +182,46 @@ class TestQualityReport:
         assert report.congestion == 1
         assert report.dilation == 3
         assert report.quality == 4
+
+
+class TestSurvivingShortcut:
+    """The fault projection draws one coin per non-victim edge, part by part
+    in ascending edge-id order — never in a container's iteration order."""
+
+    @staticmethod
+    def _e15_shortcut(family):
+        # E15's default cell (seed 61, size 96): in the hub and preferential
+        # families one H_i held as a Python set iterated out of id order.
+        seed, size = 61, 96
+        graph = make_family_graph(family, size, rng=derive_rng(seed, "E15", family, size, "graph"))
+        parts = singleton_free(random_connected_partition(
+            graph, max(2, graph.num_vertices // 16),
+            rng=derive_rng(seed, "E15", family, size, "parts"), cover_all=True,
+        ))
+        partition = Partition(graph, parts, validate=False)
+        return build_kogan_parter_shortcut(
+            graph, partition, rng=derive_rng(seed, "E15", family, size, "sample")
+        ).shortcut
+
+    @pytest.mark.parametrize("family", ["hub", "preferential"])
+    @pytest.mark.parametrize("drop_rate, num_victims", [(0.15, 0), (0.05, 2), (0.0, 2)])
+    def test_matches_brute_force_in_ascending_id_order(self, family, drop_rate, num_victims):
+        sc = self._e15_shortcut(family)
+        eid_map = sc.graph.csr().edge_id_map
+        victims = set(range(0, 2 * num_victims, 2))
+        brute_rng = derive_rng(5, "survive")
+        expected = []
+        for i in range(sc.num_parts):
+            kept = set()
+            for e in sorted(eid_map[edge] for edge in sc.subgraph_edges(i)):
+                u, v = sc.graph.csr().edge_list[e]
+                if u in victims or v in victims:
+                    continue
+                if drop_rate and brute_rng.random() < drop_rate:
+                    continue
+                kept.add((u, v))
+            expected.append(kept)
+        rng = derive_rng(5, "survive")
+        survived = surviving_shortcut(sc, victims, drop_rate, rng)
+        assert [survived.subgraph_edges(i) for i in range(sc.num_parts)] == expected
+        assert rng.random() == brute_rng.random()  # same number of draws
