@@ -534,13 +534,13 @@ def _spill_ring(network, entries) -> None:
     is_active = network._is_active
     first_act: dict[int, int] = {}
     for act, link, msg in entries:
-        queues[link].append(msg)
-        if link not in first_act:
-            first_act[link] = act
-    for link in sorted(first_act, key=first_act.get):
-        if not is_active[link]:
+        if is_active[link]:
+            queues[link].append(msg)
+        else:
+            queues[link] = [msg]
             is_active[link] = 1
-            network._active.append(link)
+            first_act[link] = act
+    network._active.extend(sorted(first_act, key=first_act.get))
 
 
 class FleetKernel:

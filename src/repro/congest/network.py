@@ -30,17 +30,23 @@ A round costs O(nodes-and-links-actually-touched), not O(n + links):
 * **Active-link worklist.**  Links are indexed by dense *directed link ids*
   derived from the graph's CSR snapshot: the undirected edge with id ``e``
   (canonical ``(u, v)``, ``u < v``) owns link ``2e`` for ``u -> v`` and
-  ``2e + 1`` for ``v -> u``.  Per-link queues are flat ring-buffered lists
-  drained ``bandwidth`` at a time; only links with pending traffic are
-  visited.
-* **Zero-allocation message fast path.**  Each wired ``NodeContext`` holds a
-  precomputed ``neighbor -> directed link id`` table, so ``send`` enqueues
-  directly onto the target ring buffer — there is no per-round outbox
-  collection pass and no ``(sender, receiver)`` tuple-keyed link dict.
-  Per-receiver inbox lists are pooled and reused across rounds, and
-  per-edge message counters live in one flat list indexed by edge id
-  (exposed through the cached :attr:`RunMetrics.per_edge_messages` dict
-  property and the :meth:`RunMetrics.top_k_edges` helper).
+  ``2e + 1`` for ``v -> u``.  A link's queue is drained ``bandwidth``
+  messages at a time behind a head cursor and dropped once empty; only
+  links with pending traffic are visited.
+* **Wiring from the CSR arrays.**  A fresh network allocates flat per-link
+  and per-node tables plus one ``NodeContext`` per node; the receiver
+  table, neighbour tuples and ``neighbor -> link`` dicts are read off the
+  snapshot's cached adjacency arrays.  Queues are allocated on first send to
+  an idle link and a node's inbox on its first delivery (then reused across
+  rounds), so wiring creates no per-link or per-node list the run may never
+  touch.
+* **Message fast path.**  Each wired ``NodeContext`` holds a precomputed
+  ``neighbor -> directed link id`` table, so ``send`` enqueues directly
+  onto the target link's queue — there is no per-round outbox collection
+  pass and no ``(sender, receiver)`` tuple-keyed link dict.  Per-edge
+  message counters live in one flat list indexed by edge id (exposed
+  through the cached :attr:`RunMetrics.per_edge_messages` dict property and
+  the :meth:`RunMetrics.top_k_edges` helper).
 * **Timer protocol.**  An algorithm declaring ``wake_at_rounds`` (globally
   known deadlines, e.g. the scheduler's delay start rounds) lets waiting
   nodes halt instead of ticking no-op handlers: the engine revives every
@@ -61,6 +67,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from ..graphs.graph import Graph
 from .algorithm import ComposedAlgorithm, DistributedAlgorithm
 from .bulk import BulkFallbackWarning
@@ -72,6 +80,33 @@ from .node import NodeContext
 #: ``messages`` argument); sharing it avoids one list allocation per awake
 #: node per round.
 _NO_MESSAGES: list[Message] = []
+
+
+def _link_tables(csr) -> tuple[list[int], list[tuple[int, ...]], list[dict[int, int]]]:
+    """The wiring tables of a CSR snapshot, read off its adjacency arrays.
+
+    Directed link ``2e`` carries ``lo -> hi`` of canonical edge ``e`` and
+    ``2e + 1`` the reverse.  Returns the receiver of every link, each node's
+    ascending neighbour tuple, and each node's ``neighbor -> out-link`` dict,
+    so a send resolves its link with one int-keyed lookup.  The tables are
+    plain lists: unlike ``array('l')`` they hand back cached small ints
+    instead of boxing on every read.  The flat temporaries die on return,
+    before the caller allocates the contexts, so the cyclic collections
+    that context allocation triggers never walk them.
+    """
+    arrays = csr.adjacency_arrays()
+    receiver = np.empty(2 * csr.num_edges, dtype=np.int64)
+    receiver[0::2] = arrays.edge_v
+    receiver[1::2] = arrays.edge_u
+    targets = tuple(arrays.indices.tolist())
+    links = arrays.adj_link_ids.tolist()
+    bounds = csr.indptr.tolist()
+    neighbor_tuples = [targets[a:b] for a, b in zip(bounds, bounds[1:])]
+    out_links = [
+        dict(zip(row, links[a:b]))
+        for row, a, b in zip(neighbor_tuples, bounds, bounds[1:])
+    ]
+    return receiver.tolist(), neighbor_tuples, out_links
 
 
 class RoundLimitExceeded(RuntimeError):
@@ -236,7 +271,8 @@ class Network:
         csr = self.graph.csr()
         if self._wiring_csr is csr:
             if self._structures_clean and not self._active:
-                self._link_max_backlog[:] = self._zero_links
+                link_max = self._link_max_backlog
+                link_max[:] = [0] * len(link_max)
                 awake = self._awake
                 awake.clear()
                 awake.update(range(csr.num_vertices))
@@ -253,33 +289,23 @@ class Network:
         n = csr.num_vertices
         num_links = 2 * csr.num_edges
         if self._wiring_csr is not csr:
-            # Directed link 2e carries lo -> hi of canonical edge e; 2e + 1
-            # the reverse.  Each node gets its own neighbor -> out-link table
-            # so a send resolves its link with one int-keyed dict lookup.
-            # The tables only depend on the CSR snapshot, so they are built
-            # once and shared by every reset of the same topology.  Hot
-            # per-link tables are plain lists: unlike array('l') they hand
-            # back cached small ints instead of boxing on every read.
-            receiver_of = [0] * num_links
-            out_links: list[dict[int, int]] = [{} for _ in range(n)]
-            for eid, (u, v) in enumerate(csr.edge_list):
-                link = eid + eid
-                receiver_of[link] = v
-                receiver_of[link + 1] = u
-                out_links[u][v] = link
-                out_links[v][u] = link + 1
-            self._receiver_of = receiver_of
-            self._out_links = out_links
-            self._neighbor_tuples = [tuple(csr.neighbors(v)) for v in range(n)]
-            self._zero_links: list[int] = [0] * num_links
+            # The tables only depend on the CSR snapshot, so every reset of
+            # the same topology shares them.
+            self._receiver_of, self._neighbor_tuples, self._out_links = _link_tables(csr)
             self._wiring_csr = csr
-        self._queues: list[list[Message]] = [[] for _ in range(num_links)]
+        # Per-link and per-node containers are slots, filled on first use: a
+        # send onto an idle link creates its queue (an idle link's queue is
+        # empty by invariant, so delivery drops drained queues), and a node's
+        # inbox is created by its first delivery and then reused.
+        self._queues: list[Optional[list[Message]]] = [None] * num_links
         self._heads: list[int] = [0] * num_links
         self._link_max_backlog: list[int] = [0] * num_links
         self._active: list[int] = []
         self._is_active = bytearray(num_links)
-        # Pooled per-node inboxes, reused across rounds (cleared after use).
-        self._inbox_of: list[list[Message]] = [[] for _ in range(n)]
+        self._inbox_of: list[Optional[list[Message]]] = [None] * n
+        # One duplicate-send guard for every wired context: its keys pack the
+        # directed link id, which already names the sender.
+        self._sent: set = set()
         # Awake-node worklist: every node starts non-halted.  halt()/wake()
         # keep this set current, so quiescence checks and per-round node
         # selection never scan the full node table.
@@ -289,12 +315,12 @@ class Network:
         neighbor_tuples = self._neighbor_tuples
         queues, heads = self._queues, self._heads
         link_max, is_active = self._link_max_backlog, self._is_active
-        active, awake = self._active, self._awake
+        active, awake, sent = self._active, self._awake, self._sent
         # Positional construction (field order of the NodeContext dataclass):
         # measurably cheaper than keyword binding at n = 10^4 nodes.
         self._node_list = [
             NodeContext(
-                v, neighbor_tuples[v], {}, False, [], set(),
+                v, neighbor_tuples[v], {}, False, None, sent,
                 out_links[v], queues, heads, link_max, is_active, active,
                 awake, strict_limit, None,
             )
@@ -397,11 +423,14 @@ class Network:
             while event_pos < num_events and event_rounds[event_pos] <= 0:
                 event_pos += 1
 
+        # The shared duplicate-send guard is cleared after every handler, so
+        # during a run it only holds the keys of the node currently running.
+        sent = self._sent
         for ctx in nodes:
             if crashed and ctx.node_id in crashed:
                 continue
             algorithm.initialize(ctx)
-            ctx._sent_this_round.clear()
+            sent.clear()
 
         composed = isinstance(algorithm, ComposedAlgorithm)
         awake = self._awake
@@ -430,7 +459,7 @@ class Network:
                                 continue
                             if algorithm.advance_stage(ctx):
                                 advanced = True
-                            ctx._sent_this_round.clear()
+                            sent.clear()
                         if advanced:
                             # The newly active stage may declare its own
                             # deadlines, relative to its start: rebase them
@@ -516,7 +545,7 @@ class Network:
                     inbox.clear()
                 else:
                     on_round(ctx, _NO_MESSAGES)
-                ctx._sent_this_round.clear()
+                sent.clear()
 
         metrics.messages_sent = (
             metrics.messages_delivered
@@ -639,7 +668,9 @@ class Network:
                 ctx._payload_ok = None
                 ctx.halted = True
                 awake.discard(v)
-                inbox_of[v].clear()
+                inbox = inbox_of[v]
+                if inbox:
+                    inbox.clear()
                 metrics.crashes += 1
             elif kind == "recover":
                 if v not in crashed:
@@ -651,7 +682,7 @@ class Network:
                 ctx.halted = False
                 awake.add(v)
                 algorithm.on_recover(ctx)
-                ctx._sent_this_round.clear()
+                self._sent.clear()
                 metrics.recoveries += 1
             else:
                 raise ValueError(f"unknown adversary event kind {kind!r}")
@@ -694,6 +725,8 @@ class Network:
             edge = link >> 1
             receiver_crashed = receiver in crashed
             inbox = inbox_of[receiver]
+            if inbox is None:
+                inbox = inbox_of[receiver] = []
             had_mail = bool(inbox)
             quota = bandwidth
             while quota and head < size:
@@ -721,7 +754,7 @@ class Network:
                 inbox.append(msg)
                 delivered += 1
             if head >= size:
-                buf.clear()
+                queues[link] = None
                 if heads[link]:
                     heads[link] = 0
                 is_active[link] = 0
@@ -757,7 +790,7 @@ class Network:
         return sum(len(queues[link]) - heads[link] for link in self._active)
 
     def _deliver(self, metrics: RunMetrics) -> list[int]:
-        """Deliver one round of traffic into the pooled inboxes.
+        """Deliver one round of traffic into the per-node inboxes.
 
         Returns the ids of the nodes that received at least one message.
         Only links on the active worklist are visited.
@@ -785,6 +818,8 @@ class Network:
             inbox = inbox_of[receiver]
             if not inbox:
                 receivers.append(receiver)
+                if inbox is None:
+                    inbox = inbox_of[receiver] = []
             backlog = size - head
             if backlog <= bandwidth:
                 # Common case: the whole queue fits in one round (with unit
@@ -794,7 +829,7 @@ class Network:
                 else:
                     inbox.extend(buf[head:] if head else buf)
                 take = backlog
-                buf.clear()
+                queues[link] = None
                 if head:
                     heads[link] = 0
                 is_active[link] = 0

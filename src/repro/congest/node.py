@@ -15,11 +15,17 @@ A context created by :class:`~repro.congest.network.Network` is *wired*: it
 holds direct references to the engine's link arrays plus a precomputed
 ``neighbor -> directed link id`` table derived from the graph's CSR
 snapshot, so :meth:`send` resolves the target link with a single int-keyed
-dict lookup and enqueues the message straight onto the link's ring buffer —
+dict lookup and enqueues the message straight onto the link's queue —
 no per-message ``(sender, receiver)`` tuple key, no global link dict, no
-intermediate outbox list, and no neighbour-set rebuild.  :meth:`halt` /
-:meth:`wake` incrementally maintain the engine's awake-node worklist, which
-is what makes a round cost proportional to the nodes actually touched.
+outbox, and no neighbour-set rebuild.  A send onto an idle link (one whose
+``is_active`` flag is clear, so its queue is empty) starts a fresh queue
+list; only a send onto a busy link reads the backlog for the strict-capacity
+check and the backlog maximum.  Every wired context of one network shares a
+single duplicate-send set: its keys pack the directed link id, which already
+names the sender, and the engine clears it after every handler.
+:meth:`halt` / :meth:`wake` incrementally maintain the engine's awake-node
+worklist, which is what makes a round cost proportional to the nodes
+actually touched.
 
 A context created standalone (``NodeContext(node_id=..., neighbors=...)``,
 as the unit tests and the legacy reference engine do) has no engine; sends
@@ -56,8 +62,11 @@ class NodeContext:
     neighbors: tuple[int, ...]
     state: dict[str, Any] = field(default_factory=dict)
     halted: bool = False
-    _outbox: list[Message] = field(default_factory=list)
-    _sent_this_round: set[tuple[int, int]] = field(default_factory=set)
+    # Standalone contexts buffer sends in their own outbox and guard
+    # duplicates with their own set.  Wired contexts have no outbox
+    # (``None``) and share the owning Network's duplicate-send set.
+    _outbox: Optional[list[Message]] = field(default_factory=list)
+    _sent_this_round: set = field(default_factory=set)
     # Engine wiring (all None/empty for standalone contexts).  The link
     # arrays are shared with — and mutated in place by — the owning Network;
     # keeping direct references here saves two attribute hops per message on
@@ -124,23 +133,24 @@ class NodeContext:
             check_payload(payload)
             self._payload_ok = payload
         sent = self._sent_this_round
-        # Enqueue onto the link's ring buffer.  Duplicate-send
-        # keys are packed into one int when the algorithm id is small
-        # (always, in practice) so the guard costs no allocation.
-        key = (link << 20) | algorithm_id if 0 <= algorithm_id < 1048576 else (neighbor, algorithm_id)
+        # Duplicate-send keys pack the directed link id (which also names
+        # the sender, so one set serves the whole network) into one int
+        # when the algorithm id is small (always, in practice), so the
+        # guard costs no allocation.
+        key = (link << 20) | algorithm_id if 0 <= algorithm_id < 1048576 else (link, algorithm_id)
         if key in sent:
             raise ValueError(
                 f"node {self.node_id} already sent to {neighbor} for algorithm {algorithm_id} this round"
             )
         sent.add(key)
-        buf = queues[link]
-        backlog = len(buf) - self._heads[link]
-        if backlog:
+        if self._link_is_active[link]:
             # Already-queued traffic: enforce strict capacity and track the
             # backlog maximum.  A backlog of exactly 1 (the uncongested
             # norm) is implied by any delivery, so only larger backlogs are
             # recorded; _deliver floors the reported maximum at 1 once
             # anything has been delivered.
+            buf = queues[link]
+            backlog = len(buf) - self._heads[link]
             if backlog >= self._strict_limit:
                 raise BandwidthExceededError(
                     f"link {self.node_id}->{neighbor} exceeded capacity "
@@ -150,8 +160,10 @@ class NodeContext:
             link_max = self._link_max
             if backlog > link_max[link]:
                 link_max[link] = backlog
-        buf.append(Message(self.node_id, neighbor, tag, payload, algorithm_id))
-        if not self._link_is_active[link]:
+            buf.append(Message(self.node_id, neighbor, tag, payload, algorithm_id))
+        else:
+            # An idle link has an empty queue: start a fresh one.
+            queues[link] = [Message(self.node_id, neighbor, tag, payload, algorithm_id)]
             self._link_is_active[link] = 1
             self._link_active.append(link)
 
@@ -212,9 +224,9 @@ class NodeContext:
                     f"node {node_id} already sent to {v} for algorithm {algorithm_id} this round"
                 )
             sent.add(key)
-            buf = queues[link]
-            backlog = len(buf) - heads[link]
-            if backlog:
+            if is_active[link]:
+                buf = queues[link]
+                backlog = len(buf) - heads[link]
                 if backlog >= strict_limit:
                     raise BandwidthExceededError(
                         f"link {node_id}->{v} exceeded capacity "
@@ -223,8 +235,9 @@ class NodeContext:
                 backlog += 1
                 if backlog > link_max[link]:
                     link_max[link] = backlog
-            buf.append(message)
-            if not is_active[link]:
+                buf.append(message)
+            else:
+                queues[link] = [message]
                 is_active[link] = 1
                 active.append(link)
 
@@ -265,9 +278,9 @@ class NodeContext:
         active = self._link_active
         strict_limit = self._strict_limit
         for link in links:
-            buf = queues[link]
-            backlog = len(buf) - heads[link]
-            if backlog:
+            if is_active[link]:
+                buf = queues[link]
+                backlog = len(buf) - heads[link]
                 if backlog >= strict_limit:
                     raise BandwidthExceededError(
                         f"link {node_id}->{self._link_receiver(link)} exceeded "
@@ -276,8 +289,9 @@ class NodeContext:
                 backlog += 1
                 if backlog > link_max[link]:
                     link_max[link] = backlog
-            buf.append(message)
-            if not is_active[link]:
+                buf.append(message)
+            else:
+                queues[link] = [message]
                 is_active[link] = 1
                 active.append(link)
 

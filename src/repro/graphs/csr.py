@@ -206,13 +206,14 @@ class AdjacencyArrays:
         # Entry u -> v crosses link 2e when u < v (u is the canonical lo
         # endpoint) and 2e + 1 otherwise.
         self.adj_link_ids = 2 * self.edge_ids + (self.indices < self.rows)
-        if csr.num_edges:
-            edge_arr = np.asarray(csr.edge_list, dtype=np.int64)
-            self.edge_u = edge_arr[:, 0]
-            self.edge_v = edge_arr[:, 1]
-        else:
-            self.edge_u = np.empty(0, dtype=np.int64)
-            self.edge_v = np.empty(0, dtype=np.int64)
+        # Each edge's lo -> hi entry names both endpoints; scattering those
+        # by edge id avoids converting the edge tuples one by one.
+        forward = self.indices > self.rows
+        forward_ids = self.edge_ids[forward]
+        self.edge_u = np.empty(csr.num_edges, dtype=np.int64)
+        self.edge_v = np.empty(csr.num_edges, dtype=np.int64)
+        self.edge_u[forward_ids] = self.rows[forward]
+        self.edge_v[forward_ids] = self.indices[forward]
         self._edge_positions = None
 
     @property

@@ -35,6 +35,12 @@ def test_mst_and_mincut_example():
     assert "ratio 1.000" in out
 
 
+def test_mst_and_mincut_example_is_deterministic():
+    # Every random draw in the example is seeded, so two runs print the
+    # same report byte for byte (the per-phase sampled dilation included).
+    assert run_example("mst_and_mincut.py") == run_example("mst_and_mincut.py")
+
+
 def test_distributed_construction_example():
     out = run_example("distributed_construction.py")
     assert "known diameter" in out
