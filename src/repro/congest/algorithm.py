@@ -134,9 +134,9 @@ class DistributedAlgorithm(ABC):
 
         A ``bulk_capable`` class may still decline at runtime — e.g. the
         retry/ack mode re-introduces per-node timer logic no flat kernel
-        models.  The engine warns (once per network and reason) when a
-        capable algorithm declines, so silent per-node fallbacks are
-        observable.
+        models.  The engine names every decline in
+        ``RunMetrics.bulk_declined`` and warns (once per network and
+        reason) for retry mode and adversarial runs.
         """
         return False
 
@@ -144,11 +144,12 @@ class DistributedAlgorithm(ABC):
         """Build and return the vectorized kernel for ``network``, or ``None``.
 
         Called only when :meth:`bulk_supported` is true; returning ``None``
-        (e.g. a size guard against packed-key overflow) silently falls back
-        to the per-node path.  The returned object implements the driver
-        contract of ``Network._run_bulk``: ``next_round(after)``,
-        ``bulk_round(rnd)``, ``finalize(terminated, final_round)`` and the
-        metric accessors.
+        (e.g. a size guard against packed-key overflow) falls back to the
+        per-node path with ``bulk_declined == "kernel_refused"``.  The
+        returned object implements what ``Network._run_bulk`` calls:
+        ``start(max_rounds)``, ``next_round(after)``, ``bulk_round(rnd)``,
+        ``awake_at_cutoff(rnd)`` and
+        ``finish(network, metrics, terminated, final_round)``.
         """
         return None
 

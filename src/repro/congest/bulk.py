@@ -32,9 +32,11 @@ modelling decision below exists to reproduce an engine behaviour exactly:
   scheduling.
 
 Fallback rules (enforced by ``Network._try_bulk``): adversarial runs, retry
-(ack/retransmit) configurations, composed pipelines and dirty queues all
-take the per-node path; the first two warn once per network with
-:class:`BulkFallbackWarning` so silent de-optimization is observable.
+(ack/retransmit) configurations, composed pipelines, dirty queues,
+non-``min``/``max`` or non-rankable aggregations and resumed aggregation
+objects all take the per-node path.  Every decline of a bulk-capable
+algorithm is named in ``RunMetrics.bulk_declined``; the first two also
+warn once per network with :class:`BulkFallbackWarning`.
 
 Lint: every kernel declares its mutable state arrays in ``bulk_state``; the
 ``repro lint`` rule RPR013 flags ``bulk_round`` implementations assigning
@@ -43,7 +45,7 @@ Lint: every kernel declares its mutable state arrays in ``bulk_state``; the
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -54,7 +56,6 @@ I64 = np.int64
 #: primitives' own sentinels / missing keys at finish time).
 _HUGE = np.iinfo(np.int64).max
 UNREACHED = -1
-_MISSING = object()
 #: Packed ``((dist + 1) * n + root) * n + sender`` keys must fit in int64.
 _PACKED_NODE_LIMIT = 2_000_000
 
@@ -842,37 +843,62 @@ class FleetKernel:
 _K_ANN, _K_UP, _K_DOWN = 0, 1, 2
 
 
+def _rank_table(algorithm) -> Optional[list]:
+    """The sorted value pool a :class:`PartAggregationKernel` folds over.
+
+    ``None`` declines the kernel: an ``op`` other than ``min``/``max``, a
+    pool that is not totally ordered or cannot be sorted, or a resumed
+    object whose per-node bookkeeping already holds entries.  The per-node
+    path runs those configurations exactly.
+    """
+    if algorithm.op is not min and algorithm.op is not max:
+        return None
+    if any(
+        algorithm._heard[idx] or algorithm._done[idx]
+        or algorithm._child_targets[idx] or algorithm._child_values[idx]
+        for idx in range(len(algorithm.masks))
+    ):
+        return None
+    try:
+        pool = {algorithm.identity}
+        for vals in algorithm.values:
+            pool.update(vals.values())
+        if not all(_rankable(value) for value in pool):
+            return None
+        return sorted(pool)
+    except TypeError:
+        return None
+
+
 class PartAggregationKernel:
     """Bulk twin of :class:`~repro.congest.primitives.aggregation.
-    PartAggregation` (non-retry configurations).
+    PartAggregation` (non-retry ``min``/``max`` over totally ordered values).
 
-    The announce volume (every participant multicasts its parent pointer
-    over its full mask slice) is vectorized; the sparse phases —
-    child registration, convergecast folds, broadcast downs — run as
-    Python loops in exact per-node processing order, which is O(tree
-    edges) per round instead of O(mask edges).  Hybrid is deliberate:
-    fold order and ``op`` are arbitrary Python, so the value plane cannot
-    be an int64 array, but it is also asymptotically tiny next to the
-    announce plane.
+    Both the announce volume (every participant multicasts its parent
+    pointer over its full mask slice) and the value plane are vectorized:
+    every distinct value (and the identity) gets an integer rank once,
+    folds become rank minima (maxima), children live in flat arrays, and
+    UP/DOWN payloads travel as ranks in the integer columns.  Any other
+    configuration declines in :meth:`build` (see :func:`_rank_table`) and
+    runs on the per-node path, the general implementation.
 
     The kernel writes back ``results`` / ``delivered`` (the documented
-    accessors) and prunes ``_pending`` exactly like the per-node run;
-    the internal ``_heard`` / ``_child_*`` / ``_done`` bookkeeping dicts
-    are *not* mirrored back (nothing documented reads them after a run).
+    accessors), prunes ``_pending`` exactly like the per-node run, and
+    mirrors its convergecast state into the ``_heard`` / ``_child_*`` /
+    ``_done`` dicts for a ``reset=False`` per-node continuation.
     """
 
-    bulk_state = ("heard", "done", "children", "child_vals", "buckets",
-                  "start_events", "sent", "delivered", "edge_counts",
-                  "seen_linkmax", "max_rounds", "last_executed")
+    bulk_state = ("heard", "done", "buckets", "start_events", "sent",
+                  "delivered", "edge_counts", "seen_linkmax", "max_rounds",
+                  "last_executed")
 
-    def __init__(self, algorithm, network) -> None:
+    def __init__(self, algorithm, network, table: list) -> None:
         self.alg = algorithm
         csr = network._csr
         n = csr.num_vertices
         self.n = n
         num = len(algorithm.masks)
         self.broadcast = algorithm.broadcast_result
-        self.op = algorithm.op
         self.identity = algorithm.identity
         arrays = [mask.arrays() for mask in algorithm.masks]
         # Participants of every instance at once: mask targets and value
@@ -929,10 +955,6 @@ class PartAggregationKernel:
             self.slot_keys, ann_insts * n + self.ann_targets
         )
         self.expected = np.diff(self.ann_starts)
-        # Python-list mirrors for the residual object-plane loops (indexing
-        # a numpy scalar per row costs ~10x a list element).
-        self.slot_v_list = self.slot_v.tolist()
-        self.slot_i_list = self.slot_i.tolist()
         # Parent pointers: invalid trees (parent neither self, UNREACHED,
         # a fellow participant, nor graph-adjacent) abort the build — the
         # caller falls back to the per-node path.  All vectorized: per
@@ -1012,92 +1034,37 @@ class PartAggregationKernel:
                 self.valid = False
                 return
             self.up_tslot[up] = jc
-        # Bookkeeping preloaded from the algorithm object (fresh dicts on a
-        # normal run, so the per-slot loop is skipped; faithful if a
-        # partially-run object is resumed).  ``n_children``/``n_child_vals``
-        # mirror the dict sizes so fire eligibility is one array test.
+        # Convergecast bookkeeping; ``n_children``/``n_child_vals`` count
+        # registered children and folded child reports, so fire eligibility
+        # is one array test.
         self.heard = np.zeros(num_slots, dtype=I64)
         self.done = np.zeros(num_slots, dtype=bool)
-        self.children: dict[int, list] = {}
-        self.child_vals: dict[int, list] = {}
         self.n_children = np.zeros(num_slots, dtype=I64)
         self.n_child_vals = np.zeros(num_slots, dtype=I64)
-        resumed = any(
-            algorithm._heard[idx] or algorithm._done[idx]
-            or algorithm._child_targets[idx] or algorithm._child_values[idx]
-            for idx in range(num)
-        )
-        if resumed:
-            for slot in range(num_slots):
-                v = int(self.slot_v[slot])
-                idx = int(self.slot_i[slot])
-                h = algorithm._heard[idx].get(v)
-                if h:
-                    self.heard[slot] = h
-                if v in algorithm._done[idx]:
-                    self.done[slot] = True
-                ct = algorithm._child_targets[idx].get(v)
-                if ct:
-                    cl = algorithm._child_links[idx][v]
-                    kids = []
-                    for t, link in zip(ct, cl):
-                        ts = self._slot_of(idx, int(t))
-                        if ts is None:
-                            self.valid = False
-                            return
-                        kids.append((int(t), int(link), ts))
-                    self.children[slot] = kids
-                    self.n_children[slot] = len(kids)
-                cvals = algorithm._child_values[idx].get(v)
-                if cvals:
-                    self.child_vals[slot] = list(cvals)
-                    self.n_child_vals[slot] = len(cvals)
-        # Value plane.  Named ``min``/``max`` over safely ordered values runs
-        # ranked: every distinct value (and the identity) gets an integer
-        # rank once, folds become vectorized rank minima, children live in
-        # flat arrays, and UP/DOWN payloads travel as ranks in the integer
-        # columns — no per-slot object loops.  Everything else (``sum``,
-        # exotic value types, resumed per-node state) uses the object plane.
-        self.ranked = False
-        if not resumed and (self.op is min or self.op is max):
-            try:
-                pool = {self.identity}
-                for vals in algorithm.values:
-                    pool.update(vals.values())
-                rankable = all(_rankable(value) for value in pool)
-                table = sorted(pool) if rankable else None
-            except TypeError:
-                table = None
-            if table is not None:
-                self.ranked = True
-                self.rank_table = table
-                self.fold_at = (
-                    np.minimum.at if self.op is min else np.maximum.at
-                )
-                rank_of = {value: r for r, value in enumerate(table)}
-                self.acc_rank = np.full(
-                    num_slots, rank_of[self.identity], dtype=I64
-                )
-                own_keys: list[int] = []
-                own_ranks: list[int] = []
-                for idx, vals in enumerate(algorithm.values):
-                    base = idx * n
-                    for v, value in vals.items():
-                        own_keys.append(base + v)
-                        own_ranks.append(rank_of[value])
-                if own_keys:
-                    pos = np.searchsorted(
-                        self.slot_keys, np.asarray(own_keys, dtype=I64)
-                    )
-                    self.acc_rank[pos] = np.asarray(own_ranks, dtype=I64)
-                # Children in registration order, capacity-bounded by the
-                # announce rows (masks permit both directions, so a slot's
-                # in-degree equals its out-degree); ``n_children`` doubles
-                # as the write cursor.
-                cap = len(self.ann_targets)
-                self.child_t_flat = np.empty(cap, dtype=I64)
-                self.child_l_flat = np.empty(cap, dtype=I64)
-                self.child_s_flat = np.empty(cap, dtype=I64)
+        # Value plane: each slot's running fold is a rank into ``table``.
+        self.rank_table = table
+        self.fold_at = np.minimum.at if algorithm.op is min else np.maximum.at
+        rank_of = {value: r for r, value in enumerate(table)}
+        self.acc_rank = np.full(num_slots, rank_of[self.identity], dtype=I64)
+        own_keys: list[int] = []
+        own_ranks: list[int] = []
+        for idx, vals in enumerate(algorithm.values):
+            base = idx * n
+            for v, value in vals.items():
+                own_keys.append(base + v)
+                own_ranks.append(rank_of[value])
+        if own_keys:
+            pos = np.searchsorted(
+                self.slot_keys, np.asarray(own_keys, dtype=I64)
+            )
+            self.acc_rank[pos] = np.asarray(own_ranks, dtype=I64)
+        # Children in registration order, capacity-bounded by the announce
+        # rows (masks permit both directions, so a slot's in-degree equals
+        # its out-degree); ``n_children`` doubles as the write cursor.
+        cap = len(self.ann_targets)
+        self.child_t_flat = np.empty(cap, dtype=I64)
+        self.child_l_flat = np.empty(cap, dtype=I64)
+        self.child_s_flat = np.empty(cap, dtype=I64)
         events: dict[int, list] = {}
         for v, lst in algorithm._pending.items():
             for delay, idx in lst:
@@ -1123,13 +1090,6 @@ class PartAggregationKernel:
         self.max_rounds = 0
         self.last_executed = 0
 
-    def _slot_of(self, idx: int, v: int) -> Optional[int]:
-        key = idx * self.n + v
-        j = int(np.searchsorted(self.slot_keys, key))
-        if j < len(self.slot_keys) and self.slot_keys[j] == key:
-            return j
-        return None
-
     @classmethod
     def build(cls, algorithm, network) -> Optional["PartAggregationKernel"]:
         if network.bandwidth != 1 or network.strict_bandwidth:
@@ -1137,7 +1097,10 @@ class PartAggregationKernel:
         n = network._csr.num_vertices
         if (len(algorithm.masks) + 1) * n >= 2**62 or n > _PACKED_NODE_LIMIT:
             return None
-        kernel = cls(algorithm, network)
+        table = _rank_table(algorithm)
+        if table is None:
+            return None
+        kernel = cls(algorithm, network, table)
         return kernel if kernel.valid else None
 
     def start(self, max_rounds: int) -> None:
@@ -1163,20 +1126,21 @@ class PartAggregationKernel:
 
     def _do_round(self, rnd: int) -> None:
         self.last_executed = rnd
-        objs: list = []
-        extra: list = []  # (node, sub, band, kind, link, target, tslot, sender, ival)
-        chunks: list = []  # column-array chunks, same 9-column layout
-        vec = None
+        # Column chunks (node, sub, band, kind, link, target, tslot, sender,
+        # ival); ``ival`` is the parent pointer on announce rows and the
+        # value rank on UP/DOWN rows.
+        chunks: list = []
         starts = self.start_events.pop(rnd, None)
         if starts is not None:
             vs, idxs = starts
             slots = np.searchsorted(self.slot_keys, idxs * self.n + vs)
-            announcing = np.flatnonzero(self.expected[slots] > 0)
+            expected = self.expected[slots]
+            announcing = np.flatnonzero(expected > 0)
             if len(announcing):
                 a_slots = slots[announcing]
                 flat, cnts = _flat_slices(self.ann_starts, a_slots)
                 nodes = np.repeat(vs[announcing], cnts)
-                vec = (
+                chunks.append((
                     nodes,
                     np.repeat(announcing.astype(I64), cnts),
                     np.zeros(len(flat), dtype=I64),
@@ -1186,13 +1150,16 @@ class PartAggregationKernel:
                     self.ann_tslot[flat],
                     nodes,
                     np.repeat(self.parent_of[a_slots], cnts),
-                )
-            for rank in np.flatnonzero(self.expected[slots] == 0).tolist():
-                # Isolated participant: the per-node start fires inline.
-                self._maybe_fire(int(slots[rank]), extra, objs, 0, rank)
+                ))
+            isolated = np.flatnonzero(expected == 0)
+            if len(isolated):
+                # Isolated participants: the per-node start fires inline.
+                # An instance's participants all start in this round, so no
+                # child report can have reached (or fired) them yet.
+                self._fire(slots[isolated], 0, isolated, chunks)
         chunk = self.buckets.pop(rnd, None)
         if chunk is not None:
-            (acts, kinds, links, targets, tslots, senders, ivals), in_objs = chunk
+            acts, kinds, links, targets, tslots, senders, ivals = chunk
             self.delivered += len(links)
             self.edge_counts += np.bincount(
                 links >> 1, minlength=len(self.edge_counts)
@@ -1209,71 +1176,38 @@ class PartAggregationKernel:
             ivals_s = ivals[order]
             ann = kinds_s == _K_ANN
             np.add.at(self.heard, tslots_s[ann], 1)
-            ranked = self.ranked
             reg = np.flatnonzero(ann & (ivals_s == targets_s))
             if len(reg):
                 # Child registrations, batched: the sender announced in
-                # this instance, so its slot lookup always hits.
+                # this instance, so its slot lookup always hits.  Group the
+                # batch by slot (stable, so in-batch order is kept) and
+                # place each row at its slot's cursor plus its in-group rank.
                 rslots = tslots_s[reg]
                 rsenders = senders_s[reg]
                 ts = np.searchsorted(
                     self.slot_keys, self.slot_i[rslots] * self.n + rsenders
                 )
-                if ranked:
-                    # Scatter into the flat child arrays: group the batch
-                    # by slot (stable, so in-batch order is kept) and place
-                    # each row at its slot's cursor plus its in-group rank.
-                    grp = np.argsort(rslots, kind="stable")
-                    rs = rslots[grp]
-                    boundary = np.ones(len(rs), dtype=bool)
-                    boundary[1:] = rs[1:] != rs[:-1]
-                    gstart = np.flatnonzero(boundary)
-                    glen = np.diff(np.append(gstart, len(rs)))
-                    within = np.arange(len(rs), dtype=I64) - np.repeat(
-                        gstart, glen
-                    )
-                    pos = self.ann_starts[rs] + self.n_children[rs] + within
-                    self.child_t_flat[pos] = rsenders[grp]
-                    self.child_l_flat[pos] = links_s[reg][grp] ^ 1
-                    self.child_s_flat[pos] = ts[grp]
-                else:
-                    children = self.children
-                    for slot, snd, lnk, t in zip(
-                        rslots.tolist(), rsenders.tolist(),
-                        links_s[reg].tolist(), ts.tolist(),
-                    ):
-                        children.setdefault(slot, []).append((snd, lnk ^ 1, t))
+                grp = np.argsort(rslots, kind="stable")
+                rs = rslots[grp]
+                boundary = np.ones(len(rs), dtype=bool)
+                boundary[1:] = rs[1:] != rs[:-1]
+                glen = np.diff(np.append(np.flatnonzero(boundary), len(rs)))
+                pos = self.ann_starts[rs] + self.n_children[rs] + _ranks(glen)
+                self.child_t_flat[pos] = rsenders[grp]
+                self.child_l_flat[pos] = links_s[reg][grp] ^ 1
+                self.child_s_flat[pos] = ts[grp]
                 np.add.at(self.n_children, rslots, 1)
             ups = np.flatnonzero(kinds_s == _K_UP)
             if len(ups):
                 np.add.at(self.n_child_vals, tslots_s[ups], 1)
-                if ranked:
-                    self.fold_at(self.acc_rank, tslots_s[ups], ivals_s[ups])
-                else:
-                    child_vals = self.child_vals
-                    for slot, ival in zip(
-                        tslots_s[ups].tolist(), ivals_s[ups].tolist()
-                    ):
-                        child_vals.setdefault(slot, []).append(in_objs[ival])
+                self.fold_at(self.acc_rank, tslots_s[ups], ivals_s[ups])
             downs = np.flatnonzero(kinds_s == _K_DOWN)
             if len(downs):
-                if ranked:
-                    self._downs_ranked(
-                        tslots_s[downs], ivals_s[downs], chunks
-                    )
-                else:
-                    sub = 0
-                    for slot, ival in zip(
-                        tslots_s[downs].tolist(), ivals_s[downs].tolist()
-                    ):
-                        self._deliver_down(
-                            slot, in_objs[ival], extra, objs, 1, sub
-                        )
-                        sub += 1
+                self._downs(tslots_s[downs], ivals_s[downs], chunks)
             au = kinds_s <= _K_UP
             uq, first = np.unique(tslots_s[au], return_index=True)
-            # Fire eligibility as one array test (the guards of
-            # ``_maybe_fire``, which only eligible slots now reach); the
+            # Fire eligibility as one array test (not yet fired, every
+            # announcement heard, one report per registered child); the
             # per-node fire order is first-touch order, and the skipped
             # slots would not have advanced the engine's tiebreak counter.
             elig = (
@@ -1285,15 +1219,7 @@ class PartAggregationKernel:
             first = first[elig]
             if len(uq):
                 fire = uq[np.argsort(first, kind="stable")]
-                if ranked:
-                    self._fire_batch_ranked(fire, chunks)
-                else:
-                    self._fire_batch(fire, extra, objs)
-        if vec is not None:
-            chunks.append(vec)
-        if extra:
-            cols = list(zip(*extra))
-            chunks.append(tuple(np.asarray(col, dtype=I64) for col in cols))
+                self._fire(fire, 2, np.arange(len(fire), dtype=I64), chunks)
         if not chunks:
             return
         if len(chunks) == 1:
@@ -1309,10 +1235,10 @@ class PartAggregationKernel:
         links_o = links[order]
         deliv, acts = self.sched.schedule(rnd, links_o, rnd < self.max_rounds)
         self.sent += len(links_o)
-        self._push(deliv, (
+        _bucket_push(self.buckets, deliv, (
             acts, kinds[order], links_o, targets[order], tslots[order],
             senders[order], ivals[order],
-        ), objs)
+        ))
 
     def _children_rows(self, slots, subs, ranks, band, chunks) -> None:
         """Emit each slot's DOWN multicast as one vectorized chunk."""
@@ -1334,25 +1260,28 @@ class PartAggregationKernel:
             np.repeat(ranks, cnt),
         ))
 
-    def _downs_ranked(self, dslots, dranks, chunks) -> None:
+    def _downs(self, dslots, dranks, chunks) -> None:
+        """Record broadcast receipts and forward them to each child."""
         table = self.rank_table
         delivered = self.alg.delivered
-        slot_v_list = self.slot_v_list
-        slot_i_list = self.slot_i_list
-        for slot, rank in zip(dslots.tolist(), dranks.tolist()):
-            delivered[slot_i_list[slot]][slot_v_list[slot]] = table[rank]
+        for idx, v, rank in zip(
+            self.slot_i[dslots].tolist(), self.slot_v[dslots].tolist(),
+            dranks.tolist(),
+        ):
+            delivered[idx][v] = table[rank]
         self._children_rows(
             dslots, np.arange(len(dslots), dtype=I64), dranks, 1, chunks
         )
 
-    def _fire_batch_ranked(self, slots, chunks) -> None:
+    def _fire(self, slots, band, subs, chunks) -> None:
+        """Fire ``slots`` (guards already hold) as rows ``(band, subs)``:
+        roots publish, and broadcast, their result; others report UP."""
         self.done[slots] = True
         alg = self.alg
         table = self.rank_table
         ranks = self.acc_rank[slots]
         vs = self.slot_v[slots]
         parents = self.parent_of[slots]
-        subs = np.arange(len(slots), dtype=I64)
         isroot = parents == vs
         ridx = np.flatnonzero(isroot)
         if len(ridx):
@@ -1367,7 +1296,7 @@ class PartAggregationKernel:
                 delivered[idx][v] = value
             if self.broadcast:
                 self._children_rows(
-                    slots[ridx], subs[ridx], ranks[ridx], 2, chunks
+                    slots[ridx], subs[ridx], ranks[ridx], band, chunks
                 )
         uidx = np.flatnonzero(~isroot & (parents != UNREACHED))
         if len(uidx):
@@ -1375,7 +1304,7 @@ class PartAggregationKernel:
             chunks.append((
                 vs[uidx],
                 subs[uidx],
-                np.full(len(uidx), 2, dtype=I64),
+                np.full(len(uidx), band, dtype=I64),
                 np.full(len(uidx), _K_UP, dtype=I64),
                 self.up_link[upslots],
                 parents[uidx],
@@ -1384,155 +1313,6 @@ class PartAggregationKernel:
                 ranks[uidx],
             ))
 
-    def _fire_batch(self, slots, out, objs) -> None:
-        # The ``_maybe_fire`` guards already hold for every slot here (the
-        # caller checked them as one array test), so each slot fires
-        # exactly once; gathering the per-slot columns up front keeps the
-        # loop body to plain list/dict operations.
-        self.done[slots] = True
-        alg = self.alg
-        op = self.op
-        identity = self.identity
-        values = alg.values
-        results = alg.results
-        delivered = alg.delivered
-        child_vals = self.child_vals
-        children = self.children
-        broadcast = self.broadcast
-        sub = 0
-        for slot, v, idx, parent, uplink, uptslot in zip(
-            slots.tolist(),
-            self.slot_v[slots].tolist(),
-            self.slot_i[slots].tolist(),
-            self.parent_of[slots].tolist(),
-            self.up_link[slots].tolist(),
-            self.up_tslot[slots].tolist(),
-        ):
-            combined = values[idx].get(v, _MISSING)
-            if combined is _MISSING:
-                combined = identity
-            vals = child_vals.get(slot)
-            if vals:
-                for value in vals:
-                    combined = op(combined, value)
-            if parent == v:
-                results[idx] = combined
-                delivered[idx][v] = combined
-                if broadcast:
-                    kids = children.get(slot)
-                    if kids:
-                        objs.append(combined)
-                        ival = len(objs) - 1
-                        for target, link, tslot in kids:
-                            out.append(
-                                (v, sub, 2, _K_DOWN, link, target, tslot,
-                                 v, ival)
-                            )
-            elif parent != UNREACHED:
-                objs.append(combined)
-                out.append((v, sub, 2, _K_UP, uplink, parent, uptslot,
-                            v, len(objs) - 1))
-            sub += 1
-
-    def _maybe_fire(self, slot, out, objs, band, sub) -> bool:
-        if self.done[slot] or self.heard[slot] < self.expected[slot]:
-            return False
-        if self.ranked:
-            if self.n_child_vals[slot] < self.n_children[slot]:
-                return False
-            rank = int(self.acc_rank[slot])
-            v = self.slot_v_list[slot]
-            idx = self.slot_i_list[slot]
-            self.done[slot] = True
-            parent = int(self.parent_of[slot])
-            if parent == v:
-                value = self.rank_table[rank]
-                self.alg.results[idx] = value
-                self.alg.delivered[idx][v] = value
-                kids = int(self.n_children[slot])
-                if self.broadcast and kids:
-                    start = int(self.ann_starts[slot])
-                    for pos in range(start, start + kids):
-                        out.append((
-                            v, sub, band, _K_DOWN,
-                            int(self.child_l_flat[pos]),
-                            int(self.child_t_flat[pos]),
-                            int(self.child_s_flat[pos]), v, rank,
-                        ))
-            elif parent != UNREACHED:
-                out.append((v, sub, band, _K_UP, int(self.up_link[slot]),
-                            parent, int(self.up_tslot[slot]), v, rank))
-            return True
-        kids = self.children.get(slot)
-        vals = self.child_vals.get(slot, ())
-        if kids and len(vals) < len(kids):
-            return False
-        alg = self.alg
-        v = int(self.slot_v[slot])
-        idx = int(self.slot_i[slot])
-        combined = alg.values[idx].get(v, _MISSING)
-        if combined is _MISSING:
-            combined = self.identity
-        for value in vals:
-            combined = self.op(combined, value)
-        self.done[slot] = True
-        parent = int(self.parent_of[slot])
-        if parent == v:
-            alg.results[idx] = combined
-            self._deliver_down(slot, combined, out, objs, band, sub)
-        elif parent != UNREACHED:
-            objs.append(combined)
-            out.append((v, sub, band, _K_UP, int(self.up_link[slot]),
-                        parent, int(self.up_tslot[slot]), v, len(objs) - 1))
-        return True
-
-    def _deliver_down(self, slot, value, out, objs, band, sub) -> None:
-        alg = self.alg
-        v = self.slot_v_list[slot]
-        idx = self.slot_i_list[slot]
-        if not self.broadcast:
-            if int(self.parent_of[slot]) == v:
-                alg.delivered[idx][v] = value
-            return
-        alg.delivered[idx][v] = value
-        kids = self.children.get(slot)
-        if kids:
-            objs.append(value)
-            ival = len(objs) - 1
-            for target, link, tslot in kids:
-                # One shared payload per multicast; per-link traffic still
-                # counts every directed link (per_edge_messages pin).
-                out.append((v, sub, band, _K_DOWN, link, target, tslot, v, ival))
-
-    def _push(self, deliv, cols, objs) -> None:
-        order = np.argsort(deliv, kind="stable")
-        sdeliv = deliv[order]
-        scols = tuple(col[order] for col in cols)
-        edges = np.flatnonzero(np.diff(sdeliv)) + 1
-        bounds = np.concatenate(([0], edges, [len(sdeliv)]))
-        for k in range(len(bounds) - 1):
-            lo, hi = int(bounds[k]), int(bounds[k + 1])
-            if lo == hi:
-                continue
-            rnd = int(sdeliv[lo])
-            part = tuple(col[lo:hi] for col in scols)
-            prior = self.buckets.get(rnd)
-            if prior is None:
-                self.buckets[rnd] = (part, objs)
-            else:
-                pcols, pobjs = prior
-                if pobjs is not objs:
-                    # Re-base payload indices onto the bucket's object list;
-                    # earlier chunks index its unchanged prefix.
-                    shift = part[6].copy()
-                    shift[part[1] != _K_ANN] += len(pobjs)
-                    part = part[:6] + (shift,)
-                    pobjs.extend(objs)
-                self.buckets[rnd] = (
-                    tuple(np.concatenate(pair) for pair in zip(pcols, part)),
-                    pobjs,
-                )
-
     def awake_at_cutoff(self, rnd: int) -> int:
         # Waiting participants halt between timer rounds, so the per-node
         # engine's awake set is empty at any cutoff.
@@ -1540,29 +1320,26 @@ class PartAggregationKernel:
 
     def _spill(self, network) -> None:
         alg = self.alg
-        slot_i = self.slot_i
+        table = self.rank_table
         entries = []
         for rnd in sorted(self.buckets):
-            (acts, kinds, links, targets, tslots, senders, ivals), objs = \
+            acts, kinds, links, targets, tslots, senders, ivals = \
                 self.buckets[rnd]
-            idxs = slot_i[tslots].tolist()
             rows = zip(
                 acts.tolist(), kinds.tolist(), links.tolist(),
-                targets.tolist(), senders.tolist(), ivals.tolist(), idxs,
+                targets.tolist(), senders.tolist(), ivals.tolist(),
+                self.slot_i[tslots].tolist(),
             )
             for act, kind, link, target, sender, ival, idx in rows:
                 if kind == _K_ANN:
                     msg = Message(sender, -1, alg._tags_ann[idx], ival, idx)
-                    entries.append((act, link, msg))
-                    continue
-                payload = self.rank_table[ival] if self.ranked else objs[ival]
-                if kind == _K_UP:
+                elif kind == _K_UP:
                     msg = Message(
-                        sender, target, alg._tags_up[idx], payload, idx
+                        sender, target, alg._tags_up[idx], table[ival], idx
                     )
                 else:
                     msg = Message(
-                        sender, -1, alg._tags_down[idx], payload, idx
+                        sender, -1, alg._tags_down[idx], table[ival], idx
                     )
                 entries.append((act, link, msg))
         self.buckets.clear()
@@ -1586,12 +1363,13 @@ class PartAggregationKernel:
 
         A cut-off run hands the algorithm object back with spilled traffic
         in the queues; the follow-up ``reset=False`` run continues on the
-        per-node path (dirty network), so heard counts, registered
-        children, child reports and fired slots must land in the exact
-        per-node containers.
+        per-node path (dirty network, or a resumed object the kernel
+        declines), so heard counts, registered children, child reports
+        and fired slots must land in the exact per-node containers.
         """
         alg = self.alg
-        slot_i, slot_v = self.slot_i_list, self.slot_v_list
+        # Python lists, so the dicts below share one key object per node.
+        slot_i, slot_v = self.slot_i.tolist(), self.slot_v.tolist()
         for slot, h in zip(
             np.flatnonzero(self.heard).tolist(),
             self.heard[self.heard > 0].tolist(),
@@ -1599,30 +1377,20 @@ class PartAggregationKernel:
             alg._heard[slot_i[slot]][slot_v[slot]] = h
         for slot in np.flatnonzero(self.done).tolist():
             alg._done[slot_i[slot]].add(slot_v[slot])
-        if self.ranked:
-            for slot in np.flatnonzero(self.n_children).tolist():
-                idx, v = slot_i[slot], slot_v[slot]
-                start = int(self.ann_starts[slot])
-                end = start + int(self.n_children[slot])
-                alg._child_targets[idx][v] = \
-                    self.child_t_flat[start:end].tolist()
-                alg._child_links[idx][v] = \
-                    self.child_l_flat[start:end].tolist()
-            table = self.rank_table
-            identity = self.identity
-            for slot in np.flatnonzero(self.n_child_vals).tolist():
-                # The individual child reports were folded on arrival; a
-                # partially-folded head padded with the identity reproduces
-                # both the pending-report count and (``min``/``max`` being
-                # order-free) the final fold.
-                count = int(self.n_child_vals[slot])
-                head = table[int(self.acc_rank[slot])]
-                alg._child_values[slot_i[slot]][slot_v[slot]] = \
-                    [head] + [identity] * (count - 1)
-        else:
-            for slot, kids in self.children.items():
-                idx, v = slot_i[slot], slot_v[slot]
-                alg._child_targets[idx][v] = [t for t, _, _ in kids]
-                alg._child_links[idx][v] = [lnk for _, lnk, _ in kids]
-            for slot, vals in self.child_vals.items():
-                alg._child_values[slot_i[slot]][slot_v[slot]] = list(vals)
+        for slot in np.flatnonzero(self.n_children).tolist():
+            idx, v = slot_i[slot], slot_v[slot]
+            start = int(self.ann_starts[slot])
+            end = start + int(self.n_children[slot])
+            alg._child_targets[idx][v] = self.child_t_flat[start:end].tolist()
+            alg._child_links[idx][v] = self.child_l_flat[start:end].tolist()
+        table = self.rank_table
+        identity = self.identity
+        for slot in np.flatnonzero(self.n_child_vals).tolist():
+            # The individual child reports were folded on arrival; a
+            # partially-folded head padded with the identity reproduces
+            # both the pending-report count and (``min``/``max`` being
+            # order-free) the final fold.
+            count = int(self.n_child_vals[slot])
+            head = table[int(self.acc_rank[slot])]
+            alg._child_values[slot_i[slot]][slot_v[slot]] = \
+                [head] + [identity] * (count - 1)

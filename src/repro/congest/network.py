@@ -161,6 +161,13 @@ class RunMetrics:
         messages_duplicated: extra at-least-once copies injected by the
             adversary; always 0 in fault-free runs.
         crashes / recoveries: node-fault events applied during the run.
+        bulk_declined: why a bulk-capable algorithm ran on the per-node
+            path instead of a vectorized kernel: ``"retry"``,
+            ``"adversary"``, ``"dirty"`` (queued traffic or unclean
+            structures left by an earlier run) or ``"kernel_refused"``
+            (the algorithm built no kernel for this configuration).
+            ``None`` when a kernel ran or the algorithm is not
+            bulk-capable.
     """
 
     rounds: int = 0
@@ -172,6 +179,7 @@ class RunMetrics:
     messages_duplicated: int = 0
     crashes: int = 0
     recoveries: int = 0
+    bulk_declined: Optional[str] = field(default=None, compare=False)
     _edge_counts: Optional[list] = field(default=None, repr=False, compare=False)
     _edge_list: Optional[list] = field(default=None, repr=False, compare=False)
     _per_edge_cache: Optional[dict] = field(default=None, repr=False, compare=False)
@@ -374,11 +382,13 @@ class Network:
         """
         if reset and self._ran:
             self.reset()
+        declined = None
         if getattr(algorithm, "bulk_capable", False):
             bulk = self._try_bulk(algorithm, max_rounds, raise_on_limit, adversary)
-            if bulk is not None:
+            if isinstance(bulk, RunMetrics):
                 return bulk
-        metrics = RunMetrics()
+            declined = bulk
+        metrics = RunMetrics(bulk_declined=declined)
         metrics._edge_counts = [0] * self._csr.num_edges
         metrics._edge_list = self._csr.edge_list
         # Sends enqueue without touching a counter; the send total is an
@@ -584,26 +594,31 @@ class Network:
         )
 
     def _try_bulk(self, algorithm, max_rounds: int, raise_on_limit: bool, adversary):
-        """Attempt a vectorized run; ``None`` means use the per-node path.
+        """Attempt a vectorized run.
 
-        Declined configurations (retry mode, or a bulk-eligible one under an
-        adversary, which needs a per-message delivery point) warn once per
-        network so the de-optimization is observable; dirty queues and
-        kernel build guards (packed-key overflow) fall back silently — they
-        are per-run conditions, not configuration mistakes.
+        Returns the run's :class:`RunMetrics`, or the name of the decline
+        that sends it to the per-node path; ``run`` records that name in
+        ``RunMetrics.bulk_declined``.  Retry mode and a bulk-eligible
+        configuration under an adversary (which needs a per-message
+        delivery point) also warn once per network, since they are
+        configuration choices; dirty queues and refused kernels (size
+        guards, invalid trees, aggregations the kernel does not model) are
+        per-run conditions and only recorded.
         """
         if not algorithm.bulk_supported():
-            if adversary is None and getattr(algorithm, "retry", None) is not None:
+            if getattr(algorithm, "retry", None) is None:
+                return "kernel_refused"
+            if adversary is None:
                 self._warn_bulk_fallback(algorithm, "retry")
-            return None
+            return "retry"
         if adversary is not None:
             self._warn_bulk_fallback(algorithm, "adversary")
-            return None
+            return "adversary"
         if self._active or not self._structures_clean:
-            return None
+            return "dirty"
         kernel = algorithm.bulk_kernel(self)
         if kernel is None:
-            return None
+            return "kernel_refused"
         return self._run_bulk(algorithm, kernel, max_rounds, raise_on_limit)
 
     def _run_bulk(self, algorithm, kernel, max_rounds: int, raise_on_limit: bool) -> RunMetrics:

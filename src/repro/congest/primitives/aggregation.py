@@ -91,7 +91,9 @@ class PartAggregation(DistributedAlgorithm):
         values: per-instance input values, ``{node: value}``; only part
             members should carry entries (relay nodes of an augmented
             subgraph must not contribute to the part's aggregate).
-        op: ``"min"``, ``"max"``, ``"sum"`` or ``"count"``.
+        op: ``"min"``, ``"max"``, ``"sum"`` or ``"count"``.  Only
+            ``"min"``/``"max"`` over totally ordered values run on the bulk
+            kernel; the rest run per-node (``bulk_declined`` says so).
         delays: per-instance start delays in rounds (Theorem 2.1); declared
             through the engine's timer protocol so waiting nodes halt.
         identity: override the operator identity (required when values are

@@ -9,17 +9,20 @@ sends), termination flag, node state, and the algorithm's own outputs.
 The sweep covers all six generator families for each ported primitive,
 plus the boundary behaviours: ``max_rounds`` cutoffs composed with
 ``reset=False`` (spilled in-flight traffic must be delivered identically
-by a follow-up run), resumed algorithm objects, and the warn-once
-fallback for configurations no kernel models (retry mode, adversarial
-runs).
+by a follow-up run), resumed algorithm objects, and the fallback for
+configurations no kernel models: every decline is named in
+``RunMetrics.bulk_declined``, and retry mode and adversarial runs also
+warn once per network.
 """
 
+import decimal
 import random
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.congest import bulk
 from repro.congest.network import BulkFallbackWarning, Network
 from repro.congest.adversary import RetryPolicy, make_fault_adversary
 from repro.congest.primitives.aggregation import (
@@ -183,7 +186,9 @@ def test_fleet_bulk_matches_per_node(family, sparse, bulk_toggle):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("op,broadcast", [("sum", True), ("min", False)])
+@pytest.mark.parametrize("op,broadcast", [
+    ("sum", True), ("min", False), ("min", True), ("max", True),
+])
 def test_aggregation_pipeline_bulk_matches_per_node(
     family, op, broadcast, bulk_toggle
 ):
@@ -252,9 +257,11 @@ def test_cutoff_and_resume_composition(family, max_rounds, bulk_toggle):
     assert bulk == node
 
 
-def test_multicast_folded_per_edge_messages(bulk_toggle):
+@pytest.mark.parametrize("op", ["min", "sum"])
+def test_multicast_folded_per_edge_messages(op, bulk_toggle):
     """The ANN phase multicasts one payload over a node's whole mask slice;
-    the bulk kernel must still charge every directed link individually."""
+    the bulk kernel must still charge every directed link individually.
+    ``min`` runs the kernel; ``sum`` declines it and runs per-node."""
 
     def once(enabled):
         bulk_toggle(enabled)
@@ -269,19 +276,22 @@ def test_multicast_folded_per_edge_messages(bulk_toggle):
         )
         net.run(fleet, reset=False, max_rounds=200_000)
         agg = PartAggregation(
-            masks, fleet.parent, values, "sum",
+            masks, fleet.parent, values, op,
             delays=draw_random_delays(4, 2, rng),
         )
-        m = net.run(agg, reset=False, max_rounds=200_000)
-        return dict(m.per_edge_messages), m.messages_delivered
+        return net.run(agg, reset=False, max_rounds=200_000)
 
-    per_edge_bulk, delivered_bulk = once(True)
-    per_edge_node, delivered_node = once(False)
-    assert per_edge_bulk == per_edge_node
-    assert delivered_bulk == delivered_node
+    with_bulk = once(True)
+    per_node = once(False)
+    assert with_bulk.bulk_declined == (
+        None if op == "min" else "kernel_refused"
+    )
+    per_edge_bulk = dict(with_bulk.per_edge_messages)
+    assert per_edge_bulk == dict(per_node.per_edge_messages)
+    assert with_bulk.messages_delivered == per_node.messages_delivered
     # The folded multicast really fans out: total per-edge traffic accounts
     # for every delivery, not one count per multicast call.
-    assert sum(per_edge_bulk.values()) == delivered_bulk
+    assert sum(per_edge_bulk.values()) == with_bulk.messages_delivered
 
 
 # ----------------------------------------------------------------------
@@ -333,3 +343,151 @@ def test_adversarial_run_warns_and_matches_fault_free_per_node(bulk_toggle):
         warnings.simplefilter("error", BulkFallbackWarning)
         net.run(FloodMax(prefix="second_"), adversary=adversary,
                 max_rounds=500)
+
+
+# ----------------------------------------------------------------------
+# decline reasons: a bulk-capable algorithm on the per-node path says why
+# ----------------------------------------------------------------------
+def test_decline_reason_retry(bulk_toggle):
+    bulk_toggle(True)
+    g = family_graph("hub")
+    masks, roots, values = label_masks(g)
+    net, agg = _retry_aggregation(g, masks, roots, values)
+    with pytest.warns(BulkFallbackWarning, match="retry"):
+        m = net.run(agg, reset=False, max_rounds=200_000)
+    assert m.bulk_declined == "retry"
+
+
+def test_decline_reason_adversary(bulk_toggle):
+    bulk_toggle(True)
+    net = Network(family_graph("broom"))
+    with pytest.warns(BulkFallbackWarning, match="adversary"):
+        m = net.run(FloodMax(), adversary=make_fault_adversary(0.2, 0, seed=13),
+                    max_rounds=500)
+    assert m.bulk_declined == "adversary"
+
+
+def test_decline_reason_dirty(bulk_toggle):
+    """A cut-off kernel spills its frontier onto the queues, so the next
+    ``reset=False`` run declines without a warning."""
+    bulk_toggle(True)
+    net = Network(family_graph("expander"))
+    m1 = net.run(FloodMax(), max_rounds=1, raise_on_limit=False)
+    assert m1.bulk_declined is None and not m1.terminated
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BulkFallbackWarning)
+        m2 = net.run(DistributedBFS({0}), reset=False)
+    assert m2.bulk_declined == "dirty"
+
+
+@pytest.mark.parametrize("case", ["packed_limit", "restricted_adjacency"])
+def test_decline_reason_kernel_refused(case, bulk_toggle, monkeypatch):
+    """A kernel build guard (``bulk_kernel`` returns ``None``) and a
+    configuration the algorithm does not vectorize both run per-node,
+    exactly, without a warning."""
+    g = family_graph("torus")
+    if case == "packed_limit":
+        monkeypatch.setattr(bulk, "_PACKED_NODE_LIMIT", g.num_vertices - 1)
+
+    def once(enabled):
+        bulk_toggle(enabled)
+        net = Network(g)
+        if case == "packed_limit":
+            algo = DistributedBFS({0})
+        else:
+            algo = FloodMax(allowed_adjacency={
+                v: set(g.neighbors(v)) for v in range(g.num_vertices)
+            })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BulkFallbackWarning)
+            m = net.run(algo)
+        return m, (metrics_tuple(m), node_states(net))
+
+    refused, refused_out = once(True)
+    node, node_out = once(False)
+    assert refused.bulk_declined == "kernel_refused"
+    assert node.bulk_declined is None
+    assert refused_out == node_out
+
+
+#: One shared NaN object: equality of results that carry it then holds by
+#: identity, as it does for every other value.
+NAN = float("nan")
+
+
+def _fleet_then_aggregation(values, op):
+    """A fleet over ``label_masks`` trees, then a ``PartAggregation``."""
+    g = family_graph("caterpillar")
+    masks, roots, _ = label_masks(g)
+    rng = random.Random(3)
+    net = Network(g)
+    fleet = ConcurrentMaskedBFS(
+        roots, masks, draw_random_delays(4, 2, rng), g.num_vertices,
+        [f"pa{i}_" for i in range(4)], g.num_vertices,
+        suppress_parent_echo=True, sparse_labels=True,
+    )
+    net.run(fleet, reset=False, max_rounds=200_000)
+    agg = PartAggregation(
+        masks, fleet.parent, values, op,
+        delays=draw_random_delays(4, 2, rng),
+    )
+    return net, agg
+
+
+@pytest.mark.parametrize("case", ["sum", "count", "nan", "rerun"])
+def test_unranked_aggregation_declines_kernel(case, bulk_toggle):
+    """The aggregation kernel folds value ranks, so ``sum``/``count``,
+    ``min`` over values ``_rankable`` rejects (NaN), and a finished
+    aggregation run again with ``reset=False`` run per-node, exactly, and
+    say so."""
+
+    def once(enabled):
+        bulk_toggle(enabled)
+        _, _, values = label_masks(family_graph("caterpillar"))
+        op = case if case in ("sum", "count") else "min"
+        if case == "count":
+            values = [{v: 1 for v in vals} for vals in values]
+        elif case == "nan":
+            values = [
+                {v: NAN if x % 5 == 0 else x / 4 for v, x in vals.items()}
+                for vals in values
+            ]
+        net, agg = _fleet_then_aggregation(values, op)
+        if case == "rerun":
+            first = net.run(agg, reset=False, max_rounds=200_000)
+            assert first.bulk_declined is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BulkFallbackWarning)
+            m = net.run(agg, reset=False, max_rounds=200_000)
+        return m, (
+            metrics_tuple(m), list(agg.results),
+            [dict(sorted(d.items())) for d in agg.delivered],
+        )
+
+    refused, refused_out = once(True)
+    node, node_out = once(False)
+    assert refused.bulk_declined == "kernel_refused"
+    assert node.bulk_declined is None
+    assert refused_out == node_out
+
+
+def test_unrankable_illegal_payload_fails_on_both_paths(bulk_toggle):
+    """``decimal.Decimal`` fails ``_rankable`` and is no legal CONGEST
+    payload either: the declined kernel leaves it to the per-node path,
+    whose first send rejects it, with bulk on as with bulk off."""
+
+    def once(enabled):
+        bulk_toggle(enabled)
+        _, _, values = label_masks(family_graph("caterpillar"))
+        values = [
+            {v: decimal.Decimal(x) / 4 for v, x in vals.items()}
+            for vals in values
+        ]
+        net, agg = _fleet_then_aggregation(values, "min")
+        with pytest.raises(ValueError) as err:
+            net.run(agg, reset=False, max_rounds=200_000)
+        return str(err.value)
+
+    with_bulk = once(True)
+    assert "not a valid CONGEST message payload" in with_bulk
+    assert with_bulk == once(False)
