@@ -30,11 +30,21 @@ modelling decision below exists to reproduce an engine behaviour exactly:
   is what fixes per-receiver inbox order, and the per-round send stream is
   ordered by the engine's ``(node, band, sub)`` dispatch order before
   scheduling.
+* **One layout, state built on read.**  Both ring kernels work on one
+  :class:`SlotLayout` per mask fleet: the ``(instance, node)`` slots and
+  their announce rows, read off the masks without a sort or a hash.  The
+  fleet kernel leaves its labels in slot arrays behind :class:`LazyRows`
+  views that carry the layout, and the aggregation kernel over the same
+  masks reuses that layout and takes the parent array as it is.  Neither
+  kernel writes per-node dicts at ``finish``: a view builds an instance's
+  list, dict or set when it is read, and a per-node run (a ``reset=False``
+  continuation after a cutoff) builds all of them before its first step.
 
 Fallback rules (enforced by ``Network._try_bulk``): adversarial runs, retry
 (ack/retransmit) configurations, composed pipelines, dirty queues,
-non-``min``/``max`` or non-rankable aggregations and resumed aggregation
-objects all take the per-node path.  Every decline of a bulk-capable
+non-``min``/``max`` or non-rankable aggregations, resumed aggregation
+objects and masks that permit a link in one direction only all take the
+per-node path.  Every decline of a bulk-capable
 algorithm is named in ``RunMetrics.bulk_declined``; the first two also
 warn once per network with :class:`BulkFallbackWarning`.
 
@@ -45,10 +55,12 @@ Lint: every kernel declares its mutable state arrays in ``bulk_state``; the
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Optional
 
 import numpy as np
 
+from ..graphs.csr import sorted_unique
 from .message import Message
 
 I64 = np.int64
@@ -544,86 +556,266 @@ def _spill_ring(network, entries) -> None:
     network._active.extend(sorted(first_act, key=first_act.get))
 
 
+# ----------------------------------------------------------------------
+# one slot layout per mask fleet, and the views kernels leave behind
+# ----------------------------------------------------------------------
+class SlotLayout:
+    """The ``(instance, node)`` slots of one mask fleet and their announce rows.
+
+    Slot ``s`` is node ``slot_v[s]`` of instance ``slot_i[s]``; the packed
+    ``keys = slot_i * n + slot_v`` ascend (instance-major, node-sorted), so
+    one ``np.searchsorted`` resolves any batch of pairs, and instance ``i``
+    owns slots ``offsets[i]:offsets[i + 1]``.  The slots are each mask's
+    participants, read off the masks without a sort or a hash.  Within an
+    instance they come in mask order, so the announce rows — every slot's
+    permitted out-links, rows ``ann_starts[s]:ann_starts[s + 1]`` — are just
+    the masks' concatenated ``targets``/``links``, and ``ann_tslot`` names
+    the slot each row reaches (:meth:`rows`).
+
+    :meth:`with_extras` adds row-less slots for the few keys outside every
+    mask slice: fleet sources and value holders of isolated parts.  A fleet
+    kernel builds its layout once; its label views carry it to an
+    aggregation over the same masks, which adds its own extras to the same
+    ``base`` and reuses the rows.
+    """
+
+    __slots__ = ("masks", "n", "symmetric", "keys", "slot_i", "slot_v",
+                 "offsets", "base", "_parent", "_to_self", "_rows")
+
+    def __init__(self, masks, n: int) -> None:
+        self.masks = tuple(masks)
+        self.n = n
+        self.symmetric = all(mask.symmetric for mask in self.masks)
+        parts = [mask.participants() for mask in self.masks]
+        num = len(parts)
+        counts = np.fromiter(map(len, parts), dtype=I64, count=num)
+        self.offsets = np.zeros(num + 1, dtype=I64)
+        np.cumsum(counts, out=self.offsets[1:])
+        self.slot_i = np.repeat(np.arange(num, dtype=I64), counts)
+        self.slot_v = np.concatenate(parts) if num else np.empty(0, dtype=I64)
+        self.keys = self.slot_i * n + self.slot_v
+        self.base = self
+        self._parent = None
+        self._to_self = None
+        self._rows = None
+
+    def matches(self, masks, n: int) -> bool:
+        """Whether this layout was built over exactly these mask objects."""
+        return (n == self.n and len(masks) == len(self.masks)
+                and all(a is b for a, b in zip(masks, self.masks)))
+
+    def with_extras(self, insts: np.ndarray, verts: np.ndarray) -> "SlotLayout":
+        """This layout plus a row-less slot for every given pair outside it."""
+        keys = self.keys
+        extra = sorted_unique(np.asarray(insts, dtype=I64) * self.n
+                              + np.asarray(verts, dtype=I64))
+        if len(keys) and len(extra):
+            j = np.minimum(np.searchsorted(keys, extra), len(keys) - 1)
+            extra = extra[keys[j] != extra]
+        if not len(extra):
+            return self
+        out = SlotLayout.__new__(SlotLayout)
+        out.masks, out.n, out.symmetric = self.masks, self.n, self.symmetric
+        out.base, out._parent, out._rows = self.base, self, None
+        # Each old slot moves up by the number of extra keys below it.
+        to_self = np.arange(len(keys), dtype=I64) + np.searchsorted(extra, keys)
+        merged = np.empty(len(keys) + len(extra), dtype=I64)
+        merged[to_self] = keys
+        fresh = np.ones(len(merged), dtype=bool)
+        fresh[to_self] = False
+        merged[fresh] = extra
+        out._to_self = to_self
+        out.keys = merged
+        out.slot_i, out.slot_v = np.divmod(merged, self.n)
+        out.offsets = np.searchsorted(
+            merged, np.arange(len(self.masks) + 1, dtype=I64) * self.n
+        ).astype(I64)
+        return out
+
+    def rows(self) -> Optional[tuple]:
+        """``(ann_starts, ann_targets, ann_links, ann_tslot)``, built once.
+
+        ``None`` when a mask permits some link in one direction only: its
+        announce rows are then no concatenation of the participants' slices,
+        and the kernels decline.
+        """
+        if not self.symmetric:
+            return None
+        if self._rows is None:
+            if self._parent is None:
+                self._rows = self._mask_rows()
+            else:
+                starts, targets, links, tslot = self._parent.rows()
+                to_self = self._to_self
+                counts = np.zeros(len(self.keys), dtype=I64)
+                counts[to_self] = np.diff(starts)
+                self._rows = (_starts_of(counts), targets, links, to_self[tslot])
+        return self._rows
+
+    def _mask_rows(self) -> tuple:
+        num = len(self.masks)
+        if not num:
+            empty = np.empty(0, dtype=I64)
+            return np.zeros(1, dtype=I64), empty, empty, empty
+        slices = [mask.sender_slices() for mask in self.masks]
+        tcounts = np.fromiter((len(s[2]) for s in slices), dtype=I64, count=num)
+        shift = _starts_of(tcounts)
+        starts = np.concatenate(
+            [offsets[:-1] + shift[idx] for idx, (_, offsets, _, _) in enumerate(slices)]
+            + [shift[-1:]]
+        )
+        targets = np.concatenate([s[2] for s in slices])
+        links = np.concatenate([s[3] for s in slices])
+        # A symmetric mask's targets are its own senders: one scratch rank
+        # table, refilled per mask, names each row's target slot without a
+        # search over the whole fleet's keys.
+        rank = np.empty(self.n, dtype=I64)
+        tslot = np.empty(len(targets), dtype=I64)
+        for idx, (senders, _, mask_targets, _) in enumerate(slices):
+            lo = int(self.offsets[idx])
+            rank[senders] = np.arange(lo, lo + len(senders), dtype=I64)
+            tslot[shift[idx]:shift[idx + 1]] = rank[mask_targets]
+        return starts, targets, links, tslot
+
+
+def _starts_of(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums with the closing total: CSR starts of ``counts``."""
+    starts = np.zeros(len(counts) + 1, dtype=I64)
+    np.cumsum(counts, out=starts[1:])
+    return starts
+
+
+class LazyRows(Sequence):
+    """A list of per-instance containers, each built on its first read.
+
+    Kernels leave their outputs in slot arrays; a view hands out real
+    containers (lists, dicts, sets) only for the instances a caller
+    indexes.  ``make()`` creates an empty container and ``fill(i, row)``
+    writes instance ``i``'s entries into one.  :meth:`absorb` adds a run's
+    entries: rows already built receive them at once, the rest on read.
+    The fleet's label views also expose the ``layout`` and slot ``values``
+    they were filled from, so an aggregation over the same trees can take
+    the parent array as it is (:meth:`untouched` says whether that is still
+    the whole truth).  Pickling materializes a plain list.
+    """
+
+    __slots__ = ("_rows", "_make", "_fill", "layout", "values")
+
+    def __init__(self, num: int, make, rows: Optional[list] = None) -> None:
+        self._rows = [None] * num if rows is None else rows
+        self._make = make
+        self._fill = None
+        self.layout = None
+        self.values = None
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int):
+        row = self._rows[i]
+        if row is None:
+            if i < 0:
+                i += len(self._rows)
+            row = self._make()
+            if self._fill is not None:
+                self._fill(i, row)
+            self._rows[i] = row
+        return row
+
+    def __iter__(self):
+        for i in range(len(self._rows)):
+            yield self[i]
+
+    def __eq__(self, other) -> bool:
+        # Compares like the plain list it stands for (building every row).
+        if isinstance(other, (LazyRows, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+    def untouched(self) -> bool:
+        """Whether no row has been built (the arrays are all there is)."""
+        return not any(row is not None for row in self._rows)
+
+    def is_built(self, i: int) -> bool:
+        return self._rows[i] is not None
+
+    def absorb(self, fill, layout=None, values=None) -> None:
+        """Add one run's entries: built rows now, the others when read.
+
+        An unbuilt row holds no earlier run's entries: a kernel only
+        resumes labels it read from the rows (building them), and the
+        aggregation kernel declines any object an earlier run left state in.
+        """
+        for i, row in enumerate(self._rows):
+            if row is not None:
+                fill(i, row)
+        self._fill = fill
+        self.layout = layout
+        self.values = values
+
+
+def _instance_slots(offsets: np.ndarray, flags: np.ndarray, i: int) -> np.ndarray:
+    """Slots of instance ``i`` whose ``flags`` entry is nonzero."""
+    lo = int(offsets[i])
+    return np.flatnonzero(flags[lo:int(offsets[i + 1])]) + lo
+
+
+def _label_fill(layout: SlotLayout, values: np.ndarray, hit: np.ndarray):
+    """Row filler writing a fleet's labels of the ``hit`` slots."""
+    offsets, slot_v = layout.offsets, layout.slot_v
+
+    def fill(i: int, row) -> None:
+        sel = _instance_slots(offsets, hit, i)
+        if isinstance(row, list):
+            dense = np.array(row, dtype=I64)
+            dense[slot_v[sel]] = values[sel]
+            row[:] = dense.tolist()
+        else:
+            row.update(zip(slot_v[sel].tolist(), values[sel].tolist()))
+
+    return fill
+
+
 class FleetKernel:
     """Bulk twin of :class:`~repro.congest.primitives.concurrent_bfs.
     ConcurrentMaskedBFS` (non-retry fleets).
 
-    Participants of every instance get a *slot* (``slot_keys`` is
-    instance-major, node-sorted, so ``np.searchsorted`` resolves
-    ``(instance, node)`` pairs); labels, announce slices and the relaxation
-    all operate on flat per-slot arrays.  Per round, delivered candidates
-    are ranked by the packed ``((dist + 1) * n + root) * n + sender`` key —
-    a single ``np.minimum.at`` reproduces the per-node lexicographic
+    Participants of every instance get a *slot* of the fleet's
+    :class:`SlotLayout` (the mask participants plus any source outside its
+    mask); labels, announce slices and the relaxation all operate on flat
+    per-slot arrays.  Per round, delivered candidates are ranked by the
+    packed ``((dist + 1) * n + root) * n + sender`` key — a single
+    ``np.minimum.at`` reproduces the per-node lexicographic
     ``(dist, root, sender)`` minimum — and improvements re-announce over
     their mask slices, minus the same-round senders the parent-echo
-    suppression provably cannot improve.
+    suppression provably cannot improve.  The labels stay in the slot
+    arrays: ``finish`` leaves them behind the fleet's :class:`LazyRows`.
     """
 
     bulk_state = ("dist", "parent", "root", "buckets", "start_events",
                   "sent", "delivered", "edge_counts", "seen_linkmax",
                   "max_rounds")
 
-    def __init__(self, algorithm, network) -> None:
+    def __init__(self, algorithm, network, layout: SlotLayout) -> None:
         self.alg = algorithm
         csr = network._csr
         n = csr.num_vertices
         self.n = n
-        num = len(algorithm.sources)
         self.max_depth = algorithm.max_depth
         self.suppress = algorithm.suppress_parent_echo
-        arrays = [mask.arrays() for mask in algorithm.masks]
-        parts = [
-            np.unique(np.append(arr[1], algorithm.sources[idx])).astype(I64, copy=False)
-            for idx, arr in enumerate(arrays)
-        ]
-        counts_per = np.asarray([len(p) for p in parts], dtype=I64)
-        self.slot_v = np.concatenate(parts) if num else np.empty(0, dtype=I64)
-        self.slot_i = np.repeat(np.arange(num, dtype=I64), counts_per)
-        self.slot_keys = self.slot_i * n + self.slot_v
+        self.layout = layout
+        self.slot_keys, self.slot_i, self.slot_v = layout.keys, layout.slot_i, layout.slot_v
+        self.ann_starts, self.ann_targets, self.ann_links, self.ann_tslot = layout.rows()
         num_slots = len(self.slot_keys)
-        seg_t, seg_l, seg_c = [], [], []
-        for idx, (mstarts, mtargets, mlinks) in enumerate(arrays):
-            flat, cnts = _flat_slices(mstarts, parts[idx])
-            seg_t.append(mtargets[flat])
-            seg_l.append(mlinks[flat])
-            seg_c.append(cnts)
-        self.ann_targets = np.concatenate(seg_t) if num else np.empty(0, dtype=I64)
-        self.ann_links = np.concatenate(seg_l) if num else np.empty(0, dtype=I64)
-        cnts_all = np.concatenate(seg_c) if num else np.empty(0, dtype=I64)
-        self.ann_starts = np.concatenate(([0], np.cumsum(cnts_all))).astype(I64)
-        ann_insts = np.repeat(self.slot_i, cnts_all)
-        self.ann_tslot = np.searchsorted(
-            self.slot_keys, ann_insts * n + self.ann_targets
-        )
-        # Labels, preloaded: a reused fleet object keeps its labels between
-        # runs and the per-node relaxation would see them.
         self.dist = np.full(num_slots, _HUGE, dtype=I64)
         self.parent = np.full(num_slots, UNREACHED, dtype=I64)
         self.root = np.full(num_slots, UNREACHED, dtype=I64)
-        offsets = np.concatenate(([0], np.cumsum(counts_per))).astype(I64)
-        for idx in range(num):
-            base = int(offsets[idx])
-            p = parts[idx]
-            cont = algorithm.dist[idx]
-            if isinstance(cont, list):
-                seg = np.asarray(cont, dtype=I64)[p]
-                hit = np.flatnonzero(seg != UNREACHED)
-                if len(hit):
-                    self.dist[base + hit] = seg[hit]
-                    pseg = np.asarray(algorithm.parent[idx], dtype=I64)
-                    rseg = np.asarray(algorithm.root[idx], dtype=I64)
-                    self.parent[base + hit] = pseg[p[hit]]
-                    self.root[base + hit] = rseg[p[hit]]
-            elif cont:
-                par = algorithm.parent[idx]
-                rt = algorithm.root[idx]
-                size = len(p)
-                for v, d in cont.items():
-                    j = int(np.searchsorted(p, v))
-                    if j < size and p[j] == v and d != UNREACHED:
-                        self.dist[base + j] = d
-                        self.parent[base + j] = par[v]
-                        self.root[base + j] = rt[v]
+        self._preload(algorithm)
         # Start schedule from the algorithm's remaining pending entries
         # (delays <= 0 fire during initialize, i.e. round 0); ticking
         # sources mirror the per-node __cmb_round counter at finish.
@@ -652,9 +844,50 @@ class FleetKernel:
     def build(cls, algorithm, network) -> Optional["FleetKernel"]:
         if network.bandwidth != 1 or network.strict_bandwidth:
             return None
-        if network._csr.num_vertices > _PACKED_NODE_LIMIT:
+        n = network._csr.num_vertices
+        if n > _PACKED_NODE_LIMIT:
             return None
-        return cls(algorithm, network)
+        layout = SlotLayout(algorithm.masks, n).with_extras(
+            np.arange(len(algorithm.sources), dtype=I64), algorithm.sources
+        )
+        if layout.rows() is None:
+            return None
+        return cls(algorithm, network, layout)
+
+    def _preload(self, alg) -> None:
+        """Labels a reused fleet object already holds.
+
+        The per-node relaxation would see them.  A fresh fleet holds none;
+        any other resumes from its containers (built here if need be).
+        """
+        views = (alg.dist, alg.parent, alg.root)
+        if all(isinstance(view, LazyRows) and view.values is None
+               and view.untouched() for view in views):
+            return
+        offsets = self.layout.offsets
+        for idx in range(len(alg.sources)):
+            base, end = int(offsets[idx]), int(offsets[idx + 1])
+            p = self.slot_v[base:end]
+            cont = alg.dist[idx]
+            if isinstance(cont, list):
+                seg = np.asarray(cont, dtype=I64)[p]
+                hit = np.flatnonzero(seg != UNREACHED)
+                if len(hit):
+                    self.dist[base + hit] = seg[hit]
+                    pseg = np.asarray(alg.parent[idx], dtype=I64)
+                    rseg = np.asarray(alg.root[idx], dtype=I64)
+                    self.parent[base + hit] = pseg[p[hit]]
+                    self.root[base + hit] = rseg[p[hit]]
+            elif cont:
+                par = alg.parent[idx]
+                rt = alg.root[idx]
+                size = len(p)
+                for v, d in cont.items():
+                    j = int(np.searchsorted(p, v))
+                    if j < size and p[j] == v and d != UNREACHED:
+                        self.dist[base + j] = d
+                        self.parent[base + j] = par[v]
+                        self.root[base + j] = rt[v]
 
     def start(self, max_rounds: int) -> None:
         self.max_rounds = max_rounds
@@ -747,11 +980,16 @@ class FleetKernel:
                     # one of the new label cannot be improved by the echo.
                     supp = improved[inv] & (dists_s <= self.dist[slots_s] + 1)
                     if supp.any():
-                        supp_keys = np.unique(
+                        # Sort-based membership: hashing np.unique/np.isin
+                        # cost several times more on these key batches.
+                        supp_keys = sorted_unique(
                             inv[supp] * n + senders_s[supp]
                         )
-                        e_uqpos = np.repeat(announcing, cnts)
-                        keep = ~np.isin(e_uqpos * n + e_targets, supp_keys)
+                        probe = np.repeat(announcing, cnts) * n + e_targets
+                        at = np.minimum(
+                            np.searchsorted(supp_keys, probe), len(supp_keys) - 1
+                        )
+                        keep = supp_keys[at] != probe
                         e_nodes = e_nodes[keep]
                         e_sub = e_sub[keep]
                         e_links = e_links[keep]
@@ -817,17 +1055,17 @@ class FleetKernel:
         _writeback_linkmax(self, network)
         if self.buckets:
             self._spill(network)
-        reached = np.flatnonzero(self.dist != _HUGE)
-        vs = self.slot_v[reached].tolist()
-        idxs = self.slot_i[reached].tolist()
-        ds = self.dist[reached].tolist()
-        ps = self.parent[reached].tolist()
-        rs = self.root[reached].tolist()
-        dist_c, par_c, root_c = alg.dist, alg.parent, alg.root
-        for i, v, d, p, r in zip(idxs, vs, ds, ps, rs):
-            dist_c[i][v] = d
-            par_c[i][v] = p
-            root_c[i][v] = r
+        # The labels stay in the slot arrays; each instance's containers are
+        # built when read (a per-node run built them all: they update now).
+        hit = self.dist != _HUGE
+        self.dist[~hit] = UNREACHED
+        for name, values in (("dist", self.dist), ("parent", self.parent),
+                             ("root", self.root)):
+            rows = getattr(alg, name)
+            if not isinstance(rows, LazyRows):
+                rows = LazyRows(len(rows), None, list(rows))
+            rows.absorb(_label_fill(self.layout, values, hit), self.layout, values)
+            setattr(alg, name, rows)
         _halt_all(network)
         node_list = network._node_list
         for v, last in self.tick_last.items():
@@ -848,16 +1086,12 @@ def _rank_table(algorithm) -> Optional[list]:
 
     ``None`` declines the kernel: an ``op`` other than ``min``/``max``, a
     pool that is not totally ordered or cannot be sorted, or a resumed
-    object whose per-node bookkeeping already holds entries.  The per-node
-    path runs those configurations exactly.
+    object — one an earlier run left convergecast state in, or a per-node
+    run has started.  The per-node path runs those configurations exactly.
     """
     if algorithm.op is not min and algorithm.op is not max:
         return None
-    if any(
-        algorithm._heard[idx] or algorithm._done[idx]
-        or algorithm._child_targets[idx] or algorithm._child_values[idx]
-        for idx in range(len(algorithm.masks))
-    ):
+    if algorithm._resumed():
         return None
     try:
         pool = {algorithm.identity}
@@ -868,6 +1102,69 @@ def _rank_table(algorithm) -> Optional[list]:
         return sorted(pool)
     except TypeError:
         return None
+
+
+def _slot_parents(parents, layout: SlotLayout) -> Optional[np.ndarray]:
+    """Each slot's tree parent, or ``None`` when a container cannot say.
+
+    A fleet's untouched parent view hands over its slot array (re-keyed
+    when the two layouts' extras differ).  Caller-supplied containers
+    resolve per instance: one fancy index for a list, one sorted lookup for
+    a dict; absent keys read through the container itself — a defaultdict
+    yields its default, with the key-inserting side effect the per-node
+    path has, while a plain dict raises and aborts the build.
+    """
+    keys, slot_v, offsets = layout.keys, layout.slot_v, layout.offsets
+    if isinstance(parents, LazyRows) and parents.values is not None \
+            and parents.layout.n == layout.n and parents.untouched():
+        src = parents.layout.keys
+        if src is keys:
+            return parents.values
+        out = np.full(len(keys), UNREACHED, dtype=I64)
+        if len(src) and len(keys):
+            j = np.minimum(np.searchsorted(src, keys), len(src) - 1)
+            found = src[j] == keys
+            out[found] = parents.values[j[found]]
+        return out
+    out = np.full(len(keys), UNREACHED, dtype=I64)
+    for idx in range(len(offsets) - 1):
+        lo, hi = int(offsets[idx]), int(offsets[idx + 1])
+        if lo == hi:
+            continue
+        p = slot_v[lo:hi]
+        cont = parents[idx]
+        try:
+            if isinstance(cont, list):
+                arr = np.asarray(cont, dtype=I64)
+                if arr.ndim != 1 or (len(arr) and int(p[-1]) >= len(arr)):
+                    return None
+                vals = arr[p]
+            elif isinstance(cont, dict):
+                kv = np.fromiter(cont.keys(), dtype=I64, count=len(cont))
+                pv = np.fromiter(cont.values(), dtype=I64, count=len(cont))
+                order = np.argsort(kv)
+                kv = kv[order]
+                vals = np.full(len(p), UNREACHED, dtype=I64)
+                if len(kv):
+                    j = np.searchsorted(kv, p)
+                    jc = np.minimum(j, len(kv) - 1)
+                    hit = kv[jc] == p
+                    vals[hit] = pv[order][jc[hit]]
+                else:
+                    hit = np.zeros(len(p), dtype=bool)
+                if not hit.all():
+                    miss = p[~hit].tolist()
+                    vals[~hit] = np.fromiter(
+                        (cont[v] for v in miss), dtype=I64, count=len(miss),
+                    )
+            else:
+                vals = np.fromiter(
+                    (cont[v] for v in p.tolist()), dtype=I64, count=len(p)
+                )
+        except (KeyError, IndexError, TypeError, ValueError):
+            return None
+        out[lo:hi] = vals
+    return out
 
 
 class PartAggregationKernel:
@@ -882,17 +1179,20 @@ class PartAggregationKernel:
     configuration declines in :meth:`build` (see :func:`_rank_table`) and
     runs on the per-node path, the general implementation.
 
-    The kernel writes back ``results`` / ``delivered`` (the documented
-    accessors), prunes ``_pending`` exactly like the per-node run, and
-    mirrors its convergecast state into the ``_heard`` / ``_child_*`` /
-    ``_done`` dicts for a ``reset=False`` per-node continuation.
+    The slots are the aggregation's :class:`SlotLayout` — the tree fleet's,
+    when the parents come from a fleet over the same masks, plus value
+    holders outside every mask slice.  ``finish`` publishes ``results``
+    and leaves ``delivered`` and the convergecast bookkeeping (``_heard``,
+    ``_child_*``, ``_done``; what a ``reset=False`` per-node continuation
+    reads) in the kernel's arrays, behind views built on read.
     """
 
     bulk_state = ("heard", "done", "buckets", "start_events", "sent",
                   "delivered", "edge_counts", "seen_linkmax", "max_rounds",
-                  "last_executed")
+                  "last_executed", "n_deliv")
 
-    def __init__(self, algorithm, network, table: list) -> None:
+    def __init__(self, algorithm, network, table: list, layout: SlotLayout,
+                 parent_of: np.ndarray) -> None:
         self.alg = algorithm
         csr = network._csr
         n = csr.num_vertices
@@ -900,134 +1200,32 @@ class PartAggregationKernel:
         num = len(algorithm.masks)
         self.broadcast = algorithm.broadcast_result
         self.identity = algorithm.identity
-        arrays = [mask.arrays() for mask in algorithm.masks]
-        # Participants of every instance at once: mask targets and value
-        # holders pack into ``idx * n + v`` keys, and one global unique is
-        # the (sorted) slot key array — no per-instance unique/union.
-        mt_cnt = np.asarray([len(a[1]) for a in arrays], dtype=I64)
-        if num and n:
-            mt_all = np.concatenate([a[1] for a in arrays])
-            mt_keys = mt_all + np.repeat(
-                np.arange(num, dtype=I64) * n, mt_cnt
-            )
-            vkeys = np.asarray(
-                [
-                    idx * n + v
-                    for idx, vals in enumerate(algorithm.values)
-                    for v in vals
-                ],
-                dtype=I64,
-            )
-            self.slot_keys = np.unique(np.concatenate((mt_keys, vkeys)))
-            self.slot_i, self.slot_v = np.divmod(self.slot_keys, n)
-            counts_per = np.bincount(self.slot_i, minlength=num)
-        else:
-            self.slot_keys = np.empty(0, dtype=I64)
-            self.slot_i = np.empty(0, dtype=I64)
-            self.slot_v = np.empty(0, dtype=I64)
-            counts_per = np.zeros(num, dtype=I64)
+        self.layout = layout
+        self.slot_keys, self.slot_i, self.slot_v = layout.keys, layout.slot_i, layout.slot_v
+        self.ann_starts, self.ann_targets, self.ann_links, self.ann_tslot = layout.rows()
         num_slots = len(self.slot_keys)
-        offsets = np.concatenate(([0], np.cumsum(counts_per))).astype(I64)
-        # Announce rows: per instance only the two boundary gathers run;
-        # the flat positions resolve globally against the concatenated
-        # target/link arrays.
-        moff = np.concatenate(([0], np.cumsum(mt_cnt))).astype(I64)
-        seg_s, seg_e = [], []
-        for idx in range(num):
-            mstarts = arrays[idx][0]
-            p = self.slot_v[offsets[idx]:offsets[idx + 1]]
-            seg_s.append(mstarts[p] + moff[idx])
-            seg_e.append(mstarts[p + 1] + moff[idx])
-        if num_slots:
-            lo = np.concatenate(seg_s)
-            cnts_all = np.concatenate(seg_e) - lo
-            flat_all = np.repeat(lo, cnts_all) + _ranks(cnts_all)
-            cat_l = np.concatenate([a[2] for a in arrays])
-            self.ann_targets = mt_all[flat_all]
-            self.ann_links = cat_l[flat_all]
-        else:
-            cnts_all = np.empty(0, dtype=I64)
-            self.ann_targets = np.empty(0, dtype=I64)
-            self.ann_links = np.empty(0, dtype=I64)
-        self.ann_starts = np.concatenate(([0], np.cumsum(cnts_all))).astype(I64)
-        ann_insts = np.repeat(self.slot_i, cnts_all)
-        self.ann_tslot = np.searchsorted(
-            self.slot_keys, ann_insts * n + self.ann_targets
-        )
         self.expected = np.diff(self.ann_starts)
         # Parent pointers: invalid trees (parent neither self, UNREACHED,
         # a fellow participant, nor graph-adjacent) abort the build — the
-        # caller falls back to the per-node path.  All vectorized: per
-        # instance, parent values come from one fancy index (list
-        # containers) or one fromiter (dict containers); adjacency and
-        # participant membership resolve with two global searchsorteds
-        # (``rows * n + indices`` is globally ascending because CSR
-        # adjacency rows are).
-        self.parent_of = np.full(num_slots, UNREACHED, dtype=I64)
+        # caller falls back to the per-node path.  Adjacency and participant
+        # membership resolve with two global searchsorteds (``rows * n +
+        # indices`` is globally ascending because CSR adjacency rows are).
+        self.parent_of = parent_of
         self.up_link = np.full(num_slots, -1, dtype=I64)
         self.up_tslot = np.full(num_slots, -1, dtype=I64)
         self.valid = True
-        for idx in range(num):
-            lo, hi = offsets[idx], offsets[idx + 1]
-            if lo == hi:
-                continue
-            p = self.slot_v[lo:hi]
-            cont = algorithm.parents[idx]
-            try:
-                if isinstance(cont, list):
-                    arr = np.asarray(cont, dtype=I64)
-                    if arr.ndim != 1 or (len(arr) and int(p[-1]) >= len(arr)):
-                        self.valid = False
-                        return
-                    vals = arr[p]
-                elif isinstance(cont, dict):
-                    # Sort the container once and resolve every participant
-                    # with one searchsorted — no per-key Python lookups.
-                    kv = np.fromiter(cont.keys(), dtype=I64, count=len(cont))
-                    pv = np.fromiter(cont.values(), dtype=I64, count=len(cont))
-                    order = np.argsort(kv)
-                    kv = kv[order]
-                    vals = np.full(len(p), UNREACHED, dtype=I64)
-                    if len(kv):
-                        j = np.searchsorted(kv, p)
-                        jc = np.minimum(j, len(kv) - 1)
-                        hit = kv[jc] == p
-                        vals[hit] = pv[order][jc[hit]]
-                    else:
-                        hit = np.zeros(len(p), dtype=bool)
-                    if not hit.all():
-                        # Absent keys resolve through the container itself:
-                        # a defaultdict (the sparse BFS parent map) yields
-                        # its default — with the same key-inserting side
-                        # effect the per-node path has — while a plain dict
-                        # raises and aborts the build.
-                        miss = p[~hit].tolist()
-                        vals[~hit] = np.fromiter(
-                            (cont[v] for v in miss), dtype=I64,
-                            count=len(miss),
-                        )
-                else:
-                    vals = np.fromiter(
-                        (cont[v] for v in p.tolist()), dtype=I64, count=len(p)
-                    )
-            except (KeyError, IndexError, TypeError, ValueError):
-                self.valid = False
-                return
-            self.parent_of[lo:hi] = vals
-        up = np.flatnonzero(
-            (self.parent_of != self.slot_v) & (self.parent_of != UNREACHED)
-        )
+        up = np.flatnonzero((parent_of != self.slot_v) & (parent_of != UNREACHED))
         if len(up):
             adj = csr.adjacency_arrays()
             row_keys = adj.rows * n + adj.indices
-            keys = self.slot_v[up] * n + self.parent_of[up]
+            keys = self.slot_v[up] * n + parent_of[up]
             j = np.searchsorted(row_keys, keys)
             jc = np.minimum(j, max(len(row_keys) - 1, 0))
             if not len(row_keys) or not (row_keys[jc] == keys).all():
                 self.valid = False
                 return
             self.up_link[up] = adj.adj_link_ids[jc]
-            pkeys = self.slot_i[up] * n + self.parent_of[up]
+            pkeys = self.slot_i[up] * n + parent_of[up]
             j = np.searchsorted(self.slot_keys, pkeys)
             jc = np.minimum(j, num_slots - 1)
             if not (self.slot_keys[jc] == pkeys).all():
@@ -1041,6 +1239,12 @@ class PartAggregationKernel:
         self.done = np.zeros(num_slots, dtype=bool)
         self.n_children = np.zeros(num_slots, dtype=I64)
         self.n_child_vals = np.zeros(num_slots, dtype=I64)
+        # Broadcast receipts: the received rank and the global receipt
+        # order (``-1``: none yet), which fixes the ``delivered`` dicts'
+        # insertion order when they are built.
+        self.deliv_rank = np.zeros(num_slots, dtype=I64)
+        self.deliv_seq = np.full(num_slots, -1, dtype=I64)
+        self.n_deliv = 0
         # Value plane: each slot's running fold is a rank into ``table``.
         self.rank_table = table
         self.fold_at = np.minimum.at if algorithm.op is min else np.maximum.at
@@ -1065,20 +1269,7 @@ class PartAggregationKernel:
         self.child_t_flat = np.empty(cap, dtype=I64)
         self.child_l_flat = np.empty(cap, dtype=I64)
         self.child_s_flat = np.empty(cap, dtype=I64)
-        events: dict[int, list] = {}
-        for v, lst in algorithm._pending.items():
-            for delay, idx in lst:
-                events.setdefault(delay if delay > 0 else 0, []).append(
-                    (v, delay, idx)
-                )
-        # Start rows as column arrays, pre-sorted in per-node event order.
-        self.start_events = {}
-        for rnd_key, ev in events.items():
-            ev.sort()
-            self.start_events[rnd_key] = (
-                np.asarray([e[0] for e in ev], dtype=I64),
-                np.asarray([e[2] for e in ev], dtype=I64),
-            )
+        self.start_events = self._start_slots(algorithm, num)
         self.timer_rounds = sorted(algorithm.wake_at_rounds)
         self.sched = _LinkScheduler(2 * csr.num_edges)
         self.inherited = np.asarray(network._link_max_backlog, dtype=I64)
@@ -1090,6 +1281,30 @@ class PartAggregationKernel:
         self.max_rounds = 0
         self.last_executed = 0
 
+    def _start_slots(self, algorithm, num: int) -> dict:
+        """Start rows per round: every participant of the instances not yet
+        started (delays ``<= 0`` fire at round 0).
+
+        A node starts its instances in ``(delay, instance)`` order; listing
+        the instances in that order, each with its slots, gives every node
+        exactly that order, which is all the dispatch sort reads.
+        """
+        delays = np.asarray(algorithm.delays, dtype=I64)
+        insts = np.arange(num, dtype=I64)
+        if algorithm._started_through is not None:
+            insts = insts[delays > algorithm._started_through]
+        rnds = np.maximum(delays[insts], 0)
+        order = np.lexsort((insts, delays[insts], rnds))
+        insts, rnds = insts[order], rnds[order]
+        slots, counts = _flat_slices(self.layout.offsets, insts)
+        slot_rnds = np.repeat(rnds, counts)
+        events = {}
+        if len(slots):
+            cuts = np.flatnonzero(np.r_[True, slot_rnds[1:] != slot_rnds[:-1]])
+            for lo, hi in zip(cuts.tolist(), np.append(cuts[1:], len(slots)).tolist()):
+                events[int(slot_rnds[lo])] = slots[lo:hi]
+        return events
+
     @classmethod
     def build(cls, algorithm, network) -> Optional["PartAggregationKernel"]:
         if network.bandwidth != 1 or network.strict_bandwidth:
@@ -1100,7 +1315,13 @@ class PartAggregationKernel:
         table = _rank_table(algorithm)
         if table is None:
             return None
-        kernel = cls(algorithm, network, table)
+        layout = algorithm._slot_layout(n)
+        if layout.rows() is None:
+            return None
+        parent_of = _slot_parents(algorithm.parents, layout)
+        if parent_of is None:
+            return None
+        kernel = cls(algorithm, network, table, layout, parent_of)
         return kernel if kernel.valid else None
 
     def start(self, max_rounds: int) -> None:
@@ -1130,10 +1351,9 @@ class PartAggregationKernel:
         # ival); ``ival`` is the parent pointer on announce rows and the
         # value rank on UP/DOWN rows.
         chunks: list = []
-        starts = self.start_events.pop(rnd, None)
-        if starts is not None:
-            vs, idxs = starts
-            slots = np.searchsorted(self.slot_keys, idxs * self.n + vs)
+        slots = self.start_events.pop(rnd, None)
+        if slots is not None:
+            vs = self.slot_v[slots]
             expected = self.expected[slots]
             announcing = np.flatnonzero(expected > 0)
             if len(announcing):
@@ -1260,15 +1480,15 @@ class PartAggregationKernel:
             np.repeat(ranks, cnt),
         ))
 
+    def _record_delivered(self, slots, ranks) -> None:
+        """Note broadcast receipts (each slot receives at most once)."""
+        self.deliv_rank[slots] = ranks
+        self.deliv_seq[slots] = self.n_deliv + np.arange(len(slots), dtype=I64)
+        self.n_deliv += len(slots)
+
     def _downs(self, dslots, dranks, chunks) -> None:
         """Record broadcast receipts and forward them to each child."""
-        table = self.rank_table
-        delivered = self.alg.delivered
-        for idx, v, rank in zip(
-            self.slot_i[dslots].tolist(), self.slot_v[dslots].tolist(),
-            dranks.tolist(),
-        ):
-            delivered[idx][v] = table[rank]
+        self._record_delivered(dslots, dranks)
         self._children_rows(
             dslots, np.arange(len(dslots), dtype=I64), dranks, 1, chunks
         )
@@ -1277,23 +1497,19 @@ class PartAggregationKernel:
         """Fire ``slots`` (guards already hold) as rows ``(band, subs)``:
         roots publish, and broadcast, their result; others report UP."""
         self.done[slots] = True
-        alg = self.alg
-        table = self.rank_table
         ranks = self.acc_rank[slots]
         vs = self.slot_v[slots]
         parents = self.parent_of[slots]
         isroot = parents == vs
         ridx = np.flatnonzero(isroot)
         if len(ridx):
-            results = alg.results
-            delivered = alg.delivered
-            for idx, v, rank in zip(
-                self.slot_i[slots[ridx]].tolist(),
-                vs[ridx].tolist(), ranks[ridx].tolist(),
+            results = self.alg.results
+            table = self.rank_table
+            for idx, rank in zip(
+                self.slot_i[slots[ridx]].tolist(), ranks[ridx].tolist()
             ):
-                value = table[rank]
-                results[idx] = value
-                delivered[idx][v] = value
+                results[idx] = table[rank]
+            self._record_delivered(slots[ridx], ranks[ridx])
             if self.broadcast:
                 self._children_rows(
                     slots[ridx], subs[ridx], ranks[ridx], band, chunks
@@ -1355,42 +1571,72 @@ class PartAggregationKernel:
         _halt_all(network)
         if alg.wake_at_rounds:
             alg.current_round = self.last_executed
-        _prune_pending(alg._pending, final_round)
-        self._writeback_state()
+        alg._leave_state(final_round, self._state_fills())
 
-    def _writeback_state(self) -> None:
-        """Mirror the kernel's convergecast state into the per-node dicts.
+    def _state_fills(self) -> dict:
+        """Row fillers rebuilding the per-node containers from the arrays.
 
-        A cut-off run hands the algorithm object back with spilled traffic
-        in the queues; the follow-up ``reset=False`` run continues on the
-        per-node path (dirty network, or a resumed object the kernel
-        declines), so heard counts, registered children, child reports
-        and fired slots must land in the exact per-node containers.
+        They close over the state arrays only (not the scheduler or the
+        buckets), and build exactly what the per-node run would have left:
+        heard counts, fired nodes, registered children, pending child
+        reports and broadcast receipts.  Empty when the run touched
+        nothing.
         """
-        alg = self.alg
-        # Python lists, so the dicts below share one key object per node.
-        slot_i, slot_v = self.slot_i.tolist(), self.slot_v.tolist()
-        for slot, h in zip(
-            np.flatnonzero(self.heard).tolist(),
-            self.heard[self.heard > 0].tolist(),
-        ):
-            alg._heard[slot_i[slot]][slot_v[slot]] = h
-        for slot in np.flatnonzero(self.done).tolist():
-            alg._done[slot_i[slot]].add(slot_v[slot])
-        for slot in np.flatnonzero(self.n_children).tolist():
-            idx, v = slot_i[slot], slot_v[slot]
-            start = int(self.ann_starts[slot])
-            end = start + int(self.n_children[slot])
-            alg._child_targets[idx][v] = self.child_t_flat[start:end].tolist()
-            alg._child_links[idx][v] = self.child_l_flat[start:end].tolist()
-        table = self.rank_table
-        identity = self.identity
-        for slot in np.flatnonzero(self.n_child_vals).tolist():
+        heard, done = self.heard, self.done
+        n_children, n_child_vals = self.n_children, self.n_child_vals
+        if not (heard.any() or done.any() or n_children.any()
+                or n_child_vals.any()):
+            return {}
+        offsets, slot_v = self.layout.offsets, self.slot_v
+        ann_starts = self.ann_starts
+        child_t, child_l = self.child_t_flat, self.child_l_flat
+        acc_rank, table, identity = self.acc_rank, self.rank_table, self.identity
+        deliv_rank, deliv_seq = self.deliv_rank, self.deliv_seq
+        received = deliv_seq >= 0
+
+        def fill_heard(i, row):
+            sel = _instance_slots(offsets, heard, i)
+            row.update(zip(slot_v[sel].tolist(), heard[sel].tolist()))
+
+        def fill_done(i, row):
+            row.update(slot_v[_instance_slots(offsets, done, i)].tolist())
+
+        def fill_children(flat):
+            def fill(i, row):
+                sel = _instance_slots(offsets, n_children, i)
+                for v, start, count in zip(
+                    slot_v[sel].tolist(), ann_starts[sel].tolist(),
+                    n_children[sel].tolist(),
+                ):
+                    row[v] = flat[start:start + count].tolist()
+
+            return fill
+
+        def fill_child_values(i, row):
             # The individual child reports were folded on arrival; a
             # partially-folded head padded with the identity reproduces
             # both the pending-report count and (``min``/``max`` being
             # order-free) the final fold.
-            count = int(self.n_child_vals[slot])
-            head = table[int(self.acc_rank[slot])]
-            alg._child_values[slot_i[slot]][slot_v[slot]] = \
-                [head] + [identity] * (count - 1)
+            sel = _instance_slots(offsets, n_child_vals, i)
+            for v, rank, count in zip(
+                slot_v[sel].tolist(), acc_rank[sel].tolist(),
+                n_child_vals[sel].tolist(),
+            ):
+                row[v] = [table[rank]] + [identity] * (count - 1)
+
+        def fill_delivered(i, row):
+            sel = _instance_slots(offsets, received, i)
+            sel = sel[np.argsort(deliv_seq[sel], kind="stable")]
+            row.update(zip(
+                slot_v[sel].tolist(),
+                [table[rank] for rank in deliv_rank[sel].tolist()],
+            ))
+
+        return {
+            "_heard": fill_heard,
+            "_done": fill_done,
+            "_child_targets": fill_children(child_t),
+            "_child_links": fill_children(child_l),
+            "_child_values": fill_child_values,
+            "delivered": fill_delivered,
+        }

@@ -37,16 +37,21 @@ Message discipline of :class:`PartAggregation`, per instance:
   ``broadcast_result`` is set, pushes it back down the tree edges.
 
 Everything a node acts on is local: its mask slice, its own parent pointer
-from the BFS stage, and received messages.  State lives in per-instance
-dicts on the algorithm object keyed by touched node (the engine-facing
-``node.state`` dicts stay empty), so memory follows the touched set, not
-``instances × n``.
+from the BFS stage, and received messages.  State lives on the algorithm
+object, never in the engine-facing ``node.state`` dicts.  A per-node run
+keeps it in per-instance dicts keyed by touched node, so memory follows the
+touched set, not ``instances × n``.  A bulk run keeps it in the kernel's
+slot arrays (:mod:`repro.congest.bulk`); those dicts, ``delivered``
+included, are built from the arrays only when something reads them — a
+caller indexing ``delivered``, or a ``reset=False`` per-node continuation,
+which builds them all before its first step.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from numbers import Integral
 from sys import intern
 from typing import Any, Optional, Sequence
 
@@ -56,6 +61,7 @@ from ...graphs.csr import CSRLinkMask
 from ...rng import RandomLike, ensure_rng
 from ..adversary import Adversary, RetryPolicy
 from ..algorithm import DistributedAlgorithm
+from ..bulk import LazyRows, SlotLayout
 from ..message import Message
 from ..network import Network
 from ..node import NodeContext
@@ -115,7 +121,12 @@ class PartAggregation(DistributedAlgorithm):
     * ``results[i]`` — instance ``i``'s aggregate (the identity if nothing
       contributed), available once the root completed;
     * ``delivered[i]`` — ``{node: value}`` broadcast receipts (root
-      included), when ``broadcast_result`` is set.
+      included), when ``broadcast_result`` is set; after a bulk run each
+      dict is built when first read.
+
+    Raises:
+        ValueError: a value key is not a vertex id in ``[0, n)`` (the same
+            on the bulk and the per-node path).
     """
 
     name = "part_aggregation"
@@ -147,7 +158,9 @@ class PartAggregation(DistributedAlgorithm):
         if len(prefixes) != num:
             raise ValueError("need exactly one prefix per instance")
         self.masks = list(masks)
-        self.parents = list(parents)
+        # A fleet's label view stays a view: the bulk kernel takes its parent
+        # array as it is, and a per-node run builds the rows.
+        self.parents = parents if isinstance(parents, LazyRows) else list(parents)
         self.values = list(values)
         self.op, default_identity = AGGREGATE_OPS[op]
         self.identity = default_identity if identity is None else identity
@@ -157,67 +170,40 @@ class PartAggregation(DistributedAlgorithm):
         self._tags_up = [intern(p + "up") for p in prefixes]
         self._tags_down = [intern(p + "down") for p in prefixes]
 
-        self.results: list[Any] = [self.identity] * num
-        self.delivered: list[dict[int, Any]] = [{} for _ in range(num)]
-        # Per-instance sparse bookkeeping, keyed by touched node only.
-        self._heard: list[dict[int, int]] = [{} for _ in range(num)]
-        self._child_targets: list[dict[int, list[int]]] = [{} for _ in range(num)]
-        self._child_links: list[dict[int, list[int]]] = [{} for _ in range(num)]
-        self._child_values: list[dict[int, list[Any]]] = [{} for _ in range(num)]
-        self._done: list[set[int]] = [set() for _ in range(num)]
+        # Value holders are participants, so their keys must be vertex ids.
+        n = max((mask.num_vertices for mask in self.masks), default=0)
+        self._n = n
+        holder_i: list[int] = []
+        holder_v: list[int] = []
+        for idx, vals in enumerate(self.values):
+            for v in vals:
+                if not (isinstance(v, Integral) and 0 <= v < n):
+                    raise ValueError(
+                        f"instance {idx}: value key {v!r} is not a vertex id "
+                        f"in [0, {n})"
+                    )
+                holder_i.append(idx)
+                holder_v.append(v)
+        self._holders = (np.asarray(holder_i, dtype=np.int64),
+                         np.asarray(holder_v, dtype=np.int64))
 
-        # Participants of an instance are the nodes with permitted links
-        # (masks permit both directions, so they all appear as targets)
-        # plus any node holding an input value (covers isolated singleton
-        # parts, whose mask is empty).  node -> ascending [(delay, idx)].
-        pending: dict[int, list[tuple[int, int]]] = {}
-        done_scan = False
-        if num:
-            # One global scan instead of a per-instance unique: mask
-            # targets and value holders pack into ``idx * n + v`` keys and
-            # a single unique yields every (instance, participant) pair at
-            # once (the lazy list views are never forced).  Exotic value
-            # keys (non-int or out of vertex range) use the slow loop.
-            n = max(mask.num_vertices for mask in self.masks)
-            try:
-                vkeys: list[int] = []
-                for idx, vals in enumerate(self.values):
-                    base = idx * n
-                    for v in vals:
-                        if type(v) is not int or not 0 <= v < n:
-                            raise ValueError
-                        vkeys.append(base + v)
-                targets = [self.masks[idx].arrays()[1] for idx in range(num)]
-                cnt = np.asarray([len(t) for t in targets], dtype=np.int64)
-                mkeys = np.concatenate(targets) + np.repeat(
-                    np.arange(num, dtype=np.int64) * n, cnt
-                )
-                all_keys = np.unique(np.concatenate(
-                    (mkeys, np.asarray(vkeys, dtype=np.int64))
-                ))
-                insts, verts = np.divmod(all_keys, n)
-                pairs = [(self.delays[idx], idx) for idx in range(num)]
-                setd = pending.setdefault
-                for i, v in zip(insts.tolist(), verts.tolist()):
-                    setd(v, []).append(pairs[i])
-                done_scan = True
-            except (TypeError, ValueError, OverflowError):
-                pending.clear()
-        if num and not done_scan:
-            for idx in range(num):
-                members = np.unique(self.masks[idx].arrays()[1]).tolist()
-                vals = self.values[idx]
-                if vals:
-                    extras = set(vals).difference(members)
-                    if extras:
-                        members.extend(extras)
-                delay = self.delays[idx]
-                pair = (delay, idx)
-                for v in members:
-                    pending.setdefault(v, []).append(pair)
-        for lst in pending.values():
-            lst.sort()
-        self._pending = pending
+        self.results: list[Any] = [self.identity] * num
+        # Per-instance sparse bookkeeping, keyed by touched node only.  The
+        # rows are built on first read (see the module docstring); a
+        # per-node run turns every view into a plain list first.
+        self.delivered: Sequence[dict[int, Any]] = LazyRows(num, dict)
+        self._heard = LazyRows(num, dict)
+        self._child_targets = LazyRows(num, dict)
+        self._child_links = LazyRows(num, dict)
+        self._child_values = LazyRows(num, dict)
+        self._done = LazyRows(num, set)
+        # node -> ascending [(delay, idx)] of the instances the node has yet
+        # to start, built for the first per-node run (``None`` until then);
+        # a bulk run only notes the last start round it executed.
+        self._pending: Optional[dict[int, list[tuple[int, int]]]] = None
+        self._started_through: Optional[int] = None
+        self._layout: Optional[SlotLayout] = None
+        self._kernel_state = False
         # Timer protocol: the delays are globally known start rounds, so
         # waiting nodes halt and the engine revives everyone exactly then.
         self.wake_at_rounds = tuple(sorted({d for d in self.delays if d > 0}))
@@ -243,6 +229,65 @@ class PartAggregation(DistributedAlgorithm):
         from ..bulk import PartAggregationKernel
 
         return PartAggregationKernel.build(self, network)
+
+    def _slot_layout(self, n: int) -> SlotLayout:
+        """The participants of every instance: the mask participants (the
+        tree fleet's layout, when the parents come from a fleet over these
+        masks) plus every value holder outside them."""
+        layout = self._layout
+        if layout is None or not layout.matches(self.masks, n):
+            fleet = getattr(self.parents, "layout", None)
+            if fleet is not None and fleet.matches(self.masks, n):
+                base = fleet.base
+            else:
+                base = SlotLayout(self.masks, n)
+            layout = self._layout = base.with_extras(*self._holders)
+        return layout
+
+    def _resumed(self) -> bool:
+        """Whether a run already left per-node state (or started per-node)."""
+        return self._kernel_state or self._pending is not None
+
+    def _leave_state(self, final_round: int, fills: dict) -> None:
+        """Take a bulk run's outcome: the start rounds it executed, and row
+        fillers building each per-node container from its arrays on read."""
+        through = self._started_through
+        self._started_through = (
+            final_round if through is None else max(through, final_round)
+        )
+        for name, fill in fills.items():
+            getattr(self, name).absorb(fill)
+        if fills:
+            self._kernel_state = True
+
+    def _materialize(self) -> None:
+        """Build every per-node container before a per-node run's first
+        step: its handlers index plain lists and dicts."""
+        self.parents = list(self.parents)
+        self.delivered = list(self.delivered)
+        self._heard = list(self._heard)
+        self._child_targets = list(self._child_targets)
+        self._child_links = list(self._child_links)
+        self._child_values = list(self._child_values)
+        self._done = list(self._done)
+        # Participants of an instance are the nodes with permitted links
+        # plus any node holding an input value (covers isolated singleton
+        # parts, whose mask is empty); instances a bulk run started are
+        # done.
+        pending: dict[int, list[tuple[int, int]]] = {}
+        if self.masks:
+            layout = self._slot_layout(self._n)
+            slot_i, slot_v = layout.slot_i, layout.slot_v
+            if self._started_through is not None:
+                keep = np.asarray(self.delays)[slot_i] > self._started_through
+                slot_i, slot_v = slot_i[keep], slot_v[keep]
+            pairs = [(delay, idx) for idx, delay in enumerate(self.delays)]
+            setd = pending.setdefault
+            for i, v in zip(slot_i.tolist(), slot_v.tolist()):
+                setd(v, []).append(pairs[i])
+            for lst in pending.values():
+                lst.sort()
+        self._pending = pending
 
     # ------------------------------------------------------------------
     def _link_to(self, idx: int, v: int, target: int) -> int:
@@ -277,6 +322,8 @@ class PartAggregation(DistributedAlgorithm):
             self._maybe_send_up(idx, v, node)
 
     def initialize(self, node: NodeContext) -> None:
+        if self._pending is None:
+            self._materialize()
         lst = self._pending.get(node.node_id)
         if lst:
             while lst and lst[0][0] <= 0:
@@ -398,6 +445,8 @@ class PartAggregation(DistributedAlgorithm):
         return self._channel.pending_timer_work() or bool(self._pending)
 
     def on_crash(self, node: NodeContext) -> None:
+        if self._pending is None:
+            self._materialize()
         v = node.node_id
         if self._channel is not None:
             self._channel.on_crash(v)

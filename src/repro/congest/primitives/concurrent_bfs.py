@@ -53,11 +53,13 @@ numbering, acks, deduplication and checkpoint retransmission.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from sys import intern
 from typing import Optional, Sequence
 
 from ..adversary import RetryPolicy
 from ..algorithm import DistributedAlgorithm
+from ..bulk import LazyRows
 from ..message import Message
 from ..node import NodeContext
 from .reliable import ReliableChannel
@@ -103,8 +105,16 @@ class ConcurrentMaskedBFS(DistributedAlgorithm):
             instance is single-run.
 
     Outputs are read back from the algorithm object: ``dist``, ``parent``
-    and ``root`` are per-instance lists indexed by node id, with
-    :data:`UNREACHED` for nodes the instance never reached.
+    and ``root`` hold one container per instance, indexed by node id, with
+    :data:`UNREACHED` for nodes the instance never reached (a list of
+    ``num_vertices`` labels, or a defaultdict with ``sparse_labels``).  The
+    three are :class:`~repro.congest.bulk.LazyRows` views: indexing instance
+    ``i`` builds its container on first read.  A bulk run leaves the labels
+    in the fleet kernel's slot arrays, and a :class:`~repro.congest.
+    primitives.aggregation.PartAggregation` over the same masks takes the
+    parent array from the view without building any container.  A
+    per-node run turns the views into plain lists of containers before its
+    first step.
     """
 
     name = "concurrent_masked_bfs"
@@ -139,15 +149,17 @@ class ConcurrentMaskedBFS(DistributedAlgorithm):
             # memory for dense labels; defaultdicts grow with the touched
             # set instead.  The message schedule is unchanged — only the
             # label container differs.
-            from collections import defaultdict
-
-            self.dist = [defaultdict(_unreached) for _ in range(num)]
-            self.parent = [defaultdict(_unreached) for _ in range(num)]
-            self.root = [defaultdict(_unreached) for _ in range(num)]
+            def make():
+                return defaultdict(_unreached)
         else:
-            self.dist = [[UNREACHED] * n for _ in range(num)]
-            self.parent = [[UNREACHED] * n for _ in range(num)]
-            self.root = [[UNREACHED] * n for _ in range(num)]
+            def make():
+                return [UNREACHED] * n
+        # Each instance's containers are built when first read: a bulk run
+        # leaves its labels in slot arrays behind these views, and a
+        # per-node run builds every row before its first step.
+        self.dist = LazyRows(num, make)
+        self.parent = LazyRows(num, make)
+        self.root = LazyRows(num, make)
         # Only sources ever act on a start delay; everyone else is purely
         # message-driven.  node -> ascending [(delay, instance), ...].
         pending: dict[int, list[tuple[int, int]]] = {}
@@ -174,6 +186,12 @@ class ConcurrentMaskedBFS(DistributedAlgorithm):
 
         return FleetKernel.build(self, network)
 
+    def _materialize(self) -> None:
+        """Build every label container (per-node handlers index plain lists)."""
+        self.dist = list(self.dist)
+        self.parent = list(self.parent)
+        self.root = list(self.root)
+
     # ------------------------------------------------------------------
     def _start(self, idx: int, node: NodeContext) -> None:
         v = node.node_id
@@ -197,6 +215,8 @@ class ConcurrentMaskedBFS(DistributedAlgorithm):
             channel.send_units(idx, node.node_id, targets, _ANNOUNCE, payload)
 
     def initialize(self, node: NodeContext) -> None:
+        if isinstance(self.dist, LazyRows):
+            self._materialize()
         lst = self._pending.get(node.node_id)
         ticking = False
         if lst:
@@ -220,6 +240,8 @@ class ConcurrentMaskedBFS(DistributedAlgorithm):
         return self._channel is None or self._channel.pending_timer_work()
 
     def on_crash(self, node: NodeContext) -> None:
+        if isinstance(self.dist, LazyRows):
+            self._materialize()
         v = node.node_id
         if self._channel is not None:
             self._channel.on_crash(v)

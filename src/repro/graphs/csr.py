@@ -270,7 +270,9 @@ class CSRLinkMask:
     the subgraph" is expressed.
     """
 
-    __slots__ = ("num_vertices", "_starts", "_targets", "_links", "_np")
+    __slots__ = ("num_vertices", "symmetric", "_targets_np", "_links_np",
+                 "_senders", "_offsets", "_starts_np", "_starts", "_targets",
+                 "_links")
 
     def __init__(self, csr: CSRGraph, link_permits: np.ndarray) -> None:
         arrays = csr.adjacency_arrays()
@@ -278,32 +280,49 @@ class CSRLinkMask:
         if len(permits) == csr.num_edges:
             # Undirected permits: both directions of each permitted edge.
             pos = np.flatnonzero(permits[arrays.edge_ids])
+            symmetric = True
         elif len(permits) == 2 * csr.num_edges:
             pos = np.flatnonzero(permits[arrays.adj_link_ids])
+            # Links 2e and 2e + 1 are the two directions of edge e.
+            symmetric = bool(permits[arrays.adj_link_ids[pos] ^ 1].all())
         else:
             raise ValueError(
                 f"permit array has {len(link_permits)} entries; expected "
                 f"{csr.num_edges} (per edge) or {2 * csr.num_edges} (per "
                 f"directed link)"
             )
-        self._init_from_positions(csr, pos, arrays)
+        self._init_from_positions(csr, pos, arrays, symmetric)
 
-    def _init_from_positions(self, csr: CSRGraph, pos, arrays) -> None:
-        n = csr.num_vertices
-        self.num_vertices = n
-        targets_np = arrays.indices[pos]
-        links_np = arrays.adj_link_ids[pos]
-        starts_np = np.searchsorted(arrays.rows[pos], np.arange(n + 1, dtype=np.int64))
+    def _init_from_positions(self, csr: CSRGraph, pos, arrays, symmetric: bool) -> None:
+        self.num_vertices = csr.num_vertices
+        self.symmetric = symmetric
         # The construction has the flat arrays in hand; keep them for the
         # bulk round kernels (repro.congest.bulk), which index the mask with
         # vectorized gathers instead of per-node list slices.
-        self._np = (starts_np, targets_np.astype(np.int64, copy=False),
-                    links_np.astype(np.int64, copy=False))
+        self._targets_np = arrays.indices[pos].astype(np.int64, copy=False)
+        self._links_np = arrays.adj_link_ids[pos].astype(np.int64, copy=False)
+        # ``pos`` ascends, so the senders ``rows[pos]`` do too: their
+        # distinct values and slice offsets come from one neighbour compare,
+        # and no O(n) per-node start array is built until something asks.
+        rows = arrays.rows[pos]
+        firsts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]]) if len(rows) \
+            else np.empty(0, dtype=np.int64)
+        self._senders = rows[firsts]
+        self._offsets = np.append(firsts, len(rows)).astype(np.int64, copy=False)
+        self._starts_np = None
         # The list views materialize lazily: a fleet of small masks consumed
         # only by the bulk kernels never pays the O(n) tolist per mask.
         self._starts = None
         self._targets = None
         self._links = None
+
+    def _starts_array(self) -> np.ndarray:
+        starts = self._starts_np
+        if starts is None:
+            starts = np.zeros(self.num_vertices + 1, dtype=np.int64)
+            starts[self._senders + 1] = np.diff(self._offsets)
+            np.cumsum(starts, out=starts)
+        return starts
 
     # Bulk tolist: per-announce numpy slicing + tolist costs ~2us per
     # touched node, which dominates a BFS flood; Python list slices do not.
@@ -311,31 +330,53 @@ class CSRLinkMask:
     def starts(self) -> list[int]:
         lst = self._starts
         if lst is None:
-            lst = self._starts = self._np[0].tolist()
+            lst = self._starts = self._starts_array().tolist()
         return lst
 
     @property
     def targets(self) -> list[int]:
         lst = self._targets
         if lst is None:
-            lst = self._targets = self._np[1].tolist()
+            lst = self._targets = self._targets_np.tolist()
         return lst
 
     @property
     def links(self) -> list[int]:
         lst = self._links
         if lst is None:
-            lst = self._links = self._np[2].tolist()
+            lst = self._links = self._links_np.tolist()
         return lst
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(starts, targets, links)`` as int64 numpy arrays.
 
-        The arrays view the same permit structure as the list fields; they
-        are cached at construction, so repeated kernel builds over one mask
-        pay the conversion once.
+        The arrays view the same permit structure as the list fields.  The
+        O(n) ``starts`` array is built on the first call and cached, so
+        repeated kernel builds over one mask pay the conversion once.
         """
-        return self._np
+        if self._starts_np is None:
+            self._starts_np = self._starts_array()
+        return self._starts_np, self._targets_np, self._links_np
+
+    def sender_slices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Return ``(senders, offsets, targets, links)`` as int64 arrays.
+
+        ``senders`` are the nodes with a permitted out-link, ascending;
+        sender ``k`` owns ``targets``/``links`` positions
+        ``offsets[k]:offsets[k + 1]``.  No O(n) array is involved.
+        """
+        return self._senders, self._offsets, self._targets_np, self._links_np
+
+    def participants(self) -> np.ndarray:
+        """The nodes a permitted link reaches, ascending (int64).
+
+        On a symmetric mask (every constructor yields one, except a
+        per-directed-link permit array that allows only one direction of
+        some edge) these are exactly the senders, read off without a sort.
+        """
+        if self.symmetric:
+            return self._senders
+        return sorted_unique(self._targets_np)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -354,7 +395,7 @@ class CSRLinkMask:
         arrays = csr.adjacency_arrays()
         pos = np.sort(arrays.edge_positions[ids].ravel())
         mask = cls.__new__(cls)
-        mask._init_from_positions(csr, pos, arrays)
+        mask._init_from_positions(csr, pos, arrays, True)
         return mask
 
     @classmethod
@@ -389,7 +430,7 @@ class CSRLinkMask:
     def __repr__(self) -> str:
         return (
             f"CSRLinkMask(n={self.num_vertices}, "
-            f"allowed_links={len(self.targets)})"
+            f"allowed_links={len(self._targets_np)})"
         )
 
 
