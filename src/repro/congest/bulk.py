@@ -20,7 +20,9 @@ modelling decision below exists to reproduce an engine behaviour exactly:
   ``np.minimum.at``/``np.maximum.at`` scatter over the compacted receiver
   set; the uniform-wave argument (all candidates of round ``r`` carry
   distance ``r``) makes the lexicographic ``(dist, root, sender)`` minimum
-  a single integer minimum.
+  a single integer minimum.  ``finish`` hands the labels to
+  ``Network._leave_node_state`` as arrays: they go into contexts that
+  exist, or wait until something reads a node.
 * **Ring kernels** (:class:`FleetKernel`, :class:`PartAggregationKernel`):
   unit-bandwidth ring queues are modelled by one ``avail`` cursor per
   directed link (the next free delivery round) — appending ``k`` messages
@@ -193,29 +195,54 @@ class _LinkScheduler:
         return deliv, self.act[links]
 
 
-def _bucket_push(buckets: dict, deliv: np.ndarray, cols: tuple) -> None:
-    """Split column arrays by delivery round into the round-bucket dict."""
-    order = np.argsort(deliv, kind="stable")
-    sd = deliv[order]
-    firsts = np.flatnonzero(np.r_[True, sd[1:] != sd[:-1]])
-    bounds = np.append(firsts, len(sd))
-    for i, f in enumerate(firsts):
-        rnd = int(sd[f])
-        sel = order[f:bounds[i + 1]]
-        chunk = tuple(c[sel] for c in cols)
-        prev = buckets.get(rnd)
-        if prev is None:
-            buckets[rnd] = chunk
-        else:
-            buckets[rnd] = tuple(
-                np.concatenate((a, b)) for a, b in zip(prev, chunk)
-            )
+def _bucket_push(buckets: dict, rnd: int, deliv: np.ndarray, cols: tuple) -> None:
+    """File the sends of round ``rnd`` into the round buckets.
+
+    ``deliv`` holds each send's delivery round (all after ``rnd``).  The
+    columns are gathered once in delivery order (stable, so sends keep
+    their stream order within a round) and each round's rows are a slice
+    of that gather, appended to the round's list of chunks;
+    :func:`_bucket_pop` joins a round's chunks once, when it is due.  Only
+    the next round's slices stay views: a later round's are copied, so a
+    few queued rows do not keep the whole gather alive for many rounds.
+    """
+    offsets = deliv - (rnd + 1)
+    if len(offsets) and int(offsets.max()) <= np.iinfo(np.int16).max:
+        # Same order, but numpy sorts 16-bit keys with a stable radix sort.
+        offsets = offsets.astype(np.int16)
+    order = np.argsort(offsets, kind="stable")
+    so = offsets[order]
+    cuts = np.flatnonzero(np.r_[True, so[1:] != so[:-1]]).tolist()
+    bounds = cuts[1:] + [len(so)]
+    sorted_cols = tuple(c[order] for c in cols)
+    for lo, hi, off in zip(cuts, bounds, so[cuts].tolist()):
+        chunk = tuple(c[lo:hi] for c in sorted_cols)
+        if off:
+            chunk = tuple(c.copy() for c in chunk)
+        buckets.setdefault(rnd + 1 + off, []).append(chunk)
+
+
+def _bucket_pop(buckets: dict, rnd: int) -> Optional[tuple]:
+    """Remove round ``rnd``'s bucket and join its chunks in push order."""
+    chunks = buckets.pop(rnd, None)
+    if chunks is None:
+        return None
+    if len(chunks) == 1:
+        return chunks[0]
+    return tuple(np.concatenate(cols) for cols in zip(*chunks))
 
 
 def _halt_all(network) -> None:
-    """Leave every node halted, as a quiesced per-node run would."""
-    for ctx in network._node_list:
-        ctx.halted = True
+    """Leave every node halted, as a quiesced per-node run would.
+
+    The network's awake set is what says so: contexts built later read
+    their ``halted`` flag off it, so only contexts that already exist are
+    walked.
+    """
+    contexts = network._contexts
+    if contexts is not None:
+        for ctx in contexts:
+            ctx.halted = True
     network._awake.clear()
 
 
@@ -341,11 +368,8 @@ class FloodMaxKernel:
                 ))
             ))
             self.pending = None
-        key = self.key_leader
-        leaders = self.leader.tolist()
-        for ctx, lead in zip(network._node_list, leaders):
-            ctx.state[key] = lead
         _halt_all(network)
+        network._leave_node_state(None, {self.key_leader: self.leader})
 
 
 class BFSKernel:
@@ -386,17 +410,7 @@ class BFSKernel:
         self.dist = np.full(n, _HUGE, dtype=I64)
         self.parent = np.full(n, -1, dtype=I64)
         self.root = np.full(n, -1, dtype=I64)
-        # reset=False composition: DistributedBFS reads prior state under
-        # its own keys, so preload any labels an earlier run left behind.
-        node_list = network._node_list
-        if any(ctx.state for ctx in node_list):
-            kd, kp, kr = self.key_dist, self.key_parent, self.key_root
-            for v, ctx in enumerate(node_list):
-                d = ctx.state.get(kd)
-                if d is not None:
-                    self.dist[v] = d
-                    self.parent[v] = ctx.state[kp]
-                    self.root[v] = ctx.state[kr]
+        self._preload(network)
         self.inherited = _inherited_linkmax(network)
         self.seen_linkmax = 0
         self.pending: Optional[tuple] = None
@@ -409,6 +423,30 @@ class BFSKernel:
         if network._csr.num_vertices > _PACKED_NODE_LIMIT:
             return None
         return cls(algorithm, network)
+
+    def _preload(self, network) -> None:
+        """Labels an earlier ``reset=False`` run left under this BFS's keys.
+
+        DistributedBFS reads prior state, so the relaxation must see them:
+        from the contexts when they exist, else from the queued outputs of
+        earlier bulk runs (the only state an unread network holds).
+        """
+        kd, kp, kr = self.key_dist, self.key_parent, self.key_root
+        contexts = network._contexts
+        if contexts is None:
+            for verts, columns in network._state_fills:
+                if kd in columns:
+                    at = slice(None) if verts is None else verts
+                    self.dist[at] = columns[kd]
+                    self.parent[at] = columns[kp]
+                    self.root[at] = columns[kr]
+        elif any(ctx.state for ctx in contexts):
+            for v, ctx in enumerate(contexts):
+                d = ctx.state.get(kd)
+                if d is not None:
+                    self.dist[v] = d
+                    self.parent[v] = ctx.state[kp]
+                    self.root[v] = ctx.state[kr]
 
     def _expand(self, nodes: np.ndarray) -> None:
         """Announce from ``nodes`` (packed next-round candidate keys)."""
@@ -474,17 +512,12 @@ class BFSKernel:
             ))
             self.pending = None
         reached = np.flatnonzero(self.dist < _HUGE)
-        kd, kp, kr = self.key_dist, self.key_parent, self.key_root
-        node_list = network._node_list
-        dl = self.dist[reached].tolist()
-        pl = self.parent[reached].tolist()
-        rl = self.root[reached].tolist()
-        for v, d, p, r in zip(reached.tolist(), dl, pl, rl):
-            state = node_list[v].state
-            state[kd] = d
-            state[kp] = p
-            state[kr] = r
         _halt_all(network)
+        network._leave_node_state(reached, {
+            self.key_dist: self.dist[reached],
+            self.key_parent: self.parent[reached],
+            self.key_root: self.root[reached],
+        })
 
 
 # ----------------------------------------------------------------------
@@ -772,7 +805,12 @@ def _label_fill(layout: SlotLayout, values: np.ndarray, hit: np.ndarray):
     def fill(i: int, row) -> None:
         sel = _instance_slots(offsets, hit, i)
         if isinstance(row, list):
-            dense = np.array(row, dtype=I64)
+            if row.count(UNREACHED) == len(row):
+                # A row built on read holds no label yet: skip converting
+                # its n entries one by one.
+                dense = np.full(len(row), UNREACHED, dtype=I64)
+            else:
+                dense = np.array(row, dtype=I64)
             dense[slot_v[sel]] = values[sel]
             row[:] = dense.tolist()
         else:
@@ -833,7 +871,7 @@ class FleetKernel:
         self.tick_last = tick_last
         self.sched = _LinkScheduler(2 * csr.num_edges)
         self.inherited = np.asarray(network._link_max_backlog, dtype=I64)
-        self.buckets: dict[int, tuple] = {}
+        self.buckets: dict[int, list] = {}
         self.sent = 0
         self.delivered = 0
         self.edge_counts = np.zeros(csr.num_edges, dtype=I64)
@@ -904,7 +942,7 @@ class FleetKernel:
 
     def bulk_round(self, rnd: int) -> None:
         self._do_round(
-            rnd, self.start_events.pop(rnd, None), self.buckets.pop(rnd, None)
+            rnd, self.start_events.pop(rnd, None), _bucket_pop(self.buckets, rnd)
         )
 
     def _do_round(self, rnd: int, starts, chunk) -> None:
@@ -1019,7 +1057,7 @@ class FleetKernel:
         links_o = links[order]
         deliv, acts = self.sched.schedule(rnd, links_o, rnd < self.max_rounds)
         self.sent += len(links_o)
-        _bucket_push(self.buckets, deliv, (
+        _bucket_push(self.buckets, rnd, deliv, (
             acts, links_o, targets[order], tslots[order], senders[order],
             dists[order], roots[order],
         ))
@@ -1036,7 +1074,7 @@ class FleetKernel:
         entries = []
         for rnd in sorted(self.buckets):
             acts, links, targets, tslots, senders, dists, roots = \
-                self.buckets[rnd]
+                _bucket_pop(self.buckets, rnd)
             idxs = slot_i[tslots].tolist()
             for act, link, sender, d, r, idx in zip(
                 acts.tolist(), links.tolist(), senders.tolist(),
@@ -1045,7 +1083,6 @@ class FleetKernel:
                 entries.append(
                     (act, link, Message(sender, -1, tags[idx], (d, r), idx))
                 )
-        self.buckets.clear()
         _spill_ring(network, entries)
 
     def finish(self, network, metrics, terminated: bool, final_round: int) -> None:
@@ -1067,15 +1104,20 @@ class FleetKernel:
             rows.absorb(_label_fill(self.layout, values, hit), self.layout, values)
             setattr(alg, name, rows)
         _halt_all(network)
-        node_list = network._node_list
-        for v, last in self.tick_last.items():
-            node_list[v].state["__cmb_round"] = min(last, final_round)
         pending = alg._pending
         _prune_pending(pending, final_round)
-        for v in pending:
-            # Sources still waiting on a start keep ticking past a cutoff.
-            node_list[v].halted = False
-            network._awake.add(v)
+        ticks = self.tick_last
+        columns = {}
+        if ticks:
+            columns["__cmb_round"] = np.minimum(
+                np.fromiter(ticks.values(), dtype=I64, count=len(ticks)),
+                final_round,
+            )
+        # Sources still waiting on a start keep ticking past a cutoff.
+        network._leave_node_state(
+            np.fromiter(ticks, dtype=I64, count=len(ticks)), columns,
+            wake=pending,
+        )
 
 
 _K_ANN, _K_UP, _K_DOWN = 0, 1, 2
@@ -1273,7 +1315,7 @@ class PartAggregationKernel:
         self.timer_rounds = sorted(algorithm.wake_at_rounds)
         self.sched = _LinkScheduler(2 * csr.num_edges)
         self.inherited = np.asarray(network._link_max_backlog, dtype=I64)
-        self.buckets: dict[int, tuple] = {}
+        self.buckets: dict[int, list] = {}
         self.sent = 0
         self.delivered = 0
         self.edge_counts = np.zeros(csr.num_edges, dtype=I64)
@@ -1377,7 +1419,7 @@ class PartAggregationKernel:
                 # An instance's participants all start in this round, so no
                 # child report can have reached (or fired) them yet.
                 self._fire(slots[isolated], 0, isolated, chunks)
-        chunk = self.buckets.pop(rnd, None)
+        chunk = _bucket_pop(self.buckets, rnd)
         if chunk is not None:
             acts, kinds, links, targets, tslots, senders, ivals = chunk
             self.delivered += len(links)
@@ -1455,7 +1497,7 @@ class PartAggregationKernel:
         links_o = links[order]
         deliv, acts = self.sched.schedule(rnd, links_o, rnd < self.max_rounds)
         self.sent += len(links_o)
-        _bucket_push(self.buckets, deliv, (
+        _bucket_push(self.buckets, rnd, deliv, (
             acts, kinds[order], links_o, targets[order], tslots[order],
             senders[order], ivals[order],
         ))
@@ -1540,7 +1582,7 @@ class PartAggregationKernel:
         entries = []
         for rnd in sorted(self.buckets):
             acts, kinds, links, targets, tslots, senders, ivals = \
-                self.buckets[rnd]
+                _bucket_pop(self.buckets, rnd)
             rows = zip(
                 acts.tolist(), kinds.tolist(), links.tolist(),
                 targets.tolist(), senders.tolist(), ivals.tolist(),
@@ -1558,7 +1600,6 @@ class PartAggregationKernel:
                         sender, -1, alg._tags_down[idx], table[ival], idx
                     )
                 entries.append((act, link, msg))
-        self.buckets.clear()
         _spill_ring(network, entries)
 
     def finish(self, network, metrics, terminated: bool, final_round: int) -> None:

@@ -34,12 +34,19 @@ A round costs O(nodes-and-links-actually-touched), not O(n + links):
   messages at a time behind a head cursor and dropped once empty; only
   links with pending traffic are visited.
 * **Wiring from the CSR arrays.**  A fresh network allocates flat per-link
-  and per-node tables plus one ``NodeContext`` per node; the receiver
-  table, neighbour tuples and ``neighbor -> link`` dicts are read off the
-  snapshot's cached adjacency arrays.  Queues are allocated on first send to
-  an idle link and a node's inbox on its first delivery (then reused across
-  rounds), so wiring creates no per-link or per-node list the run may never
-  touch.
+  and per-node tables only: queues, heads, link maxima, active flags,
+  inbox slots and the awake set.  The contexts (with their neighbour
+  tuples and ``neighbor -> link`` dicts) are built on the first
+  per-node run or the first read of :attr:`Network.nodes` /
+  :meth:`Network.node`, and the receiver table on the first per-node
+  delivery; both are read off the snapshot's cached adjacency arrays.
+  Until then the awake set alone says which nodes are halted, and a bulk
+  kernel's per-node outputs wait in a queue of array fills
+  (:meth:`Network._leave_node_state`) that the context build applies in
+  run order, so a pipeline that runs only bulk kernels never builds a
+  context.  Queues are allocated on first send to an idle link and a
+  node's inbox on its first delivery (then reused across rounds), so
+  wiring creates no per-link or per-node object the run may never touch.
 * **Message fast path.**  Each wired ``NodeContext`` holds a precomputed
   ``neighbor -> directed link id`` table, so ``send`` enqueues directly
   onto the target link's queue — there is no per-round outbox collection
@@ -82,22 +89,29 @@ from .node import NodeContext
 _NO_MESSAGES: list[Message] = []
 
 
-def _link_tables(csr) -> tuple[list[int], list[tuple[int, ...]], list[dict[int, int]]]:
-    """The wiring tables of a CSR snapshot, read off its adjacency arrays.
+def _receiver_table(csr) -> list[int]:
+    """The receiver of every directed link of a CSR snapshot.
 
     Directed link ``2e`` carries ``lo -> hi`` of canonical edge ``e`` and
-    ``2e + 1`` the reverse.  Returns the receiver of every link, each node's
-    ascending neighbour tuple, and each node's ``neighbor -> out-link`` dict,
-    so a send resolves its link with one int-keyed lookup.  The tables are
-    plain lists: unlike ``array('l')`` they hand back cached small ints
-    instead of boxing on every read.  The flat temporaries die on return,
-    before the caller allocates the contexts, so the cyclic collections
-    that context allocation triggers never walk them.
+    ``2e + 1`` the reverse.  A plain list: unlike ``array('l')`` it hands
+    back cached small ints instead of boxing on every read.
     """
     arrays = csr.adjacency_arrays()
     receiver = np.empty(2 * csr.num_edges, dtype=np.int64)
     receiver[0::2] = arrays.edge_v
     receiver[1::2] = arrays.edge_u
+    return receiver.tolist()
+
+
+def _context_tables(csr) -> tuple[list[tuple[int, ...]], list[dict[int, int]]]:
+    """Each node's ascending neighbour tuple and ``neighbor -> out-link`` dict.
+
+    Read off the snapshot's adjacency arrays, so a send resolves its link
+    with one int-keyed lookup.  The flat temporaries die on return, before
+    the caller allocates the contexts, so the cyclic collections that
+    context allocation triggers never walk them.
+    """
+    arrays = csr.adjacency_arrays()
     targets = tuple(arrays.indices.tolist())
     links = arrays.adj_link_ids.tolist()
     bounds = csr.indptr.tolist()
@@ -106,7 +120,19 @@ def _link_tables(csr) -> tuple[list[int], list[tuple[int, ...]], list[dict[int, 
         dict(zip(row, links[a:b]))
         for row, a, b in zip(neighbor_tuples, bounds, bounds[1:])
     ]
-    return receiver.tolist(), neighbor_tuples, out_links
+    return neighbor_tuples, out_links
+
+
+def _write_columns(contexts: list, verts, columns: dict) -> None:
+    """Store ``columns[key][j]`` under ``key`` in node ``verts[j]``'s state.
+
+    ``verts`` is an id array, or ``None`` for every node in id order.
+    """
+    ids = range(len(contexts)) if verts is None else verts.tolist()
+    states = [contexts[v].state for v in ids]
+    for key, values in columns.items():
+        for state, value in zip(states, values.tolist()):
+            state[key] = value
 
 
 class RoundLimitExceeded(RuntimeError):
@@ -259,11 +285,80 @@ class Network:
 
     @property
     def nodes(self) -> dict[int, NodeContext]:
-        """Map of node id -> :class:`NodeContext` (built lazily per reset)."""
+        """Map of node id -> :class:`NodeContext`.
+
+        Reading it builds every context (and the dict, once per reset) if
+        nothing has yet: a network that only runs bulk kernels never does.
+        Contexts built on read are the wired contexts a per-node run uses,
+        halted exactly when the node is not awake and holding every output
+        the bulk runs since the last reset left.
+        """
         cache = self._nodes_cache
         if cache is None:
             cache = self._nodes_cache = dict(enumerate(self._node_list))
         return cache
+
+    @property
+    def _node_list(self) -> list[NodeContext]:
+        """The contexts in id order, built on first read."""
+        contexts = self._contexts
+        if contexts is None:
+            contexts = self._build_contexts()
+        return contexts
+
+    @property
+    def _receiver_of(self) -> list[int]:
+        """The receiver of every directed link, built on first read."""
+        table = self._receivers
+        if table is None:
+            table = self._receivers = _receiver_table(self._csr)
+        return table
+
+    def _build_contexts(self) -> list[NodeContext]:
+        """Wire one context per node, then apply the queued kernel outputs."""
+        if self._out_links is None:
+            # The tables only depend on the CSR snapshot, so every reset of
+            # the same topology shares them.
+            self._neighbor_tuples, self._out_links = _context_tables(self._csr)
+        strict_limit = self.bandwidth if self.strict_bandwidth else float("inf")
+        out_links = self._out_links
+        neighbor_tuples = self._neighbor_tuples
+        queues, heads = self._queues, self._heads
+        link_max, is_active = self._link_max_backlog, self._is_active
+        active, awake, sent = self._active, self._awake, self._sent
+        # Positional construction (field order of the NodeContext dataclass):
+        # measurably cheaper than keyword binding at n = 10^4 nodes.
+        contexts = self._contexts = [
+            NodeContext(
+                v, neighbor_tuples[v], {}, v not in awake, None, sent,
+                out_links[v], queues, heads, link_max, is_active, active,
+                awake, strict_limit, None,
+            )
+            for v in range(len(neighbor_tuples))
+        ]
+        for verts, columns in self._state_fills:
+            _write_columns(contexts, verts, columns)
+        self._state_fills.clear()
+        return contexts
+
+    def _leave_node_state(self, verts, columns: dict, wake=()) -> None:
+        """Leave a bulk run's per-node outputs (the kernels' one hook).
+
+        ``columns`` maps state keys to value arrays parallel to ``verts``
+        (an id array, or ``None`` for every node), and the ``wake`` nodes
+        end the run awake.  Built contexts receive the values now;
+        otherwise they join the queue of fills that the context build
+        applies in run order.  The awake set is updated either way.
+        """
+        contexts = self._contexts
+        if contexts is None:
+            if columns:
+                self._state_fills.append((verts, columns))
+        else:
+            _write_columns(contexts, verts, columns)
+            for v in wake:
+                contexts[v].halted = False
+        self._awake.update(wake)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -272,7 +367,9 @@ class Network:
         Cheap when possible: when the topology is unchanged and the last run
         drained cleanly (or nothing ran at all), only the node state and
         per-link maxima need clearing — the link queues, head cursors and
-        inboxes are empty by invariant.  State mutated from outside a run
+        inboxes are empty by invariant.  On a network whose contexts were
+        never built that is the flat tables and the queue of kernel outputs
+        only.  State mutated from outside a run
         (``node(v).state[...] = ...``, ``node(v).halt()``) is wiped either
         way, as "a fresh network" promises.
         """
@@ -284,10 +381,12 @@ class Network:
                 awake = self._awake
                 awake.clear()
                 awake.update(range(csr.num_vertices))
-                for ctx in self._node_list:
-                    ctx.state = {}
-                    ctx.halted = False
-                    ctx._payload_ok = None
+                self._state_fills.clear()
+                if self._contexts is not None:
+                    for ctx in self._contexts:
+                        ctx.state = {}
+                        ctx.halted = False
+                        ctx._payload_ok = None
                 self._ran = False
                 return
         self._full_reset(csr)
@@ -297,10 +396,10 @@ class Network:
         n = csr.num_vertices
         num_links = 2 * csr.num_edges
         if self._wiring_csr is not csr:
-            # The tables only depend on the CSR snapshot, so every reset of
-            # the same topology shares them.
-            self._receiver_of, self._neighbor_tuples, self._out_links = _link_tables(csr)
             self._wiring_csr = csr
+            self._receivers: Optional[list[int]] = None
+            self._neighbor_tuples: Optional[list[tuple[int, ...]]] = None
+            self._out_links: Optional[list[dict[int, int]]] = None
         # Per-link and per-node containers are slots, filled on first use: a
         # send onto an idle link creates its queue (an idle link's queue is
         # empty by invariant, so delivery drops drained queues), and a node's
@@ -316,30 +415,22 @@ class Network:
         self._sent: set = set()
         # Awake-node worklist: every node starts non-halted.  halt()/wake()
         # keep this set current, so quiescence checks and per-round node
-        # selection never scan the full node table.
+        # selection never scan the full node table; until the contexts are
+        # built it is the only record of which nodes are halted.
         self._awake: set[int] = set(range(n))
-        strict_limit = self.bandwidth if self.strict_bandwidth else float("inf")
-        out_links = self._out_links
-        neighbor_tuples = self._neighbor_tuples
-        queues, heads = self._queues, self._heads
-        link_max, is_active = self._link_max_backlog, self._is_active
-        active, awake, sent = self._active, self._awake, self._sent
-        # Positional construction (field order of the NodeContext dataclass):
-        # measurably cheaper than keyword binding at n = 10^4 nodes.
-        self._node_list = [
-            NodeContext(
-                v, neighbor_tuples[v], {}, False, None, sent,
-                out_links[v], queues, heads, link_max, is_active, active,
-                awake, strict_limit, None,
-            )
-            for v in range(n)
-        ]
+        self._contexts: Optional[list[NodeContext]] = None
         self._nodes_cache: Optional[dict[int, NodeContext]] = None
+        # (verts, columns) outputs of bulk runs, waiting for the contexts.
+        self._state_fills: list[tuple] = []
         self._ran = False
         self._structures_clean = True
 
     def node(self, v: int) -> NodeContext:
-        """Return the :class:`NodeContext` of node ``v`` (for inspecting outputs)."""
+        """Return the :class:`NodeContext` of node ``v`` (for inspecting outputs).
+
+        Raises:
+            KeyError: if ``v`` is no node id in ``[0, n)``.
+        """
         return self.nodes[v]
 
     # ------------------------------------------------------------------

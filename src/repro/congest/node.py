@@ -27,6 +27,13 @@ names the sender, and the engine clears it after every handler.
 worklist, which is what makes a round cost proportional to the nodes
 actually touched.
 
+A network builds its wired contexts only when something needs them: the
+first per-node run, or the first read of ``Network.nodes`` /
+``Network.node(v)``.  A context built that way is halted exactly when its
+node is missing from the awake set (which stands in for the flags until
+then) and already holds every per-node output the bulk kernels left since
+the last reset, so it equals a context that existed throughout.
+
 A context created standalone (``NodeContext(node_id=..., neighbors=...)``,
 as the unit tests and the legacy reference engine do) has no engine; sends
 then fall back to buffering messages in an outbox that the owner collects
