@@ -22,7 +22,7 @@ from .adversary import (
     make_fault_adversary,
     random_crash_schedule,
 )
-from .algorithm import ComposedAlgorithm, DistributedAlgorithm
+from .algorithm import DistributedAlgorithm
 from .message import (
     BandwidthExceededError,
     LinkQueue,
@@ -37,7 +37,6 @@ from .scheduler import RandomDelayScheduler, draw_random_delays
 __all__ = [
     "Adversary",
     "AsyncScheduler",
-    "ComposedAlgorithm",
     "CrashAdversary",
     "DistributedAlgorithm",
     "DropAdversary",

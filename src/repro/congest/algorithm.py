@@ -17,10 +17,12 @@ node.  Instead of ticking ``n`` no-op handlers per waiting round, such an
 algorithm declares its deadlines up front:
 
 ``wake_at_rounds``
-    A sorted tuple of global round numbers (relative to the start of the
-    ``run``) at which *every* node must execute ``on_round``, even if halted
-    and without traffic.  Nodes may then halt while waiting; the engine
-    revives the whole network exactly at each listed round.
+    A sorted tuple of round numbers (counted from the start of the ``run``)
+    at which *every* node must execute ``on_round``, even if halted and
+    without traffic.  Nodes may then halt while waiting; the engine
+    revives the whole network exactly at each listed round.  The engine
+    reads the tuple once, before it calls ``initialize``, so it is set in
+    ``__init__`` (``repro lint`` rule RPR012 flags later writes).
 
 When an algorithm declares timers, the engine maintains
 ``algorithm.current_round`` (the round number of the ``on_round`` calls
@@ -30,13 +32,10 @@ is in flight and no timer is due are *charged without being executed* —
 the measured round count is identical to executing them one by one, but a
 delay tail costs O(1) instead of O(n x rounds).
 
-:class:`ComposedAlgorithm` supports timer-declaring stages by *rebasing*:
-a stage's ``wake_at_rounds`` are interpreted relative to the stage's own
-start, and at each stage hand-off the engine converts them to absolute
-rounds (``stage_start + offset``).  The composition forwards a
-stage-relative ``current_round`` to the active stage, so a stage behaves
-identically whether it runs standalone or as part of a pipeline (pinned by
-``tests/test_congest_core.py``).
+Stages chain as successive ``Network.run(..., reset=False)`` calls: every
+run counts its rounds from 0, so a timer stage behaves identically on a
+fresh network and after earlier stages, whose outputs it reads from
+``node.state``.
 
 Two further optional hooks round out the protocol:
 
@@ -102,22 +101,14 @@ class DistributedAlgorithm(ABC):
                 an earlier round, possibly delayed by link congestion).
         """
 
-    def finished(self, node: NodeContext) -> bool:
-        """Return ``True`` when the node considers the algorithm complete.
-
-        The default is the node's ``halted`` flag; algorithms with a natural
-        output predicate may override this.
-        """
-        return node.halted
-
     # ------------------------------------------------------------------
     # Bulk round protocol (optional; see repro.congest.bulk)
     # ------------------------------------------------------------------
 
     #: Declares that the algorithm *may* provide a vectorized whole-round
     #: kernel.  When set, ``Network.run`` asks :meth:`bulk_supported` /
-    #: :meth:`bulk_kernel` on a clean (non-adversarial, non-composed,
-    #: fresh-queue) run and, if a kernel is returned, advances rounds with
+    #: :meth:`bulk_kernel` on a clean (non-adversarial, fresh-queue)
+    #: run and, if a kernel is returned, advances rounds with
     #: flat array ops over the CSR link ids instead of per-node callbacks.
     #: The per-node path remains authoritative: kernels are pinned
     #: bit-identical to it (rounds, messages, per-edge traffic, final node
@@ -169,87 +160,3 @@ class DistributedAlgorithm(ABC):
         non-source waits to be reached again).
         """
         self.initialize(node)
-
-
-class ComposedAlgorithm(DistributedAlgorithm):
-    """Run several algorithms one after another at every node.
-
-    Each stage runs until the network is globally quiescent for that stage,
-    then the next stage starts (the engine handles the hand-off).  State of
-    earlier stages remains in ``node.state`` so later stages can read their
-    predecessors' outputs — this is how the distributed shortcut construction
-    chains "detect large parts", "number parts" and "grow BFS trees".
-
-    Stages may declare ``wake_at_rounds``: the offsets are interpreted
-    relative to the stage's own start round, and the engine rebases them to
-    absolute rounds at each hand-off (via :meth:`rebase_timers`).  The
-    composition forwards a stage-relative ``current_round``, so a
-    timer-protocol stage (the random-delay scheduler, the retry/ack
-    primitives) behaves identically inside a pipeline and standalone.
-    """
-
-    name = "composed"
-
-    def __init__(self, stages: list[DistributedAlgorithm]) -> None:
-        if not stages:
-            raise ValueError("ComposedAlgorithm needs at least one stage")
-        self.stages = stages
-        self._active_stage = 0
-        self._timer_base = 0
-        # Stage 0 starts at round 0, so its timers need no rebasing.
-        self.wake_at_rounds = tuple(getattr(stages[0], "wake_at_rounds", ()) or ())
-
-    def initialize(self, node: NodeContext) -> None:
-        self._active_stage = 0
-        self._timer_base = 0
-        node.state["__stage"] = 0
-        self.stages[0].initialize(node)
-
-    def on_round(self, node: NodeContext, messages: list[Message]) -> None:
-        stage = self.stages[node.state["__stage"]]
-        current = self.current_round
-        stage.current_round = None if current is None else current - self._timer_base
-        stage.on_round(node, messages)
-
-    def finished(self, node: NodeContext) -> bool:
-        stage_idx = node.state["__stage"]
-        return stage_idx >= len(self.stages) - 1 and self.stages[-1].finished(node)
-
-    def pending_timer_work(self) -> bool:
-        stage = self.stages[self._active_stage]
-        probe = getattr(stage, "pending_timer_work", None)
-        return True if probe is None else probe()
-
-    def on_crash(self, node: NodeContext) -> None:
-        self.stages[node.state.get("__stage", self._active_stage)].on_crash(node)
-
-    def on_recover(self, node: NodeContext) -> None:
-        # A recovered node rejoins the *current* stage — earlier stages are
-        # globally complete and will not run again.
-        node.state["__stage"] = self._active_stage
-        self.stages[self._active_stage].on_recover(node)
-
-    # Called by the engine when a stage is globally quiescent.
-    def advance_stage(self, node: NodeContext) -> bool:
-        """Move this node to the next stage; returns False if already at the last."""
-        stage_idx = node.state["__stage"]
-        if stage_idx >= len(self.stages) - 1:
-            return False
-        next_idx = stage_idx + 1
-        node.state["__stage"] = next_idx
-        if next_idx > self._active_stage:
-            self._active_stage = next_idx
-        node.wake()
-        self.stages[next_idx].initialize(node)
-        return True
-
-    def rebase_timers(self, start_round: int) -> tuple:
-        """Absolute timer rounds of the newly active stage (engine hook).
-
-        Called after a stage hand-off at global round ``start_round``; the
-        stage's declared offsets are relative to its own start, so offset
-        ``t`` maps to absolute round ``start_round + t``.
-        """
-        self._timer_base = start_round
-        offsets = getattr(self.stages[self._active_stage], "wake_at_rounds", ()) or ()
-        return tuple(start_round + t for t in offsets)

@@ -43,12 +43,11 @@ modelling decision below exists to reproduce an engine behaviour exactly:
   continuation after a cutoff) builds all of them before its first step.
 
 Fallback rules (enforced by ``Network._try_bulk``): adversarial runs, retry
-(ack/retransmit) configurations, composed pipelines, dirty queues,
-non-``min``/``max`` or non-rankable aggregations, resumed aggregation
-objects and masks that permit a link in one direction only all take the
-per-node path.  Every decline of a bulk-capable
-algorithm is named in ``RunMetrics.bulk_declined``; the first two also
-warn once per network with :class:`BulkFallbackWarning`.
+(ack/retransmit) configurations, dirty queues, non-``min``/``max`` or
+non-rankable aggregations, resumed aggregation objects and masks that
+permit a link in one direction only all take the per-node path.  Every
+decline of a bulk-capable algorithm is named in ``RunMetrics.bulk_declined``;
+the first two also warn once per network with :class:`BulkFallbackWarning`.
 
 Lint: every kernel declares its mutable state arrays in ``bulk_state``; the
 ``repro lint`` rule RPR013 flags ``bulk_round`` implementations assigning

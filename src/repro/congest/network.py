@@ -77,7 +77,7 @@ from typing import Optional
 import numpy as np
 
 from ..graphs.graph import Graph
-from .algorithm import ComposedAlgorithm, DistributedAlgorithm
+from .algorithm import DistributedAlgorithm
 from .bulk import BulkFallbackWarning
 from .message import Message
 from .node import NodeContext
@@ -445,10 +445,10 @@ class Network:
     ) -> RunMetrics:
         """Execute ``algorithm`` until global quiescence.
 
-        Global quiescence means every node reports ``finished`` and no
-        message is queued on any link.  For :class:`ComposedAlgorithm` the
-        engine advances all nodes to the next stage whenever the current
-        stage is quiescent.
+        Global quiescence means every node is halted, no message is queued
+        on any link and no declared timer or scheduled fault is pending.
+        Stages chain as successive runs with ``reset=False``: a later
+        stage reads the earlier stages' outputs from ``node.state``.
 
         Args:
             algorithm: the algorithm to run.
@@ -508,8 +508,8 @@ class Network:
 
         # The adversary's crash/recover schedule joins the timers in the
         # silent-stretch jump and the quiescence check below, so neither
-        # skips over a scheduled fault.  Crashed nodes sit out initialize,
-        # stage hand-offs and timer rounds.
+        # skips over a scheduled fault.  Crashed nodes sit out initialize
+        # and timer rounds.
         crashed: set[int] = set()
         event_rounds: tuple = ()
         num_events = event_pos = 0
@@ -533,7 +533,6 @@ class Network:
             algorithm.initialize(ctx)
             sent.clear()
 
-        composed = isinstance(algorithm, ComposedAlgorithm)
         awake = self._awake
         inbox_of = self._inbox_of
         on_round = algorithm.on_round
@@ -553,24 +552,6 @@ class Network:
                         forced = event_rounds[event_pos]
                 else:
                     # Quiescent: no message in flight, every node halted.
-                    if composed:
-                        advanced = False
-                        for ctx in nodes:
-                            if crashed and ctx.node_id in crashed:
-                                continue
-                            if algorithm.advance_stage(ctx):
-                                advanced = True
-                            sent.clear()
-                        if advanced:
-                            # The newly active stage may declare its own
-                            # deadlines, relative to its start: rebase them
-                            # to absolute rounds at the hand-off point.
-                            timers = algorithm.rebase_timers(metrics.rounds)
-                            num_timers = len(timers)
-                            timer_pos = 0
-                            if num_timers:
-                                algorithm.current_round = metrics.rounds
-                            continue
                     if event_pos == num_events:
                         metrics.terminated = True
                         metrics.messages_sent = (

@@ -1,6 +1,7 @@
 """Reusable CONGEST building blocks: BFS (single and mask-native concurrent
 fleets), leader election, tree aggregation, pipelined numbering, spanning
-verification, diameter estimation and their read-back helpers."""
+verification and their read-back helpers, plus a diameter estimation that
+chains three of them as ``run(reset=False)`` stages."""
 
 from .aggregation import (
     FleetAggregationResult,
@@ -12,7 +13,7 @@ from .aggregation import (
 )
 from .bfs import DistributedBFS, extract_bfs_tree
 from .concurrent_bfs import ConcurrentMaskedBFS
-from .diameter import make_diameter_estimation, read_diameter_estimate
+from .diameter import estimate_diameter
 from .leader import FloodMax, read_leaders
 from .numbering import PipelinedNumbering
 from .spanning import PartwiseFlagConvergecast
@@ -35,6 +36,5 @@ __all__ = [
     "AGGREGATE_OPS",
     "PipelinedNumbering",
     "PartwiseFlagConvergecast",
-    "make_diameter_estimation",
-    "read_diameter_estimate",
+    "estimate_diameter",
 ]

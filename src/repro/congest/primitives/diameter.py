@@ -8,40 +8,43 @@ the root) satisfies ``depth <= D <= 2 * depth``.  The "guess the diameter"
 wrapper of the distributed construction then iterates candidate values from
 ``depth`` upward.
 
-This module composes the flooding leader election, a BFS from the leader
-and a max-convergecast of the BFS depth into one
-:class:`~repro.congest.algorithm.ComposedAlgorithm`.
+:func:`estimate_diameter` chains the flooding leader election, a BFS from
+the elected leader and a max-convergecast of the BFS depth as three
+successive ``Network.run(..., reset=False)`` stages.
 """
 
 from __future__ import annotations
 
-from ..algorithm import ComposedAlgorithm
 from .bfs import DistributedBFS
 from .leader import FloodMax
 from .trees import TreeAggregate
 
 
-def make_diameter_estimation(num_vertices: int) -> ComposedAlgorithm:
-    """Build the 3-stage diameter-estimation algorithm.
+def estimate_diameter(network) -> tuple[int, int, list]:
+    """Run the 3-stage diameter estimation on ``network``.
 
     The stages are: (1) elect the max-id node as global leader via flooding,
-    (2) grow a BFS tree from it, (3) convergecast the maximum BFS depth to
-    the leader and broadcast it back.  After the run, every node's state has
-    ``ecc_result`` holding the BFS eccentricity of the leader; the true
-    diameter lies in ``[ecc_result, 2 * ecc_result]``.
+    (2) grow a BFS tree from the node that elected itself, (3) convergecast
+    the maximum BFS depth to the leader and broadcast it back, leaving
+    ``ecc_result`` in every node's state.
 
-    Args:
-        num_vertices: number of vertices in the network (the leader's id is
-            ``num_vertices - 1`` because ids are dense, which lets stage 2 be
-            configured without communication; a production implementation
-            would read the elected id from stage 1 — the tests check both
-            agree).
+    Returns:
+        ``(lower, upper, runs)``: the leader's BFS eccentricity and twice
+        it, which bound the true diameter, and the three stages'
+        :class:`~repro.congest.network.RunMetrics`.
+
+    Raises:
+        ValueError: if the graph is disconnected (more than one node
+            elects itself).
     """
-    leader = num_vertices - 1
-    return ComposedAlgorithm(
-        [
-            FloodMax(prefix="flood_"),
-            DistributedBFS({leader}, prefix="ecc_bfs_"),
+    runs = [network.run(FloodMax(prefix="flood_"))]
+    nodes = network.nodes
+    sources = {v for v, ctx in nodes.items() if ctx.state["flood_leader"] == v}
+    if len(sources) != 1:
+        raise ValueError("graph must be connected")
+    runs.append(network.run(DistributedBFS(sources, prefix="ecc_bfs_"), reset=False))
+    runs.append(
+        network.run(
             TreeAggregate(
                 "max",
                 value_key="ecc_bfs_dist",
@@ -49,18 +52,9 @@ def make_diameter_estimation(num_vertices: int) -> ComposedAlgorithm:
                 prefix="ecc_",
                 broadcast_result=True,
             ),
-        ]
+            reset=False,
+        )
     )
-
-
-def read_diameter_estimate(network) -> tuple[int, int]:
-    """Return ``(lower, upper)`` diameter bounds from a finished estimation run."""
-    depths = [
-        ctx.state["ecc_result"]
-        for ctx in network.nodes.values()
-        if "ecc_result" in ctx.state
-    ]
-    if not depths:
-        raise ValueError("diameter estimation did not produce a result")
-    depth = max(depths)
-    return depth, 2 * depth
+    (leader,) = sources
+    depth = nodes[leader].state["ecc_result"]
+    return depth, 2 * depth, runs

@@ -8,11 +8,11 @@ drifts from them.  Each rule mechanizes one declaration:
   shape ``(self, node)``; an override with a different signature raises
   only when a fault actually hits that node, i.e. in the middle of an
   adversarial sweep.
-* RPR012 — the engine snapshots ``wake_at_rounds`` when a run (or a
-  composed stage) starts; assigning it later in the algorithm's lifecycle
-  silently changes nothing.  Writes are allowed only in ``__init__`` /
-  ``on_start`` / ``initialize`` and helpers reachable from them via
-  ``self.<method>()`` calls.
+* RPR012 — the engine snapshots ``wake_at_rounds`` when a run starts,
+  before it calls ``initialize``; assigning it later in the algorithm's
+  lifecycle silently changes nothing.  Writes are allowed only in
+  ``__init__`` and helpers reachable from it via ``self.<method>()``
+  calls.
 * RPR013 — a bulk kernel declares its mutable round state in
   ``bulk_state``; the equivalence oracle resets/compares exactly those
   attributes, so a ``bulk_round`` (or any helper reachable from it)
@@ -31,7 +31,7 @@ from .findings import Finding
 from .registry import rule
 
 #: Methods that run before the engine snapshots an algorithm's timers.
-TIMER_SETUP_METHODS = frozenset({"__init__", "on_start", "initialize"})
+TIMER_SETUP_METHODS = frozenset({"__init__"})
 
 
 def _is_algorithm_class(cls: ast.ClassDef, module: ModuleContext) -> bool:
@@ -75,8 +75,8 @@ def check_crash_hooks(module: ModuleContext) -> Iterator[Finding]:
 @rule(
     "RPR012", "timers-declared-up-front",
     description=(
-        "`wake_at_rounds` is snapshotted at run/stage start; assign it "
-        "only from `__init__`/`on_start`/`initialize`-reachable code — "
+        "`wake_at_rounds` is snapshotted at run start, before "
+        "`initialize`; assign it only from `__init__`-reachable code — "
         "later writes are silently ignored by the engine"
     ),
 )
@@ -111,8 +111,8 @@ def check_timer_declaration(module: ModuleContext) -> Iterator[Finding]:
                 yield module.finding(
                     node, "RPR012",
                     f"{cls.name}.{method_name} assigns self.wake_at_rounds "
-                    "after setup: the engine snapshots timers at run/stage "
-                    "start, so this write is silently ignored",
+                    "after setup: the engine snapshots timers at run start, "
+                    "so this write is silently ignored",
                 )
 
 

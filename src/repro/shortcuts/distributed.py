@@ -236,7 +236,6 @@ def measure_diameter_probe(
         ValueError: if the graph is disconnected (some node unreached).
     """
     network = Network(graph, bandwidth=bandwidth)
-    network.reset()
     bfs = DistributedBFS({source}, prefix="probe_")
     metrics = network.run(bfs, max_rounds=max_rounds)
     ecc = 0
@@ -388,7 +387,6 @@ def _run_single_guess(
     )
 
     network = Network(graph, bandwidth=bandwidth)
-    network.reset()
     breakdown: dict[str, int] = {}
 
     # Stage 1: large-part detection (truncated BFS + flag convergecast).

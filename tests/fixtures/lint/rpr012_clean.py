@@ -2,11 +2,9 @@
 
 
 class UpFrontTimer:
-    def __init__(self):
+    def __init__(self, delays):
         self.wake_at_rounds = [1]
+        self._arm(delays)
 
-    def on_start(self, node):
-        self._arm(node)
-
-    def _arm(self, node):
-        self.wake_at_rounds = [2, 4, 8]
+    def _arm(self, delays):
+        self.wake_at_rounds = sorted(delays)

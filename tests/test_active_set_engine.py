@@ -21,7 +21,6 @@ import pytest
 
 from repro.congest import (
     BandwidthExceededError,
-    ComposedAlgorithm,
     DistributedAlgorithm,
     Network,
     RandomDelayScheduler,
@@ -624,67 +623,57 @@ class TestTimerProtocol:
         assert metrics.terminated
         assert net.node(0).state["a1_dist"] == 3  # delayed BFS did run
 
-    def test_composed_timer_stage_matches_sequential_runs(self):
-        # A timer-declaring stage inside a composition must behave exactly
-        # as if it had been run standalone after its predecessor (stage
-        # timers are rebased to the hand-off round): same metrics totals,
-        # same outputs.
+    @staticmethod
+    def _scheduler(last):
+        algos = [
+            DistributedBFS({0}, prefix="s0_", algorithm_id=0),
+            DistributedBFS({last}, prefix="s1_", algorithm_id=1),
+        ]
+        return RandomDelayScheduler(algos, [0, 7])
+
+    @staticmethod
+    def _assert_same_run(chained, fresh):
+        assert chained.terminated and fresh.terminated
+        assert chained.rounds == fresh.rounds
+        assert chained.messages_sent == fresh.messages_sent
+        assert chained.messages_delivered == fresh.messages_delivered
+        assert chained.per_edge_messages == fresh.per_edge_messages
+
+    def test_chained_timer_stage_matches_fresh_network(self):
+        # A timer stage chained with reset=False after FloodMax counts its
+        # timers from its own start, so it runs exactly as on a fresh
+        # network: same metrics, same per-edge traffic, same outputs.
         g = grid_graph(4, 4)
+        chained_net = Network(g)
+        chained_net.run(FloodMax())
+        chained = chained_net.run(self._scheduler(15), reset=False)
+        fresh_net = Network(g)
+        fresh = fresh_net.run(self._scheduler(15))
 
-        def scheduler():
-            algos = [
-                DistributedBFS({0}, prefix="s0_", algorithm_id=0),
-                DistributedBFS({15}, prefix="s1_", algorithm_id=1),
-            ]
-            return RandomDelayScheduler(algos, [0, 7])
-
-        seq_net = Network(g)
-        first = seq_net.run(FloodMax())
-        second = seq_net.run(scheduler(), reset=False)
-
-        comp_net = Network(g)
-        composed = comp_net.run(ComposedAlgorithm([FloodMax(), scheduler()]))
-
-        assert composed.terminated
-        assert composed.rounds == first.rounds + second.rounds
-        assert composed.messages_sent == first.messages_sent + second.messages_sent
-        assert composed.messages_delivered == (
-            first.messages_delivered + second.messages_delivered
-        )
+        self._assert_same_run(chained, fresh)
+        assert chained.rounds > 7
         for v in range(16):
-            assert comp_net.node(v).state["s0_dist"] == seq_net.node(v).state["s0_dist"]
-            assert comp_net.node(v).state["s1_dist"] == seq_net.node(v).state["s1_dist"]
+            chained_state = chained_net.node(v).state
+            fresh_state = fresh_net.node(v).state
+            for key in ("s0_dist", "s0_parent", "s1_dist", "s1_parent"):
+                assert chained_state[key] == fresh_state[key]
+            assert chained_state["flood_leader"] == 15
 
-    def test_composed_timer_stage_first_matches_standalone(self):
-        # Stage 0's timers need no rebasing; a later stage after the timer
-        # stage still runs correctly.
+    def test_stage_after_timer_stage_matches_fresh_network(self):
+        # With the timer stage first, the stage chained after it runs as on
+        # a fresh network and the timer stage's outputs stay readable.
         g = path_graph(6)
+        chained_net = Network(g)
+        timer_run = chained_net.run(self._scheduler(5))
+        chained = chained_net.run(FloodMax(), reset=False)
+        fresh_net = Network(g)
+        fresh = fresh_net.run(FloodMax())
 
-        def scheduler():
-            algos = [
-                DistributedBFS({0}, prefix="s0_", algorithm_id=0),
-                DistributedBFS({5}, prefix="s1_", algorithm_id=1),
-            ]
-            return RandomDelayScheduler(algos, [0, 9])
-
-        seq_net = Network(g)
-        first = seq_net.run(scheduler())
-        second = seq_net.run(FloodMax(), reset=False)
-
-        comp_net = Network(g)
-        composed = comp_net.run(ComposedAlgorithm([scheduler(), FloodMax()]))
-
-        assert composed.terminated
-        assert composed.rounds == first.rounds + second.rounds
-        assert composed.messages_sent == first.messages_sent + second.messages_sent
+        assert timer_run.terminated and timer_run.rounds > 7
+        self._assert_same_run(chained, fresh)
         for v in range(6):
-            assert comp_net.node(v).state["s1_dist"] == seq_net.node(v).state["s1_dist"]
-
-    def test_composed_stages_unaffected_by_timer_protocol(self):
-        g = grid_graph(4, 4)
-        stages = ComposedAlgorithm([FloodMax(), DistributedBFS({15})])
-        metrics = Network(g).run(stages)
-        assert metrics.terminated
+            assert chained_net.node(v).state["flood_leader"] == 5
+            assert chained_net.node(v).state["s1_dist"] == 5 - v
 
 
 # ----------------------------------------------------------------------

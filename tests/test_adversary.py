@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.congest import (
     Adversary,
     AsyncScheduler,
-    ComposedAlgorithm,
     CrashAdversary,
     DropAdversary,
     DuplicateAdversary,
@@ -52,13 +51,12 @@ pytestmark = [
 ]
 
 
-def _flood_then_scheduler():
-    """A composition whose second stage declares timers (delays 0 and 7)."""
-    scheduler = RandomDelayScheduler([
+def _delayed_bfs_pair():
+    """A timer stage: two BFS trees on a 6x6 grid, started at delays 0 and 7."""
+    return RandomDelayScheduler([
         DistributedBFS({0}, prefix="s0_", algorithm_id=0),
         DistributedBFS({35}, prefix="s1_", algorithm_id=1),
     ], [0, 7])
-    return ComposedAlgorithm([FloodMax(), scheduler])
 
 
 def _metric_tuple(metrics):
@@ -75,13 +73,15 @@ def _metric_tuple(metrics):
 class TestIdentityPins:
     """NullAdversary / zero-rate runs are bit-identical to clean runs."""
 
-    def _clean_vs(self, adversary, make_algorithm):
+    def _clean_vs(self, adversary, *make_stages):
+        # Stages after the first chain with reset=False; each must match.
         g = grid_graph(6, 6)
         clean_net = Network(g)
-        clean = clean_net.run(make_algorithm())
         adv_net = Network(g)
-        shadowed = adv_net.run(make_algorithm(), adversary=adversary)
-        assert _metric_tuple(clean) == _metric_tuple(shadowed)
+        for i, make_stage in enumerate(make_stages):
+            clean = clean_net.run(make_stage(), reset=i == 0)
+            shadowed = adv_net.run(make_stage(), reset=i == 0, adversary=adversary)
+            assert _metric_tuple(clean) == _metric_tuple(shadowed)
 
         def visible(state):
             # The BFS caches its filtered neighbour list keyed by its own
@@ -112,8 +112,8 @@ class TestIdentityPins:
 
         self._clean_vs(NullAdversary(), fleet)
 
-    def test_null_adversary_composed_timer_stage(self):
-        self._clean_vs(NullAdversary(), _flood_then_scheduler)
+    def test_null_adversary_chained_timer_stage(self):
+        self._clean_vs(NullAdversary(), FloodMax, _delayed_bfs_pair)
 
     def test_retry_mode_null_adversary_matches_no_adversary(self):
         # The retry protocol itself is deterministic: with no faults to
@@ -234,16 +234,24 @@ class TestCrashAdversary:
         _, dist = extract_bfs_tree(net)
         assert dist == bfs_distances(g, 0)
 
-    def test_crash_inside_composed_timer_stage(self):
-        # FloodMax goes quiescent at round 11; node 14 crashes at round 15,
-        # before the scheduler's delayed BFS fires its timer, so that timer
-        # round has to skip the crashed (state-wiped) node.
+    def test_crash_inside_chained_timer_stage(self):
+        # The timer stage runs with reset=False after FloodMax; node 14
+        # crashes at its round 4, before the delayed BFS fires its timer at
+        # round 7, so that timer round has to skip the crashed (state-wiped)
+        # node.
         net = Network(grid_graph(6, 6))
-        metrics = net.run(_flood_then_scheduler(),
-                          adversary=CrashAdversary({14: 15}))
+        net.run(FloodMax())
+        metrics = net.run(_delayed_bfs_pair(), reset=False,
+                          adversary=CrashAdversary({14: 4}))
         assert metrics.crashes == 1
         assert metrics.terminated
+        assert metrics.rounds > 7
         assert net.node(14).state == {}
+        # The delayed BFS routes around the crashed node: on a grid every
+        # live node keeps its Manhattan distance to the corner source.
+        for v in range(36):
+            if v != 14:
+                assert net.node(v).state["s1_dist"] == (5 - v // 6) + (5 - v % 6)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="never crashes"):

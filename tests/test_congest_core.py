@@ -6,7 +6,6 @@ import pytest
 
 from repro.congest import (
     BandwidthExceededError,
-    ComposedAlgorithm,
     DistributedAlgorithm,
     LinkQueue,
     Message,
@@ -15,7 +14,7 @@ from repro.congest import (
     RoundLimitExceeded,
     check_payload,
 )
-from repro.graphs import cycle_graph, path_graph, star_graph
+from repro.graphs import cycle_graph, path_graph
 
 
 class TestPayloadCheck:
@@ -210,60 +209,3 @@ class TestNetworkEngine:
             ctx.send(2, "forged", 1)
 
 
-class _TwoStage(DistributedAlgorithm):
-    """Stage used to test ComposedAlgorithm sequencing."""
-
-    def __init__(self, key: str) -> None:
-        self.key = key
-        self.name = f"stage_{key}"
-
-    def initialize(self, node: NodeContext) -> None:
-        node.state.setdefault("order", []).append(f"init_{self.key}")
-        if node.node_id == 0:
-            node.broadcast(self.key, self.key)
-        node.halt()
-
-    def on_round(self, node: NodeContext, messages) -> None:
-        for msg in messages:
-            node.state.setdefault("order", []).append(f"recv_{msg.payload}")
-        node.halt()
-
-
-class TestComposedAlgorithm:
-    def test_requires_stages(self):
-        with pytest.raises(ValueError):
-            ComposedAlgorithm([])
-
-    def test_stages_run_in_order(self):
-        net = Network(star_graph(4))
-        algo = ComposedAlgorithm([_TwoStage("a"), _TwoStage("b")])
-        metrics = net.run(algo)
-        assert metrics.terminated
-        order = net.node(1).state["order"]
-        assert order.index("recv_a") < order.index("init_b") < order.index("recv_b")
-
-    def test_second_stage_sees_first_stage_state(self):
-        net = Network(path_graph(3))
-
-        class Writer(DistributedAlgorithm):
-            name = "writer"
-
-            def initialize(self, node):
-                node.state["written"] = node.node_id * 10
-                node.halt()
-
-            def on_round(self, node, messages):
-                node.halt()
-
-        class Reader(DistributedAlgorithm):
-            name = "reader"
-
-            def initialize(self, node):
-                node.state["read_back"] = node.state["written"]
-                node.halt()
-
-            def on_round(self, node, messages):
-                node.halt()
-
-        net.run(ComposedAlgorithm([Writer(), Reader()]))
-        assert net.node(2).state["read_back"] == 20

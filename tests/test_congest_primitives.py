@@ -10,10 +10,9 @@ from repro.congest.primitives import (
     DistributedBFS,
     FloodMax,
     TreeAggregate,
+    estimate_diameter,
     extract_bfs_tree,
-    make_diameter_estimation,
     read_aggregate,
-    read_diameter_estimate,
     read_leaders,
 )
 from repro.graphs import (
@@ -184,21 +183,35 @@ class TestTreeAggregate:
 
 
 class TestDiameterEstimation:
-    @pytest.mark.parametrize("target", [3, 4, 6])
-    def test_bounds_contain_true_diameter(self, target):
-        g = hub_diameter_graph(70, target, rng=5)
-        net = Network(g)
-        net.run(make_diameter_estimation(g.num_vertices))
-        lower, upper = read_diameter_estimate(net)
-        assert lower <= target <= upper
-        assert upper == 2 * lower
+    # (graph, true diameter, bounds, summed rounds, summed messages) of
+    # the three chained stages: FloodMax, BFS from the leader, convergecast.
+    PINS = [
+        (lambda: hub_diameter_graph(70, 3, rng=5), 3, (3, 6), 15, 764),
+        (lambda: hub_diameter_graph(70, 4, rng=5), 4, (3, 6), 15, 786),
+        (lambda: hub_diameter_graph(70, 6, rng=5), 6, (4, 8), 19, 796),
+        (lambda: path_graph(12), 11, (11, 22), 47, 209),
+    ]
 
-    def test_path_graph(self):
-        g = path_graph(12)
-        net = Network(g)
-        net.run(make_diameter_estimation(12))
-        lower, upper = read_diameter_estimate(net)
-        assert lower <= 11 <= upper
+    @pytest.mark.parametrize("make_graph, true_diameter, bounds, rounds, messages", PINS)
+    def test_pinned_bounds_and_costs(self, make_graph, true_diameter, bounds,
+                                     rounds, messages):
+        net = Network(make_graph())
+        lower, upper, runs = estimate_diameter(net)
+        assert (lower, upper) == bounds
+        assert lower <= true_diameter <= upper
+        assert len(runs) == 3
+        assert all(run.terminated and run.bulk_declined is None for run in runs)
+        assert sum(run.rounds for run in runs) == rounds
+        assert sum(run.messages_sent for run in runs) == messages
+        assert sum(run.messages_delivered for run in runs) == messages
+        assert all(ctx.state["ecc_result"] == lower for ctx in net.nodes.values())
+
+    def test_disconnected_graph_raises(self):
+        g = Graph(6)
+        for u, v in [(0, 1), (1, 2), (3, 4), (4, 5)]:
+            g.add_edge(u, v)
+        with pytest.raises(ValueError, match="graph must be connected"):
+            estimate_diameter(Network(g))
 
 
 class TestRandomDelayScheduler:

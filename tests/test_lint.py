@@ -56,7 +56,7 @@ FLAGGED = [
     ("rpr003_flagged", "RPR003", [9, 10, 11, 12]),
     ("rpr004_flagged", "RPR004", [5, 6, 7, 8]),
     ("rpr011_flagged", "RPR011", [9, 12]),
-    ("rpr012_flagged", "RPR012", [9]),
+    ("rpr012_flagged", "RPR012", [9, 12, 18]),
     ("rpr013_flagged", "RPR013", [9, 14]),
     ("rpr020_flagged", "RPR020", [19, 23, 24, 25]),
     ("rpr021_flagged", "RPR021", [8, 10, 11]),
