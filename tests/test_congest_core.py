@@ -14,7 +14,7 @@ from repro.congest import (
     RoundLimitExceeded,
     check_payload,
 )
-from repro.graphs import cycle_graph, path_graph
+from repro.graphs import cycle_graph, path_graph, star_graph
 
 
 class TestPayloadCheck:
@@ -209,3 +209,63 @@ class TestNetworkEngine:
             ctx.send(2, "forged", 1)
 
 
+class _TwoStage(DistributedAlgorithm):
+    """Stage used to test sequencing of runs chained with reset=False."""
+
+    def __init__(self, key: str) -> None:
+        self.key = key
+        self.name = f"stage_{key}"
+
+    def initialize(self, node: NodeContext) -> None:
+        node.state.setdefault("order", []).append(f"init_{self.key}")
+        if node.node_id == 0:
+            node.broadcast(self.key, self.key)
+        node.halt()
+
+    def on_round(self, node: NodeContext, messages) -> None:
+        for msg in messages:
+            node.state.setdefault("order", []).append(f"recv_{msg.payload}")
+        node.halt()
+
+
+class TestChainedStages:
+    def test_stages_run_in_order(self):
+        net = Network(star_graph(4))
+        first = net.run(_TwoStage("a"))
+        second = net.run(_TwoStage("b"), reset=False)
+        assert first.terminated and second.terminated
+        order = net.node(1).state["order"]
+        assert order == ["init_a", "recv_a", "init_b", "recv_b"]
+
+    def test_second_stage_sees_first_stage_state(self):
+        net = Network(path_graph(3))
+
+        class Writer(DistributedAlgorithm):
+            name = "writer"
+
+            def initialize(self, node):
+                node.state["written"] = node.node_id * 10
+                node.halt()
+
+            def on_round(self, node, messages):
+                node.halt()
+
+        class Reader(DistributedAlgorithm):
+            name = "reader"
+
+            def initialize(self, node):
+                node.state["read_back"] = node.state["written"]
+                node.halt()
+
+            def on_round(self, node, messages):
+                node.halt()
+
+        net.run(Writer())
+        net.run(Reader(), reset=False)
+        assert net.node(2).state["read_back"] == 20
+
+    def test_reset_run_drops_earlier_stage_state(self):
+        net = Network(path_graph(3))
+        net.run(_TwoStage("a"))
+        net.run(_TwoStage("b"))
+        assert net.node(1).state["order"] == ["init_b", "recv_b"]

@@ -183,6 +183,17 @@ class TestTreeAggregate:
 
 
 class TestDiameterEstimation:
+    @pytest.mark.parametrize("target", [3, 4, 6])
+    def test_bounds_contain_true_diameter(self, target):
+        g = hub_diameter_graph(70, target, rng=5)
+        lower, upper, _ = estimate_diameter(Network(g))
+        assert lower <= target <= upper
+        assert upper == 2 * lower
+
+    def test_path_graph(self):
+        lower, upper, _ = estimate_diameter(Network(path_graph(12)))
+        assert lower <= 11 <= upper
+
     # (graph, true diameter, bounds, summed rounds, summed messages) of
     # the three chained stages: FloodMax, BFS from the leader, convergecast.
     PINS = [
