@@ -140,7 +140,10 @@ class DistributedAlgorithm(ABC):
         returned object implements what ``Network._run_bulk`` calls:
         ``start(max_rounds)``, ``next_round(after)``, ``bulk_round(rnd)``,
         ``awake_at_cutoff(rnd)`` and
-        ``finish(network, metrics, terminated, final_round)``.
+        ``finish(network, metrics, terminated, final_round)``.  ``finish``
+        leaves the node state the per-node run would have reached; after a
+        cutoff (``terminated`` false) the engine raises and the network
+        must be reset, so the kernel's undelivered traffic is dropped.
         """
         return None
 

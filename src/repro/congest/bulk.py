@@ -39,15 +39,20 @@ modelling decision below exists to reproduce an engine behaviour exactly:
   views that carry the layout, and the aggregation kernel over the same
   masks reuses that layout and takes the parent array as it is.  Neither
   kernel writes per-node dicts at ``finish``: a view builds an instance's
-  list, dict or set when it is read, and a per-node run (a ``reset=False``
-  continuation after a cutoff) builds all of them before its first step.
+  list, dict or set when it is read, and a per-node rerun of the object
+  builds all of them before its first step.
+* **Cutoffs are final.**  A run that hits ``max_rounds`` raises, and the
+  network must be reset before it runs again, so a kernel's undelivered
+  traffic dies with it: ``finish`` leaves the node state the per-node run
+  would have reached and nothing on the links.
 
 Fallback rules (enforced by ``Network._try_bulk``): adversarial runs, retry
-(ack/retransmit) configurations, dirty queues, non-``min``/``max`` or
-non-rankable aggregations, resumed aggregation objects and masks that
-permit a link in one direction only all take the per-node path.  Every
-decline of a bulk-capable algorithm is named in ``RunMetrics.bulk_declined``;
-the first two also warn once per network with :class:`BulkFallbackWarning`.
+(ack/retransmit) configurations, messages sent from outside any run,
+non-``min``/``max`` or non-rankable aggregations, resumed aggregation
+objects and masks that permit a link in one direction only all take the
+per-node path.  Every decline of a bulk-capable algorithm is named in
+``RunMetrics.bulk_declined``; the first two also warn once per network
+with :class:`BulkFallbackWarning`.
 
 Lint: every kernel declares its mutable state arrays in ``bulk_state``; the
 ``repro lint`` rule RPR013 flags ``bulk_round`` implementations assigning
@@ -62,7 +67,6 @@ from typing import Optional
 import numpy as np
 
 from ..graphs.csr import sorted_unique
-from .message import Message
 
 I64 = np.int64
 #: Internal "unreached" distance sentinel (labels are exported as the
@@ -137,9 +141,8 @@ class _LinkScheduler:
     ``linkmax`` mirrors the engine's send-time backlog recording: the
     backlog after the group's last append is ``base + k - 1 - r``; values
     below 2 are filtered at read time (the engine never records backlog 1).
-    ``recorded_max`` folds only values from rounds the run's metric can
-    observe (sends at ``rnd == max_rounds`` are recorded in ``linkmax`` for
-    follow-up ``reset=False`` runs but never read by this run's deliveries).
+    Sends at ``rnd == max_rounds`` are not recorded: the run raises before
+    any delivery reads them, and the network is reset before the next run.
     """
 
     __slots__ = ("avail", "act", "seq", "linkmax", "recorded_max")
@@ -182,13 +185,6 @@ class _LinkScheduler:
             top = int(gmax.max())
             if top > self.recorded_max:
                 self.recorded_max = top
-        else:
-            # Sends at the cutoff round are still recorded for follow-up
-            # reset=False runs (the engine's link_max list keeps them), but
-            # this run's metric never reads them.
-            gmax = base + counts - 1 - rnd
-            np.maximum(self.linkmax[glinks], gmax, out=gmax)
-            self.linkmax[glinks] = gmax
         deliv = np.empty(nsend, dtype=I64)
         deliv[order] = sdeliv
         return deliv, self.act[links]
@@ -305,8 +301,6 @@ class FloodMaxKernel:
         self.inherited = _inherited_linkmax(network)
         self.seen_linkmax = 0
         self.key_leader = algorithm._key_leader
-        self.tag = algorithm._tag_max
-        self.algorithm_id = algorithm.algorithm_id
         self.leader = np.arange(self.n, dtype=I64)
         self.pending: Optional[tuple] = None
         self.sent = 0
@@ -326,9 +320,8 @@ class FloodMaxKernel:
         targets = self.indices[flat]
         links = self.links[flat]
         values = np.repeat(self.leader[nodes], counts)
-        senders = np.repeat(nodes, counts)
         self.sent += len(targets)
-        self.pending = (targets, links, values, senders)
+        self.pending = (targets, links, values)
 
     def start(self, max_rounds: int) -> None:
         # initialize: every node sets leader = own id and announces it.
@@ -338,7 +331,7 @@ class FloodMaxKernel:
         return after + 1 if self.pending is not None else None
 
     def bulk_round(self, rnd: int) -> None:
-        targets, links, values, _ = self.pending
+        targets, links, values = self.pending
         _deliver_frontier(self, links)
         uniq, inv = np.unique(targets, return_inverse=True)
         best = np.full(len(uniq), -1, dtype=I64)
@@ -357,16 +350,6 @@ class FloodMaxKernel:
     def finish(self, network, metrics, terminated: bool, final_round: int) -> None:
         _finish_metrics(self, network, metrics)
         metrics.max_link_backlog = max(1, self.seen_linkmax) if self.delivered else 0
-        if self.pending is not None:
-            _, links, values, senders = self.pending
-            tag, aid = self.tag, self.algorithm_id
-            _spill_ring(network, (
-                (act, link, Message(s, -1, tag, v, aid))
-                for act, (link, v, s) in enumerate(zip(
-                    links.tolist(), values.tolist(), senders.tolist()
-                ))
-            ))
-            self.pending = None
         _halt_all(network)
         network._leave_node_state(None, {self.key_leader: self.leader})
 
@@ -404,8 +387,6 @@ class BFSKernel:
         self.key_dist = algorithm._key_dist
         self.key_parent = algorithm._key_parent
         self.key_root = algorithm._key_root
-        self.tag = algorithm._tag_explore
-        self.algorithm_id = algorithm.algorithm_id
         self.dist = np.full(n, _HUGE, dtype=I64)
         self.parent = np.full(n, -1, dtype=I64)
         self.root = np.full(n, -1, dtype=I64)
@@ -495,21 +476,6 @@ class BFSKernel:
     def finish(self, network, metrics, terminated: bool, final_round: int) -> None:
         _finish_metrics(self, network, metrics)
         metrics.max_link_backlog = max(1, self.seen_linkmax) if self.delivered else 0
-        if self.pending is not None:
-            _, links, packed = self.pending
-            n = self.n
-            senders = packed % n
-            roots = packed // n
-            dists = self.dist[senders]
-            tag, aid = self.tag, self.algorithm_id
-            _spill_ring(network, (
-                (act, link, Message(s, -1, tag, (d, r), aid))
-                for act, (link, s, d, r) in enumerate(zip(
-                    links.tolist(), senders.tolist(),
-                    dists.tolist(), roots.tolist(),
-                ))
-            ))
-            self.pending = None
         reached = np.flatnonzero(self.dist < _HUGE)
         _halt_all(network)
         network._leave_node_state(reached, {
@@ -549,43 +515,6 @@ def _writeback_linkmax(kernel, network) -> None:
     for link, val in zip(hot.tolist(), km[hot].tolist()):
         if val > lm[link]:
             lm[link] = val
-
-
-def _prune_pending(pending: dict, final_round: int) -> None:
-    """Drop start entries the run executed, as per-node popping would."""
-    for v in list(pending):
-        keep = [entry for entry in pending[v] if entry[0] > final_round]
-        if keep:
-            pending[v] = keep
-        else:
-            del pending[v]
-
-
-# ----------------------------------------------------------------------
-# cutoff spill: a round-limited per-node run leaves its undelivered
-# traffic in the network queues, where a ``reset=False`` follow-up run
-# delivers and counts it.  Kernels reconstruct that state exactly.
-# ----------------------------------------------------------------------
-def _spill_ring(network, entries) -> None:
-    """Materialize undelivered ring traffic into ``network._queues``.
-
-    ``entries`` is an iterable of ``(act_stamp, link, message)`` with per-link
-    FIFO order (iterate delivery rounds ascending: unit bandwidth means at
-    most one delivery per link per round).  The rebuilt active list is
-    sorted by activation stamp, which is the engine's activation-time
-    insertion order.
-    """
-    queues = network._queues
-    is_active = network._is_active
-    first_act: dict[int, int] = {}
-    for act, link, msg in entries:
-        if is_active[link]:
-            queues[link].append(msg)
-        else:
-            queues[link] = [msg]
-            is_active[link] = 1
-            first_act[link] = act
-    network._active.extend(sorted(first_act, key=first_act.get))
 
 
 # ----------------------------------------------------------------------
@@ -1067,30 +996,11 @@ class FleetKernel:
             if lst and lst[-1][0] > rnd
         )
 
-    def _spill(self, network) -> None:
-        tags = self.alg.tags
-        slot_i = self.slot_i
-        entries = []
-        for rnd in sorted(self.buckets):
-            acts, links, targets, tslots, senders, dists, roots = \
-                _bucket_pop(self.buckets, rnd)
-            idxs = slot_i[tslots].tolist()
-            for act, link, sender, d, r, idx in zip(
-                acts.tolist(), links.tolist(), senders.tolist(),
-                dists.tolist(), roots.tolist(), idxs,
-            ):
-                entries.append(
-                    (act, link, Message(sender, -1, tags[idx], (d, r), idx))
-                )
-        _spill_ring(network, entries)
-
     def finish(self, network, metrics, terminated: bool, final_round: int) -> None:
         alg = self.alg
         _finish_metrics(self, network, metrics)
         metrics.max_link_backlog = _ring_backlog(self)
         _writeback_linkmax(self, network)
-        if self.buckets:
-            self._spill(network)
         # The labels stay in the slot arrays; each instance's containers are
         # built when read (a per-node run built them all: they update now).
         hit = self.dist != _HUGE
@@ -1103,8 +1013,9 @@ class FleetKernel:
             rows.absorb(_label_fill(self.layout, values, hit), self.layout, values)
             setattr(alg, name, rows)
         _halt_all(network)
-        pending = alg._pending
-        _prune_pending(pending, final_round)
+        if terminated:
+            # Every start ran, as the per-node run pops them all.
+            alg._pending.clear()
         ticks = self.tick_last
         columns = {}
         if ticks:
@@ -1112,10 +1023,8 @@ class FleetKernel:
                 np.fromiter(ticks.values(), dtype=I64, count=len(ticks)),
                 final_round,
             )
-        # Sources still waiting on a start keep ticking past a cutoff.
         network._leave_node_state(
             np.fromiter(ticks, dtype=I64, count=len(ticks)), columns,
-            wake=pending,
         )
 
 
@@ -1224,8 +1133,8 @@ class PartAggregationKernel:
     when the parents come from a fleet over the same masks, plus value
     holders outside every mask slice.  ``finish`` publishes ``results``
     and leaves ``delivered`` and the convergecast bookkeeping (``_heard``,
-    ``_child_*``, ``_done``; what a ``reset=False`` per-node continuation
-    reads) in the kernel's arrays, behind views built on read.
+    ``_child_*``, ``_done``; what a per-node rerun of the object reads) in
+    the kernel's arrays, behind views built on read.
     """
 
     bulk_state = ("heard", "done", "buckets", "start_events", "sent",
@@ -1575,39 +1484,11 @@ class PartAggregationKernel:
         # engine's awake set is empty at any cutoff.
         return 0
 
-    def _spill(self, network) -> None:
-        alg = self.alg
-        table = self.rank_table
-        entries = []
-        for rnd in sorted(self.buckets):
-            acts, kinds, links, targets, tslots, senders, ivals = \
-                _bucket_pop(self.buckets, rnd)
-            rows = zip(
-                acts.tolist(), kinds.tolist(), links.tolist(),
-                targets.tolist(), senders.tolist(), ivals.tolist(),
-                self.slot_i[tslots].tolist(),
-            )
-            for act, kind, link, target, sender, ival, idx in rows:
-                if kind == _K_ANN:
-                    msg = Message(sender, -1, alg._tags_ann[idx], ival, idx)
-                elif kind == _K_UP:
-                    msg = Message(
-                        sender, target, alg._tags_up[idx], table[ival], idx
-                    )
-                else:
-                    msg = Message(
-                        sender, -1, alg._tags_down[idx], table[ival], idx
-                    )
-                entries.append((act, link, msg))
-        _spill_ring(network, entries)
-
     def finish(self, network, metrics, terminated: bool, final_round: int) -> None:
         alg = self.alg
         _finish_metrics(self, network, metrics)
         metrics.max_link_backlog = _ring_backlog(self)
         _writeback_linkmax(self, network)
-        if self.buckets:
-            self._spill(network)
         _halt_all(network)
         if alg.wake_at_rounds:
             alg.current_round = self.last_executed

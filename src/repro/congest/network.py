@@ -18,6 +18,12 @@ talk about: total rounds to quiescence, total messages, the maximum backlog
 observed on any link (a per-link congestion proxy) and per-edge message
 counts.
 
+A run ends one of two ways: at quiescence, or by raising
+:class:`RoundLimitExceeded` (:class:`PartialRunError` under an adversary)
+with the partial metrics once ``max_rounds`` is hit.  Only a quiescent
+network can be followed up with ``run(..., reset=False)``; after a run
+that raised, its node state stays readable, but the next run must reset.
+
 Active-set round engine
 -----------------------
 A round costs O(nodes-and-links-actually-touched), not O(n + links):
@@ -143,6 +149,8 @@ class RoundLimitExceeded(RuntimeError):
     send counts reconciled against the queued backlog) and
     :attr:`last_active_set` the number of awake nodes at the moment the
     limit was hit — together they say *where* a stalled run was stuck.
+    The node state the run reached stays readable, but the run cannot be
+    continued: the network must be reset before it runs again.
     """
 
     def __init__(
@@ -179,8 +187,9 @@ class RunMetrics:
         messages_sent: total messages handed to the network by nodes.
         messages_delivered: total messages delivered to receivers.
         max_link_backlog: largest queue length observed on any directed link.
-        terminated: ``True`` if the run reached quiescence (as opposed to
-            being stopped by ``max_rounds`` with ``raise_on_limit=False``).
+        terminated: ``True`` if the run reached quiescence.  A run that
+            hits ``max_rounds`` raises :class:`RoundLimitExceeded`, whose
+            partial metrics carry ``False``.
         messages_dropped: messages consumed by the adversary (or addressed
             to a crashed node) instead of reaching their receiver; always 0
             in fault-free runs.
@@ -189,9 +198,9 @@ class RunMetrics:
         crashes / recoveries: node-fault events applied during the run.
         bulk_declined: why a bulk-capable algorithm ran on the per-node
             path instead of a vectorized kernel: ``"retry"``,
-            ``"adversary"``, ``"dirty"`` (queued traffic or unclean
-            structures left by an earlier run) or ``"kernel_refused"``
-            (the algorithm built no kernel for this configuration).
+            ``"adversary"``, ``"queued"`` (messages sent from outside any
+            run wait on the links) or ``"kernel_refused"`` (the algorithm
+            built no kernel for this configuration).
             ``None`` when a kernel ran or the algorithm is not
             bulk-capable.
     """
@@ -277,7 +286,7 @@ class Network:
         self.strict_bandwidth = strict_bandwidth
         self._wiring_csr = None
         self._ran = False
-        self._structures_clean = True
+        self._quiescent = True
         # (network, reason) pairs already warned about a declined bulk run;
         # deliberately not cleared by reset() so each network warns once.
         self._bulk_fallback_warned: set[str] = set()
@@ -341,14 +350,13 @@ class Network:
         self._state_fills.clear()
         return contexts
 
-    def _leave_node_state(self, verts, columns: dict, wake=()) -> None:
+    def _leave_node_state(self, verts, columns: dict) -> None:
         """Leave a bulk run's per-node outputs (the kernels' one hook).
 
         ``columns`` maps state keys to value arrays parallel to ``verts``
-        (an id array, or ``None`` for every node), and the ``wake`` nodes
-        end the run awake.  Built contexts receive the values now;
-        otherwise they join the queue of fills that the context build
-        applies in run order.  The awake set is updated either way.
+        (an id array, or ``None`` for every node).  Built contexts receive
+        the values now; otherwise they join the queue of fills that the
+        context build applies in run order.
         """
         contexts = self._contexts
         if contexts is None:
@@ -356,16 +364,13 @@ class Network:
                 self._state_fills.append((verts, columns))
         else:
             _write_columns(contexts, verts, columns)
-            for v in wake:
-                contexts[v].halted = False
-        self._awake.update(wake)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Reset all node state and link queues (a fresh network).
 
         Cheap when possible: when the topology is unchanged and the last run
-        drained cleanly (or nothing ran at all), only the node state and
+        reached quiescence (or nothing ran at all), only the node state and
         per-link maxima need clearing — the link queues, head cursors and
         inboxes are empty by invariant.  On a network whose contexts were
         never built that is the flat tables and the queue of kernel outputs
@@ -375,7 +380,7 @@ class Network:
         """
         csr = self.graph.csr()
         if self._wiring_csr is csr:
-            if self._structures_clean and not self._active:
+            if self._quiescent and not self._active:
                 link_max = self._link_max_backlog
                 link_max[:] = [0] * len(link_max)
                 awake = self._awake
@@ -423,7 +428,7 @@ class Network:
         # (verts, columns) outputs of bulk runs, waiting for the contexts.
         self._state_fills: list[tuple] = []
         self._ran = False
-        self._structures_clean = True
+        self._quiescent = True
 
     def node(self, v: int) -> NodeContext:
         """Return the :class:`NodeContext` of node ``v`` (for inspecting outputs).
@@ -439,7 +444,6 @@ class Network:
         algorithm: DistributedAlgorithm,
         *,
         max_rounds: int = 100_000,
-        raise_on_limit: bool = True,
         reset: bool = True,
         adversary=None,
     ) -> RunMetrics:
@@ -452,13 +456,15 @@ class Network:
 
         Args:
             algorithm: the algorithm to run.
-            max_rounds: safety limit on the number of rounds.
-            raise_on_limit: raise :class:`RoundLimitExceeded` when the limit
-                is hit (otherwise return metrics with ``terminated=False``).
-            reset: start from a clean network state (set to ``False`` to run
-                a follow-up algorithm that reads earlier algorithms' state;
+            max_rounds: safety limit on the number of rounds; hitting it
+                raises :class:`RoundLimitExceeded`.
+            reset: start from a clean network state.  ``False`` runs a
+                follow-up algorithm that reads earlier algorithms' state;
                 nodes left halted by the earlier run stay halted until this
-                algorithm's ``initialize`` wakes them or a message arrives).
+                algorithm's ``initialize`` wakes them or a message arrives.
+                Only a network whose last run reached quiescence can be
+                followed up: after a run that raised, ``reset=False``
+                raises ``ValueError`` until the network is reset.
             adversary: optional :class:`~repro.congest.adversary.Adversary`
                 hooked into ring delivery (message drops/duplication/
                 latency/reordering and scheduled node crashes).  It turns
@@ -471,11 +477,17 @@ class Network:
         Returns:
             The :class:`RunMetrics` of the run.
         """
-        if reset and self._ran:
-            self.reset()
+        if reset:
+            if self._ran:
+                self.reset()
+        elif not self._quiescent:
+            raise ValueError(
+                "the last run on this network did not reach quiescence; "
+                "reset() it (or run with reset=True) before running again"
+            )
         declined = None
         if getattr(algorithm, "bulk_capable", False):
-            bulk = self._try_bulk(algorithm, max_rounds, raise_on_limit, adversary)
+            bulk = self._try_bulk(algorithm, max_rounds, adversary)
             if isinstance(bulk, RunMetrics):
                 return bulk
             declined = bulk
@@ -487,7 +499,7 @@ class Network:
         # duplicated + backlog growth.
         backlog_start = self._pending_backlog()
         self._ran = True
-        self._structures_clean = False
+        self._quiescent = False
 
         nodes = self._node_list
         # Timer protocol (opt-in; see the module docstring of
@@ -560,7 +572,7 @@ class Network:
                             - metrics.messages_duplicated
                             - backlog_start
                         )
-                        self._structures_clean = True
+                        self._quiescent = True
                         return metrics
                     # Quiescent, but faults are still scheduled: a recovery
                     # can re-inject work and a crash wipes observable state,
@@ -636,20 +648,16 @@ class Network:
             + self._pending_backlog()
             - backlog_start
         )
-        self._structures_clean = True
-        metrics.terminated = False
-        if raise_on_limit:
-            if adversary is None:
-                error, stall = RoundLimitExceeded, "did not terminate"
-            else:
-                error = PartialRunError
-                stall = f"stalled under adversary {adversary.name!r}: no quiescence"
-            raise error(
-                f"algorithm {algorithm.name!r} {stall} within {max_rounds} rounds",
-                metrics=metrics,
-                last_active_set=len(awake),
-            )
-        return metrics
+        if adversary is None:
+            error, stall = RoundLimitExceeded, "did not terminate"
+        else:
+            error = PartialRunError
+            stall = f"stalled under adversary {adversary.name!r}: no quiescence"
+        raise error(
+            f"algorithm {algorithm.name!r} {stall} within {max_rounds} rounds",
+            metrics=metrics,
+            last_active_set=len(awake),
+        )
 
     # ------------------------------------------------------------------
     # bulk execution (vectorized whole-round kernels; see repro.congest.bulk)
@@ -665,7 +673,7 @@ class Network:
             stacklevel=4,
         )
 
-    def _try_bulk(self, algorithm, max_rounds: int, raise_on_limit: bool, adversary):
+    def _try_bulk(self, algorithm, max_rounds: int, adversary):
         """Attempt a vectorized run.
 
         Returns the run's :class:`RunMetrics`, or the name of the decline
@@ -673,7 +681,7 @@ class Network:
         ``RunMetrics.bulk_declined``.  Retry mode and a bulk-eligible
         configuration under an adversary (which needs a per-message
         delivery point) also warn once per network, since they are
-        configuration choices; dirty queues and refused kernels (size
+        configuration choices; queued messages and refused kernels (size
         guards, invalid trees, aggregations the kernel does not model) are
         per-run conditions and only recorded.
         """
@@ -686,14 +694,16 @@ class Network:
         if adversary is not None:
             self._warn_bulk_fallback(algorithm, "adversary")
             return "adversary"
-        if self._active or not self._structures_clean:
-            return "dirty"
+        if self._active:
+            # A run starts on idle links unless messages were sent from
+            # outside any run; the kernels do not model that traffic.
+            return "queued"
         kernel = algorithm.bulk_kernel(self)
         if kernel is None:
             return "kernel_refused"
-        return self._run_bulk(algorithm, kernel, max_rounds, raise_on_limit)
+        return self._run_bulk(algorithm, kernel, max_rounds)
 
-    def _run_bulk(self, algorithm, kernel, max_rounds: int, raise_on_limit: bool) -> RunMetrics:
+    def _run_bulk(self, algorithm, kernel, max_rounds: int) -> RunMetrics:
         """Drive a bulk kernel round by round.
 
         The kernel owns all round work; this driver only reproduces the
@@ -705,6 +715,7 @@ class Network:
         """
         metrics = RunMetrics()
         self._ran = True
+        self._quiescent = False
         kernel.start(max_rounds)
         rnd = 0
         terminated = False
@@ -723,15 +734,13 @@ class Network:
         kernel.finish(self, metrics, terminated, rnd)
         metrics.rounds = rnd
         metrics.terminated = terminated
-        # Queues were never touched, so the network stays cheap-resettable;
-        # only the per-link maxima the kernel wrote back need clearing then.
-        self._structures_clean = True
-        if not terminated and raise_on_limit:
+        if not terminated:
             raise RoundLimitExceeded(
                 f"algorithm {algorithm.name!r} did not terminate within {max_rounds} rounds",
                 metrics=metrics,
                 last_active_set=kernel.awake_at_cutoff(rnd),
             )
+        self._quiescent = True
         return metrics
 
     # ------------------------------------------------------------------

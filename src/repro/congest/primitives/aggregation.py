@@ -43,8 +43,8 @@ keeps it in per-instance dicts keyed by touched node, so memory follows the
 touched set, not ``instances × n``.  A bulk run keeps it in the kernel's
 slot arrays (:mod:`repro.congest.bulk`); those dicts, ``delivered``
 included, are built from the arrays only when something reads them — a
-caller indexing ``delivered``, or a ``reset=False`` per-node continuation,
-which builds them all before its first step.
+caller indexing ``delivered``, or a per-node rerun of the object, which
+builds them all before its first step.
 """
 
 from __future__ import annotations

@@ -51,7 +51,12 @@ def _relpath(path: Path, root: Path) -> str:
 
 def discover_files(paths: Sequence[str], root: Path,
                    config: LintConfig) -> list[Path]:
-    """The ``.py`` files under ``paths``, minus excluded prefixes, sorted."""
+    """The ``.py`` files under ``paths``, sorted.
+
+    ``exclude`` prefixes filter only the files found by walking a
+    directory: a file named in ``paths`` is always linted (ruff's default
+    without ``--force-exclude``).
+    """
     files: set[Path] = set()
     for entry in paths:
         target = Path(entry)
@@ -60,14 +65,13 @@ def discover_files(paths: Sequence[str], root: Path,
         if target.is_file() and target.suffix == ".py":
             files.add(target)
         elif target.is_dir():
-            files.update(p for p in target.rglob("*.py")
-                         if "__pycache__" not in p.parts)
-    kept = [
-        f for f in files
-        if not any(path_is_under(_relpath(f, root), prefix)
-                   for prefix in config.exclude)
-    ]
-    return sorted(kept)
+            files.update(
+                p for p in target.rglob("*.py")
+                if "__pycache__" not in p.parts
+                and not any(path_is_under(_relpath(p, root), prefix)
+                            for prefix in config.exclude)
+            )
+    return sorted(files)
 
 
 def select_rules(config: LintConfig,

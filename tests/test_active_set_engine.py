@@ -24,6 +24,7 @@ from repro.congest import (
     DistributedAlgorithm,
     Network,
     RandomDelayScheduler,
+    RoundLimitExceeded,
     draw_random_delays,
 )
 from repro.congest.message import Message
@@ -522,25 +523,30 @@ class TestResetFalseComposition:
 
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("bulk", [True, False])
-    def test_cutoff_resume_meters_leftover_traffic(self, bulk, strict, monkeypatch):
-        # A cut-off BFS leaves node 1's announcements queued on 1->0 and
-        # 1->2; a follow-up in which node 1 announces again must queue
-        # behind them, one delivery per link per round.
+    def test_cutoff_refuses_reset_false_follow_up(self, bulk, strict, monkeypatch):
+        # A BFS cut off at round 1 has node 1's announcements still in
+        # flight on 1->0 and 1->2.  It raises with the partial metrics and
+        # the labels it reached, and the traffic is never delivered: a
+        # follow-up must reset the network first.
         monkeypatch.setattr(DistributedBFS, "bulk_capable", bulk)
         net = Network(path_graph(4), strict_bandwidth=strict)
-        cut = net.run(DistributedBFS({0}), max_rounds=1, raise_on_limit=False)
-        assert not cut.terminated
+        with pytest.raises(RoundLimitExceeded) as cut:
+            net.run(DistributedBFS({0}), max_rounds=1)
+        partial = cut.value.metrics
+        assert not partial.terminated
+        assert (partial.rounds, partial.messages_sent,
+                partial.messages_delivered) == (1, 3, 1)
+        assert cut.value.last_active_set == 0
+        assert net.node(1).state["bfs_dist"] == 1
+        assert "bfs_dist" not in net.node(2).state
         follow_up = DistributedBFS({1}, max_depth=1, prefix="y_")
-        if strict:
-            with pytest.raises(BandwidthExceededError):
-                net.run(follow_up, reset=False)
-            return
-        metrics = net.run(follow_up, reset=False)
+        with pytest.raises(ValueError, match="reset"):
+            net.run(follow_up, reset=False)
+        metrics = net.run(follow_up)
         assert metrics.terminated
-        assert metrics.rounds == 2
-        assert metrics.max_link_backlog == 2
-        assert metrics.messages_delivered == 4
-        assert net.node(2).state["y_dist"] == 1
+        assert (metrics.rounds, metrics.max_link_backlog,
+                metrics.messages_delivered) == (1, 1, 2)
+        assert net.node(2).state == {"y_dist": 1, "y_parent": 1, "y_root": 1}
 
 
 # ----------------------------------------------------------------------

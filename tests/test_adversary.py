@@ -146,8 +146,9 @@ class TestDropAdversary:
         g = path_graph(5)
         adversary = DropAdversary(0.0, seed=1, per_edge_rates={(2, 3): 0.999999})
         net = Network(g)
-        net.run(DistributedBFS({0}), adversary=adversary, max_rounds=200,
-                raise_on_limit=False)
+        # The lost message ends the wave: the run quiesces, it does not stall.
+        metrics = net.run(DistributedBFS({0}), adversary=adversary, max_rounds=200)
+        assert metrics.terminated and metrics.messages_dropped == 1
         _, dist = extract_bfs_tree(net)
         assert dist[2] == 2 and dist.get(4) is None
 
@@ -213,7 +214,8 @@ class TestCrashAdversary:
         adversary = CrashAdversary({4: 3})
         net = Network(g)
         metrics = net.run(DistributedBFS({0}), adversary=adversary,
-                          max_rounds=100, raise_on_limit=False)
+                          max_rounds=100)
+        assert metrics.terminated
         assert metrics.crashes == 1
         # Node 4 crashed after learning its distance: state gone, and the
         # nodes behind it never heard anything (messages to it are dropped).

@@ -7,10 +7,10 @@ compares the *full* observable surface: round count, messages sent and
 delivered, max link backlog, per-edge traffic (including multicast-folded
 sends), termination flag, node state, and the algorithm's own outputs.
 The sweep covers all six generator families for each ported primitive,
-plus the boundary behaviours: ``max_rounds`` cutoffs composed with
-``reset=False`` (spilled in-flight traffic must be delivered identically
-by a follow-up run), resumed algorithm objects, and the fallback for
-configurations no kernel models: every decline is named in
+plus the boundary behaviours: ``max_rounds`` cutoffs (both paths raise
+alike and leave the same node state, and the cut network must be reset),
+resumed algorithm objects, and the fallback for configurations no kernel
+models: every decline is named in
 ``RunMetrics.bulk_declined``, and retry mode and adversarial runs also
 warn once per network.
 """
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.congest import bulk
-from repro.congest.network import BulkFallbackWarning, Network
+from repro.congest.network import BulkFallbackWarning, Network, RoundLimitExceeded
 from repro.congest.adversary import RetryPolicy, make_fault_adversary
 from repro.congest.primitives.aggregation import (
     PartAggregation,
@@ -35,6 +35,8 @@ from repro.congest.primitives.concurrent_bfs import ConcurrentMaskedBFS
 from repro.congest.primitives.leader import FloodMax, read_leaders
 from repro.graphs.csr import CSRLinkMask
 from repro.graphs.generators import GENERATOR_FAMILIES
+
+from test_network_wiring import _LeaderBurst
 
 FAMILIES = sorted(GENERATOR_FAMILIES)
 
@@ -139,34 +141,6 @@ def test_bfs_bulk_matches_per_node(family, bulk_toggle):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("cutoff", [0, 1, 2])
-@pytest.mark.parametrize("make", [
-    lambda g: FloodMax(),
-    lambda g: DistributedBFS({0, g.num_vertices // 2}),
-], ids=["floodmax", "bfs"])
-def test_single_channel_cutoff_resume_matches_per_node(
-    family, cutoff, make, bulk_toggle
-):
-    """A cut-off kernel spills its in-flight frontier onto the ring queues,
-    where a ``reset=False`` follow-up run delivers it exactly as after a
-    cut-off per-node run.  The follow-up queues behind the spill and leaves
-    backlog maxima of 2, which a third (bulk-eligible) run must fold in."""
-
-    def once(enabled):
-        bulk_toggle(enabled)
-        g = family_graph(family)
-        net = Network(g)
-        stages = []
-        for max_rounds in (cutoff, 100_000, 100_000):
-            m = net.run(make(g), reset=False, max_rounds=max_rounds,
-                        raise_on_limit=False)
-            stages.append((metrics_tuple(m), node_states(net)))
-        return stages
-
-    assert once(True) == once(False)
-
-
-@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("sparse", [True, False])
 def test_fleet_bulk_matches_per_node(family, sparse, bulk_toggle):
     def once(enabled):
@@ -208,53 +182,128 @@ def test_aggregation_pipeline_bulk_matches_per_node(
 
 
 # ----------------------------------------------------------------------
-# boundary behaviour: cutoffs, reset=False composition, resumed objects
+# the cutoff contract: a run that hits max_rounds raises and is final
 # ----------------------------------------------------------------------
-def _two_stage(family, enabled, max_rounds, bulk_toggle, seed=7):
-    """Fleet + aggregation on one network, both stages under ``max_rounds``.
+CUTOFF_KINDS = ("floodmax", "bfs", "fleet", "aggregation")
 
-    A cutoff mid-flight forces the kernel's spill path: undelivered bulk
-    traffic must land in the per-node queues so the next ``reset=False``
-    stage (which then declines bulk on the dirty network) delivers it
-    identically to a pure per-node composition.
+
+def _cutoff_subject(kind, g):
+    """A factory of fresh ``kind`` objects on ``g`` and their outputs.
+
+    Returns ``(make, outputs)``: ``outputs(algo)`` reads what the object
+    keeps off ``node.state`` (fleet labels; aggregation results and
+    receipts).  The start delays stretch the fleet and the aggregation
+    past every cutoff the contract test uses; the aggregation folds over
+    the trees of a fleet run to completion on a separate network.
+    """
+    n = g.num_vertices
+    if kind == "floodmax":
+        return FloodMax, lambda algo: None
+    if kind == "bfs":
+        return lambda: DistributedBFS({0}), lambda algo: None
+    masks, roots, values = label_masks(g)
+
+    def make_fleet():
+        return ConcurrentMaskedBFS(
+            roots, masks, [1, 0, 12, 5], n, [f"pa{i}_" for i in range(4)], n,
+            suppress_parent_echo=True, sparse_labels=True,
+        )
+
+    if kind == "fleet":
+        return make_fleet, lambda algo: fleet_labels(algo, 4)
+    trees = make_fleet()
+    Network(g).run(trees)
+
+    def make_aggregation():
+        return PartAggregation(masks, trees.parent, values, "min",
+                               delays=[2, 0, 10, 3])
+
+    return make_aggregation, lambda algo: (
+        list(algo.results), [dict(sorted(d.items())) for d in algo.delivered]
+    )
+
+
+def _full_states(net):
+    """Every node's state, the fleet's start-round ticks included."""
+    return {v: {k: s for k, s in ctx.state.items() if not k.endswith("__allowed")}
+            for v, ctx in enumerate(net._node_list)}
+
+
+def _cutoff_outcome(kind, family, max_rounds, enabled, bulk_toggle):
+    """Run ``kind`` under ``max_rounds`` and check the network after it.
+
+    A run that needs ``max_rounds`` rounds or more raises (both paths test
+    for quiescence before a round, never after the last allowed one); its
+    exception, the node state it reached and the object's outputs are
+    returned for the caller to compare across paths.  No run declines the
+    kernel.  The cut network refuses a ``reset=False`` follow-up and,
+    reset by ``run()``, runs exactly as a fresh one.
     """
     bulk_toggle(enabled)
-    g = family_graph(family)
-    masks, roots, values = label_masks(g)
-    rng = random.Random(seed)
+    g = family_graph(family, n=120)
+    make, outputs = _cutoff_subject(kind, g)
+    fresh_net = Network(g)
+    fresh = make()
+    fresh_metrics = fresh_net.run(fresh)
+    assert fresh_metrics.bulk_declined is None
     net = Network(g)
-    fleet = ConcurrentMaskedBFS(
-        roots, masks, draw_random_delays(4, 2, rng), g.num_vertices,
-        [f"pa{i}_" for i in range(4)], g.num_vertices,
-        suppress_parent_echo=True, sparse_labels=True,
-    )
-    m1 = net.run(fleet, reset=False, max_rounds=max_rounds,
-                 raise_on_limit=False)
-    agg = PartAggregation(
-        masks, fleet.parent, values, "min",
-        delays=draw_random_delays(4, 2, rng),
-    )
-    m2 = net.run(agg, reset=False, max_rounds=max_rounds,
-                 raise_on_limit=False)
-    # Resume the same (possibly cut off) algorithm objects to completion:
-    # bulk state handed back by the kernels must compose with the per-node
-    # continuation exactly.
-    m3 = net.run(agg, reset=False, max_rounds=200_000, raise_on_limit=False)
-    return (
-        [metrics_tuple(m) for m in (m1, m2, m3)],
-        fleet_labels(fleet, 4),
-        list(agg.results),
-        [dict(sorted(d.items())) for d in agg.delivered],
-        node_states(net),
-    )
+    algo = make()
+    if max_rounds > fresh_metrics.rounds:
+        metrics = net.run(algo, max_rounds=max_rounds)
+        assert metrics_tuple(metrics) == metrics_tuple(fresh_metrics)
+        return None, _full_states(net), outputs(algo)
+    with pytest.raises(RoundLimitExceeded) as cut:
+        net.run(algo, max_rounds=max_rounds)
+    err = cut.value
+    assert not err.metrics.terminated and err.metrics.rounds == max_rounds
+    assert err.metrics.bulk_declined is None
+    seen = (type(err), metrics_tuple(err.metrics), err.last_active_set,
+            _full_states(net), outputs(algo))
+    with pytest.raises(ValueError, match="reset"):
+        net.run(make(), reset=False)
+    again = make()
+    metrics = net.run(again)
+    assert metrics_tuple(metrics) == metrics_tuple(fresh_metrics)
+    assert _full_states(net) == _full_states(fresh_net)
+    assert outputs(again) == outputs(fresh)
+    return seen
 
 
-@pytest.mark.parametrize("family", ["expander", "caterpillar"])
-@pytest.mark.parametrize("max_rounds", [200_000, 9, 4, 1, 0])
-def test_cutoff_and_resume_composition(family, max_rounds, bulk_toggle):
-    bulk = _two_stage(family, True, max_rounds, bulk_toggle)
-    node = _two_stage(family, False, max_rounds, bulk_toggle)
-    assert bulk == node
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("max_rounds", [0, 1, 4, 9])
+@pytest.mark.parametrize("kind", CUTOFF_KINDS)
+def test_cutoff_contract(kind, max_rounds, family, bulk_toggle):
+    """Bulk and per-node cut a run alike: the same exception with the
+    same partial metrics and awake count, the same node state and
+    outputs, a refused ``reset=False`` follow-up and a clean rerun."""
+    with_bulk = _cutoff_outcome(kind, family, max_rounds, True, bulk_toggle)
+    per_node = _cutoff_outcome(kind, family, max_rounds, False, bulk_toggle)
+    assert with_bulk == per_node
+
+
+@pytest.mark.parametrize("kind", CUTOFF_KINDS)
+def test_follow_up_folds_inherited_backlog_maxima(kind, bulk_toggle):
+    """A congested run leaves per-link backlog maxima behind; a
+    ``reset=False`` follow-up folds them into its ``max_link_backlog`` on
+    every delivery over those links, so each kernel reads them off the
+    network as the per-node delivery does."""
+    burst = 4
+
+    def once(enabled):
+        bulk_toggle(enabled)
+        g = family_graph("torus")
+        make, outputs = _cutoff_subject(kind, g)
+        net = Network(g)
+        net.run(FloodMax())
+        net.run(_LeaderBurst(burst), reset=False)
+        algo = make()
+        m = net.run(algo, reset=False)
+        assert m.bulk_declined is None
+        return metrics_tuple(m), _full_states(net), outputs(algo)
+
+    with_bulk = once(True)
+    assert with_bulk[0][3] == burst
+    assert with_bulk == once(False)
 
 
 @pytest.mark.parametrize("op", ["min", "sum"])
@@ -367,17 +416,22 @@ def test_decline_reason_adversary(bulk_toggle):
     assert m.bulk_declined == "adversary"
 
 
-def test_decline_reason_dirty(bulk_toggle):
-    """A cut-off kernel spills its frontier onto the queues, so the next
-    ``reset=False`` run declines without a warning."""
-    bulk_toggle(True)
-    net = Network(family_graph("expander"))
-    m1 = net.run(FloodMax(), max_rounds=1, raise_on_limit=False)
-    assert m1.bulk_declined is None and not m1.terminated
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", BulkFallbackWarning)
-        m2 = net.run(DistributedBFS({0}), reset=False)
-    assert m2.bulk_declined == "dirty"
+def test_decline_reason_queued(bulk_toggle):
+    """Messages sent from outside any run wait on the links; the next run
+    delivers them on the per-node path, without a warning, exactly as
+    with bulk off."""
+
+    def once(enabled):
+        bulk_toggle(enabled)
+        net = Network(family_graph("expander"))
+        net.run(FloodMax())
+        net.node(0).broadcast("hello", 0, algorithm_id=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BulkFallbackWarning)
+            m = net.run(DistributedBFS({0}), reset=False)
+        return m.bulk_declined, metrics_tuple(m), node_states(net)
+
+    assert once(True) == ("queued",) + once(False)[1:]
 
 
 @pytest.mark.parametrize("case", ["packed_limit", "restricted_adjacency"])

@@ -170,11 +170,17 @@ class TestNetworkEngine:
         with pytest.raises(RoundLimitExceeded):
             net.run(_Spammer(), max_rounds=10)
 
-    def test_round_limit_soft(self):
+    def test_round_limit_keeps_partial_metrics(self):
         net = Network(cycle_graph(4))
-        metrics = net.run(_Spammer(), max_rounds=10, raise_on_limit=False)
+        with pytest.raises(RoundLimitExceeded) as cut:
+            net.run(_Spammer(), max_rounds=10)
+        metrics = cut.value.metrics
         assert not metrics.terminated
         assert metrics.rounds == 10
+        assert cut.value.last_active_set == 4
+        # The cut network cannot be continued, only reset.
+        with pytest.raises(ValueError, match="reset"):
+            net.run(_Spammer(), reset=False, max_rounds=10)
 
     def test_per_edge_message_counts(self):
         net = Network(path_graph(2))

@@ -13,10 +13,11 @@ are halted, and bulk kernels queue their per-node outputs for the build.
   those of a network read before the runs — state, halted flags and the
   awake set — on every generator family and on edgeless and
   isolated-vertex graphs.  The clean shortcut consumer builds none.
-* **Continuations.**  ``reset=False`` runs over queued outputs (a BFS
-  preload after a bulk BFS, a fleet cut off and resumed with its pending
-  sources awake) equal the eager path; a reset of an unread network drops
-  the queue and builds nothing.
+* **Continuations and cutoffs.**  A ``reset=False`` BFS over queued
+  outputs (a preload after a bulk BFS) equals the eager path; a cut-off
+  BFS or fleet leaves the same state queued that an eager network holds,
+  and neither takes a ``reset=False`` follow-up; a reset of an unread
+  network drops the queue and builds nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import pytest
 
 from repro.applications.mst import kruskal_mst
 from repro.applications.shortcut_mst import shortcut_boruvka_mst
-from repro.congest import Network
+from repro.congest import Network, RoundLimitExceeded
 from repro.congest.primitives.aggregation import run_part_aggregation
 from repro.congest.primitives.bfs import DistributedBFS
 from repro.congest.primitives.concurrent_bfs import ConcurrentMaskedBFS
@@ -116,51 +117,43 @@ def test_clean_shortcut_consumer_builds_no_context(monkeypatch):
 
 
 @pytest.mark.parametrize("name", GRAPHS)
-@pytest.mark.parametrize("cutoff", [1, 100_000])
-def test_bfs_preload_reads_queued_labels(name, cutoff):
-    """A ``reset=False`` BFS resumes from the labels a bulk BFS queued; a
-    cut-off first run leaves traffic behind, so the second runs per node
-    and builds the contexts from the queue."""
+def test_bfs_preload_reads_queued_labels(name):
+    """A ``reset=False`` BFS resumes from the labels a bulk BFS queued,
+    without building a context."""
     graph = WIRING_GRAPHS[name]()
     n = graph.num_vertices
 
     def once(net):
-        first = net.run(DistributedBFS({0}, max_depth=2), max_rounds=cutoff,
-                        raise_on_limit=False)
+        first = net.run(DistributedBFS({0}, max_depth=2))
         second = net.run(DistributedBFS({n - 1}), reset=False)
         return metrics_tuple(first), metrics_tuple(second)
 
     lazy, eager = lazy_and_eager(graph)
     assert once(lazy) == once(eager)
-    if cutoff > 1:
-        assert lazy._contexts is None
+    assert lazy._contexts is None
     assert snapshot(lazy) == snapshot(eager)
 
 
-@pytest.mark.parametrize("name", GRAPHS)
-def test_fleet_cutoff_resume_wakes_pending_sources(name):
+@pytest.mark.parametrize("name", [name for name in GRAPHS if name != "edgeless"])
+def test_cut_off_bfs_reads_back_as_eager(name):
+    """A bulk BFS cut off at round 0 raises alike on an unread and a read
+    network, and its labels wait in the queue: contexts built on read
+    hold what the run reached.  Neither network takes a ``reset=False``
+    follow-up."""
     graph = WIRING_GRAPHS[name]()
-    masks, roots, _ = label_masks(graph)
-    delays = [0, 3, 5, 2]
+    n = graph.num_vertices
 
     def once(net):
-        fleet = ConcurrentMaskedBFS(
-            roots, masks, delays, graph.num_vertices,
-            [f"pa{i}_" for i in range(4)], graph.num_vertices,
-            suppress_parent_echo=True, sparse_labels=True,
-        )
-        cut = net.run(fleet, reset=False, max_rounds=2, raise_on_limit=False)
-        awake = set(net._awake)
-        rest = net.run(fleet, reset=False)
-        return metrics_tuple(cut), awake, metrics_tuple(rest), [
-            dict(row) for row in fleet.dist
-        ]
+        with pytest.raises(RoundLimitExceeded) as cut:
+            net.run(DistributedBFS({0, n - 1}, max_depth=2), max_rounds=0)
+        with pytest.raises(ValueError, match="reset"):
+            net.run(DistributedBFS({n - 1}), reset=False)
+        return metrics_tuple(cut.value.metrics), cut.value.last_active_set
 
     lazy, eager = lazy_and_eager(graph)
-    lazy_out, eager_out = once(lazy), once(eager)
-    assert lazy_out == eager_out
-    # The sources with starts after the cutoff stayed awake.
-    assert lazy_out[1] == {roots[i] for i, d in enumerate(delays) if d > 2}
+    assert once(lazy) == once(eager)
+    assert lazy._contexts is None
+    assert lazy._state_fills
     assert snapshot(lazy) == snapshot(eager)
 
 
@@ -168,12 +161,16 @@ def test_fleet_cutoff_leaves_ticks_queued():
     graph = WIRING_GRAPHS["isolated-vertices"]()
     masks, roots, _ = label_masks(graph)
     lazy, eager = lazy_and_eager(graph)
+    cuts = []
     for net in (lazy, eager):
         fleet = ConcurrentMaskedBFS(
             roots, masks, [0, 3, 5, 2], graph.num_vertices,
             [f"pa{i}_" for i in range(4)], graph.num_vertices,
         )
-        net.run(fleet, reset=False, max_rounds=2, raise_on_limit=False)
+        with pytest.raises(RoundLimitExceeded) as cut:
+            net.run(fleet, reset=False, max_rounds=2)
+        cuts.append((metrics_tuple(cut.value.metrics), cut.value.last_active_set))
+    assert cuts[0] == cuts[1]
     assert lazy._contexts is None
     assert lazy._state_fills
     assert snapshot(lazy) == snapshot(eager)

@@ -296,9 +296,8 @@ class TestCLI:
         assert "unknown rule" in capsys.readouterr().err
 
     def test_findings_exit_one_with_json(self, capsys):
-        # Rooted at the fixture dir (no pyproject there → default config):
-        # under the repo root the fixtures are config-excluded even when
-        # named explicitly, exactly like ruff's exclude semantics.
+        # Rooted at the fixture dir (no pyproject there → default config),
+        # so only the ``--rule`` filter decides what is reported.
         fixture = str(FIXTURES / "rpr011_flagged.py")
         code = main(["lint", fixture, "--rule", "RPR011",
                      "--format", "json", "--root", str(FIXTURES)])
@@ -306,9 +305,21 @@ class TestCLI:
         payload = json.loads(capsys.readouterr().out)
         assert [f["rule"] for f in payload] == ["RPR011"] * 2
 
-    def test_repo_config_excludes_fixtures_even_named_explicitly(self, capsys):
+    def test_repo_config_lints_a_fixture_named_explicitly(self, capsys):
+        # ``exclude`` filters directory walks only: a file named on the
+        # command line is linted, as ruff does without --force-exclude.
         fixture = str(FIXTURES / "rpr011_flagged.py")
-        assert main(["lint", fixture, "--root", str(REPO_ROOT)]) == 0
+        code = main(["lint", fixture, "--format", "json",
+                     "--root", str(REPO_ROOT)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [(f["rule"], f["line"]) for f in payload] == [
+            ("RPR011", 9), ("RPR011", 12),
+        ]
+
+    def test_repo_config_skips_fixtures_when_walking(self, capsys):
+        assert main(["lint", str(FIXTURES.parent),
+                     "--root", str(REPO_ROOT)]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_clean_file_exits_zero(self, capsys):

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.congest.bulk import LazyRows
-from repro.congest.network import Network
+from repro.congest.network import Network, RoundLimitExceeded
 from repro.congest.primitives.aggregation import (
     PartAggregation,
     draw_random_delays,
@@ -302,9 +302,9 @@ def test_value_key_outside_vertex_range_raises(case, enabled, bulk_toggle):
 @pytest.mark.parametrize("sparse", [True, False])
 @pytest.mark.parametrize("first_rounds", [0, 200_000])
 def test_rerun_fleet_resumes_from_its_views(first_rounds, sparse, bulk_toggle):
-    """A fleet run again with ``reset=False`` resumes from the labels the
-    first run left behind its views: after a silent cutoff (every start
-    still pending) and after termination, as per-node."""
+    """A fleet run again resumes from the labels the first run left behind
+    its views, as per-node: with ``reset=False`` after termination, and on
+    the reset network after a silent cutoff (every start still pending)."""
 
     def once(enabled):
         bulk_toggle(enabled)
@@ -315,9 +315,14 @@ def test_rerun_fleet_resumes_from_its_views(first_rounds, sparse, bulk_toggle):
                                     ["a_", "b_", "c_"], g.num_vertices,
                                     suppress_parent_echo=True,
                                     sparse_labels=sparse)
-        runs = [net.run(fleet, reset=False, max_rounds=rounds,
-                        raise_on_limit=False)
-                for rounds in (first_rounds, 200_000)]
+        if first_rounds:
+            first = net.run(fleet, reset=False, max_rounds=first_rounds)
+        else:
+            with pytest.raises(RoundLimitExceeded) as cut:
+                net.run(fleet, reset=False, max_rounds=first_rounds)
+            first = cut.value.metrics
+            net.reset()
+        runs = [first, net.run(fleet, reset=False, max_rounds=200_000)]
         labels = [[{v: x for v, x in enumerate(row) if x != -1}
                    if isinstance(row, list) else
                    {v: x for v, x in row.items() if x != -1} for row in rows]
