@@ -3,8 +3,10 @@
 The second aggregation workload of the applications layer: connected
 components computed by fragment hooking, with every phase's label minimum
 routed through part-wise aggregation over shortcut-augmented fragment
-trees — the same consumer loop as :mod:`repro.applications.shortcut_mst`,
-exercised on (possibly disconnected) unweighted graphs.
+trees.  It runs the Boruvka phase loop of
+:mod:`repro.applications.shortcut_mst` itself, keyed by shared random edge
+priorities instead of weights, on (possibly disconnected) unweighted
+graphs.
 
 Each phase:
 
@@ -35,26 +37,14 @@ match the sequential traversal exactly
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ..congest.adversary import (
-    RetryPolicy,
-    make_fault_adversary,
-)
-from ..congest.network import Network
-from ..congest.primitives.aggregation import aggregate_over_shortcut
-from ..graphs.components import UnionFind
 from ..graphs.graph import Graph
-from ..graphs.traversal import max_component_diameter
-from ..rng import RandomLike, derive_seed, ensure_rng
-from ..shortcuts.baselines import build_empty_shortcut
-from ..shortcuts.kogan_parter import build_kogan_parter_shortcut
-from ..shortcuts.partition import Partition
-from .shortcut_mst import CONSUMER_ENGINES, NO_CANDIDATE, node_crossing_candidates
+from ..rng import RandomLike
+from .shortcut_mst import _boruvka_phases
 
 
 @dataclass
@@ -125,88 +115,20 @@ def shortcut_connected_components(
     Returns:
         A :class:`ComponentsResult`.
     """
-    if engine not in CONSUMER_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {CONSUMER_ENGINES}")
-    n = graph.num_vertices
-    if n == 0:
-        return ComponentsResult(labels=[], num_components=0, phases=0,
-                                total_rounds=0, engine=engine)
-    r = ensure_rng(rng)
-    if max_phases is None:
-        max_phases = math.ceil(math.log2(max(n, 2))) + 2
-    if diameter_value is None and engine == "shortcut":
-        # Double-sweep 2-approximation: any D in [D/2, D] parameterizes the
-        # construction soundly, and the exact scan is O(n·m).
-        diameter_value = max_component_diameter(graph, exact=False)
-
-    faulty = drop_rate > 0.0 or crashes > 0
-    if faulty and adversary_seed is None:
-        # Fault streams must be reproducible (lint rule RPR001 bans the old
-        # OS-entropy fallback): derive a default from an int rng seed, or
-        # demand an explicit one.
-        if isinstance(rng, int) and not isinstance(rng, bool):
-            adversary_seed = derive_seed(rng, "components-faults")
-        else:
-            raise ValueError(
-                "drop_rate/crashes need a reproducible fault stream: pass "
-                "adversary_seed=<int> (or an int rng seed to derive it from)"
-            )
-    retry = RetryPolicy() if faulty else None
-
-    uf = UnionFind(n)
-    network = Network(graph)
-    rounds_per_phase: list[int] = []
-    messages = 0
-    # Shared random edge priorities (the O(log^2 n)-bit shared randomness
-    # every node is assumed to hold, as in the random-delay theorem).
-    priorities = [r.random() for _ in range(graph.num_edges)]
-
-    for phase in range(max_phases):
-        fragments = uf.groups()
-        if len(fragments) <= 1:
-            break
-        partition = Partition(graph, fragments, validate=False)
-        candidates = node_crossing_candidates(graph, uf, priorities)
-        if not candidates:
-            break
-        if engine == "shortcut":
-            shortcut = build_kogan_parter_shortcut(
-                graph, partition, diameter_value=diameter_value,
-                log_factor=log_factor, rng=r,
-            ).shortcut
-        else:
-            shortcut = build_empty_shortcut(graph, partition)
-
-        adversary = None
-        if faulty:
-            adversary = make_fault_adversary(
-                drop_rate, crashes,
-                seed=derive_seed(adversary_seed, "components-phase", phase),
-                num_vertices=n, recover_after=recover_after,
-            )
-        outcome = aggregate_over_shortcut(
-            shortcut, candidates, "min",
-            network=network, identity=NO_CANDIDATE, rng=r,
-            max_rounds=max_rounds_per_phase,
-            retry=retry, adversary=adversary,
-        )
-        rounds_per_phase.append(1 + outcome.rounds)
-        messages += outcome.messages
-
-        merged_any = False
-        for winner in outcome.values.values():
-            if winner == NO_CANDIDATE:
-                continue
-            _, u, v = winner
-            if uf.union(u, v):
-                merged_any = True
-        # Under crashes a no-merge phase means lost aggregates; the
-        # remaining phase budget retries with everyone alive again.
-        if not merged_any and not faulty:
-            break
-
+    uf, phases = _boruvka_phases(
+        # Shared random edge priorities (the O(log^2 n)-bit shared
+        # randomness every node is assumed to hold, as in the random-delay
+        # theorem), drawn before the first phase.
+        graph, lambda r: [r.random() for _ in range(graph.num_edges)],
+        "components",
+        engine=engine, diameter_value=diameter_value, log_factor=log_factor,
+        rng=rng, max_rounds_per_phase=max_rounds_per_phase,
+        max_phases=max_phases, drop_rate=drop_rate, crashes=crashes,
+        adversary_seed=adversary_seed, recover_after=recover_after,
+    )
     # Canonical labels: smallest member id per fragment, via one find per
     # vertex and a vectorized minimum over the root array.
+    n = graph.num_vertices
     roots = np.fromiter((uf.find(v) for v in range(n)), dtype=np.int64,
                         count=n)
     uniq, inv = np.unique(roots, return_inverse=True)
@@ -216,9 +138,9 @@ def shortcut_connected_components(
     return ComponentsResult(
         labels=labels,
         num_components=len(uniq),
-        phases=len(rounds_per_phase),
-        total_rounds=sum(rounds_per_phase),
-        rounds_per_phase=rounds_per_phase,
-        messages=messages,
+        phases=phases.phases,
+        total_rounds=phases.total_rounds,
+        rounds_per_phase=phases.rounds_per_phase,
+        messages=phases.messages,
         engine=engine,
     )

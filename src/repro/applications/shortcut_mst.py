@@ -33,8 +33,9 @@ here.  The E10 ablation compares the two engines phase by phase.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -193,12 +194,57 @@ def shortcut_boruvka_mst(
         (pinned against the oracle by ``tests/test_shortcut_consumers.py``,
         including under positive drop rates).
     """
+    return _boruvka_phases(
+        graph, lambda r: graph.weight_array(), "mst",
+        engine=engine, diameter_value=diameter_value, log_factor=log_factor,
+        rng=rng, max_rounds_per_phase=max_rounds_per_phase,
+        max_phases=max_phases, drop_rate=drop_rate, crashes=crashes,
+        adversary_seed=adversary_seed, recover_after=recover_after,
+    )[1]
+
+
+def _boruvka_phases(
+    graph,
+    edge_keys: Callable[[random.Random], Sequence[float]],
+    faults_label: str,
+    *,
+    engine: str,
+    diameter_value: Optional[int],
+    log_factor: float,
+    rng: RandomLike,
+    max_rounds_per_phase: int,
+    max_phases: Optional[int],
+    drop_rate: float,
+    crashes: int,
+    adversary_seed: Optional[int],
+    recover_after: Optional[int],
+) -> tuple[UnionFind, ShortcutMSTResult]:
+    """The Boruvka phase loop both simulated consumers run.
+
+    Each phase builds the fragment partition's shortcut, lets every node
+    pick its minimum-key crossing edge, elects each fragment's winner with
+    one part-wise *min* aggregation and merges along the winners.  The
+    arguments are those of :func:`shortcut_boruvka_mst`, plus:
+
+    Args:
+        edge_keys: called once with the run's generator, before the first
+            phase, for the per-edge comparison keys (indexed by edge id).
+        faults_label: names the consumer's fault streams
+            (``"<label>-faults"`` and ``"<label>-phase"``), so each
+            consumer keeps its own :func:`~repro.rng.derive_seed` streams.
+
+    Returns:
+        The final fragment structure, and a :class:`ShortcutMSTResult`
+        whose ``edges`` are the merged winners (``weight`` is 0 unless
+        ``graph`` is weighted).
+    """
     if engine not in CONSUMER_ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {CONSUMER_ENGINES}")
     n = graph.num_vertices
+    uf = UnionFind(n)
     if n == 0:
-        return ShortcutMSTResult(edges=[], weight=0.0, phases=0, total_rounds=0,
-                                 engine=engine)
+        return uf, ShortcutMSTResult(edges=[], weight=0.0, phases=0,
+                                     total_rounds=0, engine=engine)
     r = ensure_rng(rng)
     if max_phases is None:
         max_phases = math.ceil(math.log2(max(n, 2))) + 2
@@ -213,7 +259,7 @@ def shortcut_boruvka_mst(
         # OS-entropy fallback): derive a default from an int rng seed, or
         # demand an explicit one.
         if isinstance(rng, int) and not isinstance(rng, bool):
-            adversary_seed = derive_seed(rng, "mst-faults")
+            adversary_seed = derive_seed(rng, f"{faults_label}-faults")
         else:
             raise ValueError(
                 "drop_rate/crashes need a reproducible fault stream: pass "
@@ -221,20 +267,20 @@ def shortcut_boruvka_mst(
             )
     retry = RetryPolicy() if faulty else None
 
-    uf = UnionFind(n)
     network = Network(graph)
-    mst_edges: set[tuple[int, int]] = set()
+    merged: set[tuple[int, int]] = set()
     rounds_per_phase: list[int] = []
     bfs_rounds: list[int] = []
     agg_rounds: list[int] = []
     messages = 0
+    keys = edge_keys(r)
 
     for phase in range(max_phases):
         fragments = uf.groups()
         if len(fragments) <= 1:
             break
         partition = Partition(graph, fragments, validate=False)
-        candidates = node_crossing_candidates(graph, uf, graph.weight_array())
+        candidates = node_crossing_candidates(graph, uf, keys)
         if not candidates:
             # Every fragment is a finished component (spanning forest done).
             break
@@ -249,7 +295,7 @@ def shortcut_boruvka_mst(
         if faulty:
             adversary = make_fault_adversary(
                 drop_rate, crashes,
-                seed=derive_seed(adversary_seed, "mst-phase", phase),
+                seed=derive_seed(adversary_seed, f"{faults_label}-phase", phase),
                 num_vertices=n, recover_after=recover_after,
             )
         outcome = aggregate_over_shortcut(
@@ -274,16 +320,16 @@ def shortcut_boruvka_mst(
             # duplicates (the same edge picked by both fragments) for free.
             if uf.union(u, v):
                 merged_any = True
-                mst_edges.add(edge_key(u, v))
+                merged.add(edge_key(u, v))
         # A fault-free phase with candidates but no merges cannot happen;
         # under crashes it means the phase's aggregates were lost, and the
         # remaining phase budget retries with everyone alive again.
         if not merged_any and not faulty:
             break
 
-    return ShortcutMSTResult(
-        edges=sorted(mst_edges),
-        weight=graph.total_weight(mst_edges),
+    return uf, ShortcutMSTResult(
+        edges=sorted(merged),
+        weight=graph.total_weight(merged) if isinstance(graph, WeightedGraph) else 0.0,
         phases=len(rounds_per_phase),
         total_rounds=sum(rounds_per_phase),
         rounds_per_phase=rounds_per_phase,

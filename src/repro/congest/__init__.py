@@ -32,7 +32,7 @@ from .message import (
 )
 from .network import Network, PartialRunError, RoundLimitExceeded, RunMetrics
 from .node import NodeContext
-from .scheduler import RandomDelayScheduler, draw_random_delays
+from .scheduler import draw_random_delays
 
 __all__ = [
     "Adversary",
@@ -57,6 +57,5 @@ __all__ = [
     "RoundLimitExceeded",
     "RunMetrics",
     "NodeContext",
-    "RandomDelayScheduler",
     "draw_random_delays",
 ]

@@ -41,10 +41,10 @@ modelling decision below exists to reproduce an engine behaviour exactly:
   kernel writes per-node dicts at ``finish``: a view builds an instance's
   list, dict or set when it is read, and a per-node rerun of the object
   builds all of them before its first step.
-* **Cutoffs are final.**  A run that hits ``max_rounds`` raises, and the
-  network must be reset before it runs again, so a kernel's undelivered
-  traffic dies with it: ``finish`` leaves the node state the per-node run
-  would have reached and nothing on the links.
+* **Cutoffs are final.**  A run not quiescent after ``max_rounds`` rounds
+  raises, and the network must be reset before it runs again, so a
+  kernel's undelivered traffic dies with it: ``finish`` leaves the node
+  state the per-node run would have reached and nothing on the links.
 
 Fallback rules (enforced by ``Network._try_bulk``): adversarial runs, retry
 (ack/retransmit) configurations, messages sent from outside any run,

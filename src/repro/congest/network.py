@@ -20,9 +20,10 @@ counts.
 
 A run ends one of two ways: at quiescence, or by raising
 :class:`RoundLimitExceeded` (:class:`PartialRunError` under an adversary)
-with the partial metrics once ``max_rounds`` is hit.  Only a quiescent
-network can be followed up with ``run(..., reset=False)``; after a run
-that raised, its node state stays readable, but the next run must reset.
+with the partial metrics when it is not quiescent after ``max_rounds``
+rounds.  Only a quiescent network can be followed up with
+``run(..., reset=False)``; after a run that raised, its node state stays
+readable, but the next run must reset.
 
 Active-set round engine
 -----------------------
@@ -187,9 +188,10 @@ class RunMetrics:
         messages_sent: total messages handed to the network by nodes.
         messages_delivered: total messages delivered to receivers.
         max_link_backlog: largest queue length observed on any directed link.
-        terminated: ``True`` if the run reached quiescence.  A run that
-            hits ``max_rounds`` raises :class:`RoundLimitExceeded`, whose
-            partial metrics carry ``False``.
+        terminated: ``True`` if the run reached quiescence.  A run not
+            quiescent after ``max_rounds`` rounds raises
+            :class:`RoundLimitExceeded`, whose partial metrics carry
+            ``False``.
         messages_dropped: messages consumed by the adversary (or addressed
             to a crashed node) instead of reaching their receiver; always 0
             in fault-free runs.
@@ -456,8 +458,8 @@ class Network:
 
         Args:
             algorithm: the algorithm to run.
-            max_rounds: safety limit on the number of rounds; hitting it
-                raises :class:`RoundLimitExceeded`.
+            max_rounds: safety limit on the number of rounds; a run not
+                quiescent after that many raises :class:`RoundLimitExceeded`.
             reset: start from a clean network state.  ``False`` runs a
                 follow-up algorithm that reads earlier algorithms' state;
                 nodes left halted by the earlier run stay halted until this
@@ -549,7 +551,10 @@ class Network:
         inbox_of = self._inbox_of
         on_round = algorithm.on_round
 
-        while metrics.rounds < max_rounds:
+        # Quiescence is tested before every round and once more after the
+        # last allowed one, so a run that needs exactly ``max_rounds``
+        # rounds terminates.
+        while True:
             if not self._active and not awake:
                 timers_needed = timer_pos < num_timers
                 if timers_needed and timer_probe is not None and not timer_probe():
@@ -581,8 +586,8 @@ class Network:
                 jump = forced - 1
                 if jump > metrics.rounds:
                     metrics.rounds = jump if jump < max_rounds else max_rounds
-                    if metrics.rounds >= max_rounds:
-                        continue
+            if metrics.rounds >= max_rounds:
+                break
 
             metrics.rounds += 1
             timer_fired = False
@@ -718,19 +723,14 @@ class Network:
         self._quiescent = False
         kernel.start(max_rounds)
         rnd = 0
-        terminated = False
-        while True:
-            nxt = kernel.next_round(rnd)
-            if nxt is None:
-                terminated = rnd < max_rounds
-                break
-            if nxt > max_rounds:
-                rnd = max_rounds
-                break
+        # As on the per-node path, the kernel is asked for its next event
+        # once more after the last allowed round: none means quiescent.
+        while (nxt := kernel.next_round(rnd)) is not None and nxt <= max_rounds:
             rnd = nxt
             kernel.bulk_round(rnd)
-            if rnd >= max_rounds:
-                break
+        terminated = nxt is None
+        if not terminated:
+            rnd = max_rounds
         kernel.finish(self, metrics, terminated, rnd)
         metrics.rounds = rnd
         metrics.terminated = terminated

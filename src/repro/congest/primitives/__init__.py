@@ -1,9 +1,11 @@
 """Reusable CONGEST building blocks: BFS (single and mask-native concurrent
-fleets), leader election, tree aggregation, pipelined numbering, spanning
-verification and their read-back helpers, plus a diameter estimation that
-chains three of them as ``run(reset=False)`` stages."""
+fleets), leader election, part-wise convergecast/broadcast, pipelined
+numbering, spanning verification and their read-back helpers, plus a
+diameter estimation that chains three of them as ``run(reset=False)``
+stages."""
 
 from .aggregation import (
+    AGGREGATE_OPS,
     FleetAggregationResult,
     PartAggregation,
     ShortcutAggregationResult,
@@ -17,7 +19,6 @@ from .diameter import estimate_diameter
 from .leader import FloodMax, read_leaders
 from .numbering import PipelinedNumbering
 from .spanning import PartwiseFlagConvergecast
-from .trees import AGGREGATE_OPS, TreeAggregate, read_aggregate
 
 __all__ = [
     "FleetAggregationResult",
@@ -31,8 +32,6 @@ __all__ = [
     "ConcurrentMaskedBFS",
     "FloodMax",
     "read_leaders",
-    "TreeAggregate",
-    "read_aggregate",
     "AGGREGATE_OPS",
     "PipelinedNumbering",
     "PartwiseFlagConvergecast",

@@ -53,7 +53,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from numbers import Integral
 from sys import intern
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -68,7 +68,14 @@ from ..node import NodeContext
 from ..scheduler import draw_random_delays
 from .concurrent_bfs import UNREACHED, ConcurrentMaskedBFS
 from .reliable import ReliableChannel
-from .trees import AGGREGATE_OPS
+
+#: Supported aggregation operators, mapping name -> (binary op, identity).
+AGGREGATE_OPS: dict[str, tuple[Callable[[Any, Any], Any], Any]] = {
+    "min": (min, float("inf")),
+    "max": (max, float("-inf")),
+    "sum": (lambda a, b: a + b, 0),
+    "count": (lambda a, b: a + b, 0),
+}
 
 #: Sentinel distinguishing "no input value at this node" from any real value.
 _MISSING = object()

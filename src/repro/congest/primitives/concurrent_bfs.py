@@ -3,12 +3,13 @@
 Stage 4 of the distributed shortcut construction grows one truncated BFS
 tree per large part, all simultaneously, each restricted to its augmented
 subgraph ``G[S_i] ∪ H_i`` and started after a random delay (Theorem 2.1).
-The generic way to run that is a :class:`~repro.congest.scheduler.
-RandomDelayScheduler` over per-part :class:`~repro.congest.primitives.bfs.
-DistributedBFS` instances with dict-of-sets allowed adjacencies — correct,
-but every delivered message pays scheduler dispatch, per-node state-dict
-traffic and per-announce neighbour filtering, which dominates the wall time
-of large simulations.
+The generic way to run that is a random-delay scheduler multiplexing
+per-part :class:`~repro.congest.primitives.bfs.DistributedBFS` instances
+with dict-of-sets allowed adjacencies (``RandomDelayScheduler``, kept in
+the test suite as this fleet's oracle) — correct, but every delivered
+message pays scheduler dispatch, per-node state-dict traffic and
+per-announce neighbour filtering, which dominates the wall time of large
+simulations.
 
 :class:`ConcurrentMaskedBFS` is the specialised equivalent: one algorithm
 object runs the whole fleet.

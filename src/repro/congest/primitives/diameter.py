@@ -9,15 +9,19 @@ wrapper of the distributed construction then iterates candidate values from
 ``depth`` upward.
 
 :func:`estimate_diameter` chains the flooding leader election, a BFS from
-the elected leader and a max-convergecast of the BFS depth as three
-successive ``Network.run(..., reset=False)`` stages.
+the elected leader and a max-convergecast of the BFS depth (a one-instance
+:class:`~repro.congest.primitives.aggregation.PartAggregation` over the
+whole graph) as three successive ``Network.run(..., reset=False)`` stages.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from ...graphs.csr import CSRLinkMask
+from .aggregation import PartAggregation
 from .bfs import DistributedBFS
 from .leader import FloodMax
-from .trees import TreeAggregate
 
 
 def estimate_diameter(network) -> tuple[int, int, list]:
@@ -25,8 +29,8 @@ def estimate_diameter(network) -> tuple[int, int, list]:
 
     The stages are: (1) elect the max-id node as global leader via flooding,
     (2) grow a BFS tree from the node that elected itself, (3) convergecast
-    the maximum BFS depth to the leader and broadcast it back, leaving
-    ``ecc_result`` in every node's state.
+    the maximum BFS depth to the leader over that tree and broadcast it
+    back, so every node learns it.
 
     Returns:
         ``(lower, upper, runs)``: the leader's BFS eccentricity and twice
@@ -43,18 +47,16 @@ def estimate_diameter(network) -> tuple[int, int, list]:
     if len(sources) != 1:
         raise ValueError("graph must be connected")
     runs.append(network.run(DistributedBFS(sources, prefix="ecc_bfs_"), reset=False))
-    runs.append(
-        network.run(
-            TreeAggregate(
-                "max",
-                value_key="ecc_bfs_dist",
-                tree_prefix="ecc_bfs_",
-                prefix="ecc_",
-                broadcast_result=True,
-            ),
-            reset=False,
-        )
+    # One leader means one component, so the BFS reached every node.
+    states = [nodes[v].state for v in range(len(nodes))]
+    csr = network.graph.csr()
+    convergecast = PartAggregation(
+        [CSRLinkMask(csr, np.ones(csr.num_edges, dtype=bool))],
+        [[state["ecc_bfs_parent"] for state in states]],
+        [{v: state["ecc_bfs_dist"] for v, state in enumerate(states)}],
+        "max",
+        broadcast_result=True,
     )
-    (leader,) = sources
-    depth = nodes[leader].state["ecc_result"]
+    runs.append(network.run(convergecast, reset=False))
+    depth = convergecast.results[0]
     return depth, 2 * depth, runs

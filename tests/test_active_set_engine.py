@@ -17,13 +17,13 @@ composition with the awake-node worklist, the cached
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.congest import (
     BandwidthExceededError,
     DistributedAlgorithm,
     Network,
-    RandomDelayScheduler,
     RoundLimitExceeded,
     draw_random_delays,
 )
@@ -31,7 +31,8 @@ from repro.congest.message import Message
 from repro.congest.node import NodeContext
 from repro.congest.primitives.bfs import DistributedBFS, extract_bfs_tree
 from repro.congest.primitives.leader import FloodMax, read_leaders
-from repro.congest.primitives.trees import TreeAggregate
+from repro.congest.primitives.aggregation import PartAggregation
+from repro.graphs.csr import CSRLinkMask
 from repro.graphs.generators import (
     erdos_renyi_graph,
     grid_graph,
@@ -41,6 +42,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.lower_bound import lower_bound_instance
 
+from random_delay_scheduler import RandomDelayScheduler
 from test_csr import LegacyNetwork
 
 SEEDS = list(range(12))
@@ -468,22 +470,37 @@ class TestResetFalseComposition:
         assert new_second.messages_delivered == legacy_second["messages_delivered"]
         assert new_second.per_edge_messages == legacy_second["per_edge_messages"]
 
-    def test_bfs_then_tree_aggregate_matches_pre_refactor(self):
+    def test_bfs_then_convergecast_matches_pre_refactor(self):
+        # A one-instance "count" aggregation over the BFS tree runs
+        # per-node (the kernel folds only min/max), so both engines
+        # execute the same handlers.
         g = random_connected_graph(20, extra_edge_prob=0.15, rng=13)
-        agg = lambda: TreeAggregate("count", broadcast_result=True)  # noqa: E731
-
+        n = g.num_vertices
         net = Network(g)
         net.run(DistributedBFS({0}))
-        new_metrics = net.run(agg(), reset=False)
+        parent, _ = extract_bfs_tree(net)
+        csr = g.csr()
+
+        def agg():
+            return PartAggregation(
+                [CSRLinkMask(csr, np.ones(csr.num_edges, dtype=bool))],
+                [[parent[v] for v in range(n)]], [dict.fromkeys(range(n), 1)],
+                "count", broadcast_result=True,
+            )
+
+        new = agg()
+        new_metrics = net.run(new, reset=False)
+        assert new_metrics.bulk_declined == "kernel_refused"
 
         ref = PreRefactorNetwork(g)
         ref.run(DistributedBFS({0}))
-        legacy = ref.run(agg())
+        old = agg()
+        legacy = ref.run(old)
         assert new_metrics.rounds == legacy["rounds"]
         assert new_metrics.messages_sent == legacy["messages_sent"]
         assert new_metrics.messages_delivered == legacy["messages_delivered"]
         assert new_metrics.per_edge_messages == legacy["per_edge_messages"]
-        assert net.node(0).state["agg_result"] == g.num_vertices
+        assert new.delivered[0] == old.delivered[0] == dict.fromkeys(range(n), n)
 
     def test_same_prefix_followup_rebuilds_allowed_neighbors(self):
         # A fresh same-prefix BFS with a different (here: absent)

@@ -32,7 +32,6 @@ from repro.congest import (
     Network,
     NullAdversary,
     PartialRunError,
-    RandomDelayScheduler,
     RoundLimitExceeded,
     StackedAdversary,
     make_fault_adversary,
@@ -42,6 +41,8 @@ from repro.congest.primitives import DistributedBFS, extract_bfs_tree
 from repro.congest.primitives.leader import FloodMax
 from repro.graphs import bfs_distances, grid_graph, path_graph
 from repro.rng import derive_seed
+
+from random_delay_scheduler import RandomDelayScheduler
 
 pytestmark = [
     pytest.mark.faults,

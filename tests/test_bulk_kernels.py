@@ -34,6 +34,7 @@ from repro.congest.primitives.bfs import DistributedBFS
 from repro.congest.primitives.concurrent_bfs import ConcurrentMaskedBFS
 from repro.congest.primitives.leader import FloodMax, read_leaders
 from repro.graphs.csr import CSRLinkMask
+from repro.graphs import Graph, path_graph
 from repro.graphs.generators import GENERATOR_FAMILIES
 
 from test_network_wiring import _LeaderBurst
@@ -232,8 +233,9 @@ def _full_states(net):
 def _cutoff_outcome(kind, family, max_rounds, enabled, bulk_toggle):
     """Run ``kind`` under ``max_rounds`` and check the network after it.
 
-    A run that needs ``max_rounds`` rounds or more raises (both paths test
-    for quiescence before a round, never after the last allowed one); its
+    A run that needs at most ``max_rounds`` rounds terminates with the
+    fresh run's metrics (both paths test for quiescence once more after
+    the last allowed round).  A run that needs more raises; its
     exception, the node state it reached and the object's outputs are
     returned for the caller to compare across paths.  No run declines the
     kernel.  The cut network refuses a ``reset=False`` follow-up and,
@@ -248,7 +250,7 @@ def _cutoff_outcome(kind, family, max_rounds, enabled, bulk_toggle):
     assert fresh_metrics.bulk_declined is None
     net = Network(g)
     algo = make()
-    if max_rounds > fresh_metrics.rounds:
+    if max_rounds >= fresh_metrics.rounds:
         metrics = net.run(algo, max_rounds=max_rounds)
         assert metrics_tuple(metrics) == metrics_tuple(fresh_metrics)
         return None, _full_states(net), outputs(algo)
@@ -279,6 +281,31 @@ def test_cutoff_contract(kind, max_rounds, family, bulk_toggle):
     with_bulk = _cutoff_outcome(kind, family, max_rounds, True, bulk_toggle)
     per_node = _cutoff_outcome(kind, family, max_rounds, False, bulk_toggle)
     assert with_bulk == per_node
+
+
+def test_run_quiescent_after_its_last_allowed_round_terminates(bulk_toggle):
+    """``DistributedBFS({0})`` on ``path_graph(5)`` needs 5 rounds: at
+    ``max_rounds=5`` both paths terminate with the fresh run's metrics,
+    and at 4 both raise with equal partial metrics.  A run with nothing
+    to send terminates at ``max_rounds=0``."""
+
+    def once(enabled):
+        bulk_toggle(enabled)
+        g = path_graph(5)
+        fresh = Network(g).run(DistributedBFS({0}))
+        assert fresh.rounds == 5
+        exact = Network(g).run(DistributedBFS({0}), max_rounds=5)
+        assert exact.terminated and exact.bulk_declined is None
+        assert metrics_tuple(exact) == metrics_tuple(fresh)
+        with pytest.raises(RoundLimitExceeded) as cut:
+            Network(g).run(DistributedBFS({0}), max_rounds=4)
+        assert cut.value.metrics.rounds == 4
+        idle = Network(Graph(1)).run(FloodMax(), max_rounds=0)
+        assert idle.terminated and idle.rounds == 0
+        return (metrics_tuple(exact), metrics_tuple(cut.value.metrics),
+                cut.value.last_active_set, metrics_tuple(idle))
+
+    assert once(True) == once(False)
 
 
 @pytest.mark.parametrize("kind", CUTOFF_KINDS)

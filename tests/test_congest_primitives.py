@@ -3,29 +3,33 @@ diameter estimation and the random-delay scheduler."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.congest import Network, RandomDelayScheduler, draw_random_delays
+from repro.congest import Network, draw_random_delays
 from repro.congest.primitives import (
     DistributedBFS,
     FloodMax,
-    TreeAggregate,
+    PartAggregation,
     estimate_diameter,
     extract_bfs_tree,
-    read_aggregate,
     read_leaders,
 )
+from repro.congest.primitives import diameter as diameter_module
+from repro.congest.primitives.concurrent_bfs import UNREACHED
 from repro.graphs import (
     Graph,
     bfs_distances,
     cycle_graph,
-    diameter,
     erdos_renyi_graph,
     grid_graph,
     hub_diameter_graph,
     path_graph,
     star_graph,
 )
+from repro.graphs.csr import CSRLinkMask
+
+from random_delay_scheduler import RandomDelayScheduler
 
 
 class TestDistributedBFS:
@@ -122,64 +126,55 @@ class TestFloodMax:
         assert 3 not in leaders  # non-participants produce no output
 
 
-class TestTreeAggregate:
-    def build_tree(self, g: Graph, root: int) -> Network:
-        net = Network(g)
-        net.run(DistributedBFS({root}))
-        return net
+def convergecast(g: Graph, root: int, values: dict, op: str, *,
+                 max_depth=None, broadcast_result=False) -> PartAggregation:
+    """A one-instance ``PartAggregation`` over the BFS tree from ``root``:
+    its mask permits every link, and nodes the BFS never reached relay
+    announcements but contribute nothing."""
+    net = Network(g)
+    net.run(DistributedBFS({root}, max_depth=max_depth))
+    parent, _ = extract_bfs_tree(net)
+    csr = g.csr()
+    agg = PartAggregation(
+        [CSRLinkMask(csr, np.ones(csr.num_edges, dtype=bool))],
+        [[parent.get(v, UNREACHED) for v in range(g.num_vertices)]],
+        [values], op, broadcast_result=broadcast_result,
+    )
+    assert net.run(agg, reset=False).terminated
+    return agg
 
+
+class TestConvergecast:
     def test_count_nodes(self):
         g = grid_graph(4, 5)
-        net = self.build_tree(g, 0)
-        net.run(TreeAggregate("count"), reset=False)
-        results = read_aggregate(net, roots={0})
-        assert results[0] == 20
+        agg = convergecast(g, 0, dict.fromkeys(range(20), 1), "count")
+        assert agg.results == [20]
+        assert agg.delivered[0] == {0: 20}  # no broadcast: the root only
 
     def test_sum_values(self):
-        g = star_graph(6)
-        net = self.build_tree(g, 0)
-        for v in range(6):
-            net.node(v).state["val"] = v
-        net.run(TreeAggregate("sum", value_key="val"), reset=False)
-        assert read_aggregate(net, roots={0})[0] == sum(range(6))
+        agg = convergecast(star_graph(6), 0, {v: v for v in range(6)}, "sum")
+        assert agg.results == [sum(range(6))]
 
     def test_min_and_broadcast(self):
-        g = cycle_graph(9)
-        net = self.build_tree(g, 0)
-        for v in range(9):
-            net.node(v).state["val"] = 100 - v
-        net.run(
-            TreeAggregate("min", value_key="val", broadcast_result=True), reset=False
-        )
-        results = read_aggregate(net)
-        assert set(results.values()) == {100 - 8}
-        assert len(results) == 9  # every node received the broadcast
+        agg = convergecast(cycle_graph(9), 0, {v: 100 - v for v in range(9)},
+                           "min", broadcast_result=True)
+        # every node received the broadcast
+        assert agg.delivered[0] == dict.fromkeys(range(9), 100 - 8)
 
     def test_max_aggregation(self):
-        g = path_graph(7)
-        net = self.build_tree(g, 3)
-        for v in range(7):
-            net.node(v).state["val"] = v * v
-        net.run(TreeAggregate("max", value_key="val"), reset=False)
-        assert read_aggregate(net, roots={3})[3] == 36
+        agg = convergecast(path_graph(7), 3, {v: v * v for v in range(7)}, "max")
+        assert agg.results == [36]
 
     def test_unsupported_op(self):
-        with pytest.raises(ValueError):
-            TreeAggregate("median")
-
-    def test_missing_value_key_for_sum(self):
-        g = path_graph(3)
-        net = self.build_tree(g, 0)
-        with pytest.raises(ValueError):
-            net.run(TreeAggregate("sum"), reset=False)
+        with pytest.raises(ValueError, match="unsupported aggregation op"):
+            PartAggregation([], [], [], "median")
 
     def test_non_participants_ignored(self):
-        g = path_graph(6)
-        net = Network(g)
-        # BFS truncated at depth 2: nodes 3..5 have no tree state.
-        net.run(DistributedBFS({0}, max_depth=2))
-        net.run(TreeAggregate("count"), reset=False)
-        assert read_aggregate(net, roots={0})[0] == 3
+        # BFS truncated at depth 2: nodes 3..5 are unreached, so their
+        # values never travel up.
+        agg = convergecast(path_graph(6), 0, dict.fromkeys(range(6), 1),
+                           "count", max_depth=2)
+        assert agg.results == [3]
 
 
 class TestDiameterEstimation:
@@ -205,7 +200,15 @@ class TestDiameterEstimation:
 
     @pytest.mark.parametrize("make_graph, true_diameter, bounds, rounds, messages", PINS)
     def test_pinned_bounds_and_costs(self, make_graph, true_diameter, bounds,
-                                     rounds, messages):
+                                     rounds, messages, monkeypatch):
+        made = []
+
+        class Recorded(PartAggregation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(diameter_module, "PartAggregation", Recorded)
         net = Network(make_graph())
         lower, upper, runs = estimate_diameter(net)
         assert (lower, upper) == bounds
@@ -215,7 +218,8 @@ class TestDiameterEstimation:
         assert sum(run.rounds for run in runs) == rounds
         assert sum(run.messages_sent for run in runs) == messages
         assert sum(run.messages_delivered for run in runs) == messages
-        assert all(ctx.state["ecc_result"] == lower for ctx in net.nodes.values())
+        (convergecast,) = made
+        assert convergecast.delivered[0] == dict.fromkeys(range(len(net.nodes)), lower)
 
     def test_disconnected_graph_raises(self):
         g = Graph(6)

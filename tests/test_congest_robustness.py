@@ -17,13 +17,14 @@ from repro.applications import partwise_aggregate
 from repro.congest import (
     BandwidthExceededError,
     Network,
-    RandomDelayScheduler,
     draw_random_delays,
 )
 from repro.congest.primitives import DistributedBFS, extract_bfs_tree
 from repro.congest.primitives.aggregation import aggregate_over_shortcut
 from repro.graphs import bfs_distances, erdos_renyi_graph, grid_graph, path_graph
 from repro.shortcuts import Partition, build_kogan_parter_shortcut
+
+from random_delay_scheduler import RandomDelayScheduler
 
 
 class TestBandwidthEffects:

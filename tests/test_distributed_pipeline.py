@@ -25,7 +25,7 @@ from repro.congest.primitives.concurrent_bfs import (
 )
 from repro.congest.primitives.numbering import PipelinedNumbering
 from repro.congest.primitives.spanning import PartwiseFlagConvergecast
-from repro.congest.scheduler import RandomDelayScheduler, draw_random_delays
+from repro.congest.scheduler import draw_random_delays
 from repro.graphs.csr import CSRLinkMask
 from repro.graphs.generators import grid_graph, path_graph, random_connected_graph
 from repro.graphs.lower_bound import lower_bound_instance
@@ -39,6 +39,8 @@ from repro.shortcuts import (
     measure_diameter_probe,
 )
 from repro.shortcuts.distributed import _intra_part_mask
+
+from random_delay_scheduler import RandomDelayScheduler
 
 
 # ----------------------------------------------------------------------

@@ -196,3 +196,34 @@ class TestComponentsOracle:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             shortcut_connected_components(Graph(3), engine="warp")
+
+    # (family, drop rate, block sizes, rounds per phase, messages) of a
+    # two-block union (80- and 40-vertex family graphs), captured before
+    # the components consumer ran on the MST consumer's phase loop.
+    PINS = [
+        ("broom", 0.0, (80, 40), [1, 24], 2018),
+        ("broom", 0.05, (80, 40), [1, 149], 6723),
+        ("caterpillar", 0.0, (79, 39), [1, 36, 14], 5391),
+        ("caterpillar", 0.05, (79, 39), [1, 197, 45], 18935),
+        ("expander", 0.0, (80, 40), [1, 35, 33], 8241),
+        ("expander", 0.05, (80, 40), [1, 197, 293], 36855),
+        ("hub", 0.0, (80, 40), [1, 37, 26], 8460),
+        ("hub", 0.05, (80, 40), [1, 581, 150], 34532),
+        ("preferential", 0.0, (80, 40), [1, 35, 28], 10906),
+        ("preferential", 0.05, (80, 40), [1, 325, 294], 49991),
+        ("torus", 0.0, (72, 36), [1, 33, 38], 6712),
+        ("torus", 0.05, (72, 36), [1, 197, 325], 26753),
+    ]
+
+    @pytest.mark.parametrize("family, drop_rate, sizes, rounds, messages", PINS)
+    def test_pinned_labels_rounds_and_messages(self, family, drop_rate, sizes,
+                                               rounds, messages):
+        blocks = [make_family_graph(family, 80, rng=1),
+                  make_family_graph(family, 40, rng=2)]
+        assert tuple(b.num_vertices for b in blocks) == sizes
+        result = shortcut_connected_components(
+            disjoint_union(blocks), rng=3, drop_rate=drop_rate
+        )
+        assert result.labels == [0] * sizes[0] + [sizes[0]] * sizes[1]
+        assert result.rounds_per_phase == rounds
+        assert result.messages == messages
