@@ -43,10 +43,11 @@ A round costs O(nodes-and-links-actually-touched), not O(n + links):
 * **Wiring from the CSR arrays.**  A fresh network allocates flat per-link
   and per-node tables only: queues, heads, link maxima, active flags,
   inbox slots and the awake set.  The contexts (with their neighbour
-  tuples and ``neighbor -> link`` dicts) are built on the first
-  per-node run or the first read of :attr:`Network.nodes` /
-  :meth:`Network.node`, and the receiver table on the first per-node
-  delivery; both are read off the snapshot's cached adjacency arrays.
+  tuples) are built on the first per-node run or the first read of
+  :attr:`Network.nodes` / :meth:`Network.node`, the ``neighbor -> link``
+  dicts on a context's first send, and the receiver table on the first
+  per-node delivery; all are read off the snapshot's cached adjacency
+  arrays.
   Until then the awake set alone says which nodes are halted, and a bulk
   kernel's per-node outputs wait in a queue of array fills
   (:meth:`Network._leave_node_state`) that the context build applies in
@@ -76,8 +77,10 @@ A round costs O(nodes-and-links-actually-touched), not O(n + links):
 
 from __future__ import annotations
 
+import gc
 import heapq
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -110,24 +113,67 @@ def _receiver_table(csr) -> list[int]:
     return receiver.tolist()
 
 
-def _context_tables(csr) -> tuple[list[tuple[int, ...]], list[dict[int, int]]]:
-    """Each node's ascending neighbour tuple and ``neighbor -> out-link`` dict.
+@contextmanager
+def gc_paused():
+    """Pause the cyclic collector around an allocation-heavy loop.
 
-    Read off the snapshot's adjacency arrays, so a send resolves its link
-    with one int-keyed lookup.  The flat temporaries die on return, before
-    the caller allocates the contexts, so the cyclic collections that
-    context allocation triggers never walk them.
+    Every generation-0 threshold crossing would otherwise walk the young
+    objects again, and a loop that allocates one long-lived container per
+    node crosses it thousands of times.  Re-enables the collector on exit
+    only if it was enabled on entry.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _context_tables(csr) -> list[tuple[int, ...]]:
+    """Each node's ascending neighbour tuple, read off the adjacency arrays.
+
+    The caller pauses the collector: the flat temporaries and the ``n``
+    tuples are allocated in one go, and a collection in between would
+    walk them for nothing.
     """
     arrays = csr.adjacency_arrays()
     targets = tuple(arrays.indices.tolist())
-    links = arrays.adj_link_ids.tolist()
     bounds = csr.indptr.tolist()
-    neighbor_tuples = [targets[a:b] for a, b in zip(bounds, bounds[1:])]
-    out_links = [
-        dict(zip(row, links[a:b]))
-        for row, a, b in zip(neighbor_tuples, bounds, bounds[1:])
-    ]
-    return neighbor_tuples, out_links
+    return [targets[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class _LinkTable:
+    """Every node's ``neighbor -> out-link`` dict, all built on the first request.
+
+    One table per topology: the contexts of every reset share it, and a
+    wired context fetches its row on its first send, so a network whose
+    contexts are only read builds no dict.  It holds the snapshot and the
+    neighbour tuples, never the network, so the contexts that point at it
+    form no reference cycle with their network.
+    """
+
+    __slots__ = ("_csr", "neighbor_tuples", "_rows")
+
+    def __init__(self, csr) -> None:
+        self._csr = csr
+        self.neighbor_tuples = _context_tables(csr)
+        self._rows: Optional[list[dict[int, int]]] = None
+
+    def row(self, v: int) -> dict[int, int]:
+        """Node ``v``'s dict, so a send resolves its link with one lookup."""
+        rows = self._rows
+        if rows is None:
+            with gc_paused():
+                links = self._csr.adjacency_arrays().adj_link_ids.tolist()
+                bounds = self._csr.indptr.tolist()
+                rows = self._rows = [
+                    dict(zip(row, links[a:b]))
+                    for row, a, b in zip(self.neighbor_tuples, bounds, bounds[1:])
+                ]
+        return rows[v]
 
 
 def _write_columns(contexts: list, verts, columns: dict) -> None:
@@ -302,7 +348,9 @@ class Network:
         nothing has yet: a network that only runs bulk kernels never does.
         Contexts built on read are the wired contexts a per-node run uses,
         halted exactly when the node is not awake and holding every output
-        the bulk runs since the last reset left.
+        the bulk runs since the last reset left.  A read builds only the
+        neighbour tuples, states and halted flags; a context's
+        ``neighbor -> link`` dict waits for its first send.
         """
         cache = self._nodes_cache
         if cache is None:
@@ -327,28 +375,30 @@ class Network:
 
     def _build_contexts(self) -> list[NodeContext]:
         """Wire one context per node, then apply the queued kernel outputs."""
-        if self._out_links is None:
-            # The tables only depend on the CSR snapshot, so every reset of
-            # the same topology shares them.
-            self._neighbor_tuples, self._out_links = _context_tables(self._csr)
         strict_limit = self.bandwidth if self.strict_bandwidth else float("inf")
-        out_links = self._out_links
-        neighbor_tuples = self._neighbor_tuples
         queues, heads = self._queues, self._heads
         link_max, is_active = self._link_max_backlog, self._is_active
         active, awake, sent = self._active, self._awake, self._sent
-        # Positional construction (field order of the NodeContext dataclass):
-        # measurably cheaper than keyword binding at n = 10^4 nodes.
-        contexts = self._contexts = [
-            NodeContext(
-                v, neighbor_tuples[v], {}, v not in awake, None, sent,
-                out_links[v], queues, heads, link_max, is_active, active,
-                awake, strict_limit, None,
-            )
-            for v in range(len(neighbor_tuples))
-        ]
-        for verts, columns in self._state_fills:
-            _write_columns(contexts, verts, columns)
+        with gc_paused():
+            link_table = self._link_table
+            if link_table is None:
+                # The tables only depend on the CSR snapshot, so every reset
+                # of the same topology shares them.
+                link_table = self._link_table = _LinkTable(self._csr)
+            neighbor_tuples = link_table.neighbor_tuples
+            # Positional construction (field order of the NodeContext
+            # dataclass): measurably cheaper than keyword binding at
+            # n = 10^4 nodes.
+            contexts = self._contexts = [
+                NodeContext(
+                    v, neighbor_tuples[v], {}, v not in awake, None, sent,
+                    None, link_table, queues, heads, link_max, is_active,
+                    active, awake, strict_limit, None,
+                )
+                for v in range(len(neighbor_tuples))
+            ]
+            for verts, columns in self._state_fills:
+                _write_columns(contexts, verts, columns)
         self._state_fills.clear()
         return contexts
 
@@ -405,8 +455,7 @@ class Network:
         if self._wiring_csr is not csr:
             self._wiring_csr = csr
             self._receivers: Optional[list[int]] = None
-            self._neighbor_tuples: Optional[list[tuple[int, ...]]] = None
-            self._out_links: Optional[list[dict[int, int]]] = None
+            self._link_table: Optional[_LinkTable] = None
         # Per-link and per-node containers are slots, filled on first use: a
         # send onto an idle link creates its queue (an idle link's queue is
         # empty by invariant, so delivery drops drained queues), and a node's

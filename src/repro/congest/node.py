@@ -13,7 +13,7 @@ Engine wiring
 -------------
 A context created by :class:`~repro.congest.network.Network` is *wired*: it
 holds direct references to the engine's link arrays plus a precomputed
-``neighbor -> directed link id`` table derived from the graph's CSR
+``neighbor -> directed link id`` dict derived from the graph's CSR
 snapshot, so :meth:`send` resolves the target link with a single int-keyed
 dict lookup and enqueues the message straight onto the link's queue —
 no per-message ``(sender, receiver)`` tuple key, no global link dict, no
@@ -32,7 +32,12 @@ first per-node run, or the first read of ``Network.nodes`` /
 ``Network.node(v)``.  A context built that way is halted exactly when its
 node is missing from the awake set (which stands in for the flags until
 then) and already holds every per-node output the bulk kernels left since
-the last reset, so it equals a context that existed throughout.
+the last reset, so it equals a context that existed throughout.  It starts
+without its link dict: :meth:`send`, :meth:`multicast` and
+:meth:`out_link_ids` fetch it from the topology's shared link table on
+their first call (one ``is None`` test per call), and that table builds
+every node's dict at once on the first request.  A context that is only
+read never builds one; :meth:`multicast_links` needs none.
 
 A context created standalone (``NodeContext(node_id=..., neighbors=...)``,
 as the unit tests and the legacy reference engine do) has no engine; sends
@@ -78,7 +83,11 @@ class NodeContext:
     # arrays are shared with — and mutated in place by — the owning Network;
     # keeping direct references here saves two attribute hops per message on
     # the hottest path in the simulator.
-    _out_link: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
+    # A wired context fetches its ``neighbor -> link`` dict from the
+    # network's shared link table (``_link_table.row(node_id)``) on its
+    # first send, so a context that is only read never builds one.
+    _out_link: Optional[dict[int, int]] = field(default=None, repr=False, compare=False)
+    _link_table: Any = field(default=None, repr=False, compare=False)
     _queues: Optional[list] = field(default=None, repr=False, compare=False)
     _heads: Optional[Any] = field(default=None, repr=False, compare=False)
     _link_max: Optional[Any] = field(default=None, repr=False, compare=False)
@@ -132,8 +141,11 @@ class NodeContext:
 
         # Wired fast path: resolve the directed link from the precomputed
         # per-node table.
+        out_link = self._out_link
+        if out_link is None:
+            out_link = self._wire_links()
         try:
-            link = self._out_link[neighbor]
+            link = out_link[neighbor]
         except KeyError:
             raise ValueError(f"node {self.node_id} has no neighbor {neighbor}") from None
         if payload is not None and payload is not self._payload_ok:
@@ -212,6 +224,8 @@ class NodeContext:
                 check_payload(payload)
             self._payload_ok = payload
         out_link = self._out_link
+        if out_link is None:
+            out_link = self._wire_links()
         sent = self._sent_this_round
         node_id = self.node_id
         message = Message(node_id, -1, tag, payload, algorithm_id)
@@ -314,11 +328,18 @@ class NodeContext:
         if self._queues is None:
             return None
         out = self._out_link
+        if out is None:
+            out = self._wire_links()
         return [out[v] for v in targets]
+
+    def _wire_links(self) -> dict[int, int]:
+        """Fetch this wired context's ``neighbor -> link`` dict (first use)."""
+        out = self._out_link = self._link_table.row(self.node_id)
+        return out
 
     def _link_receiver(self, link: int) -> int:
         """Best-effort reverse lookup of a link's receiver (error paths only)."""
-        for neighbor, out in self._out_link.items():
+        for neighbor, out in self._wire_links().items():
             if out == link:
                 return neighbor
         return -1

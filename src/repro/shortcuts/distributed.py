@@ -56,14 +56,12 @@ allocation-free ``multicast_links`` path.
 
 from __future__ import annotations
 
-import gc
 import math
-from contextlib import contextmanager
 from random import Random
 from dataclasses import dataclass
 from typing import Optional
 
-from ..congest.network import Network, RunMetrics
+from ..congest.network import Network, RunMetrics, gc_paused
 from ..congest.primitives.bfs import DistributedBFS
 from ..congest.primitives.concurrent_bfs import ConcurrentMaskedBFS
 from ..congest.primitives.numbering import PipelinedNumbering
@@ -112,25 +110,6 @@ class DistributedShortcutResult:
     probe_rounds: int = 0
     bfs_metrics: Optional[RunMetrics] = None
     spanning_ok: bool = True
-
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic GC around an allocation-heavy simulation loop.
-
-    The stage-4 fleet allocates only short-lived messages and payload
-    tuples; the generational collector would repeatedly rescan the large,
-    static graph/engine structures for nothing, which dominates wall time
-    at 10k-node scale.  No-op when the collector is already disabled.
-    """
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def geometric_guesses(lower: int, upper: int) -> list[int]:
@@ -313,7 +292,10 @@ def build_distributed_kogan_parter(
 
     for guess in guesses:
         attempted.append(guess)
-        with _gc_paused():
+        # The stage-4 fleet allocates only short-lived messages and payload
+        # tuples; collections would rescan the static graph and engine
+        # structures for nothing, which dominates wall time at 10k nodes.
+        with gc_paused():
             result = _run_single_guess(
                 graph,
                 partition,

@@ -18,18 +18,28 @@ are halted, and bulk kernels queue their per-node outputs for the build.
   BFS or fleet leaves the same state queued that an eager network holds,
   and neither takes a ``reset=False`` follow-up; a reset of an unread
   network drops the queue and builds nothing.
+* **Link dicts on first send.**  A read builds no ``neighbor -> link``
+  row: a context fetches it from the topology's shared table on its first
+  ``send``, ``multicast`` or ``out_link_ids``, onto exactly the edge-loop
+  reference links (an overloaded ``multicast_links`` fetches it to name
+  the receiver), and a per-node run after a read equals one with no
+  earlier read.  The table holds no reference to the network, so a
+  dropped network is freed without the cyclic collector, and the build
+  leaves the collector as enabled or disabled as it found it.
 """
 
 from __future__ import annotations
 
 import gc
 import random
+import weakref
+from collections import Counter
 
 import pytest
 
 from repro.applications.mst import kruskal_mst
 from repro.applications.shortcut_mst import shortcut_boruvka_mst
-from repro.congest import Network, RoundLimitExceeded
+from repro.congest import BandwidthExceededError, Network, RoundLimitExceeded
 from repro.congest.primitives.aggregation import run_part_aggregation
 from repro.congest.primitives.bfs import DistributedBFS
 from repro.congest.primitives.concurrent_bfs import ConcurrentMaskedBFS
@@ -38,7 +48,7 @@ from repro.graphs.generators import with_random_weights
 from repro.graphs.lower_bound import lower_bound_instance
 
 from test_bulk_kernels import label_masks, metrics_tuple
-from test_network_wiring import WIRING_GRAPHS
+from test_network_wiring import WIRING_GRAPHS, _Listen, reference_tables
 
 GRAPHS = sorted(WIRING_GRAPHS)
 
@@ -201,3 +211,118 @@ def test_node_outside_the_id_range_raises_key_error(read_first):
             net.node(v)
     assert net.node(n - 1).node_id == n - 1
 
+
+# ----------------------------------------------------------------------
+# link dicts on first send
+# ----------------------------------------------------------------------
+def per_node(algorithm):
+    """``algorithm`` with its bulk kernel switched off."""
+    algorithm.bulk_capable = False
+    return algorithm
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_read_after_bulk_runs_builds_no_link_row(name):
+    graph = WIRING_GRAPHS[name]()
+    net = Network(graph)
+    _bfs_then_floodmax(graph, net)
+    assert net._contexts is None
+    contexts = list(net.nodes.values())
+    assert net._link_table._rows is None
+    assert all(ctx._out_link is None for ctx in contexts)
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_read_context_sends_onto_reference_links(name):
+    """Contexts that were only read send, multicast and resolve link ids
+    from outside a run; a per-node follow-up delivers exactly those."""
+    graph = WIRING_GRAPHS[name]()
+    receiver_of, neighbors, out_links = reference_tables(graph)
+    net = Network(graph)
+    net.run(DistributedBFS({0}))
+    expected = []
+    for v, ctx in net.nodes.items():
+        if v % 3 == 0:
+            for w in neighbors[v]:
+                ctx.send(w, "x", v)
+        elif v % 3 == 1:
+            ctx.multicast(neighbors[v], "x", v)
+        else:
+            assert ctx.out_link_ids(neighbors[v]) == [out_links[v][w] for w in neighbors[v]]
+            continue
+        expected += [(out_links[v][w], v) for w in neighbors[v]]
+    # A context whose loop made no send (no neighbour) fetched nothing.
+    assert [ctx._out_link for ctx in net.nodes.values()] == [
+        out_links[v] if v % 3 or neighbors[v] else None
+        for v in range(graph.num_vertices)
+    ]
+    queued = [(link, msg.sender) for link in net._active for msg in net._queues[link]]
+    assert sorted(queued) == sorted(expected)
+
+    metrics = net.run(_Listen(), reset=False)
+    assert metrics.messages_delivered == len(expected)
+    got = Counter(receiver_of[link] for link, _ in expected)
+    assert [ctx.state["got"] for ctx in net.nodes.values()] == [
+        got[v] for v in range(graph.num_vertices)
+    ]
+
+
+def test_overloaded_multicast_links_names_receiver_of_read_context():
+    graph = WIRING_GRAPHS["isolated-vertices"]()
+    _, _, out_links = reference_tables(graph)
+    net = Network(graph, strict_bandwidth=True)
+    hub = net.node(5)
+    link = out_links[5][7]
+    hub.multicast_links([link], [7], "x", algorithm_id=0)
+    assert hub._out_link is None
+    with pytest.raises(BandwidthExceededError, match="link 5->7 exceeded"):
+        hub.multicast_links([link], [7], "x", algorithm_id=1)
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_per_node_run_after_read_equals_unread(name):
+    graph = WIRING_GRAPHS[name]()
+    n = graph.num_vertices
+
+    def once(net, read):
+        net.run(DistributedBFS({0}))
+        if read:
+            net.nodes
+        follow = net.run(per_node(FloodMax()), reset=False)
+        again = net.run(per_node(DistributedBFS({n - 1})))
+        return [metrics_tuple(follow), metrics_tuple(again)]
+
+    read, unread = Network(graph), Network(graph)
+    assert once(read, True) == once(unread, False)
+    assert snapshot(read) == snapshot(unread)
+
+
+def test_dropped_network_is_freed_without_the_collector():
+    graph = WIRING_GRAPHS["family-expander"]()
+    net = Network(graph)
+    net.nodes
+    net.run(per_node(FloodMax()))
+    net.node(0).send(net.node(0).neighbors[0], "x")
+    ref = weakref.ref(net)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del net
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_context_build_leaves_collector_state(enabled):
+    net = Network(WIRING_GRAPHS["isolated-vertices"]())
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        net._build_contexts()
+        assert gc.isenabled() is enabled
+        net.node(0).send(1, "x")  # builds the link rows
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

@@ -2,7 +2,8 @@
 feeds.
 
 * **Wiring tables.**  The receiver table, every context's neighbour tuple
-  and every context's ``neighbor -> directed link`` dict are read off the
+  and every context's ``neighbor -> directed link`` dict (fetched on the
+  context's first ``out_link_ids`` call, not on read) are read off the
   snapshot's adjacency arrays; they must equal a reference built by a loop
   over ``csr.edge_list`` on every generator family and on graphs with
   isolated vertices or no edges at all.
@@ -74,6 +75,11 @@ def test_wiring_tables_match_edge_loop_reference(name):
     contexts = [net.node(v) for v in range(graph.num_vertices)]
     assert all(type(ctx.neighbors) is tuple for ctx in contexts)
     assert [ctx.neighbors for ctx in contexts] == neighbors
+    # A read builds no link dict; the first out_link_ids call fetches it.
+    assert all(ctx._out_link is None for ctx in contexts)
+    assert [ctx.out_link_ids(ctx.neighbors) for ctx in contexts] == [
+        [out_links[v][w] for w in neighbors[v]] for v in range(graph.num_vertices)
+    ]
     assert [ctx._out_link for ctx in contexts] == out_links
 
 
