@@ -385,16 +385,16 @@ class StackedAdversary(Adversary):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded re-send schedule for the retry/ack primitive modes.
+    """Bounded per-unit re-send schedule for the retry/ack primitive modes.
 
-    A primitive running with a retry policy keeps every announcement
-    *pending* until the receiver acks it, and retransmits all pending
-    announcements at the checkpoint rounds ``timeout * backoff**j`` for
-    ``j = 0..max_attempts-1`` (absolute rounds, exponential backoff).  The
-    checkpoints are declared through the engine's timer protocol, so idle
-    stretches between them are charged without being executed — and a
-    ``pending_timer_work`` probe lets fully-acked runs terminate without
-    burning the remaining checkpoints.
+    A primitive running with a retry policy keeps every unit *pending*
+    until the receiver's cumulative ack covers it, and sends a pending unit
+    again once ``timeout * backoff**j`` rounds have passed since its
+    ``j``-th transmission left the sender's link queue (exponential
+    backoff, per unit).  After ``max_attempts`` resends the unit is
+    abandoned and counted (see :class:`~repro.congest.primitives.reliable.
+    ReliableChannel`).  A node with pending units stays awake, so timers
+    need no engine support beyond the round clock.
     """
 
     timeout: int = 4
@@ -408,14 +408,6 @@ class RetryPolicy:
             raise ValueError("max_attempts must be at least 1")
         if self.backoff < 1.0:
             raise ValueError("backoff must be >= 1.0")
-
-    def checkpoints(self) -> tuple[int, ...]:
-        """The absolute checkpoint rounds, sorted and deduplicated."""
-        rounds = {
-            int(round(self.timeout * self.backoff**j))
-            for j in range(self.max_attempts)
-        }
-        return tuple(sorted(rounds))
 
 
 def random_crash_schedule(

@@ -24,26 +24,21 @@ algorithm declares its deadlines up front:
     reads the tuple once, before it calls ``initialize``, so it is set in
     ``__init__`` (``repro lint`` rule RPR012 flags later writes).
 
-When an algorithm declares timers, the engine maintains
-``algorithm.current_round`` (the round number of the ``on_round`` calls
-being dispatched; ``None`` outside timer-enabled runs), so per-node round
-counters become unnecessary.  Rounds in which no node is awake, no message
-is in flight and no timer is due are *charged without being executed* —
-the measured round count is identical to executing them one by one, but a
-delay tail costs O(1) instead of O(n x rounds).
+The engine maintains ``algorithm.current_round`` (the round number of the
+``on_round`` calls being dispatched, 0 during ``initialize``) on every
+per-node run, so per-node round counters become unnecessary.  Rounds in
+which no node is awake, no message is in flight and no timer is due are
+*charged without being executed* — the measured round count is identical
+to executing them one by one, but a delay tail costs O(1) instead of
+O(n x rounds).
 
 Stages chain as successive ``Network.run(..., reset=False)`` calls: every
 run counts its rounds from 0, so a timer stage behaves identically on a
 fresh network and after earlier stages, whose outputs it reads from
 ``node.state``.
 
-Two further optional hooks round out the protocol:
+One further optional hook pair rounds out the protocol:
 
-``pending_timer_work()``
-    Probed by the engine at silent moments of a timer-enabled run: return
-    ``False`` to certify that the remaining declared timers would execute
-    nothing, letting the run terminate early.  Retry/ack modes use this so
-    an un-faulted run does not pay for its full checkpoint schedule.
 ``on_crash(node)`` / ``on_recover(node)``
     Called by the adversarial engine when a node crashes (just *before* its
     state is wiped, so fleet algorithms can retract the node's entries from
@@ -80,11 +75,11 @@ class DistributedAlgorithm(ABC):
     #: ticking per-round counters.
     wake_at_rounds: tuple = ()
 
-    #: Maintained by the engine during a timer-enabled run: the global round
+    #: Maintained by the engine during a per-node run: the global round
     #: number of the ``on_round`` calls currently being dispatched (0 during
-    #: ``initialize``).  ``None`` when the executing engine does not honour
-    #: ``wake_at_rounds``, in which case the algorithm must keep its own
-    #: per-node round counters.
+    #: ``initialize``).  ``None`` when the executing engine does not keep
+    #: the clock, in which case the algorithm must keep its own per-node
+    #: round counters.
     current_round: Optional[int] = None
 
     @abstractmethod

@@ -67,6 +67,8 @@ A round costs O(nodes-and-links-actually-touched), not O(n + links):
   nodes halt instead of ticking no-op handlers: the engine revives every
   node exactly at the declared rounds and charges silent stretches between
   them without executing them, keeping the measured round count identical.
+  Every per-node run keeps ``algorithm.current_round`` at the round being
+  dispatched, with or without timers.
 * **Fault injection.**  ``run(..., adversary=...)`` runs the same loop on
   the ring path (bulk kernels have no per-message delivery point):
   ring delivery goes through ``_deliver_adversarial``, which asks the
@@ -558,16 +560,11 @@ class Network:
         # at which every node must run, so waiting nodes can halt and the
         # engine both revives the network at exactly those rounds and
         # charges silent stretches between them without executing them.
+        # The round clock (algorithm.current_round) is kept on every run.
         timers: tuple = getattr(algorithm, "wake_at_rounds", ()) or ()
         num_timers = len(timers)
         timer_pos = 0
-        if num_timers:
-            algorithm.current_round = 0
-        # Opt-in escape hatch for timer schedules that over-provision (retry
-        # checkpoints): at a silent moment, an algorithm whose probe reports
-        # no pending timer-driven work lets the run terminate instead of
-        # charging the remaining (provably no-op) checkpoints.
-        timer_probe = getattr(algorithm, "pending_timer_work", None)
+        algorithm.current_round = 0
 
         # The adversary's crash/recover schedule joins the timers in the
         # silent-stretch jump and the quiescence check below, so neither
@@ -605,10 +602,7 @@ class Network:
         # rounds terminates.
         while True:
             if not self._active and not awake:
-                timers_needed = timer_pos < num_timers
-                if timers_needed and timer_probe is not None and not timer_probe():
-                    timers_needed = False
-                if timers_needed:
+                if timer_pos < num_timers:
                     # Silent but not quiescent: a timer is still pending.
                     # Every round before it (or before an earlier scheduled
                     # fault) provably executes nothing, so charge the
@@ -639,16 +633,13 @@ class Network:
                 break
 
             metrics.rounds += 1
+            algorithm.current_round = metrics.rounds
             timer_fired = False
-            if timer_pos < num_timers:
-                algorithm.current_round = metrics.rounds
-                if timers[timer_pos] <= metrics.rounds:
-                    timer_fired = True
+            if timer_pos < num_timers and timers[timer_pos] <= metrics.rounds:
+                timer_fired = True
+                timer_pos += 1
+                while timer_pos < num_timers and timers[timer_pos] <= metrics.rounds:
                     timer_pos += 1
-                    while timer_pos < num_timers and timers[timer_pos] <= metrics.rounds:
-                        timer_pos += 1
-            elif num_timers:
-                algorithm.current_round = metrics.rounds
             if adversary is not None:
                 round_no = metrics.rounds
                 while event_pos < num_events and event_rounds[event_pos] <= round_no:

@@ -116,12 +116,12 @@ class PartAggregation(DistributedAlgorithm):
         retry: optional :class:`~repro.congest.adversary.RetryPolicy`
             enabling the drop-tolerant mode: every announce/up/down unit is
             carried by a :class:`~repro.congest.primitives.reliable.
-            ReliableChannel` (sequence numbers, acks, checkpoint
-            retransmits) over per-instance ``<prefix>rel`` tags, so the
-            protocol completes correctly under message loss.  The channel
-            sends at most one wire message per (instance, neighbour) per
-            round, preserving the CONGEST discipline.  A retry-mode
-            instance is single-run.
+            ReliableChannel` (sequence numbers, cumulative acks,
+            per-unit retransmission timers) over per-instance
+            ``<prefix>rel`` tags, so the protocol completes correctly
+            under message loss.  The channel sends at most one wire
+            message per (instance, neighbour) per round, preserving the
+            CONGEST discipline.  A retry-mode instance is single-run.
 
     Outputs on the algorithm object:
 
@@ -220,9 +220,6 @@ class PartAggregation(DistributedAlgorithm):
             self._channel = ReliableChannel(
                 {idx: intern(p + "rel") for idx, p in enumerate(prefixes)}, retry
             )
-            self.wake_at_rounds = tuple(sorted(
-                set(self.wake_at_rounds) | set(self._channel.checkpoints)
-            ))
 
     # ------------------------------------------------------------------
     bulk_capable = True
@@ -349,10 +346,9 @@ class PartAggregation(DistributedAlgorithm):
             v = node.node_id
             lst = pending.get(v)
             if lst:
-                # current_round is engine-maintained whenever any delay is
-                # positive (wake_at_rounds is then non-empty); with all
-                # delays zero this branch is unreachable because initialize
-                # drained every pending list.
+                # current_round is engine-maintained on every per-node run;
+                # with all delays zero this branch is unreachable because
+                # initialize drained every pending list.
                 rnd = self.current_round
                 while lst and lst[0][0] <= rnd:
                     self._start_instance(lst.pop(0)[1], node)
@@ -444,12 +440,10 @@ class PartAggregation(DistributedAlgorithm):
             )
 
     # ------------------------------------------------------------------
-    def pending_timer_work(self) -> bool:
-        if self._channel is None:
-            return True
-        # Delayed instance starts are timer-driven too, so the remaining
-        # timers still matter while any start is outstanding.
-        return self._channel.pending_timer_work() or bool(self._pending)
+    @property
+    def abandoned(self) -> int:
+        """Units the retry channel gave up on (0 without retry)."""
+        return 0 if self._channel is None else self._channel.abandoned
 
     def on_crash(self, node: NodeContext) -> None:
         if self._pending is None:

@@ -70,8 +70,9 @@ class DistributedBFS(DistributedAlgorithm):
             enabling the drop-tolerant mode: the same start and relaxation
             logic, with every announcement carried as a unit of a
             :class:`~repro.congest.primitives.reliable.ReliableChannel`
-            (sequence numbers, acks, checkpoint retransmits; a re-announced
-            better distance supersedes the neighbour's pending older one).
+            (sequence numbers, cumulative acks, per-unit retransmission
+            timers; a re-announced better distance supersedes the
+            neighbour's pending older one).
             The channel sends at most one wire message per link per round,
             so the CONGEST discipline is unchanged.  A retry-mode instance
             is single-run, like the fleet primitives.
@@ -113,13 +114,12 @@ class DistributedBFS(DistributedAlgorithm):
         self._channel = None
         if retry is not None:
             self._channel = ReliableChannel({algorithm_id: self._tag_explore}, retry)
-            self.wake_at_rounds = self._channel.checkpoints
 
     # ------------------------------------------------------------------
     bulk_capable = True
 
     def bulk_supported(self) -> bool:
-        # Retry mode re-introduces per-node checkpoint logic; a dict-of-sets
+        # Retry mode re-introduces per-node timer logic; a dict-of-sets
         # adjacency keeps per-node filtered lists.  A CSR ``allowed_links``
         # mask (or no restriction) vectorizes.
         return self.retry is None and self.allowed_adjacency is None
@@ -201,8 +201,10 @@ class DistributedBFS(DistributedAlgorithm):
             return
         node.halt()
 
-    def pending_timer_work(self) -> bool:
-        return self._channel is None or self._channel.pending_timer_work()
+    @property
+    def abandoned(self) -> int:
+        """Units the retry channel gave up on (0 without retry)."""
+        return 0 if self._channel is None else self._channel.abandoned
 
     def on_crash(self, node: NodeContext) -> None:
         if self._channel is not None:

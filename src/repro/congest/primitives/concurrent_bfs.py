@@ -49,7 +49,7 @@ Retry mode (``retry=RetryPolicy(...)``) keeps the start-delay ticking and
 the relaxation code of the clean fleet and swaps only the transport: each
 instance's ``(dist, root)`` announcements become units of one shared
 :class:`~repro.congest.primitives.reliable.ReliableChannel`, which owns
-numbering, acks, deduplication and checkpoint retransmission.
+numbering, acks, deduplication and retransmission.
 """
 
 from __future__ import annotations
@@ -173,13 +173,12 @@ class ConcurrentMaskedBFS(DistributedAlgorithm):
         self._channel = None
         if retry is not None:
             self._channel = ReliableChannel(dict(enumerate(self.tags)), retry)
-            self.wake_at_rounds = self._channel.checkpoints
 
     # ------------------------------------------------------------------
     bulk_capable = True
 
     def bulk_supported(self) -> bool:
-        # Retry/ack mode keeps per-node checkpoint bookkeeping.
+        # Retry/ack mode keeps per-node timer bookkeeping.
         return self.retry is None
 
     def bulk_kernel(self, network):
@@ -237,8 +236,10 @@ class ConcurrentMaskedBFS(DistributedAlgorithm):
         else:
             node.halt()
 
-    def pending_timer_work(self) -> bool:
-        return self._channel is None or self._channel.pending_timer_work()
+    @property
+    def abandoned(self) -> int:
+        """Units the retry channel gave up on (0 without retry)."""
+        return 0 if self._channel is None else self._channel.abandoned
 
     def on_crash(self, node: NodeContext) -> None:
         if isinstance(self.dist, LazyRows):

@@ -15,40 +15,47 @@ multicast and :meth:`ReliableChannel.receive` decoding the inbox.
 
 * every logical *unit* (an announcement, an up-value, a down-value) gets a
   per-``(instance, sender, neighbour)`` sequence number and stays *pending*
-  until the receiver acks that exact number;
+  until the receiver's cumulative ack passes it;
 * **supersede rule** — a unit queued to a neighbour under the same ``kind``
-  as a still-pending unit replaces it (with a fresh sequence number, so a
-  late ack of the old one matches nothing).  This is how a BFS relaxation
-  re-announces an improved distance: only the newest announcement is worth
-  delivering.  A host that never sends two units of one kind to one
-  neighbour (the aggregation) never triggers it;
-* receivers ack every data unit they see (re-acking duplicates, since the
-  previous ack may itself have been dropped) and deduplicate by seen
-  sequence numbers, so retransmissions never double-count;
-* at the retry policy's checkpoint rounds (declared by the host through the
-  engine's timer protocol as :attr:`ReliableChannel.checkpoints`) all
-  pending units are re-queued for transmission — bounded retries with
-  exponential backoff;
+  as a still-pending unit replaces it (with a fresh sequence number).  This
+  is how a BFS relaxation re-announces an improved distance: only the
+  newest announcement is worth delivering.  A host that never sends two
+  units of one kind to one neighbour (the aggregation) never triggers it;
+* **cumulative acks** — every wire message carries the sender's *floor*
+  (its lowest still-pending sequence number) and its cumulative ack of the
+  reverse direction: every number below the ack was seen or lies below
+  the neighbour's floor.  The floor is what lets a superseded (or
+  abandoned) number that never arrives drop out of the ack instead of
+  blocking it.  Receivers deduplicate against the ack and a bitmask of
+  numbers seen above it, so retransmissions never double-count;
+* **per-unit timers** — a unit still pending ``timeout * backoff**j``
+  rounds after its ``j``-th transmission *left the sender's link queue*
+  is sent again (the sender knows when that is: its own queue drains one
+  message per round at unit bandwidth).  After ``max_attempts`` resends
+  the unit is abandoned and counted in :attr:`ReliableChannel.abandoned`.
+  A node with pending units stays awake; its deadlines sit in a table
+  keyed by round, so a round with nothing due costs one lookup;
 * each round a node sends at most **one** wire message per (instance,
-  neighbour): one data unit with one piggybacked ack, or a bare ack.  That
-  respects the CONGEST discipline (and the engine's duplicate-send guard)
-  while keeping the congestion the adversary sees honest;
-* a crash wipes a node's pending units, queues and seen sets, but **not**
-  its per-neighbour sequence counters: they model stable storage.  A
-  recovered node therefore never reuses a number its neighbours already
-  hold as seen, so its fresh units are processed, not discarded as
-  duplicates.
+  neighbour): one data unit carrying the current ack, or a bare ack when
+  an ack is owed and no data unit leaves on that endpoint.  That respects
+  the CONGEST discipline (and the engine's duplicate-send guard) while
+  keeping the congestion the adversary sees honest;
+* a crash wipes a node's pending units, queues, timers and receive state,
+  but **not** its per-neighbour sequence counters: they model stable
+  storage.  A recovered node therefore never reuses a number its
+  neighbours already acked, so its fresh units are processed, not
+  discarded as duplicates.
 
-Wire format (flat scalar tuple, within ``MAX_PAYLOAD_FIELDS``)::
+Wire format (flat scalar tuple, exactly ``MAX_PAYLOAD_FIELDS``)::
 
-    (seq, kind, ack_seq, arity, f0, f1, f2)
+    (seq, kind, floor, ack, arity, f0, f1, f2)
 
 ``kind`` is the caller's unit type (``-1`` for a bare ack, ``seq`` then
-``-1`` too); ``ack_seq`` is ``-1`` or the sequence number being acked;
-values are scalars (``arity == 0``, value in ``f0``) or tuples of up to
-three scalars (``arity`` = length) — enough for the BFS ``(dist, root)``
-announcements and the MWOE candidate triples the shortcut consumers
-aggregate.
+``-1`` too); ``floor`` and ``ack`` are the sequence numbers described
+above; values are scalars (``arity == 0``, value in ``f0``) or tuples of up
+to three scalars (``arity`` = length) — enough for the BFS ``(dist,
+root)`` announcements and the MWOE candidate triples the shortcut
+consumers aggregate.
 """
 
 from __future__ import annotations
@@ -85,13 +92,6 @@ def encode_value(value: Any) -> tuple[int, Any, Any, Any]:
     return (0, value, 0, 0)
 
 
-def decode_value(arity: int, f0: Any, f1: Any, f2: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if arity == 0:
-        return f0
-    return (f0, f1, f2)[:arity]
-
-
 #: Endpoint keys pack ``(instance, neighbour)`` as ``idx << _SHIFT | nbr``,
 #: so sorting keys orders a node's traffic by instance, then neighbour.
 _SHIFT = 32
@@ -105,24 +105,35 @@ class _Endpoint:
     and an empty ``deque`` alone costs most of a kilobyte.
     """
 
-    __slots__ = ("idx", "nbr", "route", "next_seq", "units", "data", "acks",
-                 "seen")
+    __slots__ = ("idx", "nbr", "route", "next_seq", "units", "data", "resends",
+                 "owed", "cum", "seen")
 
     def __init__(self, idx: int, nbr: int) -> None:
         self.idx = idx
         self.nbr = nbr
-        #: ``((nbr,), (link id,))``, resolved at the first send: the
-        #: arguments of the node's trusted ``multicast_links`` path.
-        self.route: Optional[tuple[tuple[int], tuple[int, ...]]] = None
+        #: ``((nbr,), (link id,), departure cell)``, resolved at the first
+        #: send: the arguments of the node's trusted ``multicast_links``
+        #: path, and the one-slot list holding the round the last wire
+        #: message on the ``v -> nbr`` link leaves its queue (shared by all
+        #: of ``v``'s endpoints towards ``nbr``).
+        self.route: Optional[tuple] = None
         #: Next sequence number to assign (stable storage: survives crashes).
         self.next_seq = 0
-        #: ``{seq: (kind, arity, f0, f1, f2)}`` sent to ``nbr``, not yet acked.
+        #: ``{seq: (kind, arity, f0, f1, f2)}`` sent to ``nbr``, not yet
+        #: acked, in ascending ``seq`` order (the first key is the floor).
         self.units: Optional[dict[int, tuple]] = None
         #: Sequence numbers queued for (re)transmission, FIFO.
         self.data: Optional[deque[int]] = None
-        #: Acks owed to ``nbr``, FIFO.
-        self.acks: Optional[deque[int]] = None
-        #: Bit ``s`` set iff ``nbr``'s unit ``s`` was already processed.
+        #: ``{seq: transmissions so far}`` of the units a timer re-queued.
+        self.resends: Optional[dict[int, int]] = None
+        #: Whether ``nbr`` is owed an ack (a data unit arrived since the
+        #: last wire message left this endpoint).
+        self.owed = False
+        #: Cumulative ack of ``nbr``'s units: every number below it was
+        #: seen or lies below ``nbr``'s floor.
+        self.cum = 0
+        #: Bit ``s`` set iff ``nbr``'s unit ``s`` was seen (meaningful for
+        #: ``s >= cum`` only).
         self.seen = 0
 
 
@@ -136,176 +147,230 @@ class ReliableChannel:
     under, and ``tags`` maps each instance id to its wire tag.  The host
     algorithm:
 
-    * declares :attr:`checkpoints` in its ``wake_at_rounds``;
     * queues outgoing units with :meth:`send_unit` / :meth:`send_units`
       (from ``initialize`` or ``on_round``);
     * decodes its inbox with :meth:`receive` and processes the returned
       messages exactly like clean-mode ones;
-    * ends every ``initialize`` / ``on_round`` with :meth:`end_round`
-      (checkpoint re-queue, flush, then wake or halt);
-    * answers its ``pending_timer_work`` probe with
-      :meth:`pending_timer_work`, so fully-acked runs skip the remaining
-      checkpoints.
+    * ends every ``initialize`` / ``on_round`` with :meth:`end_round`,
+      passing the engine's ``current_round`` (expired timers, flush, then
+      wake or halt).
     """
 
     def __init__(self, tags: Mapping[int, str], retry: RetryPolicy) -> None:
         self.tags = dict(tags)
-        #: The retry policy's absolute checkpoint rounds.
-        self.checkpoints = retry.checkpoints()
-        self._checkpoints = frozenset(self.checkpoints)
+        # Rounds a unit waits for its ack after transmission j + 1.
+        self._waits = [
+            max(1, int(round(retry.timeout * retry.backoff**j)))
+            for j in range(retry.max_attempts + 1)
+        ]
+        self._max_attempts = retry.max_attempts
         # v -> {key: endpoint}: every endpoint node v has touched.
         self._ends: dict[int, dict[int, _Endpoint]] = {}
-        # v -> {key: endpoint} with un-acked units: the only endpoints a
-        # checkpoint has to re-queue.  Emptied entries are pruned.
+        # v -> {key: endpoint} with un-acked units: a node stays awake
+        # while it is a key.  Emptied entries are pruned.
         self._awaiting: dict[int, dict[int, _Endpoint]] = {}
-        # v -> {key: endpoint} with queued units or acks.  Emptied entries
-        # are pruned: a node has work iff it is a key.
+        # v -> {key: endpoint} with queued units or an owed ack.  Emptied
+        # entries are pruned: a node has work iff it is a key.
         self._active: dict[int, dict[int, _Endpoint]] = {}
+        # (v << _SHIFT | nbr) -> the link's route (see _Endpoint.route).
+        self._links: dict[int, tuple] = {}
+        # round -> {v: [(endpoint, seq, transmissions), ...]}: the timers
+        # expiring in that round.  Entries of settled units are skipped
+        # when they come due.
+        self._due: dict[int, dict[int, list[tuple[_Endpoint, int, int]]]] = {}
+        # The round of the latest end_round, and its popped _due bucket.
+        self._clock = 0
+        self._expiring: Optional[dict[int, list]] = None
         #: Units sent but not yet acked, across all instances and nodes.
         self.total_pending = 0
+        #: Units given up after ``max_attempts`` unanswered resends.
+        self.abandoned = 0
 
     # ------------------------------------------------------------------
-    def _endpoint(self, v: int, key: int) -> _Endpoint:
-        ends = self._ends.get(v)
-        if ends is None:
-            ends = self._ends[v] = {}
-        end = ends.get(key)
-        if end is None:
-            end = ends[key] = _Endpoint(key >> _SHIFT, key & ((1 << _SHIFT) - 1))
-        return end
-
-    def _queue_encoded(self, idx: int, v: int, nbr: int, unit: tuple) -> None:
-        key = idx << _SHIFT | nbr
-        end = self._endpoint(v, key)
+    def _settle(self, v: int, key: int, end: _Endpoint, seq: int) -> None:
+        """Drop pending unit ``seq`` of ``end`` (acked or abandoned); prune
+        the endpoint from the awaiting set once empty."""
         units = end.units
-        data = end.data
-        if units is None:
-            units = end.units = {}
-            awaiting = self._awaiting.get(v)
-            if awaiting is None:
-                awaiting = self._awaiting[v] = {}
-            awaiting[key] = end
-        else:
-            kind = unit[0]
-            for old, held in units.items():
-                if held[0] == kind:
-                    # Supersede rule: the newer unit of this kind replaces
-                    # the pending one (see the module docstring).
-                    del units[old]
-                    self.total_pending -= 1
-                    if data is not None and old in data:
-                        data.remove(old)
-                    break
-        seq = end.next_seq
-        end.next_seq = seq + 1
-        units[seq] = unit
-        self.total_pending += 1
-        if data is None:
-            data = end.data = deque()
-        data.append(seq)
-        active = self._active.get(v)
-        if active is None:
-            active = self._active[v] = {}
-        active[key] = end
+        del units[seq]
+        self.total_pending -= 1
+        resends = end.resends
+        if resends is not None:
+            resends.pop(seq, None)
+        if not units:
+            end.units = None
+            awaiting = self._awaiting[v]
+            del awaiting[key]
+            if not awaiting:
+                del self._awaiting[v]
 
     def send_units(self, idx: int, v: int, targets: Sequence[int], kind: int,
                    value: Any) -> None:
         """Queue the same unit from ``v`` to every neighbour in ``targets``."""
         unit = (kind, *encode_value(value))
+        if not targets:
+            return
+        ends = self._ends.get(v)
+        if ends is None:
+            ends = self._ends[v] = {}
+        active = self._active.get(v)
+        if active is None:
+            active = self._active[v] = {}
+        awaiting = self._awaiting.get(v)
+        base = idx << _SHIFT
+        queued = 0
         for nbr in targets:
-            self._queue_encoded(idx, v, nbr, unit)
+            key = base | nbr
+            end = ends.get(key)
+            if end is None:
+                end = ends[key] = _Endpoint(idx, nbr)
+            queued += 1
+            units = end.units
+            if units is None:
+                units = end.units = {}
+                if awaiting is None:
+                    awaiting = self._awaiting[v] = {}
+                awaiting[key] = end
+            else:
+                for old, held in units.items():
+                    if held[0] == kind:
+                        # Supersede rule: the newer unit of this kind
+                        # replaces the pending one (see the module
+                        # docstring).  A queued copy of the old number is
+                        # skipped by flush.
+                        del units[old]
+                        queued -= 1
+                        if end.resends is not None:
+                            end.resends.pop(old, None)
+                        break
+            seq = end.next_seq
+            end.next_seq = seq + 1
+            units[seq] = unit
+            data = end.data
+            if data is None:
+                end.data = deque((seq,))
+            else:
+                data.append(seq)
+            active[key] = end
+        self.total_pending += queued
 
     def send_unit(self, idx: int, v: int, nbr: int, kind: int, value: Any) -> None:
         """Queue one unit from ``v`` to ``nbr`` on instance ``idx``."""
         self.send_units(idx, v, (nbr,), kind, value)
 
-    def _on_wire(self, idx: int, v: int, sender: int, payload: tuple
-                 ) -> Optional[tuple[int, Any]]:
-        """Process one wire message; return ``(kind, value)`` for new units.
-
-        Handles the piggybacked ack, queues the ack this unit is owed, and
-        returns ``None`` for bare acks and already-seen duplicates.
-        """
-        seq, kind, ack_seq, arity, f0, f1, f2 = payload
-        key = idx << _SHIFT | sender
-        end = self._endpoint(v, key)
-        if ack_seq != ACK_ONLY:
-            units = end.units
-            if units is not None and ack_seq in units:
-                del units[ack_seq]
-                self.total_pending -= 1
-                if not units:
-                    end.units = None
-                    awaiting = self._awaiting[v]
-                    del awaiting[key]
-                    if not awaiting:
-                        del self._awaiting[v]
-        if kind == ACK_ONLY:
-            return None
-        # Always (re-)ack a data unit: the previous ack may have been lost.
-        acks = end.acks
-        if acks is None:
-            acks = end.acks = deque()
-        acks.append(seq)
-        active = self._active.get(v)
-        if active is None:
-            active = self._active[v] = {}
-        active[key] = end
-        bit = 1 << seq
-        if end.seen & bit:
-            return None
-        end.seen |= bit
-        return kind, decode_value(arity, f0, f1, f2)
-
     def receive(self, node: NodeContext, messages: list[Message],
                 kind_tags: Sequence[Mapping[int, str]]) -> list[Message]:
         """Decode an inbox into the messages clean mode would have received.
 
-        Wire messages of the channel's instances settle their piggybacked
-        acks and queue the acks they are owed; each new unit comes back as
+        Each wire message of the channel's instances settles the pending
+        units its cumulative ack covers and advances the receive window
+        past the sender's floor; a data unit also owes the sender an ack
+        (the previous one may have been lost).  Each new unit comes back as
         a message from the same sender and instance, tagged
         ``kind_tags[kind][idx]`` and carrying the decoded value.  Other
         traffic, bare acks and duplicates are dropped from the result.
         """
         v = node.node_id
         tags = self.tags
-        units: list[Message] = []
+        units_out: list[Message] = []
+        ends = self._ends.get(v)
         for msg in messages:
             idx = msg.algorithm_id
             if msg.tag != tags.get(idx):
                 continue
-            unit = self._on_wire(idx, v, msg.sender, msg.payload)
-            if unit is not None:
-                kind, value = unit
-                units.append(Message(msg.sender, v, kind_tags[kind][idx], value, idx))
-        return units
+            seq, kind, floor, ack, arity, f0, f1, f2 = msg.payload
+            sender = msg.sender
+            key = idx << _SHIFT | sender
+            end = ends.get(key) if ends is not None else None
+            if end is None:
+                if ends is None:
+                    ends = self._ends[v] = {}
+                end = ends[key] = _Endpoint(idx, sender)
+            units = end.units
+            while units is not None:
+                # Ascending keys: the first pending number is the lowest.
+                first = next(iter(units))
+                if first >= ack:
+                    break
+                self._settle(v, key, end, first)
+                units = end.units
+            cum = end.cum
+            seen = end.seen
+            if floor > cum:
+                cum = floor
+                while seen >> cum & 1:
+                    cum += 1
+                end.cum = cum
+            if kind == ACK_ONLY:
+                continue
+            if not end.owed:
+                end.owed = True
+                active = self._active.get(v)
+                if active is None:
+                    active = self._active[v] = {}
+                active[key] = end
+            if seq == cum:
+                cum += 1
+                while seen >> cum & 1:
+                    cum += 1
+                end.cum = cum
+            elif seq < cum or seen >> seq & 1:
+                continue  # duplicate
+            else:
+                end.seen = seen | 1 << seq
+            units_out.append(Message(
+                sender, v, kind_tags[kind][idx],
+                f0 if arity == 0 else (f0, f1, f2)[:arity], idx,
+            ))
+        return units_out
 
-    def _requeue(self, v: int) -> None:
-        """Re-queue every pending (un-acked) unit of node ``v``."""
-        awaiting = self._awaiting.get(v)
-        if not awaiting:
-            return
-        active = self._active.get(v)
-        if active is None:
-            active = self._active[v] = {}
-        for key, end in awaiting.items():
+    def _expire(self, v: int, timers: list[tuple[_Endpoint, int, int]]) -> None:
+        """Re-queue (or abandon) node ``v``'s pending units whose timer ran out."""
+        active = None
+        for end, seq, sent in timers:
+            units = end.units
+            if units is None or seq not in units:
+                continue  # settled since it was sent
+            key = end.idx << _SHIFT | end.nbr
+            if sent > self._max_attempts:
+                self._settle(v, key, end, seq)
+                self.abandoned += 1
+                continue
+            resends = end.resends
+            if resends is None:
+                resends = end.resends = {}
+            resends[seq] = sent
             data = end.data
             if data is None:
-                end.data = deque(sorted(end.units))
-            else:
-                queued = set(data)
-                data.extend(seq for seq in sorted(end.units) if seq not in queued)
+                data = end.data = deque()
+            data.append(seq)
+            if active is None:
+                active = self._active.get(v)
+                if active is None:
+                    active = self._active[v] = {}
             active[key] = end
+
+    def _route(self, node: NodeContext, nbr: int) -> tuple:
+        """The shared route of ``node``'s link to ``nbr`` (see
+        :attr:`_Endpoint.route`), built on the link's first send."""
+        link_key = node.node_id << _SHIFT | nbr
+        route = self._links.get(link_key)
+        if route is None:
+            targets = (nbr,)
+            # Standalone contexts have no link ids (and ignore them).
+            route = self._links[link_key] = (
+                targets, tuple(node.out_link_ids(targets) or ()), [0],
+            )
+        return route
 
     def flush(self, node: NodeContext) -> None:
         """Send at most one wire message per (instance, neighbour).
 
-        Pops one queued data unit per neighbour (piggybacking one owed
-        ack), or a bare ack when only acks are owed; leftovers keep the
-        node marked as having work for the next round.  Wire messages go
-        out over the node's trusted link path: one message per endpoint per
-        round by construction, and fields validated when the unit was
-        encoded.
+        Pops one queued data unit per endpoint, or sends a bare ack when
+        only an ack is owed; leftovers keep the node marked as having work
+        for the next round.  Each data unit arms its timer from the round
+        it leaves the link queue.  Wire messages go out over the node's
+        trusted link path: one message per endpoint per round by
+        construction, and fields validated when the unit was encoded.
         """
         v = node.node_id
         active = self._active.get(v)
@@ -313,14 +378,11 @@ class ReliableChannel:
             return
         send = node.multicast_links
         tags = self.tags
+        now = self._clock
+        waits = self._waits
+        due = self._due
         for key in sorted(active):
             end = active[key]
-            ack_seq = ACK_ONLY
-            acks = end.acks
-            if acks is not None:
-                ack_seq = acks.popleft()
-                if not acks:
-                    end.acks = None
             unit = None
             data = end.data
             if data is not None:
@@ -333,58 +395,84 @@ class ReliableChannel:
                             break
                 if not data:
                     end.data = None
+            route = end.route
+            if route is None:
+                route = end.route = self._route(node, end.nbr)
+            cell = route[2]
+            depart = cell[0] + 1
+            if depart <= now:
+                depart = now + 1
             if unit is not None:
                 kind, arity, f0, f1, f2 = unit
-                wire = (seq, kind, ack_seq, arity, f0, f1, f2)
-            elif ack_seq != ACK_ONLY:
-                wire = (ACK_ONLY, ACK_ONLY, ack_seq, 0, 0, 0, 0)
+                wire = (seq, kind, next(iter(units)), end.cum, arity, f0, f1, f2)
+                sent = 1
+                resends = end.resends
+                if resends is not None:
+                    sent = resends.pop(seq, 0) + 1
+                    if not resends:
+                        end.resends = None
+                at = depart + waits[sent - 1]
+                timer = (end, seq, sent)
+                bucket = due.get(at)
+                if bucket is None:
+                    due[at] = {v: [timer]}
+                else:
+                    timers = bucket.get(v)
+                    if timers is None:
+                        bucket[v] = [timer]
+                    else:
+                        timers.append(timer)
+            elif end.owed:
+                units = end.units
+                floor = end.next_seq if units is None else next(iter(units))
+                wire = (ACK_ONLY, ACK_ONLY, floor, end.cum, 0, 0, 0, 0)
             else:
-                wire = None
-            if wire is not None:
-                route = end.route
-                if route is None:
-                    # Standalone contexts have no link ids (and ignore them).
-                    targets = (end.nbr,)
-                    route = end.route = (targets, tuple(node.out_link_ids(targets) or ()))
-                send(route[1], route[0], tags[end.idx], wire, end.idx)
-            if end.data is None and end.acks is None:
+                del active[key]
+                continue
+            end.owed = False
+            cell[0] = depart
+            send(route[1], route[0], tags[end.idx], wire, end.idx)
+            if end.data is None:
                 del active[key]
         if not active:
             del self._active[v]
 
-    def end_round(self, node: NodeContext, current_round: Optional[int],
+    def end_round(self, node: NodeContext, current_round: int,
                   stay_awake: bool = False) -> None:
         """Close a host's ``initialize`` / ``on_round`` call for ``node``.
 
-        Re-queues pending units when ``current_round`` is a checkpoint,
+        Re-queues the node's units whose timer expires in ``current_round``,
         flushes one wire message per (instance, neighbour), then keeps the
-        node awake while it has queued traffic (or the host asks to stay
-        awake) and halts it otherwise.
+        node awake while it has queued traffic or un-acked units (or the
+        host asks to stay awake) and halts it otherwise.
         """
         v = node.node_id
-        if current_round in self._checkpoints:
-            self._requeue(v)
+        if current_round != self._clock:
+            self._clock = current_round
+            self._expiring = self._due.pop(current_round, None)
+        expiring = self._expiring
+        if expiring is not None:
+            timers = expiring.pop(v, None)
+            if timers is not None:
+                self._expire(v, timers)
         self.flush(node)
-        if stay_awake or v in self._active:
+        if stay_awake or v in self._active or v in self._awaiting:
             node.wake()
         else:
             node.halt()
-
-    def pending_timer_work(self) -> bool:
-        """The host's ``pending_timer_work`` answer: any unit still un-acked."""
-        return self.total_pending > 0
 
     def on_crash(self, v: int) -> None:
         """Wipe node ``v``'s volatile channel state (its memory is lost).
 
         The per-neighbour sequence counters are stable storage and survive,
         so the recovered node's units get numbers its neighbours have not
-        seen yet.
+        acked yet.
         """
         for end in self._ends.get(v, {}).values():
             if end.units is not None:
                 self.total_pending -= len(end.units)
-            end.units = end.data = end.acks = None
-            end.seen = 0
+            end.units = end.data = end.resends = None
+            end.owed = False
+            end.cum = end.seen = 0
         self._awaiting.pop(v, None)
         self._active.pop(v, None)

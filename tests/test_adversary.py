@@ -369,9 +369,8 @@ class TestAdversaryProtocol:
         assert adversary.begin_round(0) is None
         assert adversary.event_rounds() == ()
 
-    def test_retry_policy_checkpoints(self):
-        assert RetryPolicy().checkpoints() == (4, 8, 16, 32, 64, 128, 256, 512)
-        assert RetryPolicy(timeout=3, max_attempts=3, backoff=1.0).checkpoints() == (3,)
+    def test_retry_policy_fields(self):
+        assert RetryPolicy() == RetryPolicy(timeout=4, max_attempts=8, backoff=2.0)
         with pytest.raises(ValueError):
             RetryPolicy(timeout=0)
         with pytest.raises(ValueError):
