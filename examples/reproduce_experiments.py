@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate every experiment table (the script form of ``repro experiments``).
 
-Runs the full experiment harness (E1-E15) and prints the
-result tables.  Pass ``--fast`` for the reduced parameter sets used in CI,
-``--workers N`` to shard the sweep cells over N processes (the tables are
-bit-identical to a serial run).
+Runs the full experiment harness (E1-E15), or the one ``--experiment``
+names, and prints the result tables.  Pass ``--fast`` for the reduced
+parameter sets used in CI (with or without ``--experiment``), ``--workers N``
+to shard the sweep cells over N processes (the tables are bit-identical to a
+serial run).
 
 Run with:  python examples/reproduce_experiments.py [--fast] [--experiment E4]
            [--workers 4]
@@ -33,10 +34,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     start = time.time()
-    if args.experiment:
-        tables = [EXPERIMENT_RUNNERS[args.experiment](seed=args.seed, workers=args.workers)]
-    else:
-        tables = run_all_experiments(fast=args.fast, seed=args.seed, workers=args.workers)
+    tables = run_all_experiments(
+        fast=args.fast, seed=args.seed, workers=args.workers,
+        experiment_ids=[args.experiment] if args.experiment else None,
+    )
     for table in tables:
         print(table.render())
         print()

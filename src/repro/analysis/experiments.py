@@ -1,25 +1,33 @@
 """Experiment harness: workload generation, sweeps and result tables.
 
 The paper has no experimental section, so the "tables and figures" this
-repository reproduces are its quantitative claims.  Each ``run_*`` function
-below regenerates one experiment: it builds the workloads, runs the
-constructions / applications, and returns an :class:`ExperimentTable` whose
-rows are what ``repro experiments`` prints.  The
-benchmark suite calls the same functions (so `pytest benchmarks/` both times
-them and re-produces the numbers), and the example scripts print them.
+repository reproduces are its quantitative claims.  Each experiment
+regenerates one of them as an :class:`ExperimentTable` whose rows are what
+``repro experiments`` prints.  The benchmark suite calls the same ``run_*``
+functions (so `pytest benchmarks/` both times them and re-produces the
+numbers), and the example scripts print them.
 
 Every experiment is decomposed into three deterministic pieces:
 
-* a **planner** (``plan_*``) that enumerates the sweep as a list of
+* a **planner** (``plan_*``), which holds the experiment's defaults and
+  enumerates the sweep as a list of
   :class:`~repro.analysis.parallel.CellTask` — pure, picklable per-cell
-  (typically per ``(size, trial)``) tasks — plus a reducer that assembles
-  the table from the cell results *in cell order*;
-* a **cell runner** (registered in :data:`CELL_RUNNERS`) that executes one
+  tasks — plus a reducer that assembles the table from the cell results
+  *in cell order*;
+* **cell runners** (registered in :data:`CELL_RUNNERS`), each executing one
   cell; every random decision inside a cell draws from a stream derived
   with :func:`repro.rng.derive_seed` from the base seed and the cell's
   coordinates, so cells never share RNG state;
-* the public ``run_*`` wrapper, which executes the plan — serially by
-  default, or sharded over a process pool via ``workers=N``.
+* the public ``run_*`` function, the planner behind one generic runner that
+  executes the plan — serially by default, or sharded over a process pool
+  via ``workers=N``.
+
+E1-E4, E11 and E12 are views of two shared cells rather than experiments
+with cells of their own: the **KP cell** samples and measures one
+Kogan-Parter shortcut at a ``(kind, D, n, trial)`` point, and the
+**baselines cell** measures the comparison shortcuts there.  Both build the
+point's workload from one seed, so a row that joins them describes one
+graph, and a sweep runs a cell that several tables list only once.
 
 Because cells are independent and the reducers are order-deterministic,
 parallel runs are bit-identical to serial runs at any worker count (the
@@ -44,6 +52,7 @@ Design choices documented once here:
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import statistics
 import time
@@ -139,8 +148,6 @@ class ExperimentTable:
             for name in self.nondeterministic_columns
             if name in self.headers
         }
-        if not skip:
-            return [list(row) for row in self.rows]
         return [
             [value for idx, value in enumerate(row) if idx not in skip]
             for row in self.rows
@@ -175,15 +182,21 @@ class ExperimentTable:
 ExperimentPlan = tuple[list[CellTask], Callable[[list], ExperimentTable]]
 
 
-def _rows_reducer(**table_kwargs):
-    """Reducer for experiments whose cells each produce one complete row
-    (or ``None`` for skipped cells); ``table_kwargs`` construct the table."""
+def _rows_reducer(
+    row: Optional[Callable[[list], list]] = None, group: int = 1, **table_kwargs
+):
+    """Reducer that makes one row of every ``group`` consecutive cell
+    results with ``row``; by default each cell's result is its own complete
+    row (or ``None`` for a skipped cell).  ``table_kwargs`` construct the
+    table."""
 
     def reduce(results: list) -> ExperimentTable:
         table = ExperimentTable(**table_kwargs)
-        for row in results:
-            if row is not None:
-                table.add_row(*row)
+        for start in range(0, len(results), group):
+            cells = results[start:start + group]
+            values = cells[0] if row is None else row(cells)
+            if values is not None:
+                table.add_row(*values)
         return table
 
     return reduce
@@ -239,14 +252,7 @@ def make_workload(kind: str, n: int, diameter_value: int, *, seed: int = 0) -> W
         partition = Partition(graph, parts, validate=False)
         return Workload(name="hub", graph=graph, partition=partition, diameter=diameter_value)
     if kind == "lower_bound":
-        inst = lower_bound_instance(n, diameter_value)
-        partition = Partition(inst.graph, inst.parts, validate=False)
-        return Workload(
-            name="lower_bound",
-            graph=inst.graph,
-            partition=partition,
-            diameter=inst.diameter,
-        )
+        return _lower_bound_workload(lower_bound_instance(n, diameter_value))
     if kind == "cluster":
         cluster_size = max(3, int(math.sqrt(n)))
         num_clusters = max(2, n // cluster_size)
@@ -258,6 +264,12 @@ def make_workload(kind: str, n: int, diameter_value: int, *, seed: int = 0) -> W
         partition = Partition(graph, parts, validate=False)
         return Workload(name="cluster", graph=graph, partition=partition, diameter=4)
     raise ValueError(f"unknown workload kind {kind!r}")
+
+
+def _lower_bound_workload(inst) -> Workload:
+    """The lower-bound instance with its canonical path parts."""
+    partition = Partition(inst.graph, inst.parts, validate=False)
+    return Workload("lower_bound", inst.graph, partition, inst.diameter)
 
 
 def make_weighted_workload(
@@ -285,37 +297,132 @@ def _cached_lower_bound_instance(n: int, diameter_value: int):
 
 
 # ----------------------------------------------------------------------
-# E1-E3: quality / congestion / dilation of the KP construction
+# the shared KP-quality cells behind E1-E4, E11 and E12
 # ----------------------------------------------------------------------
-def _quality_cell(
-    *, kind: str, n: int, diameter_value: int, log_factor: float, seed: int, trial: int
-) -> dict:
-    """E1 cell: one trial of one (diameter, size) sweep point."""
-    workload = make_workload(
+def _point_workload(
+    kind: str, n: int, diameter_value: int, *, seed: int, trial: int
+) -> Workload:
+    """The workload at one ``(kind, D, n, trial)`` sweep point.
+
+    Its seed is derived from the point alone, so the KP and baselines cells
+    of one point build one graph; the seed-free lower-bound instance comes
+    from the per-process cache.
+    """
+    if kind == "lower_bound":
+        return _lower_bound_workload(_cached_lower_bound_instance(n, diameter_value))
+    return make_workload(
         kind, n, diameter_value,
-        seed=derive_seed(seed, "E1", diameter_value, n, trial, "workload"),
+        seed=derive_seed(seed, "workload", kind, diameter_value, n, trial),
     )
+
+
+def _kp_cell(
+    *, kind: str, n: int, diameter_value: int, trial: int, log_factor: float,
+    repetitions: Optional[int], seed: int,
+) -> dict:
+    """KP cell: one Kogan-Parter sample at one sweep point, measured.
+
+    The sample's seed path extends the point's with ``(log_factor,
+    repetitions)``; ``repetitions=None`` is the paper's ``D``.  Reports the
+    resolved sampling probability and repetition count, the congestion,
+    the mean load of the loaded edges, the sampled dilation and the quality.
+    """
+    workload = _point_workload(kind, n, diameter_value, seed=seed, trial=trial)
+    path = ("kp", kind, diameter_value, n, trial, log_factor, repetitions)
     result = build_kogan_parter_shortcut(
         workload.graph,
         workload.partition,
         diameter_value=workload.diameter,
+        repetitions=repetitions,
         log_factor=log_factor,
-        rng=derive_seed(seed, "E1", diameter_value, n, trial, "sample"),
+        rng=derive_seed(seed, *path, "sample"),
     )
     report = result.shortcut.quality_report(
-        exact_dilation=False,
-        rng=derive_seed(seed, "E1", diameter_value, n, trial, "dilation"),
+        exact_dilation=False, rng=derive_seed(seed, *path, "dilation")
     )
+    loads = result.shortcut.edge_loads()
     return {
         "name": workload.name,
         "n_actual": workload.graph.num_vertices,
         "diameter": workload.diameter,
-        "quality": report.quality,
+        "log_factor": log_factor,
+        "repetitions": result.parameters.repetitions,
+        "probability": result.parameters.probability,
         "congestion": report.congestion,
+        "mean_load": statistics.mean(loads.values()) if loads else 0.0,
         "dilation": report.dilation,
+        "quality": report.quality,
     }
 
 
+def _baselines_cell(
+    *, kind: str, n: int, diameter_value: int, trial: int, log_factor: float, seed: int
+) -> dict:
+    """Baselines cell: the comparison shortcuts at one sweep point.
+
+    Reports the quality of the Kitamura-style (one repetition, at
+    ``log_factor``), Ghaffari-Haeupler, naive and empty shortcuts, plus the
+    empty shortcut's dilation: the induced part diameter.
+    """
+    workload = _point_workload(kind, n, diameter_value, seed=seed, trial=trial)
+    graph, partition = workload.graph, workload.partition
+    path = ("baselines", kind, diameter_value, n, trial, log_factor)
+    shortcuts = {
+        "kitamura": build_kitamura_style_shortcut(
+            graph, partition, diameter_value=workload.diameter,
+            log_factor=log_factor, rng=derive_seed(seed, *path, "kitamura"),
+        ).shortcut,
+        "gh": build_ghaffari_haeupler_shortcut(graph, partition),
+        "naive": build_naive_shortcut(graph, partition),
+        "empty": build_empty_shortcut(graph, partition),
+    }
+    reports = {
+        name: shortcut.quality_report(
+            exact_dilation=False, rng=derive_seed(seed, *path, name, "dilation")
+        )
+        for name, shortcut in shortcuts.items()
+    }
+    out: dict = {f"{name}_quality": report.quality for name, report in reports.items()}
+    out["induced_diam"] = reports["empty"].dilation
+    return out
+
+
+def _kp_task(
+    kind: str, n: int, diameter_value: int, *, log_factor: float, seed: int,
+    trial: int = 0, repetitions: Optional[int] = None,
+) -> CellTask:
+    return CellTask("kp", dict(kind=kind, n=n, diameter_value=diameter_value,
+                               trial=trial, log_factor=log_factor,
+                               repetitions=repetitions, seed=seed))
+
+
+def _against(measured: float, predicted: float, *, digits: int = 2) -> list:
+    """The ``predicted`` and ``ratio`` columns of a view: the prediction,
+    floored at 1, and the measured value over it."""
+    predicted = max(1.0, predicted)
+    return [round(predicted, digits), round(measured / predicted, 3)]
+
+
+def _paired_tasks(
+    kind: str, sizes: Sequence[int], diameters: Sequence[int], *,
+    log_factor: float, seed: int,
+) -> list[CellTask]:
+    """The KP and baselines cells of every (diameter, size) point, in pairs."""
+    return [
+        task
+        for diameter_value in diameters
+        for n in sizes
+        for task in (
+            _kp_task(kind, n, diameter_value, log_factor=log_factor, seed=seed),
+            CellTask("baselines", dict(kind=kind, n=n, diameter_value=diameter_value,
+                                       trial=0, log_factor=log_factor, seed=seed)),
+        )
+    ]
+
+
+# ----------------------------------------------------------------------
+# E1-E4: quality, congestion, dilation and baselines, as views of the cells
+# ----------------------------------------------------------------------
 def plan_quality_experiment(
     *,
     sizes: Sequence[int] = (200, 400, 800),
@@ -325,96 +432,40 @@ def plan_quality_experiment(
     seed: int = 7,
     trials: int = 1,
 ) -> ExperimentPlan:
-    """Plan E1: one cell per (diameter, size, trial)."""
+    """E1: measured KP shortcut quality vs. the predicted ``k_D log n`` curve.
+
+    A view of the KP cells, one per (diameter, size, trial); each row
+    averages one point's trials.
+    """
     tasks = [
-        CellTask("E1", dict(kind=kind, n=n, diameter_value=diameter_value,
-                            log_factor=log_factor, seed=seed, trial=t))
+        _kp_task(kind, n, diameter_value, log_factor=log_factor, seed=seed, trial=t)
         for diameter_value in diameters
         for n in sizes
         for t in range(trials)
     ]
 
-    def reduce(results: list) -> ExperimentTable:
-        table = ExperimentTable(
-            experiment_id="E1",
-            title="Kogan-Parter shortcut quality vs predicted k_D log n (Theorem 1.1)",
-            headers=[
-                "workload", "n", "D", "k_D", "congestion", "dilation", "quality",
-                "predicted", "ratio",
-            ],
-            notes=[f"kind={kind}, log_factor={log_factor}, trials={trials}, seed={seed}"],
-        )
-        it = iter(results)
-        for _diameter_value in diameters:
-            for _n in sizes:
-                cells = [next(it) for _ in range(trials)]
-                last = cells[-1]
-                predicted = max(
-                    1.0, log_factor * predicted_quality(last["n_actual"], last["diameter"])
-                )
-                quality = statistics.mean(c["quality"] for c in cells)
-                table.add_row(
-                    last["name"],
-                    last["n_actual"],
-                    last["diameter"],
-                    round(k_d_value(last["n_actual"], last["diameter"]), 2),
-                    statistics.mean(c["congestion"] for c in cells),
-                    statistics.mean(c["dilation"] for c in cells),
-                    quality,
-                    round(predicted, 2),
-                    round(quality / predicted, 3),
-                )
-        return table
+    def row(cells: list) -> list:
+        last = cells[-1]
+        n_actual, diameter = last["n_actual"], last["diameter"]
+        quality = statistics.mean(c["quality"] for c in cells)
+        return [
+            last["name"], n_actual, diameter, round(k_d_value(n_actual, diameter), 2),
+            statistics.mean(c["congestion"] for c in cells),
+            statistics.mean(c["dilation"] for c in cells),
+            quality,
+            *_against(quality, log_factor * predicted_quality(n_actual, diameter)),
+        ]
 
-    return tasks, reduce
-
-
-def run_quality_experiment(
-    *,
-    sizes: Sequence[int] = (200, 400, 800),
-    diameters: Sequence[int] = (4, 6, 8),
-    kind: str = "lower_bound",
-    log_factor: float = 0.25,
-    seed: int = 7,
-    trials: int = 1,
-    workers: Optional[int] = None,
-) -> ExperimentTable:
-    """E1: measured KP shortcut quality vs. the predicted ``k_D log n`` curve."""
-    tasks, reduce = plan_quality_experiment(
-        sizes=sizes, diameters=diameters, kind=kind, log_factor=log_factor,
-        seed=seed, trials=trials,
+    return tasks, _rows_reducer(
+        row, group=trials,
+        experiment_id="E1",
+        title="Kogan-Parter shortcut quality vs predicted k_D log n (Theorem 1.1)",
+        headers=[
+            "workload", "n", "D", "k_D", "congestion", "dilation", "quality",
+            "predicted", "ratio",
+        ],
+        notes=[f"kind={kind}, log_factor={log_factor}, trials={trials}, seed={seed}"],
     )
-    return reduce(run_cells(tasks, workers=workers))
-
-
-def _congestion_cell(
-    *, kind: str, n: int, diameter_value: int, log_factor: float, seed: int
-) -> list:
-    """E2 cell: one size point — one construction, one table row."""
-    workload = make_workload(
-        kind, n, diameter_value, seed=derive_seed(seed, "E2", n, "workload")
-    )
-    result = build_kogan_parter_shortcut(
-        workload.graph,
-        workload.partition,
-        diameter_value=workload.diameter,
-        log_factor=log_factor,
-        rng=derive_seed(seed, "E2", n, "sample"),
-    )
-    loads = result.shortcut.edge_loads()
-    congestion = max(loads.values(), default=0)
-    mean_load = statistics.mean(loads.values()) if loads else 0.0
-    n_actual = workload.graph.num_vertices
-    predicted = max(1.0, log_factor * predicted_congestion(n_actual, workload.diameter))
-    return [
-        workload.name,
-        n_actual,
-        workload.diameter,
-        congestion,
-        round(mean_load, 2),
-        round(predicted, 2),
-        round(congestion / predicted, 3),
-    ]
 
 
 def plan_congestion_experiment(
@@ -425,70 +476,31 @@ def plan_congestion_experiment(
     log_factor: float = 0.25,
     seed: int = 11,
 ) -> ExperimentPlan:
-    """Plan E2: one cell per size."""
+    """E2: measured edge congestion vs. the ``O(D k_D log n)`` Chernoff bound.
+
+    A view of the KP cells, one per size.
+    """
     tasks = [
-        CellTask("E2", dict(kind=kind, n=n, diameter_value=diameter_value,
-                            log_factor=log_factor, seed=seed))
+        _kp_task(kind, n, diameter_value, log_factor=log_factor, seed=seed)
         for n in sizes
     ]
+
+    def row(cells: list) -> list:
+        (kp,) = cells
+        bound = predicted_congestion(kp["n_actual"], kp["diameter"])
+        return [
+            kp["name"], kp["n_actual"], kp["diameter"],
+            kp["congestion"], round(kp["mean_load"], 2),
+            *_against(kp["congestion"], log_factor * bound),
+        ]
+
     return tasks, _rows_reducer(
+        row,
         experiment_id="E2",
         title="Edge congestion of the KP construction vs O(D k_D log n) (Section 2)",
         headers=["workload", "n", "D", "congestion", "mean_load", "predicted", "ratio"],
         notes=[f"kind={kind}, log_factor={log_factor}, seed={seed}"],
     )
-
-
-def run_congestion_experiment(
-    *,
-    sizes: Sequence[int] = (200, 400, 800),
-    diameter_value: int = 6,
-    kind: str = "lower_bound",
-    log_factor: float = 0.25,
-    seed: int = 11,
-    workers: Optional[int] = None,
-) -> ExperimentTable:
-    """E2: measured edge congestion vs. the ``O(D k_D log n)`` Chernoff bound."""
-    tasks, reduce = plan_congestion_experiment(
-        sizes=sizes, diameter_value=diameter_value, kind=kind,
-        log_factor=log_factor, seed=seed,
-    )
-    return reduce(run_cells(tasks, workers=workers))
-
-
-def _dilation_cell(
-    *, kind: str, n: int, diameter_value: int, log_factor: float, seed: int
-) -> list:
-    """E3 cell: one (diameter, size) point."""
-    workload = make_workload(
-        kind, n, diameter_value,
-        seed=derive_seed(seed, "E3", diameter_value, n, "workload"),
-    )
-    empty = build_empty_shortcut(workload.graph, workload.partition)
-    induced = empty.dilation(
-        exact=False, rng=derive_seed(seed, "E3", diameter_value, n, "induced_dilation")
-    )
-    result = build_kogan_parter_shortcut(
-        workload.graph,
-        workload.partition,
-        diameter_value=workload.diameter,
-        log_factor=log_factor,
-        rng=derive_seed(seed, "E3", diameter_value, n, "sample"),
-    )
-    dilation = result.shortcut.dilation(
-        exact=False, rng=derive_seed(seed, "E3", diameter_value, n, "dilation")
-    )
-    n_actual = workload.graph.num_vertices
-    predicted = max(1.0, log_factor * predicted_dilation(n_actual, workload.diameter))
-    return [
-        workload.name,
-        n_actual,
-        workload.diameter,
-        induced,
-        dilation,
-        round(predicted, 2),
-        round(dilation / predicted, 3),
-    ]
 
 
 def plan_dilation_experiment(
@@ -499,14 +511,25 @@ def plan_dilation_experiment(
     log_factor: float = 0.25,
     seed: int = 13,
 ) -> ExperimentPlan:
-    """Plan E3: one cell per (diameter, size)."""
-    tasks = [
-        CellTask("E3", dict(kind=kind, n=n, diameter_value=diameter_value,
-                            log_factor=log_factor, seed=seed))
-        for diameter_value in diameters
-        for n in sizes
-    ]
+    """E3: measured dilation vs. the ``O(k_D log n)`` bound (Theorem 3.1).
+
+    The induced part diameter (the dilation with no shortcut at all) is
+    reported alongside, showing how much the sampled edges shorten the parts.
+    A view of the KP and baselines cells, one pair per (diameter, size).
+    """
+    tasks = _paired_tasks(kind, sizes, diameters, log_factor=log_factor, seed=seed)
+
+    def row(cells: list) -> list:
+        kp, baselines = cells
+        bound = predicted_dilation(kp["n_actual"], kp["diameter"])
+        return [
+            kp["name"], kp["n_actual"], kp["diameter"],
+            baselines["induced_diam"], kp["dilation"],
+            *_against(kp["dilation"], log_factor * bound),
+        ]
+
     return tasks, _rows_reducer(
+        row, group=2,
         experiment_id="E3",
         title="Dilation of augmented parts vs O(k_D log n) (Theorem 3.1)",
         headers=[
@@ -514,77 +537,6 @@ def plan_dilation_experiment(
         ],
         notes=[f"kind={kind}, log_factor={log_factor}, seed={seed}"],
     )
-
-
-def run_dilation_experiment(
-    *,
-    sizes: Sequence[int] = (200, 400, 800),
-    diameters: Sequence[int] = (4, 6),
-    kind: str = "lower_bound",
-    log_factor: float = 0.25,
-    seed: int = 13,
-    workers: Optional[int] = None,
-) -> ExperimentTable:
-    """E3: measured dilation vs. the ``O(k_D log n)`` bound (Theorem 3.1).
-
-    The induced part diameter (the dilation with no shortcut at all) is
-    reported alongside, showing how much the sampled edges shorten the parts.
-    """
-    tasks, reduce = plan_dilation_experiment(
-        sizes=sizes, diameters=diameters, kind=kind, log_factor=log_factor, seed=seed,
-    )
-    return reduce(run_cells(tasks, workers=workers))
-
-
-# ----------------------------------------------------------------------
-# E4: baselines and lower bound
-# ----------------------------------------------------------------------
-def _baseline_cell(
-    *, kind: str, n: int, diameter_value: int, log_factor: float, seed: int
-) -> list:
-    """E4 cell: every engine on one (diameter, size) workload."""
-    workload = make_workload(
-        kind, n, diameter_value,
-        seed=derive_seed(seed, "E4", diameter_value, n, "workload"),
-    )
-    graph, partition = workload.graph, workload.partition
-    n_actual = graph.num_vertices
-
-    def dilation_rng(engine: str) -> int:
-        return derive_seed(seed, "E4", diameter_value, n, engine, "dilation")
-
-    kp = build_kogan_parter_shortcut(
-        graph, partition, diameter_value=workload.diameter,
-        log_factor=log_factor,
-        rng=derive_seed(seed, "E4", diameter_value, n, "kp"),
-    ).shortcut.quality_report(exact_dilation=False, rng=dilation_rng("kp"))
-    kit = build_kitamura_style_shortcut(
-        graph, partition, diameter_value=workload.diameter,
-        log_factor=log_factor,
-        rng=derive_seed(seed, "E4", diameter_value, n, "kitamura"),
-    ).shortcut.quality_report(exact_dilation=False, rng=dilation_rng("kitamura"))
-    gh = build_ghaffari_haeupler_shortcut(graph, partition).quality_report(
-        exact_dilation=False, rng=dilation_rng("gh")
-    )
-    naive = build_naive_shortcut(graph, partition).quality_report(
-        exact_dilation=False, rng=dilation_rng("naive")
-    )
-    empty = build_empty_shortcut(graph, partition).quality_report(
-        exact_dilation=False, rng=dilation_rng("empty")
-    )
-
-    return [
-        workload.name,
-        n_actual,
-        workload.diameter,
-        round(elkin_lower_bound(n_actual, workload.diameter), 2),
-        kp.quality,
-        kit.quality,
-        gh.quality,
-        naive.quality,
-        empty.quality,
-        round(ghaffari_haeupler_quality(n_actual, workload.diameter), 2),
-    ]
 
 
 def plan_baseline_experiment(
@@ -595,14 +547,27 @@ def plan_baseline_experiment(
     log_factor: float = 0.25,
     seed: int = 17,
 ) -> ExperimentPlan:
-    """Plan E4: one cell per (diameter, size)."""
-    tasks = [
-        CellTask("E4", dict(kind=kind, n=n, diameter_value=diameter_value,
-                            log_factor=log_factor, seed=seed))
-        for diameter_value in diameters
-        for n in sizes
-    ]
+    """E4: KP vs Ghaffari-Haeupler vs Kitamura-style vs naive/empty baselines.
+
+    Also reports the Elkin lower-bound value ``k_D`` and the predicted GH
+    quality ``sqrt(n) + D`` so the measured values can be placed between the
+    two curves.  A view of the KP and baselines cells, one pair per
+    (diameter, size).
+    """
+    tasks = _paired_tasks(kind, sizes, diameters, log_factor=log_factor, seed=seed)
+
+    def row(cells: list) -> list:
+        kp, baselines = cells
+        n_actual, diameter = kp["n_actual"], kp["diameter"]
+        return [
+            kp["name"], n_actual, diameter, round(elkin_lower_bound(n_actual, diameter), 2),
+            kp["quality"],
+            *(baselines[f"{name}_quality"] for name in ("kitamura", "gh", "naive", "empty")),
+            round(ghaffari_haeupler_quality(n_actual, diameter), 2),
+        ]
+
     return tasks, _rows_reducer(
+        row, group=2,
         experiment_id="E4",
         title="Shortcut quality: KP vs baselines vs Elkin lower bound",
         headers=[
@@ -613,58 +578,45 @@ def plan_baseline_experiment(
     )
 
 
-def run_baseline_experiment(
-    *,
-    sizes: Sequence[int] = (200, 400),
-    diameters: Sequence[int] = (4, 6, 8),
-    kind: str = "lower_bound",
-    log_factor: float = 0.25,
-    seed: int = 17,
-    workers: Optional[int] = None,
-) -> ExperimentTable:
-    """E4: KP vs Ghaffari-Haeupler vs Kitamura-style vs naive/empty baselines.
-
-    Also reports the Elkin lower-bound value ``k_D`` and the predicted GH
-    quality ``sqrt(n) + D`` so the measured values can be placed between the
-    two curves.
-    """
-    tasks, reduce = plan_baseline_experiment(
-        sizes=sizes, diameters=diameters, kind=kind, log_factor=log_factor, seed=seed,
-    )
-    return reduce(run_cells(tasks, workers=workers))
-
-
 # ----------------------------------------------------------------------
-# E5: distributed construction rounds
+# E5 and E13: distributed construction rounds, and at scale
 # ----------------------------------------------------------------------
 def _distributed_cell(
-    *, kind: str, n: int, diameter_value: int, log_factor: float,
+    *, experiment: str, kind: str, n: int, diameter_value: int, log_factor: float,
     known_diameter: bool, seed: int,
-) -> list:
-    """E5 cell: one CONGEST construction at one size."""
+) -> dict:
+    """E5/E13 cell: one CONGEST construction at one size, seeded on the
+    ``experiment``'s own path.  Keyed by E13's headers, plus ``D``."""
     workload = make_workload(
-        kind, n, diameter_value, seed=derive_seed(seed, "E5", n, "workload")
+        kind, n, diameter_value, seed=derive_seed(seed, experiment, n, "workload")
     )
+    # E13 measures wall time on purpose; the table declares ``wall_s`` in
+    # ``nondeterministic_columns`` so determinism pins skip it.
+    start = time.perf_counter()  # repro: noqa[RPR003] declared wall_s column
     result = build_distributed_kogan_parter(
         workload.graph,
         workload.partition,
-        diameter_value=workload.diameter,
+        diameter_value=workload.diameter,  # ignored when the diameter is unknown
         known_diameter=known_diameter,
         log_factor=log_factor,
-        rng=derive_seed(seed, "E5", n, "distributed"),
+        rng=derive_seed(seed, experiment, n, "distributed"),
     )
-    n_actual = workload.graph.num_vertices
-    predicted = max(1.0, predicted_rounds_distributed(n_actual, workload.diameter))
-    return [
-        workload.name,
-        n_actual,
-        workload.diameter,
-        result.total_rounds,
-        result.rounds_breakdown.get("concurrent_bfs", 0),
-        round(predicted, 1),
-        round(result.total_rounds / predicted, 3),
-        result.spanning_ok,
-    ]
+    wall = time.perf_counter() - start  # repro: noqa[RPR003] declared wall_s column
+    bfs = result.bfs_metrics
+    return {
+        "workload": workload.name,
+        "n": workload.graph.num_vertices,
+        "m": workload.graph.num_edges,
+        "D": workload.diameter,
+        "D_guess": result.accepted_guess,
+        "guesses": len(result.attempted_guesses),
+        "probe_rounds": result.probe_rounds,
+        "rounds": result.total_rounds,
+        "bfs_rounds": result.rounds_breakdown.get("concurrent_bfs", 0),
+        "bfs_messages": bfs.messages_delivered if bfs is not None else 0,
+        "wall_s": round(wall, 3),
+        "spanning": result.spanning_ok,
+    }
 
 
 def plan_distributed_experiment(
@@ -676,14 +628,25 @@ def plan_distributed_experiment(
     known_diameter: bool = True,
     seed: int = 19,
 ) -> ExperimentPlan:
-    """Plan E5: one cell per size."""
+    """E5: rounds of the CONGEST shortcut construction vs ``~O(k_D)``, one cell per size."""
     tasks = [
-        CellTask("E5", dict(kind=kind, n=n, diameter_value=diameter_value,
-                            log_factor=log_factor, known_diameter=known_diameter,
-                            seed=seed))
+        CellTask("distributed", dict(experiment="E5", kind=kind, n=n,
+                                     diameter_value=diameter_value, log_factor=log_factor,
+                                     known_diameter=known_diameter, seed=seed))
         for n in sizes
     ]
+
+    def row(cells: list) -> list:
+        (cell,) = cells
+        predicted = predicted_rounds_distributed(cell["n"], cell["D"])
+        return [
+            *(cell[key] for key in ("workload", "n", "D", "rounds", "bfs_rounds")),
+            *_against(cell["rounds"], predicted, digits=1),
+            cell["spanning"],
+        ]
+
     return tasks, _rows_reducer(
+        row,
         experiment_id="E5",
         title="Distributed construction rounds vs predicted k_D log^2 n (Section 2)",
         headers=[
@@ -696,22 +659,45 @@ def plan_distributed_experiment(
     )
 
 
-def run_distributed_experiment(
+def plan_distributed_scale_experiment(
     *,
-    sizes: Sequence[int] = (60, 120, 240),
+    sizes: Sequence[int] = (1_000, 3_000, 10_000),
     diameter_value: int = 6,
     kind: str = "lower_bound",
     log_factor: float = 0.25,
-    known_diameter: bool = True,
-    seed: int = 19,
-    workers: Optional[int] = None,
-) -> ExperimentTable:
-    """E5: rounds of the CONGEST shortcut construction vs ``~O(k_D)``."""
-    tasks, reduce = plan_distributed_experiment(
-        sizes=sizes, diameter_value=diameter_value, kind=kind,
-        log_factor=log_factor, known_diameter=known_diameter, seed=seed,
+    known_diameter: bool = False,
+    seed: int = 53,
+) -> ExperimentPlan:
+    """E13: the fully simulated distributed construction at 10k-node scale.
+
+    Sweeps the CSR-mask pipeline (every stage of ``rounds_breakdown``
+    measured, unknown-diameter guessing by default) over instance sizes the
+    dict-of-sets driver could not reach interactively, reporting rounds,
+    guesses, message volume of the round-dominant stage and wall time.
+    One cell per size.
+    """
+    tasks = [
+        CellTask("distributed", dict(experiment="E13", kind=kind, n=n,
+                                     diameter_value=diameter_value, log_factor=log_factor,
+                                     known_diameter=known_diameter, seed=seed))
+        for n in sizes
+    ]
+    headers = [
+        "workload", "n", "m", "D_guess", "guesses", "probe_rounds",
+        "rounds", "bfs_rounds", "bfs_messages", "wall_s", "spanning",
+    ]
+    return tasks, _rows_reducer(
+        lambda cells: [cells[0][key] for key in headers],
+        experiment_id="E13",
+        title="Distributed construction at scale (fully simulated CSR-mask pipeline)",
+        headers=headers,
+        notes=[
+            f"kind={kind}, log_factor={log_factor}, known_diameter={known_diameter}, seed={seed}",
+            "all rounds_breakdown stages are simulated; guesses = attempted diameter guesses "
+            "(geometric doubling from the measured BFS 2-approximation)",
+        ],
+        nondeterministic_columns=["wall_s"],
     )
-    return reduce(run_cells(tasks, workers=workers))
 
 
 # ----------------------------------------------------------------------
@@ -726,44 +712,31 @@ def _mst_cell(
     )
     _, kruskal_weight = kruskal_mst(weighted)
 
-    kp_factory = default_shortcut_factory(
-        diameter_value=diameter_actual, log_factor=log_factor,
-        rng=derive_seed(seed, "E6", n, "kp"),
-    )
-    kp = boruvka_mst(
-        weighted, shortcut_factory=kp_factory,
-        rng=derive_seed(seed, "E6", n, "kp_quality"),
-    )
+    def baseline_factory(engine: str, build: Callable) -> Callable:
+        build_rng = derive_rng(seed, "E6", n, f"{engine}_build")
 
-    gh_rng = derive_rng(seed, "E6", n, "gh_build")
+        def factory(graph, partition):
+            shortcut = build(graph, partition)
+            quality = shortcut.quality_report(exact_dilation=False, rng=build_rng)
+            return shortcut, estimate_aggregation_rounds(quality, graph.num_vertices)
 
-    def gh_factory(graph, partition):
-        shortcut = build_ghaffari_haeupler_shortcut(graph, partition)
-        quality = shortcut.quality_report(exact_dilation=False, rng=gh_rng)
-        return shortcut, estimate_aggregation_rounds(quality, graph.num_vertices)
+        return factory
 
-    gh = boruvka_mst(
-        weighted, shortcut_factory=gh_factory,
-        rng=derive_seed(seed, "E6", n, "gh_quality"),
-    )
-
-    naive_rng = derive_rng(seed, "E6", n, "naive_build")
-
-    def naive_factory(graph, partition):
-        shortcut = build_naive_shortcut(graph, partition)
-        quality = shortcut.quality_report(exact_dilation=False, rng=naive_rng)
-        return shortcut, estimate_aggregation_rounds(quality, graph.num_vertices)
-
-    naive = boruvka_mst(
-        weighted, shortcut_factory=naive_factory,
-        rng=derive_seed(seed, "E6", n, "naive_quality"),
-    )
-
-    matches = (
-        abs(kp.weight - kruskal_weight) < 1e-6
-        and abs(gh.weight - kruskal_weight) < 1e-6
-        and abs(naive.weight - kruskal_weight) < 1e-6
-    )
+    factories = {
+        "kp": default_shortcut_factory(
+            diameter_value=diameter_actual, log_factor=log_factor,
+            rng=derive_seed(seed, "E6", n, "kp"),
+        ),
+        "gh": baseline_factory("gh", build_ghaffari_haeupler_shortcut),
+        "naive": baseline_factory("naive", build_naive_shortcut),
+    }
+    kp, gh, naive = [
+        boruvka_mst(
+            weighted, shortcut_factory=factory,
+            rng=derive_seed(seed, "E6", n, f"{engine}_quality"),
+        )
+        for engine, factory in factories.items()
+    ]
     return [
         kind,
         weighted.num_vertices,
@@ -772,7 +745,7 @@ def _mst_cell(
         gh.total_rounds,
         naive.total_rounds,
         kp.phases,
-        matches,
+        all(abs(mst.weight - kruskal_weight) < 1e-6 for mst in (kp, gh, naive)),
     ]
 
 
@@ -784,7 +757,10 @@ def plan_mst_experiment(
     log_factor: float = 0.25,
     seed: int = 23,
 ) -> ExperimentPlan:
-    """Plan E6: one cell per size."""
+    """E6: Boruvka-over-shortcuts MST — correctness and charged rounds per engine.
+
+    One cell per size.
+    """
     tasks = [
         CellTask("E6", dict(kind=kind, n=n, diameter_value=diameter_value,
                             log_factor=log_factor, seed=seed))
@@ -799,23 +775,6 @@ def plan_mst_experiment(
         ],
         notes=[f"kind={kind}, log_factor={log_factor}, seed={seed}"],
     )
-
-
-def run_mst_experiment(
-    *,
-    sizes: Sequence[int] = (100, 200, 400),
-    diameter_value: int = 6,
-    kind: str = "hub",
-    log_factor: float = 0.25,
-    seed: int = 23,
-    workers: Optional[int] = None,
-) -> ExperimentTable:
-    """E6: Boruvka-over-shortcuts MST — correctness and charged rounds per engine."""
-    tasks, reduce = plan_mst_experiment(
-        sizes=sizes, diameter_value=diameter_value, kind=kind,
-        log_factor=log_factor, seed=seed,
-    )
-    return reduce(run_cells(tasks, workers=workers))
 
 
 # ----------------------------------------------------------------------
@@ -853,7 +812,10 @@ def plan_mincut_experiment(
     seed: int = 29,
     log_factor: float = 0.25,
 ) -> ExperimentPlan:
-    """Plan E7: one cell per (half size, planted cut size)."""
+    """E7: approximate min-cut value and rounds on planted-cut instances.
+
+    One cell per (half size, planted cut size).
+    """
     tasks = [
         CellTask("E7", dict(half=half, cut_k=k, log_factor=log_factor, seed=seed))
         for half in half_sizes
@@ -867,21 +829,6 @@ def plan_mincut_experiment(
         ],
         notes=[f"seed={seed}, log_factor={log_factor}"],
     )
-
-
-def run_mincut_experiment(
-    *,
-    half_sizes: Sequence[int] = (30, 50),
-    cut_edges: Sequence[int] = (3, 6),
-    seed: int = 29,
-    log_factor: float = 0.25,
-    workers: Optional[int] = None,
-) -> ExperimentTable:
-    """E7: approximate min-cut value and rounds on planted-cut instances."""
-    tasks, reduce = plan_mincut_experiment(
-        half_sizes=half_sizes, cut_edges=cut_edges, seed=seed, log_factor=log_factor,
-    )
-    return reduce(run_cells(tasks, workers=workers))
 
 
 # ----------------------------------------------------------------------
@@ -912,10 +859,8 @@ def _applications_cell(
     exact = dijkstra(weighted, source)
     bf_stretch = 1.0
     for v, d_exact in exact.items():
-        if d_exact == 0:
-            continue
-        d_apx = baseline.get(v, float("inf"))
-        bf_stretch = max(bf_stretch, d_apx / d_exact if d_apx != float("inf") else float("inf"))
+        if d_exact:
+            bf_stretch = max(bf_stretch, baseline.get(v, float("inf")) / d_exact)
 
     # The 2-ECSS experiment needs a 2-edge-connected input (bridges of the
     # input can never be covered); the planted-cut family is
@@ -938,7 +883,7 @@ def _applications_cell(
         round(sssp.max_stretch, 3),
         sssp.phases,
         sssp.total_rounds,
-        round(bf_stretch, 3) if bf_stretch != float("inf") else float("inf"),
+        round(bf_stretch, 3),
         round(weight_ratio, 3),
         ecss.is_two_edge_connected,
         ecss.total_rounds,
@@ -953,7 +898,7 @@ def plan_applications_experiment(
     log_factor: float = 0.25,
     seed: int = 31,
 ) -> ExperimentPlan:
-    """Plan E8: one cell per size."""
+    """E8: SSSP stretch/rounds and 2-ECSS weight/rounds over KP shortcuts, one cell per size."""
     tasks = [
         CellTask("E8", dict(kind=kind, n=n, diameter_value=diameter_value,
                             log_factor=log_factor, seed=seed))
@@ -972,23 +917,6 @@ def plan_applications_experiment(
             "ecss_weight_ratio = 2-ECSS weight / MST weight (MST is a lower bound on OPT)",
         ],
     )
-
-
-def run_applications_experiment(
-    *,
-    sizes: Sequence[int] = (100, 200),
-    diameter_value: int = 6,
-    kind: str = "hub",
-    log_factor: float = 0.25,
-    seed: int = 31,
-    workers: Optional[int] = None,
-) -> ExperimentTable:
-    """E8: SSSP stretch/rounds and 2-ECSS weight/rounds over KP shortcuts."""
-    tasks, reduce = plan_applications_experiment(
-        sizes=sizes, diameter_value=diameter_value, kind=kind,
-        log_factor=log_factor, seed=seed,
-    )
-    return reduce(run_cells(tasks, workers=workers))
 
 
 # ----------------------------------------------------------------------
@@ -1056,7 +984,16 @@ def plan_shortcut_tree_experiment(
     probabilities: Sequence[float] = (0.05, 0.1, 0.2, 0.4, 0.8),
     seed: int = 37,
 ) -> ExperimentPlan:
-    """Plan E9: one cell per (size, sampling probability)."""
+    """E9: empirical (i, k)-walk reach in sampled shortcut trees (Lemma 3.3).
+
+    For each instance a shortest path ``P`` inside one part and a target set
+    ``Q`` (the connector core) define the auxiliary tree; the table sweeps
+    the non-self-edge sampling probability and reports how often the start
+    of the path reaches the path end or the top layer within the lemma's
+    length budget, plus the mean distance to the top layer.  The lemma's
+    threshold probability ``~k_D / N`` should show up as the point where the
+    success rate saturates.  One cell per (size, sampling probability).
+    """
     tasks = [
         CellTask("E9", dict(n=n, diameter_value=diameter_value,
                             path_length=path_length, trials=trials,
@@ -1073,33 +1010,6 @@ def plan_shortcut_tree_experiment(
         ],
         notes=[f"trials={trials}, seed={seed}"],
     )
-
-
-def run_shortcut_tree_experiment(
-    *,
-    sizes: Sequence[int] = (200, 400),
-    diameter_value: int = 6,
-    path_length: int = 12,
-    trials: int = 20,
-    probabilities: Sequence[float] = (0.05, 0.1, 0.2, 0.4, 0.8),
-    seed: int = 37,
-    workers: Optional[int] = None,
-) -> ExperimentTable:
-    """E9: empirical (i, k)-walk reach in sampled shortcut trees (Lemma 3.3).
-
-    For each instance a shortest path ``P`` inside one part and a target set
-    ``Q`` (the connector core) define the auxiliary tree; the table sweeps
-    the non-self-edge sampling probability and reports how often the start
-    of the path reaches the path end or the top layer within the lemma's
-    length budget, plus the mean distance to the top layer.  The lemma's
-    threshold probability ``~k_D / N`` should show up as the point where the
-    success rate saturates.
-    """
-    tasks, reduce = plan_shortcut_tree_experiment(
-        sizes=sizes, diameter_value=diameter_value, path_length=path_length,
-        trials=trials, probabilities=probabilities, seed=seed,
-    )
-    return reduce(run_cells(tasks, workers=workers))
 
 
 # ----------------------------------------------------------------------
@@ -1123,14 +1033,10 @@ def _distributed_mst_cell(
         weighted, engine="raw", rng=derive_seed(seed, "E10", n, "induced")
     )
     _, kruskal_weight = kruskal_mst(weighted)
-    weight_ok = (
-        abs(with_sc.weight - kruskal_weight) < 1e-6
-        and abs(without_sc.weight - kruskal_weight) < 1e-6
-    )
     return [
         inst.graph.num_vertices,
         diameter_value,
-        weight_ok,
+        all(abs(mst.weight - kruskal_weight) < 1e-6 for mst in (with_sc, without_sc)),
         with_sc.phases,
         max(with_sc.rounds_per_phase, default=0),
         max(without_sc.rounds_per_phase, default=0),
@@ -1146,7 +1052,16 @@ def plan_distributed_mst_experiment(
     log_factor: float = 0.3,
     seed: int = 41,
 ) -> ExperimentPlan:
-    """Plan E10: one cell per size."""
+    """E10: simulated distributed Boruvka — shortcut-augmented vs induced-only trees.
+
+    Runs the shortcut consumer :func:`~repro.applications.shortcut_mst.
+    shortcut_boruvka_mst` twice per size: with every phase's MWOE
+    aggregation routed over a fresh Kogan-Parter shortcut
+    (``engine="shortcut"``) and over the bare fragment trees
+    (``engine="raw"``, the no-shortcut baseline), on lower-bound instances
+    whose fragments become long paths.  The table compares the maximum and
+    total per-phase simulated rounds.  One cell per size.
+    """
     tasks = [
         CellTask("E10", dict(n=n, diameter_value=diameter_value,
                              log_factor=log_factor, seed=seed))
@@ -1169,52 +1084,6 @@ def plan_distributed_mst_experiment(
     )
 
 
-def run_distributed_mst_experiment(
-    *,
-    sizes: Sequence[int] = (80, 140),
-    diameter_value: int = 6,
-    log_factor: float = 0.3,
-    seed: int = 41,
-    workers: Optional[int] = None,
-) -> ExperimentTable:
-    """E10: simulated distributed Boruvka — shortcut-augmented vs induced-only trees.
-
-    Runs the shortcut consumer :func:`~repro.applications.shortcut_mst.
-    shortcut_boruvka_mst` twice per size: with every phase's MWOE
-    aggregation routed over a fresh Kogan-Parter shortcut
-    (``engine="shortcut"``) and over the bare fragment trees
-    (``engine="raw"``, the no-shortcut baseline), on lower-bound instances
-    whose fragments become long paths.  The table compares the maximum and
-    total per-phase simulated rounds.
-    """
-    tasks, reduce = plan_distributed_mst_experiment(
-        sizes=sizes, diameter_value=diameter_value, log_factor=log_factor, seed=seed,
-    )
-    return reduce(run_cells(tasks, workers=workers))
-
-
-def _repetition_cell(
-    *, n: int, diameter_value: int, repetitions: int, log_factor: float,
-    seed: int, trial: int,
-) -> tuple:
-    """E11 cell: one sampling trial at one repetition count."""
-    inst = _cached_lower_bound_instance(n, diameter_value)
-    partition = Partition(inst.graph, inst.parts, validate=False)
-    result = build_kogan_parter_shortcut(
-        inst.graph,
-        partition,
-        diameter_value=diameter_value,
-        repetitions=repetitions,
-        log_factor=log_factor,
-        rng=derive_seed(seed, "E11", repetitions, trial, "sample"),
-    )
-    report = result.shortcut.quality_report(
-        exact_dilation=False,
-        rng=derive_seed(seed, "E11", repetitions, trial, "dilation"),
-    )
-    return (inst.graph.num_vertices, report.congestion, report.dilation)
-
-
 def plan_repetition_ablation(
     *,
     n: int = 400,
@@ -1224,50 +1093,6 @@ def plan_repetition_ablation(
     trials: int = 5,
     seed: int = 43,
 ) -> ExperimentPlan:
-    """Plan E11: one cell per (repetition count, trial)."""
-    tasks = [
-        CellTask("E11", dict(n=n, diameter_value=diameter_value, repetitions=reps,
-                             log_factor=log_factor, seed=seed, trial=t))
-        for reps in repetition_choices
-        for t in range(trials)
-    ]
-
-    def reduce(results: list) -> ExperimentTable:
-        table = ExperimentTable(
-            experiment_id="E11",
-            title="Ablation: number of sampling repetitions vs congestion and dilation",
-            headers=["n", "D", "repetitions", "congestion", "dilation", "quality"],
-            notes=[f"log_factor={log_factor}, trials={trials}, seed={seed}, workload=lower_bound"],
-        )
-        it = iter(results)
-        for reps in repetition_choices:
-            cells = [next(it) for _ in range(trials)]
-            n_actual = cells[-1][0]
-            congestion = statistics.mean(c[1] for c in cells)
-            dilation = statistics.mean(c[2] for c in cells)
-            table.add_row(
-                n_actual,
-                diameter_value,
-                reps,
-                round(congestion, 2),
-                round(dilation, 2),
-                round(congestion + dilation, 2),
-            )
-        return table
-
-    return tasks, reduce
-
-
-def run_repetition_ablation(
-    *,
-    n: int = 400,
-    diameter_value: int = 6,
-    repetition_choices: Sequence[int] = (1, 2, 3, 6, 12),
-    log_factor: float = 0.25,
-    trials: int = 5,
-    seed: int = 43,
-    workers: Optional[int] = None,
-) -> ExperimentTable:
     """E11: ablation of the number of sampling repetitions (Step 3).
 
     The paper repeats the edge sampling D times; the recursion of the
@@ -1275,41 +1100,32 @@ def run_repetition_ablation(
     varies the repetition count while keeping the per-repetition probability
     fixed and reports the resulting congestion / dilation trade-off,
     averaged over ``trials`` independent samplings (a single sampling is
-    noisy because the dilation is a maximum over parts).
+    noisy because the dilation is a maximum over parts).  A view of the KP
+    cells on the lower-bound instance, one per (repetition count, trial).
     """
-    tasks, reduce = plan_repetition_ablation(
-        n=n, diameter_value=diameter_value, repetition_choices=repetition_choices,
-        log_factor=log_factor, trials=trials, seed=seed,
-    )
-    return reduce(run_cells(tasks, workers=workers))
-
-
-def _probability_cell(
-    *, n: int, diameter_value: int, log_factor: float, seed: int
-) -> list:
-    """E12 cell: one sampling probability point."""
-    inst = _cached_lower_bound_instance(n, diameter_value)
-    partition = Partition(inst.graph, inst.parts, validate=False)
-    result = build_kogan_parter_shortcut(
-        inst.graph,
-        partition,
-        diameter_value=diameter_value,
-        log_factor=log_factor,
-        rng=derive_seed(seed, "E12", log_factor, "sample"),
-    )
-    report = result.shortcut.quality_report(
-        exact_dilation=False,
-        rng=derive_seed(seed, "E12", log_factor, "dilation"),
-    )
-    return [
-        inst.graph.num_vertices,
-        diameter_value,
-        log_factor,
-        round(result.parameters.probability, 4),
-        report.congestion,
-        report.dilation,
-        report.quality,
+    tasks = [
+        _kp_task("lower_bound", n, diameter_value, log_factor=log_factor,
+                 seed=seed, trial=t, repetitions=reps)
+        for reps in repetition_choices
+        for t in range(trials)
     ]
+
+    def row(cells: list) -> list:
+        last = cells[-1]
+        congestion = statistics.mean(c["congestion"] for c in cells)
+        dilation = statistics.mean(c["dilation"] for c in cells)
+        return [
+            last["n_actual"], last["diameter"], last["repetitions"],
+            round(congestion, 2), round(dilation, 2), round(congestion + dilation, 2),
+        ]
+
+    return tasks, _rows_reducer(
+        row, group=trials,
+        experiment_id="E11",
+        title="Ablation: number of sampling repetitions vs congestion and dilation",
+        headers=["n", "D", "repetitions", "congestion", "dilation", "quality"],
+        notes=[f"log_factor={log_factor}, trials={trials}, seed={seed}, workload=lower_bound"],
+    )
 
 
 def plan_probability_ablation(
@@ -1319,135 +1135,34 @@ def plan_probability_ablation(
     log_factors: Sequence[float] = (0.05, 0.1, 0.25, 0.5, 1.0),
     seed: int = 47,
 ) -> ExperimentPlan:
-    """Plan E12: one cell per log_factor."""
-    tasks = [
-        CellTask("E12", dict(n=n, diameter_value=diameter_value,
-                             log_factor=factor, seed=seed))
-        for factor in log_factors
-    ]
-    return tasks, _rows_reducer(
-        experiment_id="E12",
-        title="Ablation: sampling probability vs congestion/dilation trade-off",
-        headers=["n", "D", "log_factor", "probability", "congestion", "dilation", "quality"],
-        notes=[f"seed={seed}, workload=lower_bound"],
-    )
-
-
-def run_probability_ablation(
-    *,
-    n: int = 400,
-    diameter_value: int = 6,
-    log_factors: Sequence[float] = (0.05, 0.1, 0.25, 0.5, 1.0),
-    seed: int = 47,
-    workers: Optional[int] = None,
-) -> ExperimentTable:
     """E12: ablation of the sampling probability (via the log_factor knob).
 
     Larger probabilities lower the dilation and raise the congestion; the
     paper's choice p = k_D log n / N balances the two at ~k_D log n each.
     The table reports the measured trade-off, including the degenerate
     clamped regime (probability 1) where the construction coincides with the
-    naive shortcut.
+    naive shortcut.  A view of the KP cells on the lower-bound instance, one
+    per log_factor.
     """
-    tasks, reduce = plan_probability_ablation(
-        n=n, diameter_value=diameter_value, log_factors=log_factors, seed=seed,
-    )
-    return reduce(run_cells(tasks, workers=workers))
-
-
-# ----------------------------------------------------------------------
-# E13: distributed construction at scale
-# ----------------------------------------------------------------------
-def _distributed_scale_cell(
-    *, kind: str, n: int, diameter_value: int, log_factor: float,
-    known_diameter: bool, seed: int,
-) -> list:
-    """E13 cell: one at-scale construction (wall time measured in-cell)."""
-    workload = make_workload(
-        kind, n, diameter_value, seed=derive_seed(seed, "E13", n, "workload")
-    )
-    # E13 measures wall time on purpose; the table declares ``wall_s`` in
-    # ``nondeterministic_columns`` so determinism pins skip it.
-    start = time.perf_counter()  # repro: noqa[RPR003] declared wall_s column
-    result = build_distributed_kogan_parter(
-        workload.graph,
-        workload.partition,
-        diameter_value=None if not known_diameter else workload.diameter,
-        known_diameter=known_diameter,
-        log_factor=log_factor,
-        rng=derive_seed(seed, "E13", n, "distributed"),
-    )
-    wall = time.perf_counter() - start  # repro: noqa[RPR003] declared wall_s column
-    bfs = result.bfs_metrics
-    return [
-        workload.name,
-        workload.graph.num_vertices,
-        workload.graph.num_edges,
-        result.accepted_guess,
-        len(result.attempted_guesses),
-        result.probe_rounds,
-        result.total_rounds,
-        result.rounds_breakdown.get("concurrent_bfs", 0),
-        bfs.messages_delivered if bfs is not None else 0,
-        round(wall, 3),
-        result.spanning_ok,
-    ]
-
-
-def plan_distributed_scale_experiment(
-    *,
-    sizes: Sequence[int] = (1_000, 3_000, 10_000),
-    diameter_value: int = 6,
-    kind: str = "lower_bound",
-    log_factor: float = 0.25,
-    known_diameter: bool = False,
-    seed: int = 53,
-) -> ExperimentPlan:
-    """Plan E13: one cell per size."""
     tasks = [
-        CellTask("E13", dict(kind=kind, n=n, diameter_value=diameter_value,
-                             log_factor=log_factor, known_diameter=known_diameter,
-                             seed=seed))
-        for n in sizes
+        _kp_task("lower_bound", n, diameter_value, log_factor=factor, seed=seed)
+        for factor in log_factors
     ]
+
+    def row(cells: list) -> list:
+        (kp,) = cells
+        return [
+            kp["n_actual"], kp["diameter"], kp["log_factor"], round(kp["probability"], 4),
+            kp["congestion"], kp["dilation"], kp["quality"],
+        ]
+
     return tasks, _rows_reducer(
-        experiment_id="E13",
-        title="Distributed construction at scale (fully simulated CSR-mask pipeline)",
-        headers=[
-            "workload", "n", "m", "D_guess", "guesses", "probe_rounds",
-            "rounds", "bfs_rounds", "bfs_messages", "wall_s", "spanning",
-        ],
-        notes=[
-            f"kind={kind}, log_factor={log_factor}, known_diameter={known_diameter}, seed={seed}",
-            "all rounds_breakdown stages are simulated; guesses = attempted diameter guesses "
-            "(geometric doubling from the measured BFS 2-approximation)",
-        ],
-        nondeterministic_columns=["wall_s"],
+        row,
+        experiment_id="E12",
+        title="Ablation: sampling probability vs congestion/dilation trade-off",
+        headers=["n", "D", "log_factor", "probability", "congestion", "dilation", "quality"],
+        notes=[f"seed={seed}, workload=lower_bound"],
     )
-
-
-def run_distributed_scale_experiment(
-    *,
-    sizes: Sequence[int] = (1_000, 3_000, 10_000),
-    diameter_value: int = 6,
-    kind: str = "lower_bound",
-    log_factor: float = 0.25,
-    known_diameter: bool = False,
-    seed: int = 53,
-    workers: Optional[int] = None,
-) -> ExperimentTable:
-    """E13: the fully simulated distributed construction at 10k-node scale.
-
-    Sweeps the CSR-mask pipeline (every stage of ``rounds_breakdown``
-    measured, unknown-diameter guessing by default) over instance sizes the
-    dict-of-sets driver could not reach interactively, reporting rounds,
-    guesses, message volume of the round-dominant stage and wall time.
-    """
-    tasks, reduce = plan_distributed_scale_experiment(
-        sizes=sizes, diameter_value=diameter_value, kind=kind,
-        log_factor=log_factor, known_diameter=known_diameter, seed=seed,
-    )
-    return reduce(run_cells(tasks, workers=workers))
 
 
 # ----------------------------------------------------------------------
@@ -1506,7 +1221,17 @@ def plan_aggregation_routing_experiment(
     log_factor: float = 1.0,
     seed: int = 59,
 ) -> ExperimentPlan:
-    """Plan E14: one cell per (family, part size)."""
+    """E14: rounds of one part-wise aggregation, shortcut-routed vs raw trees.
+
+    The quantity Theorem 1.1 is *for*: the same part-wise min aggregation
+    (the MWOE/hooking step of every consumer phase) is executed twice on
+    the CONGEST simulator — once over Kogan-Parter augmented part trees,
+    once over the bare induced part trees — and the measured two-stage
+    rounds are compared.  Workloads are the worst-case long-path parts: a
+    broom handle and a caterpillar spine embedded in a constant-diameter
+    hub host, and the Elkin/Das-Sarma lower-bound instance with its
+    canonical path parts.  One cell per (family, part size).
+    """
     tasks = [
         CellTask("E14", dict(family=family, size=size, log_factor=log_factor, seed=seed))
         for family in families
@@ -1525,31 +1250,6 @@ def plan_aggregation_routing_experiment(
             "convergecast/broadcast), op=min over node ids",
         ],
     )
-
-
-def run_aggregation_routing_experiment(
-    *,
-    part_sizes: Sequence[int] = (40, 80, 160),
-    families: Sequence[str] = ("broom", "caterpillar", "lower_bound"),
-    log_factor: float = 1.0,
-    seed: int = 59,
-    workers: Optional[int] = None,
-) -> ExperimentTable:
-    """E14: rounds of one part-wise aggregation, shortcut-routed vs raw trees.
-
-    The quantity Theorem 1.1 is *for*: the same part-wise min aggregation
-    (the MWOE/hooking step of every consumer phase) is executed twice on
-    the CONGEST simulator — once over Kogan-Parter augmented part trees,
-    once over the bare induced part trees — and the measured two-stage
-    rounds are compared.  Workloads are the worst-case long-path parts: a
-    broom handle and a caterpillar spine embedded in a constant-diameter
-    hub host, and the Elkin/Das-Sarma lower-bound instance with its
-    canonical path parts.
-    """
-    tasks, reduce = plan_aggregation_routing_experiment(
-        part_sizes=part_sizes, families=families, log_factor=log_factor, seed=seed,
-    )
-    return reduce(run_cells(tasks, workers=workers))
 
 
 # ----------------------------------------------------------------------
@@ -1686,7 +1386,19 @@ def plan_fault_tolerance_experiment(
     crash_counts: Sequence[int] = (0, 2),
     seed: int = 61,
 ) -> ExperimentPlan:
-    """Plan E15: one cell per (family, drop rate, crash count)."""
+    """E15: what survives an adversarial CONGEST network.
+
+    The robustness closing of the pipeline: every other experiment assumes
+    fault-free delivery, and this one measures the same artifacts —
+    shortcut quality and consumer rounds — as messages drop and nodes
+    crash.  Zero-fault rows double as the identity pin (``mst_ok`` and
+    ``comp_ok`` must hold there by the adversary-free oracle tests); at
+    positive drop rates the ack/retry protocol stack keeps the consumers
+    exact while the round counts expose the retransmission cost; crash
+    rows show graceful degradation (lost aggregates retry next phase, and
+    ``ok`` may honestly turn ``False``).  One cell per (family, drop rate,
+    crash count).
+    """
     if families is None:
         from ..graphs.generators import GENERATOR_FAMILIES
 
@@ -1717,57 +1429,9 @@ def plan_fault_tolerance_experiment(
     )
 
 
-def run_fault_tolerance_experiment(
-    *,
-    families: Optional[Sequence[str]] = None,
-    size: int = 96,
-    drop_rates: Sequence[float] = (0.0, 0.05, 0.15),
-    crash_counts: Sequence[int] = (0, 2),
-    seed: int = 61,
-    workers: Optional[int] = None,
-) -> ExperimentTable:
-    """E15: what survives an adversarial CONGEST network.
-
-    The robustness closing of the pipeline: every other experiment assumes
-    fault-free delivery, and this one measures the same artifacts —
-    shortcut quality and consumer rounds — as messages drop and nodes
-    crash.  Zero-fault rows double as the identity pin (``mst_ok`` and
-    ``comp_ok`` must hold there by the adversary-free oracle tests); at
-    positive drop rates the ack/retry protocol stack keeps the consumers
-    exact while the round counts expose the retransmission cost; crash
-    rows show graceful degradation (lost aggregates retry next phase, and
-    ``ok`` may honestly turn ``False``).
-    """
-    tasks, reduce = plan_fault_tolerance_experiment(
-        families=families, size=size, drop_rates=drop_rates,
-        crash_counts=crash_counts, seed=seed,
-    )
-    return reduce(run_cells(tasks, workers=workers))
-
-
 # ----------------------------------------------------------------------
 # registries
 # ----------------------------------------------------------------------
-#: All experiment runners, keyed by experiment id (used by the CLI example
-#: and the benchmark suite).
-EXPERIMENT_RUNNERS: dict[str, Callable[..., ExperimentTable]] = {
-    "E1": run_quality_experiment,
-    "E2": run_congestion_experiment,
-    "E3": run_dilation_experiment,
-    "E4": run_baseline_experiment,
-    "E5": run_distributed_experiment,
-    "E6": run_mst_experiment,
-    "E7": run_mincut_experiment,
-    "E8": run_applications_experiment,
-    "E9": run_shortcut_tree_experiment,
-    "E10": run_distributed_mst_experiment,
-    "E11": run_repetition_ablation,
-    "E12": run_probability_ablation,
-    "E13": run_distributed_scale_experiment,
-    "E14": run_aggregation_routing_experiment,
-    "E15": run_fault_tolerance_experiment,
-}
-
 #: Planners produce the (cells, reducer) decomposition the parallel
 #: executor shards; ``run_all_experiments`` uses them to run every
 #: experiment's cells through one shared pool.
@@ -1789,25 +1453,82 @@ EXPERIMENT_PLANNERS: dict[str, Callable[..., ExperimentPlan]] = {
     "E15": plan_fault_tolerance_experiment,
 }
 
-#: Per-experiment cell runners — the functions worker processes execute.
+
+def _runner(planner: Callable[..., ExperimentPlan]) -> Callable[..., ExperimentTable]:
+    """The ``run_*`` form of a planner: plan with the given parameters (the
+    planner's defaults otherwise), execute the cells — serially, or over
+    ``workers`` processes — and reduce them into the table."""
+
+    def run(*, workers: Optional[int] = None, **params: object) -> ExperimentTable:
+        tasks, reduce = planner(**params)
+        return reduce(run_cells(tasks, workers=workers))
+
+    run.__name__ = run.__qualname__ = planner.__name__.replace("plan_", "run_", 1)
+    run.__doc__ = planner.__doc__
+    own = inspect.signature(run)
+    parameters = [*inspect.signature(planner).parameters.values(), own.parameters["workers"]]
+    run.__signature__ = own.replace(parameters=parameters)  # type: ignore[attr-defined]
+    return run
+
+
+#: All experiment runners, keyed by experiment id (used by the CLI example
+#: and the benchmark suite).
+EXPERIMENT_RUNNERS: dict[str, Callable[..., ExperimentTable]] = {
+    key: _runner(planner) for key, planner in EXPERIMENT_PLANNERS.items()
+}
+run_quality_experiment = EXPERIMENT_RUNNERS["E1"]
+run_congestion_experiment = EXPERIMENT_RUNNERS["E2"]
+run_dilation_experiment = EXPERIMENT_RUNNERS["E3"]
+run_baseline_experiment = EXPERIMENT_RUNNERS["E4"]
+run_distributed_experiment = EXPERIMENT_RUNNERS["E5"]
+run_mst_experiment = EXPERIMENT_RUNNERS["E6"]
+run_mincut_experiment = EXPERIMENT_RUNNERS["E7"]
+run_applications_experiment = EXPERIMENT_RUNNERS["E8"]
+run_shortcut_tree_experiment = EXPERIMENT_RUNNERS["E9"]
+run_distributed_mst_experiment = EXPERIMENT_RUNNERS["E10"]
+run_repetition_ablation = EXPERIMENT_RUNNERS["E11"]
+run_probability_ablation = EXPERIMENT_RUNNERS["E12"]
+run_distributed_scale_experiment = EXPERIMENT_RUNNERS["E13"]
+run_aggregation_routing_experiment = EXPERIMENT_RUNNERS["E14"]
+run_fault_tolerance_experiment = EXPERIMENT_RUNNERS["E15"]
+
+#: Cell runners — the functions worker processes execute.  ``"kp"`` and
+#: ``"baselines"`` are the shared cells that E1-E4, E11 and E12 view, and
+#: ``"distributed"`` serves E5 and E13; every other experiment has its own.
 #: Every entry is a module-level function whose kwargs are primitives, so a
 #: :class:`CellTask` pickles cheaply and runs anywhere the package imports.
 CELL_RUNNERS: dict[str, Callable[..., object]] = {
-    "E1": _quality_cell,
-    "E2": _congestion_cell,
-    "E3": _dilation_cell,
-    "E4": _baseline_cell,
-    "E5": _distributed_cell,
+    "kp": _kp_cell,
+    "baselines": _baselines_cell,
+    "distributed": _distributed_cell,
     "E6": _mst_cell,
     "E7": _mincut_cell,
     "E8": _applications_cell,
     "E9": _shortcut_tree_cell,
     "E10": _distributed_mst_cell,
-    "E11": _repetition_cell,
-    "E12": _probability_cell,
-    "E13": _distributed_scale_cell,
     "E14": _aggregation_routing_cell,
     "E15": _fault_tolerance_cell,
+}
+
+#: The fast tier (CI and quick runs): reduced parameters per experiment.
+#: The full tier runs each planner's defaults; both take the base seed.
+FAST_TIER: dict[str, dict[str, object]] = {
+    "E1": {"sizes": (150, 300), "diameters": (4, 6)},
+    "E2": {"sizes": (150, 300)},
+    "E3": {"sizes": (150, 300), "diameters": (4, 6)},
+    "E4": {"sizes": (150, 300), "diameters": (4, 6)},
+    "E5": {"sizes": (60, 120)},
+    "E6": {"sizes": (80, 160)},
+    "E7": {"half_sizes": (20,), "cut_edges": (3,)},
+    "E8": {"sizes": (80,)},
+    "E9": {"sizes": (150,), "trials": 10},
+    "E10": {"sizes": (80,)},
+    "E11": {"n": 200},
+    "E12": {"n": 200},
+    "E13": {"sizes": (400,)},
+    "E14": {"part_sizes": (30, 60)},
+    "E15": {"families": ("torus", "hub"), "size": 48,
+            "drop_rates": (0.0, 0.05), "crash_counts": (0,)},
 }
 
 
@@ -1821,59 +1542,37 @@ def experiment_id_order(ids: Sequence[str]) -> list[str]:
 
 
 def run_all_experiments(
-    *, fast: bool = True, seed: int = 1, workers: Optional[int] = None
+    *, fast: bool = True, seed: int = 1, workers: Optional[int] = None,
+    experiment_ids: Optional[Sequence[str]] = None,
 ) -> list[ExperimentTable]:
-    """Run every experiment with (optionally reduced) default parameters.
+    """Run every experiment (or the listed ones) at one tier.
 
     All experiments' cells are flattened into one task list and executed
     through a single (optionally parallel) pass, then reduced back into
     per-experiment tables — so a multi-worker run shards the *whole* sweep,
-    not one experiment at a time.
+    not one experiment at a time.  A cell that several experiments list
+    (the shared KP and baselines cells) runs once, and every table that
+    lists it reads the same result.
 
     Args:
-        fast: use the smaller parameter sets intended for CI / quick runs.
+        fast: use the :data:`FAST_TIER` parameter sets intended for CI /
+            quick runs; otherwise each planner's defaults.
         seed: base RNG seed.
         workers: worker processes for the cell executor (serial when
             ``None``/``0``/``1``; negative means all cores).  Tables are
             bit-identical for every worker count.
+        experiment_ids: the experiments to run (default: all).
 
     Returns:
         One :class:`ExperimentTable` per experiment, in numeric id order
         (E1, E2, ..., E15).
     """
-    if fast:
-        overrides: dict[str, dict[str, object]] = {
-            "E1": {"sizes": (150, 300), "diameters": (4, 6), "seed": seed},
-            "E2": {"sizes": (150, 300), "seed": seed},
-            "E3": {"sizes": (150, 300), "diameters": (4, 6), "seed": seed},
-            "E4": {"sizes": (150, 300), "diameters": (4, 6), "seed": seed},
-            "E5": {"sizes": (60, 120), "seed": seed},
-            "E6": {"sizes": (80, 160), "seed": seed},
-            "E7": {"half_sizes": (20,), "cut_edges": (3,), "seed": seed},
-            "E8": {"sizes": (80,), "seed": seed},
-            "E9": {"sizes": (150,), "trials": 10, "seed": seed},
-            "E10": {"sizes": (80,), "seed": seed},
-            "E11": {"n": 200, "seed": seed},
-            "E12": {"n": 200, "seed": seed},
-            "E13": {"sizes": (400,), "seed": seed},
-            "E14": {"part_sizes": (30, 60), "seed": seed},
-            "E15": {"families": ("torus", "hub"), "size": 48,
-                    "drop_rates": (0.0, 0.05), "crash_counts": (0,),
-                    "seed": seed},
-        }
-    else:
-        # Full tier keeps each experiment's default parameter sets but still
-        # honours the base seed (the fast branch overrides it above).
-        overrides = {key: {"seed": seed} for key in EXPERIMENT_RUNNERS}
-    plans: list[tuple[list[CellTask], Callable[[list], ExperimentTable]]] = []
-    for key in experiment_id_order(EXPERIMENT_PLANNERS):
-        planner = EXPERIMENT_PLANNERS[key]
-        plans.append(planner(**overrides.get(key, {})))
+    ids = EXPERIMENT_PLANNERS if experiment_ids is None else experiment_ids
+    plans = [
+        EXPERIMENT_PLANNERS[key](**(FAST_TIER.get(key, {}) if fast else {}), seed=seed)
+        for key in experiment_id_order(ids)
+    ]
     flat = [task for tasks, _ in plans for task in tasks]
     results = run_cells(flat, workers=workers)
-    tables: list[ExperimentTable] = []
-    position = 0
-    for tasks, reduce in plans:
-        tables.append(reduce(results[position:position + len(tasks)]))
-        position += len(tasks)
-    return tables
+    cursor = iter(results)
+    return [reduce([next(cursor) for _ in tasks]) for tasks, reduce in plans]

@@ -39,13 +39,23 @@ class CellTask:
     """One schedulable unit of an experiment sweep.
 
     Attributes:
-        experiment_id: key into ``CELL_RUNNERS`` (e.g. ``"E1"``).
+        experiment_id: key into ``CELL_RUNNERS``: an experiment's own cell
+            (e.g. ``"E5"``), or a shared cell that several experiments view
+            (``"kp"`` and ``"baselines"`` behind E1-E4, E11 and E12).
         kwargs: keyword arguments for the cell runner.  Must be picklable
             and fully determine the cell, including its derived seeds.
     """
 
     experiment_id: str
     kwargs: dict
+
+    def key(self) -> tuple[str, str]:
+        """Identity of the cell: equal keys run the same computation.
+
+        Values enter by ``repr``, as in :func:`repro.rng.derive_seed`, so
+        ``1`` and ``1.0`` (equal, but seeded differently) stay distinct.
+        """
+        return self.experiment_id, repr(sorted(self.kwargs.items()))
 
     def run(self) -> object:
         """Execute this cell in the current process."""
@@ -105,10 +115,22 @@ def run_cells(
 
     Returns:
         One result per task, ordered exactly like ``tasks`` — the property
-        the deterministic reducers rely on.
+        the deterministic reducers rely on.  Tasks with equal
+        :meth:`CellTask.key` run once and share one result object, which
+        reducers therefore never mutate.
     """
-    tasks = list(tasks)
-    workers = resolve_workers(workers)
+    unique: dict[tuple[str, str], CellTask] = {}
+    for task in tasks:
+        unique.setdefault(task.key(), task)
+    results = _run_unique(list(unique.values()), resolve_workers(workers), chunksize)
+    by_key = dict(zip(unique, results))
+    return [by_key[task.key()] for task in tasks]
+
+
+def _run_unique(
+    tasks: list[CellTask], workers: int, chunksize: Optional[int]
+) -> list[object]:
+    """Run distinct cells, over ``workers`` processes when more than one."""
     if workers <= 1 or len(tasks) <= 1:
         return [task.run() for task in tasks]
     if chunksize is None:
@@ -130,7 +152,7 @@ def run_cells(
         warnings.warn(
             f"process pool unavailable ({exc!r}); running {len(tasks)} cells serially",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         return [task.run() for task in tasks]
     with pool:

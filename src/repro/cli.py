@@ -20,10 +20,10 @@ writing a script:
 * ``generate``    — build a graph of a named family (``repro generate
                     --family broom ...``), print its stats, optionally save
                     it as JSON;
-* ``experiments`` — run one or all of the E1-E15 experiment tables
-                    (``--workers N`` shards the sweep cells over N worker
-                    processes; the tables stay bit-identical to a serial
-                    run);
+* ``experiments`` — run one or all of the E1-E15 experiment tables, at
+                    the fast tier unless ``--full`` (``--workers N``
+                    shards the sweep cells over N worker processes; the
+                    tables stay bit-identical to a serial run);
 * ``lint``        — run the AST-based invariant checker over the given
                     paths (``repro lint src tests``); exit code 1 when any
                     error-severity finding survives suppression.
@@ -162,9 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiments = sub.add_parser("experiments", help="run the experiment tables")
     experiments.add_argument("--experiment", choices=experiment_id_order(EXPERIMENT_RUNNERS),
-                             help="run a single experiment (default: all, fast settings)")
+                             help="run a single experiment (default: all)")
     experiments.add_argument("--full", action="store_true",
-                             help="use the full (slow) parameter sets when running all")
+                             help="use the full (slow) parameter sets instead of the "
+                                  "fast tier")
     experiments.add_argument("--seed", type=int, default=1)
     experiments.add_argument("--workers", type=int, default=1,
                              help="worker processes for the sweep cells (1 = serial, "
@@ -386,14 +387,10 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 
 def _command_experiments(args: argparse.Namespace) -> int:
-    if args.experiment:
-        tables = [
-            EXPERIMENT_RUNNERS[args.experiment](seed=args.seed, workers=args.workers)
-        ]
-    else:
-        tables = run_all_experiments(
-            fast=not args.full, seed=args.seed, workers=args.workers
-        )
+    tables = run_all_experiments(
+        fast=not args.full, seed=args.seed, workers=args.workers,
+        experiment_ids=[args.experiment] if args.experiment else None,
+    )
     for table in tables:
         print(table.render())
         print()

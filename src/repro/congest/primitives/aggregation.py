@@ -505,11 +505,7 @@ def run_part_aggregation(
     identity: Any = None,
     broadcast_result: bool = True,
     rng: RandomLike = None,
-    max_delay: Optional[int] = None,
-    depth_budget: Optional[int] = None,
     max_rounds: int = 200_000,
-    suppress_parent_echo: bool = True,
-    sparse_labels: bool = True,
     retry: Optional[RetryPolicy] = None,
     adversary: Optional[Adversary] = None,
 ) -> FleetAggregationResult:
@@ -529,17 +525,10 @@ def run_part_aggregation(
         op: aggregation operator name.
         identity: operator identity override (see :class:`PartAggregation`).
         broadcast_result: push results back down the trees.
-        rng: randomness for the two delay draws.
-        max_delay: bound on the random start delays (default
-            ``max(1, num_instances // 4)``, matching the application
-            experiments' convention).
-        depth_budget: BFS truncation depth (default: the number of graph
-            vertices, i.e. effectively unbounded).
+        rng: randomness for the two delay draws; the random start delays
+            are bounded by ``max(1, num_instances // 4)``, matching the
+            application experiments' convention.
         max_rounds: safety cap per stage.
-        suppress_parent_echo: drop the provably useless parent echoes in
-            the tree stage (lossless; see ``ConcurrentMaskedBFS``).
-        sparse_labels: store tree labels sparsely (right for fleets of many
-            small instances; the schedule is identical either way).
         retry: enable the drop-tolerant ack/retransmit mode in both stages
             (required for correct results under a lossy ``adversary``).
         adversary: optional fault injector applied to *both* stage runs
@@ -552,17 +541,18 @@ def run_part_aggregation(
     if not (num == len(masks) == len(values)):
         raise ValueError("roots, masks and values must align")
     r = ensure_rng(rng)
-    if max_delay is None:
-        max_delay = max(1, num // 4)
-    if depth_budget is None:
-        depth_budget = network.graph.num_vertices
+    max_delay = max(1, num // 4)
     network.reset()
     prefixes = [f"pa{i}_" for i in range(num)]
+    # The tree stage is never truncated (depth budget = vertex count).  It
+    # drops the provably useless parent echoes (lossless; see
+    # ``ConcurrentMaskedBFS``) and stores labels sparsely, which suits
+    # fleets of many small instances; the schedule is identical either way.
     fleet = ConcurrentMaskedBFS(
         list(roots), masks, draw_random_delays(num, max_delay, r),
-        depth_budget, prefixes, network.graph.num_vertices,
-        suppress_parent_echo=suppress_parent_echo,
-        sparse_labels=sparse_labels,
+        network.graph.num_vertices, prefixes, network.graph.num_vertices,
+        suppress_parent_echo=True,
+        sparse_labels=True,
         retry=retry,
     )
     bfs_metrics = network.run(
@@ -638,8 +628,6 @@ def aggregate_over_shortcut(
     identity: Any = None,
     broadcast_result: bool = True,
     rng: RandomLike = None,
-    max_delay: Optional[int] = None,
-    depth_budget: Optional[int] = None,
     max_rounds: int = 200_000,
     min_simulated_size: int = 2,
     retry: Optional[RetryPolicy] = None,
@@ -668,9 +656,8 @@ def aggregate_over_shortcut(
         op: aggregation operator name.
         network: reuse an existing CONGEST network of the host graph
             (reset by the run); one is built when omitted.
-        identity, broadcast_result, rng, max_delay, depth_budget,
-            max_rounds, retry, adversary: forwarded to
-            :func:`run_part_aggregation`.
+        identity, broadcast_result, rng, max_rounds, retry, adversary:
+            forwarded to :func:`run_part_aggregation`.
         min_simulated_size: smallest part size that runs on the simulator.
 
     Returns:
@@ -709,8 +696,7 @@ def aggregate_over_shortcut(
     outcome = run_part_aggregation(
         network, roots, masks, instance_values, op,
         identity=identity, broadcast_result=broadcast_result, rng=rng,
-        max_delay=max_delay, depth_budget=depth_budget, max_rounds=max_rounds,
-        retry=retry, adversary=adversary,
+        max_rounds=max_rounds, retry=retry, adversary=adversary,
     )
     for pos, i in enumerate(simulated):
         if instance_values[pos]:

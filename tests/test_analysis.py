@@ -176,6 +176,31 @@ class TestExperimentRunners:
         assert all(0 <= r <= 1 for r in t.column("success_rate"))
 
 
+class TestSharedKPCells:
+    def test_kp_columns_agree_wherever_tables_share_a_point(self):
+        # E1-E4 read one KP cell per (kind, n, D) point, so the columns they
+        # share cannot disagree (they did when each table sampled KP alone).
+        from repro.analysis import run_all_experiments
+
+        tables = {t.experiment_id: t for t in run_all_experiments(fast=True, seed=1)}
+
+        def column_by_point(experiment_id, name):
+            table = tables[experiment_id]
+            points = zip(table.column("workload"), table.column("n"), table.column("D"))
+            return dict(zip(points, table.column(name)))
+
+        e1 = {name: column_by_point("E1", name) for name in ("congestion", "dilation", "quality")}
+        for experiment_id, theirs, ours in (
+            ("E2", "congestion", "congestion"),
+            ("E3", "dilation", "dilation"),
+            ("E4", "kp_quality", "quality"),
+        ):
+            other = column_by_point(experiment_id, theirs)
+            shared = other.keys() & e1[ours].keys()
+            assert shared, experiment_id
+            assert {p: other[p] for p in shared} == {p: e1[ours][p] for p in shared}
+
+
 class TestRunAllOrder:
     def test_experiment_id_order_is_numeric(self):
         from repro.analysis import experiment_id_order

@@ -166,6 +166,21 @@ class TestExperimentsCommand:
         assert args.workers == 4
         assert build_parser().parse_args(["experiments"]).workers == 1
 
+    def test_single_experiment_runs_at_the_chosen_tier(self, capsys):
+        # E11 samples one lower-bound instance: n=200 at the fast tier, its
+        # planner's default n=400 under --full.  The n column prints the
+        # instance's actual vertex count.
+        from repro.graphs.lower_bound import lower_bound_instance
+
+        def printed_n(argv):
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return {line.split()[0] for line in lines if line[:1].isdigit()}
+
+        for argv, n in (([], 200), (["--full"], 400)):
+            expected = str(lower_bound_instance(n, 6).graph.num_vertices)
+            assert printed_n(["experiments", "--experiment", "E11", *argv]) == {expected}
+
     def test_single_experiment_parallel_output_matches_serial(self, capsys):
         assert main(["experiments", "--experiment", "E12", "--workers", "1"]) == 0
         serial_out = capsys.readouterr().out

@@ -51,6 +51,9 @@ def test_reproduce_experiments_single():
     out = run_example("reproduce_experiments.py", "--fast", "--experiment", "E12")
     assert "E12" in out
     assert "probability" in out
+    # --fast holds for a single experiment too: E12's fast tier samples the
+    # n=200 lower-bound instance (231 vertices), not its default n=400 (439).
+    assert {line.split()[0] for line in out.splitlines() if line[:1].isdigit()} == {"231"}
 
 
 def test_named_root_docs_exist():

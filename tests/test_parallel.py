@@ -8,6 +8,7 @@ chunking, ordering, pickling and the serial fallback.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 
@@ -15,6 +16,7 @@ import pytest
 
 from repro.analysis import (
     CELL_RUNNERS,
+    EXPERIMENT_PLANNERS,
     CellTask,
     default_chunksize,
     resolve_workers,
@@ -25,6 +27,11 @@ from repro.analysis import (
     run_repetition_ablation,
 )
 from repro.analysis import parallel as parallel_module
+from repro.analysis.experiments import FAST_TIER
+
+#: One KP cell: a Kogan-Parter sample on the n=100, D=6 lower-bound instance.
+KP_KWARGS = dict(kind="lower_bound", n=100, diameter_value=6, trial=0,
+                 log_factor=0.25, repetitions=None, seed=3)
 
 
 class TestResolveWorkers:
@@ -52,30 +59,44 @@ class TestDefaultChunksize:
 
 class TestCellTask:
     def test_picklable(self):
-        task = CellTask("E12", dict(n=100, diameter_value=6, log_factor=0.25, seed=3))
+        task = CellTask("kp", dict(KP_KWARGS))
         clone = pickle.loads(pickle.dumps(task))
         assert clone == task
 
     def test_run_executes_registered_runner(self):
-        task = CellTask("E12", dict(n=100, diameter_value=6, log_factor=0.25, seed=3))
-        row = task.run()
-        assert row == CELL_RUNNERS["E12"](n=100, diameter_value=6, log_factor=0.25, seed=3)
+        task = CellTask("kp", dict(KP_KWARGS))
+        assert task.run() == CELL_RUNNERS["kp"](**KP_KWARGS)
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
             CellTask("E99", {}).run()
 
+    def test_key_tells_int_from_float(self):
+        # derive_seed hashes repr, so log_factor=1 and 1.0 sample differently
+        # and must not be merged as one cell.
+        as_int = CellTask("kp", dict(KP_KWARGS, log_factor=1))
+        as_float = CellTask("kp", dict(KP_KWARGS, log_factor=1.0))
+        assert as_int.key() != as_float.key()
+        assert as_float.key() == CellTask("kp", dict(reversed(as_float.kwargs.items()))).key()
+
 
 class TestRunCells:
     def _tasks(self):
         return [
-            CellTask("E12", dict(n=100, diameter_value=6, log_factor=factor, seed=3))
+            CellTask("kp", dict(KP_KWARGS, log_factor=factor))
             for factor in (0.1, 0.25, 0.5)
         ]
 
     def test_serial_preserves_task_order(self):
         results = run_cells(self._tasks(), workers=1)
-        assert [row[2] for row in results] == [0.1, 0.25, 0.5]
+        assert [cell["log_factor"] for cell in results] == [0.1, 0.25, 0.5]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equal_tasks_run_once_and_share_one_result(self, workers):
+        tasks = self._tasks()
+        results = run_cells(tasks + tasks[::-1], workers=workers)
+        assert results[:3] == run_cells(tasks, workers=1)
+        assert [results[i] is results[5 - i] for i in range(3)] == [True] * 3
 
     def test_parallel_matches_serial(self):
         tasks = self._tasks()
@@ -136,6 +157,36 @@ class TestExperimentParallelism:
         serial = run_probability_ablation(n=100, log_factors=(0.25,), seed=2, workers=1)
         parallel = run_probability_ablation(n=100, log_factors=(0.25,), seed=2, workers=4)
         assert serial.rows == parallel.rows
+
+
+def _counting(key, runner, log):
+    """Wrap a cell runner so every execution appends the cell's key to ``log``
+    (forked pool workers inherit the wrapper and append to the same file)."""
+
+    def run(**kwargs):
+        with open(log, "a") as handle:
+            handle.write(repr(CellTask(key, kwargs).key()) + "\n")
+        return runner(**kwargs)
+
+    return run
+
+
+class TestSharedCells:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_distinct_cell_runs_once_per_sweep(self, workers, monkeypatch, tmp_path):
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("only forked workers see the patched registry")
+        log = tmp_path / "runs.log"
+        for key, runner in list(CELL_RUNNERS.items()):
+            monkeypatch.setitem(CELL_RUNNERS, key, _counting(key, runner, log))
+        run_all_experiments(fast=True, seed=1, workers=workers)
+        plans = [planner(**FAST_TIER[key], seed=1) for key, planner in EXPERIMENT_PLANNERS.items()]
+        listed = [task.key() for tasks, _ in plans for task in tasks]
+        runs = log.read_text().splitlines()
+        assert sorted(runs) == sorted({repr(key) for key in listed})
+        # The fast sweep lists the shared KP and baselines cells in several
+        # tables; each of them ran once all the same.
+        assert len(runs) < len(listed)
 
 
 @pytest.mark.slow
