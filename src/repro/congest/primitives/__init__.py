@@ -1,8 +1,7 @@
 """Reusable CONGEST building blocks: BFS (single and mask-native concurrent
 fleets), leader election, part-wise convergecast/broadcast, pipelined
-numbering, spanning verification and their read-back helpers, plus a
-diameter estimation that chains three of them as ``run(reset=False)``
-stages."""
+numbering and their read-back helpers, plus a diameter estimation that
+chains three of them as ``run(reset=False)`` stages."""
 
 from .aggregation import (
     AGGREGATE_OPS,
@@ -18,7 +17,6 @@ from .concurrent_bfs import ConcurrentMaskedBFS
 from .diameter import estimate_diameter
 from .leader import FloodMax, read_leaders
 from .numbering import PipelinedNumbering
-from .spanning import PartwiseFlagConvergecast
 
 __all__ = [
     "FleetAggregationResult",
@@ -34,6 +32,5 @@ __all__ = [
     "read_leaders",
     "AGGREGATE_OPS",
     "PipelinedNumbering",
-    "PartwiseFlagConvergecast",
     "estimate_diameter",
 ]

@@ -426,14 +426,3 @@ class ConcurrentMaskedBFS(DistributedAlgorithm):
     def reached(self, idx: int, v: int) -> bool:
         """Return whether instance ``idx`` reached node ``v``."""
         return self.dist[idx][v] != UNREACHED
-
-    def tree_lookup(self, idx: int, v: int) -> tuple[Optional[int], Optional[int]]:
-        """Return ``(dist, parent)`` of ``v`` in instance ``idx``'s tree.
-
-        ``(None, None)`` when the node was not reached — the interface the
-        spanning verification consumes.
-        """
-        d = self.dist[idx][v]
-        if d == UNREACHED:
-            return None, None
-        return d, self.parent[idx][v]

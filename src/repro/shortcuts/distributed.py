@@ -3,10 +3,11 @@
 The paper's Section 2 gives a distributed implementation of the centralized
 sampling construction that runs in ``~O(k_D)`` rounds:
 
-1. **Large-part detection** — a truncated BFS of depth ``~k_D`` inside every
-   ``G[S_i]`` (all parts in parallel; they are vertex-disjoint so they never
-   compete for an edge) followed by a flag convergecast that tells each part
-   leader whether some member was missed.
+1. **Large-part detection** — a truncated BFS of depth ``~k_D + 1`` inside
+   every ``G[S_i]`` (all parts in parallel; they are vertex-disjoint so they
+   never compete for an edge) followed by a max-convergecast over each
+   part's tree that tells the leader whether some member lies beyond depth
+   ``~k_D``.
 2. **Numbering** — the large parts are numbered ``1 .. N'`` over a global
    BFS tree with a pipelined convergecast/broadcast (``O(D + N')`` rounds).
 3. **Local sampling** — every node samples its incident edges into each
@@ -15,27 +16,33 @@ sampling construction that runs in ``~O(k_D)`` rounds:
    grown in every augmented subgraph ``G[S_i] ∪ H_i`` simultaneously using
    the random-delay scheduler (Theorem 2.1); this is where congestion and
    dilation translate into measured rounds.
-5. **Verification** — each leader checks its tree spans its part (another
-   flag convergecast); with an unknown diameter the construction guesses
-   ``D`` geometrically upward from a measured BFS 2-approximation and
-   accepts the first guess whose verification succeeds.
+5. **Verification** — a max-convergecast and broadcast over the stage-2
+   global tree of one bit per node, "my part's stage-4 tree missed me", so
+   every node learns whether all large parts are spanned; with an unknown
+   diameter the construction guesses ``D`` geometrically upward from a
+   measured BFS 2-approximation and accepts the first guess whose
+   verification succeeds.
 
 Simulation fidelity
 -------------------
 All five stages are *fully simulated* on the CONGEST network: every entry
 of ``rounds_breakdown`` is a measured round count, including all queueing
-caused by congestion — there are no analytic round charges left.  Stage 1
-runs a mask-restricted :class:`~repro.congest.primitives.bfs.DistributedBFS`
-plus a :class:`~repro.congest.primitives.spanning.PartwiseFlagConvergecast`;
-stage 2 builds a global BFS tree and runs a
+caused by congestion — there are no analytic round charges left.  Stages 1
+and 5 both end in a
+:class:`~repro.congest.primitives.aggregation.PartAggregation` over trees
+that already exist: stage 1 runs a mask-restricted
+:class:`~repro.congest.primitives.bfs.DistributedBFS` and one instance per
+part over its ``G[S_i]`` tree (disjoint parts, so congestion 1); stage 2
+builds a global BFS tree and runs a
 :class:`~repro.congest.primitives.numbering.PipelinedNumbering` over it;
 stage 4 runs the whole fleet through
 :class:`~repro.congest.primitives.concurrent_bfs.ConcurrentMaskedBFS` (the
 random-delay schedule specialised to CSR link masks, with the provably
 useless parent-echo announce suppressed — see that module's docstring);
-stage 5 is a second flag convergecast over the stage-4 trees.  Stage 3 is
-free (communication-less) and reuses the centralized sampler, which
-produces the identical distribution from the same node-local information.
+stage 5 is a single instance over the stage-2 tree's own edges, so it costs
+``O(D)`` rounds and ``4(n - 1)`` messages.  Stage 3 is free
+(communication-less) and reuses the centralized sampler, which produces the
+identical distribution from the same node-local information.
 
 With ``known_diameter=False`` the driver first runs one full-graph BFS (its
 rounds are charged as ``probe_rounds``), reads off the source eccentricity
@@ -61,14 +68,17 @@ from random import Random
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from ..congest.network import Network, RunMetrics, gc_paused
+from ..congest.primitives.aggregation import PartAggregation, shortcut_link_masks
 from ..congest.primitives.bfs import DistributedBFS
-from ..congest.primitives.concurrent_bfs import ConcurrentMaskedBFS
+from ..congest.primitives.concurrent_bfs import UNREACHED, ConcurrentMaskedBFS
 from ..congest.primitives.numbering import PipelinedNumbering
-from ..congest.primitives.spanning import PartwiseFlagConvergecast
 from ..congest.scheduler import draw_random_delays
-from ..graphs.csr import CSRLinkMask
+from ..graphs.csr import CSRGraph, CSRLinkMask
 from ..graphs.graph import Graph
+from .baselines import build_empty_shortcut
 from .kogan_parter import (
     KoganParterParameters,
     build_kogan_parter_shortcut,
@@ -137,20 +147,17 @@ def _intra_part_mask(partition: Partition) -> CSRLinkMask:
     )
 
 
-def _state_tree_lookup(network: Network, prefix: str):
-    """A ``tree_lookup`` over a :class:`DistributedBFS` result in node state."""
-    nodes = network.nodes
-    key_dist = prefix + "dist"
-    key_parent = prefix + "parent"
-
-    def lookup(_part: int, v: int):
-        state = nodes[v].state
-        dist = state.get(key_dist)
-        if dist is None:
-            return None, None
-        return dist, state[key_parent]
-
-    return lookup
+def _tree_mask(csr: CSRGraph, parent: list[int]) -> CSRLinkMask:
+    """The link mask of a spanning tree's own edges, from parent pointers."""
+    parent_of = np.asarray(parent, dtype=np.int64)
+    child = np.flatnonzero(parent_of != np.arange(len(parent_of)))
+    arrays = csr.adjacency_arrays()
+    # Adjacency entries ascend by (row, neighbour), so one search finds
+    # every child -> parent entry.
+    n = csr.num_vertices
+    pos = np.searchsorted(arrays.rows * n + arrays.indices,
+                          child * n + parent_of[child])
+    return CSRLinkMask.from_edge_ids(csr, arrays.edge_ids[pos])
 
 
 def detect_large_parts(
@@ -169,34 +176,48 @@ def detect_large_parts(
     at most ``2 · depth`` without any shortcut edges, which is within the
     target dilation, so it is sound to skip them.
 
-    Both phases are simulated: the truncated BFS inside the parts (over the
-    intra-part link mask) and the flag convergecast that informs the
-    leaders, whose ``depth + 2`` timeout rounds are charged through the
-    engine's timer protocol.
+    Both phases are simulated.  A BFS truncated at ``depth + 1`` grows every
+    part's tree over the intra-part link mask; parts are connected, so some
+    member sits at distance ``depth + 1`` exactly when the radius exceeds
+    ``depth``.  A :class:`PartAggregation` with one instance per part then
+    takes the maximum of that bit up each tree to the leader (the parts are
+    disjoint, so congestion is 1 and no start delays are needed).
 
     Returns:
         ``(large part indices, measured rounds)``.
     """
     if intra_mask is None:
         intra_mask = _intra_part_mask(partition)
-    leaders = set(partition.leaders())
     bfs = DistributedBFS(
-        leaders,
+        set(partition.leaders()),
         allowed_links=intra_mask,
-        max_depth=depth,
+        max_depth=depth + 1,
         prefix="lp_",
     )
     bfs_metrics = network.run(bfs, reset=False, max_rounds=max_rounds)
-    check = PartwiseFlagConvergecast(
-        partition.part_of,
-        range(partition.num_parts),
-        intra_mask,
-        _state_tree_lookup(network, "lp_"),
-        timeout=depth + 2,
-        prefix="lpchk_",
+    nodes = network.nodes
+    parents: list[dict[int, int]] = []
+    beyond: list[dict[int, int]] = []
+    for i in range(partition.num_parts):
+        part_parents: dict[int, int] = {}
+        part_beyond: dict[int, int] = {}
+        for v in partition.part(i):
+            state = nodes[v].state
+            dist = state.get("lp_dist")
+            if dist is None:
+                part_parents[v] = UNREACHED
+            else:
+                part_parents[v] = state["lp_parent"]
+                part_beyond[v] = int(dist > depth)
+        parents.append(part_parents)
+        beyond.append(part_beyond)
+    masks = shortcut_link_masks(
+        build_empty_shortcut(partition.graph, partition), range(partition.num_parts)
     )
-    check_metrics = network.run(check, reset=False, max_rounds=max_rounds)
-    return sorted(check.flagged), bfs_metrics.rounds + check_metrics.rounds
+    radius_check = PartAggregation(masks, parents, beyond, "max", broadcast_result=False)
+    check_metrics = network.run(radius_check, reset=False, max_rounds=max_rounds)
+    large = [i for i, flag in enumerate(radius_check.results) if flag == 1]
+    return large, bfs_metrics.rounds + check_metrics.rounds
 
 
 def measure_diameter_probe(
@@ -371,7 +392,7 @@ def _run_single_guess(
     network = Network(graph, bandwidth=bandwidth)
     breakdown: dict[str, int] = {}
 
-    # Stage 1: large-part detection (truncated BFS + flag convergecast).
+    # Stage 1: large-part detection (truncated BFS + max-convergecast).
     large, rounds_detect = detect_large_parts(
         network, partition, detection_depth,
         intra_mask=intra_mask, max_rounds=max_rounds,
@@ -442,28 +463,26 @@ def _run_single_guess(
     else:
         breakdown["concurrent_bfs"] = 0
 
-    # Stage 5: verification — spanning-flag convergecast over the stage-4
-    # trees (which overlap on shortcut edges, so this one runs
-    # multi-channel and its queueing rounds are measured).
+    # Stage 5: verification — a max-convergecast and broadcast over the
+    # stage-2 tree of "my part's stage-4 tree missed me", read off the
+    # fleet's distance rows (the trees already exist; no new one is grown).
     spanning_ok = True
     if large:
-        order_of = {part_idx: order for order, part_idx in enumerate(large)}
-        tree_lookup = fleet.tree_lookup
-
-        def lookup(part_idx: int, v: int):
-            return tree_lookup(order_of[part_idx], v)
-
-        check = PartwiseFlagConvergecast(
-            partition.part_of,
-            large,
-            intra_mask,
-            lookup,
-            timeout=depth_budget + 2,
-            prefix="scchk_",
+        nodes = network.nodes
+        gt_parent = [nodes[v].state["gt_parent"] for v in range(n)]
+        missed = dict.fromkeys(range(n), 0)
+        for order, part_idx in enumerate(large):
+            dist = fleet.dist[order]
+            for v in partition.part(part_idx):
+                if dist[v] == UNREACHED:
+                    missed[v] = 1
+        check = PartAggregation(
+            [_tree_mask(csr, gt_parent)], [gt_parent], [missed], "max",
+            broadcast_result=True,
         )
         check_metrics = network.run(check, reset=False, max_rounds=max_rounds)
         breakdown["verification"] = check_metrics.rounds
-        spanning_ok = not check.flagged
+        spanning_ok = check.results[0] == 0
     else:
         breakdown["verification"] = 0
 

@@ -13,6 +13,7 @@ analytically.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,11 +25,17 @@ from repro.congest.primitives.concurrent_bfs import (
     ConcurrentMaskedBFS,
 )
 from repro.congest.primitives.numbering import PipelinedNumbering
-from repro.congest.primitives.spanning import PartwiseFlagConvergecast
 from repro.congest.scheduler import draw_random_delays
 from repro.graphs.csr import CSRLinkMask
-from repro.graphs.generators import grid_graph, path_graph, random_connected_graph
+from repro.graphs.generators import (
+    GENERATOR_FAMILIES,
+    grid_graph,
+    path_graph,
+    random_connected_graph,
+)
 from repro.graphs.lower_bound import lower_bound_instance
+from repro.graphs.partitions import random_connected_partition
+from repro.graphs.traversal import bfs_distances, eccentricity
 from repro.rng import ensure_rng
 from repro.shortcuts import (
     Partition,
@@ -283,19 +290,21 @@ class TestConcurrentMaskedBFSEquivalence:
         assert m_lean.messages_delivered < m_plain.messages_delivered
         assert m_lean.rounds <= m_plain.rounds
 
-    def test_tree_lookup(self):
+    def test_tree_labels(self):
         g, partition, shortcut, large, masks, depth_budget, delays = \
             _fleet_fixture(60, 2)
         fleet, _ = _run_masked_fleet(g, partition, masks, large,
                                      depth_budget, delays)
         leader = partition.leader(large[0])
-        assert fleet.tree_lookup(0, leader) == (0, leader)
+        dist, parent = fleet.dist[0], fleet.parent[0]
+        assert (dist[leader], parent[leader]) == (0, leader)
         assert fleet.reached(0, leader)
         for v in range(g.num_vertices):
-            d, parent = fleet.tree_lookup(0, v)
-            if d is None:
-                assert not fleet.reached(0, v)
-                assert parent is None
+            assert fleet.reached(0, v) == (dist[v] != UNREACHED)
+            if dist[v] == UNREACHED:
+                assert parent[v] == UNREACHED
+            elif v != leader:
+                assert dist[parent[v]] == dist[v] - 1
 
 
 # ----------------------------------------------------------------------
@@ -384,109 +393,73 @@ class TestPipelinedNumbering:
 
 
 # ----------------------------------------------------------------------
-# PartwiseFlagConvergecast and detect_large_parts
+# detect_large_parts
 # ----------------------------------------------------------------------
-class TestSpanningConvergecast:
-    def _detection_setup(self, n, depth, seed=0):
-        inst = lower_bound_instance(n, 6)
-        partition = Partition(inst.graph, inst.parts, validate=False)
-        network = Network(inst.graph)
-        network.reset()
-        intra = _intra_part_mask(partition)
-        bfs = DistributedBFS(set(partition.leaders()), allowed_links=intra,
-                             max_depth=depth, prefix="lp_")
-        bfs_metrics = network.run(bfs, reset=False)
-        return inst, partition, network, intra, bfs_metrics
-
-    def test_flags_match_state_scan_oracle(self):
-        inst, partition, network, intra, _ = self._detection_setup(90, 4)
-        # Seed-driver oracle: a part is flagged iff some member lacks lp_dist.
-        oracle = sorted(
-            i for i in range(partition.num_parts)
-            if any("lp_dist" not in network.node(v).state
-                   for v in partition.part(i))
-        )
-        nodes = network.nodes
-        check = PartwiseFlagConvergecast(
-            partition.part_of, range(partition.num_parts), intra,
-            lambda part, v: (
-                nodes[v].state.get("lp_dist"),
-                nodes[v].state.get("lp_parent"),
-            ),
-            timeout=4 + 2,
-        )
-        network.run(check, reset=False)
-        assert sorted(check.flagged) == oracle
-        assert oracle  # the path parts are longer than the depth
-
-    def test_rounds_equal_seed_analytic_charge(self):
-        # On part-disjoint trees there is no congestion, so the measured
-        # rounds equal the seed driver's analytic depth + 2 charge.
-        inst, partition, network, intra, _ = self._detection_setup(90, 5)
-        nodes = network.nodes
-        check = PartwiseFlagConvergecast(
-            partition.part_of, range(partition.num_parts), intra,
-            lambda part, v: (
-                nodes[v].state.get("lp_dist"),
-                nodes[v].state.get("lp_parent"),
-            ),
-            timeout=5 + 2,
-        )
-        metrics = network.run(check, reset=False)
-        assert metrics.rounds == 5 + 2
-
-    def test_no_flags_when_trees_span(self):
-        inst, partition, network, intra, _ = self._detection_setup(90, 500)
-        nodes = network.nodes
-        check = PartwiseFlagConvergecast(
-            partition.part_of, range(partition.num_parts), intra,
-            lambda part, v: (
-                nodes[v].state.get("lp_dist"),
-                nodes[v].state.get("lp_parent"),
-            ),
-            timeout=8,
-        )
-        metrics = network.run(check, reset=False)
-        assert check.flagged == set()
-        assert metrics.rounds == 8
-
-    def test_bad_timeout_rejected(self):
-        with pytest.raises(ValueError, match="timeout"):
-            PartwiseFlagConvergecast(lambda v: None, [], None,
-                                     lambda p, v: (None, None), timeout=0)
-
-
 class TestDetectLargeParts:
     def test_matches_seed_semantics_and_rounds(self):
         inst = lower_bound_instance(90, 6)
         partition = Partition(inst.graph, inst.parts, validate=False)
         depth = 4
 
-        # Seed oracle: dict-of-sets adjacency + driver-side state scan,
-        # with the analytic depth + 2 convergecast charge.
+        # Seed oracle: dict-of-sets adjacency + a node-state scan of a
+        # depth-truncated BFS.
         adjacency = {}
         for idx in range(partition.num_parts):
             part = partition.part(idx)
             for u in part:
                 adjacency[u] = {w for w in inst.graph.neighbors(u) if w in part}
-        net_a = Network(inst.graph)
-        net_a.reset()
-        m_a = net_a.run(DistributedBFS(set(partition.leaders()),
-                                       allowed_adjacency=adjacency,
-                                       max_depth=depth, prefix="lp_"),
-                        reset=False)
+
+        def oracle_bfs(max_depth):
+            net = Network(inst.graph)
+            net.reset()
+            metrics = net.run(DistributedBFS(set(partition.leaders()),
+                                             allowed_adjacency=adjacency,
+                                             max_depth=max_depth, prefix="lp_"),
+                              reset=False)
+            return net, metrics
+
+        net_a, _ = oracle_bfs(depth)
         oracle_large = sorted(
             i for i in range(partition.num_parts)
             if any("lp_dist" not in net_a.node(v).state
                    for v in partition.part(i))
         )
-        oracle_rounds = m_a.rounds + depth + 2
+        assert oracle_large  # the path parts are longer than the depth
+        # The detection BFS runs one level deeper; the max-convergecast
+        # then climbs from depth + 1 to the leaders after one announce round.
+        _, m_deeper = oracle_bfs(depth + 1)
+        oracle_rounds = m_deeper.rounds + depth + 2
 
         net_b = Network(inst.graph)
         net_b.reset()
         large, rounds = detect_large_parts(net_b, partition, depth)
         assert large == oracle_large
         assert rounds == oracle_rounds
+
+    @pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
+    def test_large_iff_radius_exceeds_depth(self, family):
+        g = GENERATOR_FAMILIES[family](120, random.Random(3))
+        partition = Partition(g, random_connected_partition(g, 6, rng=4))
+        radius = [
+            max(bfs_distances(g, partition.leader(i),
+                              allowed=set(partition.part(i))).values())
+            for i in range(partition.num_parts)
+        ]
+        depths = (1, 2, 3, 4)
+        assert set(radius) & set(depths)  # a part sits on the boundary
+        for depth in depths:
+            network = Network(g)
+            network.reset()
+            large, _ = detect_large_parts(network, partition, depth)
+            assert large == [i for i, r in enumerate(radius) if r > depth]
+
+    def test_no_part_large_when_depth_covers_every_radius(self):
+        inst = lower_bound_instance(90, 6)
+        partition = Partition(inst.graph, inst.parts, validate=False)
+        network = Network(inst.graph)
+        network.reset()
+        large, _ = detect_large_parts(network, partition, 500)
+        assert large == []
 
 
 # ----------------------------------------------------------------------
@@ -509,8 +482,6 @@ class TestGeometricGuessing:
     def test_probe_measures_eccentricity(self):
         inst = lower_bound_instance(80, 6)
         ecc, rounds = measure_diameter_probe(inst.graph)
-        from repro.graphs.traversal import eccentricity
-
         assert ecc == eccentricity(inst.graph, 0)
         assert rounds >= ecc
 
@@ -550,9 +521,11 @@ class TestPipelineRounds:
         depth = max(1, math.ceil(k_d))
         depth_budget = max(depth, math.ceil(4.0 * k_d * math.log(n)))
         assert result.spanning_ok
-        # Stage 5: no flags flow when every tree spans, so the measured
-        # rounds are exactly the declared timeout (the seed analytic charge).
-        assert breakdown["verification"] == depth_budget + 2
+        # Stage 5: announce, convergecast and broadcast over the stage-2
+        # global tree (rooted at n - 1), independent of the depth budget.
+        tree_depth = eccentricity(inst.graph, n - 1)
+        assert breakdown["verification"] <= 2 * tree_depth + 4
+        assert breakdown["verification"] < depth_budget
         # Stage 1: truncated BFS rounds plus the depth + 2 convergecast.
         assert breakdown["detect_large_parts"] > depth + 2
         # Stage 2: at least the global tree depth, at most O(D + N').

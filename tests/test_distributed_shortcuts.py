@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from repro.congest import Network
-from repro.graphs import hub_diameter_graph, lower_bound_instance, path_partition
+from repro.congest.primitives.aggregation import PartAggregation
+from repro.graphs import (
+    GENERATOR_FAMILIES,
+    hub_diameter_graph,
+    lower_bound_instance,
+    path_partition,
+    random_connected_partition,
+)
+from repro.graphs.traversal import bfs_distances
 from repro.params import k_d_value
 from repro.shortcuts import (
     Partition,
@@ -155,3 +164,110 @@ class TestDistributedConstruction:
         )
         assert result.spanning_ok
         assert verify_shortcut(result.shortcut).valid
+
+
+def _spanning_oracle(graph, partition, result, depth_budget_factor) -> bool:
+    """Sequential stage-1/5 oracle: every part whose radius in ``G[S_i]``
+    exceeds the detection depth reaches all its members within the depth
+    budget in ``G[S_i] ∪ H_i``."""
+    n = graph.num_vertices
+    k_d = result.parameters.k_d
+    depth = max(1, math.ceil(k_d))
+    budget = max(depth, math.ceil(depth_budget_factor * k_d * math.log(max(n, 2))))
+    for i in range(partition.num_parts):
+        part = set(partition.part(i))
+        leader = partition.leader(i)
+        if max(bfs_distances(graph, leader, allowed=part).values()) <= depth:
+            continue
+        reached = bfs_distances(result.shortcut.augmented_subgraph(i), leader,
+                                max_depth=budget)
+        if not part <= reached.keys():
+            return False
+    return True
+
+
+class TestSpanningVerdict:
+    """The accept / reject bit of stage 5, including rejected guesses."""
+
+    @pytest.fixture(scope="class")
+    def forced(self):
+        inst = lower_bound_instance(393, 4)
+        return inst, Partition(inst.graph, inst.parts)
+
+    @pytest.mark.parametrize("rng", [1, 2, 3])
+    @pytest.mark.parametrize("known, attempted", [(True, [4]), (False, [4, 8])])
+    def test_forced_rejection(self, forced, rng, known, attempted):
+        # A near-zero sampling probability and depth budget leave the long
+        # paths unspanned, so every guess is rejected.
+        inst, partition = forced
+        result = build_distributed_kogan_parter(
+            inst.graph, partition, known_diameter=known,
+            diameter_value=4 if known else None,
+            probability=1e-3, depth_budget_factor=0.01, rng=rng,
+        )
+        assert result.attempted_guesses == attempted
+        assert result.accepted_guess == attempted[-1]
+        assert not result.spanning_ok
+        assert not _spanning_oracle(inst.graph, partition, result, 0.01)
+
+    @pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
+    @pytest.mark.parametrize("depth_budget_factor", [4.0, 0.3])
+    def test_matches_sequential_oracle(self, family, depth_budget_factor):
+        # The guess D = 2 gives k_D = 1, so every part of radius > 1 is
+        # large and the small factor leaves a depth budget of 2.
+        g = GENERATOR_FAMILIES[family](120, random.Random(3))
+        partition = Partition(g, random_connected_partition(g, 4, rng=4))
+        result = build_distributed_kogan_parter(
+            g, partition, diameter_value=2, log_factor=0.2,
+            depth_budget_factor=depth_budget_factor, rng=5,
+        )
+        assert result.rounds_breakdown["concurrent_bfs"] > 0
+        assert result.spanning_ok == _spanning_oracle(
+            g, partition, result, depth_budget_factor
+        )
+
+
+class TestCheckRunsBulk:
+    """Both spanning checks (stage 1's per-part radius convergecast and
+    stage 5's global-tree convergecast) run on the aggregation kernel and
+    match the per-node path."""
+
+    @staticmethod
+    def _build(family, factor, enabled, monkeypatch):
+        monkeypatch.setattr(PartAggregation, "bulk_capable", enabled)
+        runs = []
+        original = Network.run
+
+        def recording_run(self, algorithm, *args, **kwargs):
+            metrics = original(self, algorithm, *args, **kwargs)
+            if isinstance(algorithm, PartAggregation):
+                runs.append((algorithm, metrics))
+            return metrics
+
+        monkeypatch.setattr(Network, "run", recording_run)
+        g = GENERATOR_FAMILIES[family](120, random.Random(3))
+        partition = Partition(g, random_connected_partition(g, 4, rng=4))
+        result = build_distributed_kogan_parter(
+            g, partition, diameter_value=2, log_factor=0.2,
+            depth_budget_factor=factor, rng=5,
+        )
+        return result, runs
+
+    @pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
+    def test_bulk_matches_per_node(self, family, monkeypatch):
+        for factor in (4.0, 0.3):
+            outcomes = []
+            for enabled in (True, False):
+                result, runs = self._build(family, factor, enabled, monkeypatch)
+                (detect, m_detect), (verify, m_verify) = runs
+                if enabled:
+                    assert m_detect.bulk_declined is None
+                    assert m_verify.bulk_declined is None
+                large = [i for i, flag in enumerate(detect.results) if flag == 1]
+                assert large  # stage 5 ran
+                outcomes.append((
+                    large, result.spanning_ok, result.rounds_breakdown,
+                    [(m.rounds, m.messages_sent, m.messages_delivered,
+                      dict(m.per_edge_messages)) for m in (m_detect, m_verify)],
+                ))
+            assert outcomes[0] == outcomes[1]

@@ -239,7 +239,7 @@ def test_dense_fleet_labels_build_per_instance(bulk_toggle):
         fleet = ConcurrentMaskedBFS(roots, masks, [0, 1, 0], g.num_vertices,
                                     ["a_", "b_", "c_"], g.num_vertices)
         net.run(fleet)
-        lookups = [fleet.tree_lookup(i, v) for i in range(3)
+        lookups = [(fleet.dist[i][v], fleet.parent[i][v]) for i in range(3)
                    for v in range(g.num_vertices)]
         return fleet, lookups
 
