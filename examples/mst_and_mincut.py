@@ -24,7 +24,7 @@ from repro import (
     stoer_wagner_min_cut,
     with_random_weights,
 )
-from repro.applications import default_shortcut_factory, estimate_aggregation_rounds
+from repro.applications import default_shortcut_factory
 from repro.graphs import planted_cut_graph
 
 
@@ -38,24 +38,14 @@ def main() -> None:
     _, kruskal_weight = kruskal_mst(weighted)
     print(f"MST on a hub graph (n={n}, D={diameter}); Kruskal weight = {kruskal_weight:.1f}\n")
 
-    def gh_factory(g, partition):
-        shortcut = build_ghaffari_haeupler_shortcut(g, partition)
-        quality = shortcut.quality_report(exact_dilation=False)
-        return shortcut, estimate_aggregation_rounds(quality, g.num_vertices)
-
-    def naive_factory(g, partition):
-        shortcut = build_naive_shortcut(g, partition)
-        quality = shortcut.quality_report(exact_dilation=False)
-        return shortcut, estimate_aggregation_rounds(quality, g.num_vertices)
-
     engines = {
         "kogan-parter": default_shortcut_factory(diameter_value=diameter, log_factor=0.25, rng=3),
-        "ghaffari-haeupler": gh_factory,
-        "naive (whole graph)": naive_factory,
+        "ghaffari-haeupler": build_ghaffari_haeupler_shortcut,
+        "naive (whole graph)": build_naive_shortcut,
     }
     print(f"{'engine':<22}{'weight ok':<11}{'phases':<8}{'charged rounds':<15}")
     for name, factory in engines.items():
-        result = boruvka_mst(weighted, shortcut_factory=factory, rng=4)
+        result = boruvka_mst(weighted, shortcut_factory=factory)
         ok = abs(result.weight - kruskal_weight) < 1e-6
         print(f"{name:<22}{str(ok):<11}{result.phases:<8}{result.total_rounds:<15}")
 
@@ -69,7 +59,6 @@ def main() -> None:
         cut_graph,
         num_trees=4,
         shortcut_factory=default_shortcut_factory(log_factor=0.25, rng=7),
-        rng=7,
     )
     print(f"exact minimum cut  : {exact_value:.1f}")
     print(f"approximate value  : {approx.value:.1f}  (ratio {approx.value / exact_value:.3f})")

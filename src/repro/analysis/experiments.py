@@ -63,7 +63,6 @@ from ..applications.mincut import approximate_min_cut, stoer_wagner_min_cut
 from ..applications.mst import boruvka_mst, default_shortcut_factory, kruskal_mst
 from ..applications.sssp import bellman_ford, dijkstra, shortcut_accelerated_sssp
 from ..applications.two_ecss import two_ecss_approximation
-from ..applications.aggregation import estimate_aggregation_rounds
 from ..graphs.generators import (
     cluster_star_graph,
     hub_diameter_graph,
@@ -325,7 +324,7 @@ def _kp_cell(
     The sample's seed path extends the point's with ``(log_factor,
     repetitions)``; ``repetitions=None`` is the paper's ``D``.  Reports the
     resolved sampling probability and repetition count, the congestion,
-    the mean load of the loaded edges, the sampled dilation and the quality.
+    the mean load of the loaded edges, the double-sweep dilation and the quality.
     """
     workload = _point_workload(kind, n, diameter_value, seed=seed, trial=trial)
     path = ("kp", kind, diameter_value, n, trial, log_factor, repetitions)
@@ -337,9 +336,7 @@ def _kp_cell(
         log_factor=log_factor,
         rng=derive_seed(seed, *path, "sample"),
     )
-    report = result.shortcut.quality_report(
-        exact_dilation=False, rng=derive_seed(seed, *path, "dilation")
-    )
+    report = result.shortcut.quality_report(exact_dilation=False)
     loads = result.shortcut.edge_loads()
     return {
         "name": workload.name,
@@ -377,9 +374,7 @@ def _baselines_cell(
         "empty": build_empty_shortcut(graph, partition),
     }
     reports = {
-        name: shortcut.quality_report(
-            exact_dilation=False, rng=derive_seed(seed, *path, name, "dilation")
-        )
+        name: shortcut.quality_report(exact_dilation=False)
         for name, shortcut in shortcuts.items()
     }
     out: dict = {f"{name}_quality": report.quality for name, report in reports.items()}
@@ -712,30 +707,16 @@ def _mst_cell(
     )
     _, kruskal_weight = kruskal_mst(weighted)
 
-    def baseline_factory(engine: str, build: Callable) -> Callable:
-        build_rng = derive_rng(seed, "E6", n, f"{engine}_build")
-
-        def factory(graph, partition):
-            shortcut = build(graph, partition)
-            quality = shortcut.quality_report(exact_dilation=False, rng=build_rng)
-            return shortcut, estimate_aggregation_rounds(quality, graph.num_vertices)
-
-        return factory
-
-    factories = {
-        "kp": default_shortcut_factory(
+    factories = [
+        default_shortcut_factory(
             diameter_value=diameter_actual, log_factor=log_factor,
             rng=derive_seed(seed, "E6", n, "kp"),
         ),
-        "gh": baseline_factory("gh", build_ghaffari_haeupler_shortcut),
-        "naive": baseline_factory("naive", build_naive_shortcut),
-    }
+        build_ghaffari_haeupler_shortcut,
+        build_naive_shortcut,
+    ]
     kp, gh, naive = [
-        boruvka_mst(
-            weighted, shortcut_factory=factory,
-            rng=derive_seed(seed, "E6", n, f"{engine}_quality"),
-        )
-        for engine, factory in factories.items()
+        boruvka_mst(weighted, shortcut_factory=factory) for factory in factories
     ]
     return [
         kind,
@@ -789,10 +770,7 @@ def _mincut_cell(*, half: int, cut_k: int, log_factor: float, seed: int) -> list
     factory = default_shortcut_factory(
         log_factor=log_factor, rng=derive_seed(seed, "E7", half, cut_k, "factory")
     )
-    approx = approximate_min_cut(
-        graph, epsilon=0.5, num_trees=4, shortcut_factory=factory,
-        rng=derive_seed(seed, "E7", half, cut_k, "approx"),
-    )
+    approx = approximate_min_cut(graph, epsilon=0.5, num_trees=4, shortcut_factory=factory)
     ratio = approx.value / exact_value if exact_value else float("inf")
     return [
         graph.num_vertices,
@@ -851,10 +829,7 @@ def _applications_cell(
     ).shortcut
 
     source = 0
-    sssp = shortcut_accelerated_sssp(
-        weighted, source, kp, max_phases=8,
-        rng=derive_seed(seed, "E8", n, "sssp_quality"),
-    )
+    sssp = shortcut_accelerated_sssp(weighted, source, kp, max_phases=8)
     baseline = bellman_ford(weighted, source, max_hops=sssp.phases)
     exact = dijkstra(weighted, source)
     bf_stretch = 1.0
@@ -871,10 +846,7 @@ def _applications_cell(
     factory = default_shortcut_factory(
         log_factor=log_factor, rng=derive_seed(seed, "E8", n, "ecss_factory")
     )
-    ecss = two_ecss_approximation(
-        ecss_graph, shortcut_factory=factory,
-        rng=derive_seed(seed, "E8", n, "ecss_quality"),
-    )
+    ecss = two_ecss_approximation(ecss_graph, shortcut_factory=factory)
     weight_ratio = ecss.weight / ecss.mst_weight if ecss.mst_weight else float("inf")
 
     return [
@@ -1309,7 +1281,7 @@ def _fault_tolerance_cell(
     survived = surviving_shortcut(shortcut, victims, drop_rate, fault_rng)
     total_edges = shortcut.total_shortcut_edges()
     lost_edges = total_edges - survived.total_shortcut_edges()
-    report = survived.quality_report(exact_dilation=False, rng=fault_rng)
+    report = survived.quality_report(exact_dilation=False)
 
     # --- MST consumer under live faults -----------------------------
     weighted = with_random_weights(

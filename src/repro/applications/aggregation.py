@@ -31,8 +31,6 @@ from typing import Any, Callable, Optional
 
 from ..shortcuts.shortcut import QualityReport, Shortcut
 
-from ..rng import RandomLike
-
 _OPS: dict[str, Callable[[Any, Any], Any]] = {
     "min": min,
     "max": max,
@@ -73,7 +71,6 @@ def partwise_aggregate(
     op: str = "min",
     *,
     quality: Optional[QualityReport] = None,
-    rng: RandomLike = None,
 ) -> AggregationResult:
     """Aggregate ``node_values`` inside every part of ``shortcut``.
 
@@ -83,9 +80,8 @@ def partwise_aggregate(
             operator's identity (i.e. they are skipped).
         op: ``"min"``, ``"max"`` or ``"sum"``.
         quality: a pre-computed quality report (avoids re-measuring dilation
-            on every call).
-        rng: randomness for the sampled dilation measured when ``quality``
-            is omitted.
+            on every call).  When omitted, the shortcut is measured with the
+            deterministic double-sweep dilation.
 
     Returns:
         An :class:`AggregationResult`.
@@ -104,8 +100,6 @@ def partwise_aggregate(
         if acc is not None:
             values[idx] = acc
     if quality is None:
-        # Use the caller's rng for the sampled dilation too, so the charged
-        # cost is reproducible.
-        quality = shortcut.quality_report(exact_dilation=False, rng=rng)
+        quality = shortcut.quality_report(exact_dilation=False)
     rounds = estimate_aggregation_rounds(quality, partition.graph.num_vertices)
     return AggregationResult(values=values, rounds=rounds)

@@ -35,8 +35,6 @@ from typing import Optional
 from ..graphs.graph import WeightedGraph, edge_key
 from .mst import ShortcutFactory, boruvka_mst, default_shortcut_factory
 
-from ..rng import RandomLike, ensure_rng
-
 
 @dataclass
 class MinCutResult:
@@ -129,7 +127,6 @@ def approximate_min_cut(
     epsilon: float = 0.5,
     num_trees: Optional[int] = None,
     shortcut_factory: Optional[ShortcutFactory] = None,
-    rng: RandomLike = None,
 ) -> MinCutResult:
     """Approximate the minimum cut via greedy tree packing over shortcuts.
 
@@ -140,10 +137,8 @@ def approximate_min_cut(
             simulation tractable).
         num_trees: override the number of packed trees.
         shortcut_factory: shortcut engine used by the per-tree Boruvka runs
-            (default: Kogan-Parter).
-        rng: randomness for the per-tree Boruvka round charging (sampled
-            dilation measurement); the packed trees and the cut value are
-            deterministic given the factory.
+            (default: Kogan-Parter).  The packed trees, the cut value and
+            the charged rounds are deterministic given the factory.
 
     Returns:
         A :class:`MinCutResult`; ``value`` is an upper bound on the true
@@ -156,8 +151,6 @@ def approximate_min_cut(
         shortcut_factory = default_shortcut_factory()
     if num_trees is None:
         num_trees = min(12, max(2, math.ceil(3.0 * math.log(max(n, 2)) / (epsilon ** 2))))
-    quality_rng = ensure_rng(rng)
-
     loads: dict[tuple[int, int], float] = {e: 0.0 for e in graph.edges()}
     best_value = float("inf")
     best_side: set[int] = set()
@@ -172,7 +165,7 @@ def approximate_min_cut(
         for (u, v), load in loads.items():
             w = graph.weight(u, v)
             reweighted.add_weighted_edge(u, v, 1e-9 + load / w)
-        mst = boruvka_mst(reweighted, shortcut_factory=shortcut_factory, rng=quality_rng)
+        mst = boruvka_mst(reweighted, shortcut_factory=shortcut_factory)
         tree_edges = mst.edges
         tree_rounds.append(mst.total_rounds)
         for e in tree_edges:

@@ -11,10 +11,10 @@ rounds on constant-diameter graphs.  The framework is Boruvka's algorithm:
 * the MWOEs are added and fragments merge; after ``O(log n)`` phases one
   fragment remains and its edges are the MST.
 
-The per-phase cost is dominated by building a shortcut for the current
-fragment partition plus one aggregation over it, i.e. ``~O(quality)``
-rounds, so the end-to-end round count inherits the shortcut quality — which
-is exactly the dependence experiment E6 measures by swapping the shortcut
+The per-phase cost is building a shortcut for the current fragment
+partition plus one aggregation over it, each ``~O(quality)`` rounds, so
+the end-to-end round count inherits the shortcut quality — which is
+exactly the dependence experiment E6 measures by swapping the shortcut
 engine (Kogan-Parter vs. Ghaffari-Haeupler vs. naive) under the same
 Boruvka driver.
 
@@ -35,8 +35,9 @@ from ..shortcuts.shortcut import Shortcut
 from ..rng import RandomLike, ensure_rng
 from .aggregation import estimate_aggregation_rounds
 
-#: A shortcut factory: given (graph, partition) return (shortcut, build_rounds).
-ShortcutFactory = Callable[[WeightedGraph, Partition], tuple[Shortcut, int]]
+#: A shortcut factory: given (graph, partition) return the phase's shortcut.
+#: Its construction is charged by :func:`boruvka_mst`, not by the factory.
+ShortcutFactory = Callable[[WeightedGraph, Partition], Shortcut]
 
 
 @dataclass
@@ -90,28 +91,23 @@ def default_shortcut_factory(
 ) -> ShortcutFactory:
     """Return a factory building Kogan-Parter shortcuts for each Boruvka phase.
 
-    The returned callable charges the analytic construction cost
-    ``~O(quality)`` (the distributed construction's round count equals its
-    quality up to logarithmic factors, Theorem 1.1); experiments that want
-    fully measured construction rounds use the distributed builder directly
-    (experiment E5).
+    ``rng`` drives the sampling of every phase's shortcut.  The factory
+    charges nothing: :func:`boruvka_mst` charges the construction the same
+    ``~O(quality)`` rounds as the aggregation over it, since the distributed
+    construction's round count equals its quality up to logarithmic factors
+    (Theorem 1.1).  Experiments that want fully measured construction rounds
+    use the distributed builder directly (experiment E5).
     """
     base_rng = ensure_rng(rng)
 
-    def factory(graph: WeightedGraph, partition: Partition) -> tuple[Shortcut, int]:
-        result = build_kogan_parter_shortcut(
+    def factory(graph: WeightedGraph, partition: Partition) -> Shortcut:
+        return build_kogan_parter_shortcut(
             graph,
             partition,
             diameter_value=diameter_value,
             log_factor=log_factor,
             rng=base_rng,
-        )
-        # The sampled-source dilation approximation draws from the factory's
-        # stream too — with no rng it would pull OS entropy and make the
-        # charged rounds irreproducible.
-        quality = result.shortcut.quality_report(exact_dilation=False, rng=base_rng)
-        build_rounds = estimate_aggregation_rounds(quality, graph.num_vertices)
-        return result.shortcut, build_rounds
+        ).shortcut
 
     return factory
 
@@ -121,21 +117,20 @@ def boruvka_mst(
     *,
     shortcut_factory: Optional[ShortcutFactory] = None,
     max_phases: Optional[int] = None,
-    rng: RandomLike = None,
 ) -> MSTResult:
     """Compute the MST with Boruvka phases, charging shortcut-based round costs.
+
+    Each phase measures its shortcut once (congestion plus the deterministic
+    double-sweep dilation) and charges ``2 · estimate_aggregation_rounds``:
+    one for building the shortcut, one for the MWOE aggregation over it.
 
     Args:
         graph: a connected weighted graph.  (On a disconnected graph the
             result is the minimum spanning forest.)
-        shortcut_factory: produces the shortcut (and its construction round
-            cost) for each phase's fragment partition; defaults to
-            :func:`default_shortcut_factory`.
+        shortcut_factory: produces the shortcut for each phase's fragment
+            partition; defaults to :func:`default_shortcut_factory`.
         max_phases: safety bound on the number of phases
             (default ``ceil(log2 n) + 2``).
-        rng: randomness for the per-phase sampled dilation measurement (the
-            charged aggregation rounds depend on it); the MST edge set never
-            does.
 
     Returns:
         An :class:`MSTResult` whose edge set equals the true MST (verified
@@ -148,7 +143,6 @@ def boruvka_mst(
         shortcut_factory = default_shortcut_factory()
     if max_phases is None:
         max_phases = math.ceil(math.log2(max(n, 2))) + 2
-    quality_rng = ensure_rng(rng)
 
     uf = UnionFind(n)
     edge_list = graph.csr().edge_list
@@ -165,8 +159,8 @@ def boruvka_mst(
         # valid parts; fragments spanning several components of a
         # disconnected graph cannot occur (we only merge along edges).
         partition = Partition(graph, fragments, validate=False)
-        shortcut, build_rounds = shortcut_factory(graph, partition)
-        quality = shortcut.quality_report(exact_dilation=False, rng=quality_rng)
+        shortcut = shortcut_factory(graph, partition)
+        quality = shortcut.quality_report(exact_dilation=False)
         quality_per_phase.append(quality.quality)
 
         # MWOE selection = one part-wise min aggregation: each node's value
@@ -187,8 +181,7 @@ def boruvka_mst(
                 mwoe[fu] = key
             if fv not in mwoe or key < mwoe[fv]:
                 mwoe[fv] = key
-        aggregation_rounds = estimate_aggregation_rounds(quality, n)
-        rounds_per_phase.append(build_rounds + aggregation_rounds)
+        rounds_per_phase.append(2 * estimate_aggregation_rounds(quality, n))
 
         if not mwoe:
             break

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..graphs.graph import WeightedGraph
-from ..rng import RandomLike
 from ..shortcuts.shortcut import QualityReport, Shortcut
 from .aggregation import estimate_aggregation_rounds
 
@@ -130,7 +129,6 @@ def shortcut_accelerated_sssp(
     *,
     max_phases: Optional[int] = None,
     quality: Optional[QualityReport] = None,
-    rng: RandomLike = None,
 ) -> SSSPResult:
     """Compute SSSP distances with part-accelerated Bellman-Ford phases.
 
@@ -150,10 +148,9 @@ def shortcut_accelerated_sssp(
             partition's parts should cover (most of) the graph for fast
             convergence.
         max_phases: phase limit (default ``2 * ceil(log2 n) + 4``).
-        quality: precomputed quality report (avoids re-measuring).
-        rng: randomness for the sampled dilation measurement when
-            ``quality`` is not supplied (the charged rounds depend on it;
-            the distances never do).
+        quality: precomputed quality report (avoids re-measuring).  When
+            omitted, the shortcut is measured with the deterministic
+            double-sweep dilation.
 
     Returns:
         An :class:`SSSPResult` (stretch measured against Dijkstra).
@@ -163,7 +160,7 @@ def shortcut_accelerated_sssp(
     if max_phases is None:
         max_phases = 2 * math.ceil(math.log2(max(n, 2))) + 4
     if quality is None:
-        quality = shortcut.quality_report(exact_dilation=False, rng=rng)
+        quality = shortcut.quality_report(exact_dilation=False)
     per_phase_rounds = 1 + estimate_aggregation_rounds(quality, n)
 
     intra = {

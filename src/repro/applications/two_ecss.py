@@ -28,7 +28,6 @@ from typing import Optional
 
 from ..graphs.graph import Graph, WeightedGraph, edge_key
 from ..graphs.traversal import bfs_tree
-from ..rng import RandomLike
 from .mst import ShortcutFactory, boruvka_mst, default_shortcut_factory
 
 
@@ -116,7 +115,6 @@ def two_ecss_approximation(
     graph: WeightedGraph,
     *,
     shortcut_factory: Optional[ShortcutFactory] = None,
-    rng: RandomLike = None,
 ) -> TwoECSSResult:
     """Approximate the minimum-weight 2-ECSS by MST + cheapest cover edges.
 
@@ -124,16 +122,15 @@ def two_ecss_approximation(
         graph: a weighted graph; the result is 2-edge-connected iff the
             input is (bridges of the input can never be covered).
         shortcut_factory: the shortcut engine used by the MST phase and
-            charged for the augmentation aggregations.
-        rng: randomness for the MST phase's round charging (sampled
-            dilation measurement); the edge set is deterministic.
+            charged for the augmentation aggregations.  The edge set and
+            the charged rounds are deterministic given the factory.
 
     Returns:
         A :class:`TwoECSSResult`.
     """
     if shortcut_factory is None:
         shortcut_factory = default_shortcut_factory()
-    mst = boruvka_mst(graph, shortcut_factory=shortcut_factory, rng=rng)
+    mst = boruvka_mst(graph, shortcut_factory=shortcut_factory)
     tree_edges = set(mst.edges)
 
     # Root the tree and record parent/depth so that "the tree path of a

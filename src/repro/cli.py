@@ -245,11 +245,7 @@ def _command_shortcut(args: argparse.Namespace) -> int:
             args.engine, workload.graph, workload.partition, workload.diameter,
             args.log_factor, args.seed,
         )
-    # The sampled (non-exact) dilation draws BFS sources from an rng; derive
-    # it from --seed so same-seed runs print identical reports.
-    report = shortcut.quality_report(
-        exact_dilation=args.exact_dilation, rng=derive_seed(args.seed, "dilation")
-    )
+    report = shortcut.quality_report(exact_dilation=args.exact_dilation)
     n = workload.graph.num_vertices
     print(f"workload        : {workload.name} (n={n}, m={workload.graph.num_edges}, D={workload.diameter})")
     print(f"parts           : {workload.partition.num_parts}")
@@ -282,8 +278,7 @@ def _command_shortcut(args: argparse.Namespace) -> int:
         survived = surviving_shortcut(shortcut, victims, args.drop_rate, fault_rng)
         total_edges = shortcut.total_shortcut_edges()
         lost_edges = total_edges - survived.total_shortcut_edges()
-        surv_report = survived.quality_report(
-            exact_dilation=args.exact_dilation, rng=fault_rng)
+        surv_report = survived.quality_report(exact_dilation=args.exact_dilation)
         print(f"fault model     : drop_rate={args.drop_rate}, crashes={args.crash}")
         print(f"edges lost      : {lost_edges} / {total_edges}")
         print(f"surv congestion : {surv_report.congestion}")
@@ -310,10 +305,7 @@ def _command_mst(args: argparse.Namespace) -> int:
         factory = default_shortcut_factory(
             diameter_value=workload.diameter, log_factor=args.log_factor, rng=args.seed
         )
-        result = boruvka_mst(
-            weighted, shortcut_factory=factory,
-            rng=derive_seed(args.seed, "mst_quality"),
-        )
+        result = boruvka_mst(weighted, shortcut_factory=factory)
         rounds_label = "charged rounds  "
     else:
         if faulty:

@@ -39,11 +39,10 @@ the applications rely on; the full subgraph diameter can be larger or even
 infinite because sampled edges may land outside the part's component, which
 is irrelevant for routing inside the part.
 
-*Sampled dilation* (``exact=False``) BFSes from the part leader plus
-``sample_size`` vertices drawn from the caller's rng.  Without an rng it
-draws nothing: it runs a double sweep (BFS from the leader, then from the
-smallest-id part vertex farthest from it), so the value is deterministic.
-Either way it lies in ``[true/2, true]``.
+*Estimated dilation* (``exact=False``) is a double sweep: a BFS from the
+part leader, then one from the smallest-id part vertex farthest from it.
+It draws nothing, so the value is deterministic, and it lies in
+``[true/2, true]`` (the leader's eccentricity alone is a 2-approximation).
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ import numpy as np
 from ..graphs.csr import UNREACHED, bfs_distance_rows, sorted_unique
 from ..graphs.graph import Graph, Subgraph, union_subgraph
 from ..graphs.traversal import INFINITY
-from ..rng import RandomLike, ensure_rng
 from .partition import Partition
 
 #: Cap on ``sources x vertices`` distance cells one batched dilation BFS
@@ -284,30 +282,18 @@ class Shortcut:
         edge_list = self._csr.edge_list
         return {edge_list[e]: c for e, c in zip(loaded.tolist(), load[loaded].tolist())}
 
-    def part_dilation(self, index: int, *, exact: bool = True, rng: RandomLike = None,
-                      sample_size: int = 4) -> float:
+    def part_dilation(self, index: int, *, exact: bool = True) -> float:
         """Return the dilation of one part.
 
         Args:
             exact: if ``True``, BFS from every part vertex (exact maximum
-                pairwise distance); otherwise BFS from the part leader plus
-                ``sample_size`` random part vertices, which gives a value in
-                ``[true/2, true]`` (the leader eccentricity alone is already a
-                2-approximation).
-            rng: randomness for the sampled variant.  Without one, the
-                sampled variant is the deterministic double sweep (see the
-                module docstring) and draws nothing.
+                pairwise distance); otherwise the double sweep of the module
+                docstring, which gives a value in ``[true/2, true]`` from two
+                BFSes.
         """
         part = self.partition.part(index)
         if len(part) <= 1:
             return 0.0
-        sampled: Optional[list[int]] = None
-        if not exact and rng is not None:
-            r = ensure_rng(rng)
-            sampled = [self.partition.leader(index)]
-            pool = list(part)
-            for _ in range(min(sample_size, len(pool))):
-                sampled.append(r.choice(pool))
         part_ids = np.sort(np.fromiter(part, dtype=np.int64, count=len(part)))
         vertices, starts, targets = self._csr.adjacency_arrays().edge_subgraph(
             self.augmented_edge_id_array(index), part_ids
@@ -315,8 +301,6 @@ class Shortcut:
         part_locals = np.searchsorted(vertices, part_ids)
         if exact:
             sources_local = part_locals
-        elif sampled is not None:
-            sources_local = np.searchsorted(vertices, sampled)
         else:
             leader = np.searchsorted(vertices, [self.partition.leader(index)])
             first = bfs_distance_rows(starts, targets, leader)[0, part_locals]
@@ -334,22 +318,22 @@ class Shortcut:
             worst = max(worst, int(dist.max()))
         return float(worst)
 
-    def dilation(self, *, exact: bool = True, rng: RandomLike = None) -> float:
+    def dilation(self, *, exact: bool = True) -> float:
         """Return the dilation over all parts (see the module docstring)."""
         worst = 0.0
         for i in range(self.num_parts):
-            d = self.part_dilation(i, exact=exact, rng=rng)
+            d = self.part_dilation(i, exact=exact)
             if d == INFINITY:
                 return INFINITY
             if d > worst:
                 worst = d
         return worst
 
-    def quality_report(self, *, exact_dilation: bool = True, rng: RandomLike = None) -> QualityReport:
+    def quality_report(self, *, exact_dilation: bool = True) -> QualityReport:
         """Return a :class:`QualityReport` with congestion, dilation and sizes."""
         return QualityReport(
             congestion=self.congestion(),
-            dilation=self.dilation(exact=exact_dilation, rng=rng),
+            dilation=self.dilation(exact=exact_dilation),
             num_parts=self.num_parts,
             num_shortcut_edges=self.total_shortcut_edges(),
             max_part_shortcut_edges=max((len(ids) for ids in self._ids), default=0),

@@ -60,7 +60,7 @@ def verify_shortcut(
         max_dilation: optional dilation budget.
         exact_dilation: measure dilation exactly (pass ``False`` for the
             cheaper 2-approximation on large instances: the deterministic
-            double sweep of :meth:`Shortcut.part_dilation` without an rng).
+            double sweep of :meth:`Shortcut.part_dilation`).
 
     Returns:
         A :class:`VerificationResult`; ``violations`` lists every failure.

@@ -201,6 +201,36 @@ class TestSharedKPCells:
             assert {p: other[p] for p in shared} == {p: e1[ours][p] for p in shared}
 
 
+class TestSweepDilationAccuracy:
+    def test_sweep_matches_exact_on_fast_tier_kp_parts(self):
+        # E1-E4 report the double-sweep dilation; at the fast-tier E1/E3
+        # points it must equal the exact per-part value almost everywhere
+        # (it is only guaranteed to lie in [exact/2, exact]).
+        from repro.analysis.experiments import FAST_TIER
+        from repro.shortcuts import build_kogan_parter_shortcut
+
+        points = {
+            (n, diameter_value)
+            for experiment_id in ("E1", "E3")
+            for n in FAST_TIER[experiment_id]["sizes"]
+            for diameter_value in FAST_TIER[experiment_id]["diameters"]
+        }
+        total = equal = 0
+        for n, diameter_value in sorted(points):
+            w = make_workload("lower_bound", n, diameter_value, seed=1)
+            for log_factor in (0.25, 1.0):
+                for seed in (1, 2, 3):
+                    shortcut = build_kogan_parter_shortcut(
+                        w.graph, w.partition, diameter_value=w.diameter,
+                        log_factor=log_factor, rng=seed,
+                    ).shortcut
+                    for i in range(shortcut.num_parts):
+                        total += 1
+                        equal += shortcut.part_dilation(i, exact=False) == shortcut.part_dilation(i)
+        assert total > 100
+        assert equal >= 0.95 * total
+
+
 class TestRunAllOrder:
     def test_experiment_id_order_is_numeric(self):
         from repro.analysis import experiment_id_order

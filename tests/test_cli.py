@@ -86,9 +86,9 @@ class TestShortcutCommand:
             assert loaded.subgraph_edges(i) == expected.subgraph_edges(i)
 
     def test_quality_report_is_seed_deterministic(self, capsys):
-        # Regression: the default (sampled) dilation measurement was
+        # Regression: the default (non-exact) dilation measurement was once
         # unseeded, so the printed dilation/quality could vary across
-        # same-seed runs.
+        # same-seed runs; it is now the deterministic double sweep.
         args = ["shortcut", "--n", "150", "-D", "6", "--workload", "lower_bound",
                 "--seed", "3"]
         assert main(args) == 0
@@ -128,9 +128,9 @@ class TestMSTCommand:
         assert "charged rounds" in out
 
     def test_analytic_engine_is_seed_deterministic(self, capsys):
-        # Regression: the analytic engine's per-phase sampled-dilation
-        # measurement drew OS entropy, so same-seed runs printed different
-        # charged rounds.
+        # Regression: the analytic engine's per-phase dilation measurement
+        # once drew OS entropy, so same-seed runs printed different charged
+        # rounds; it is now the deterministic double sweep.
         args = ["mst", "--n", "150", "-D", "6", "--workload", "hub", "--seed", "5"]
         assert main(args) == 0
         first = capsys.readouterr().out

@@ -85,7 +85,7 @@ class TestApproximateMinCut:
     def test_planted_cut_recovered(self):
         wg = planted_cut_graph(15, 3, rng=2)
         factory = default_shortcut_factory(log_factor=0.25, rng=1)
-        result = approximate_min_cut(wg, num_trees=4, shortcut_factory=factory, rng=1)
+        result = approximate_min_cut(wg, num_trees=4, shortcut_factory=factory)
         exact, _ = stoer_wagner_min_cut(wg)
         assert result.value == pytest.approx(exact)
         assert cut_value(wg, result.side) == pytest.approx(result.value)
@@ -98,14 +98,14 @@ class TestApproximateMinCut:
             if not nx.is_connected(nxg):
                 continue
             exact, _ = stoer_wagner_min_cut(wg)
-            result = approximate_min_cut(wg, num_trees=3, rng=seed)
+            result = approximate_min_cut(wg, num_trees=3)
             assert result.value >= exact - 1e-9
             # and within a small factor on these easy instances
             assert result.value <= 3 * exact + 1e-9
 
     def test_round_accounting(self):
         wg = planted_cut_graph(10, 2, rng=3)
-        result = approximate_min_cut(wg, num_trees=3, rng=2)
+        result = approximate_min_cut(wg, num_trees=3)
         assert result.num_trees == 3
         assert len(result.tree_rounds) == 3
         assert result.total_rounds == sum(result.tree_rounds)
@@ -118,7 +118,7 @@ class TestApproximateMinCut:
         wg.add_weighted_edge(0, 2, 10.0)
         wg.add_weighted_edge(0, 3, 10.0)
         wg.add_weighted_edge(0, 4, 0.5)
-        result = approximate_min_cut(wg, num_trees=2, rng=1)
+        result = approximate_min_cut(wg, num_trees=2)
         assert result.value == pytest.approx(0.5)
 
     def test_too_small_graph_rejected(self):
@@ -127,6 +127,6 @@ class TestApproximateMinCut:
 
     def test_epsilon_controls_default_trees(self):
         wg = planted_cut_graph(8, 2, rng=4)
-        loose = approximate_min_cut(wg, epsilon=2.0, rng=1)
-        tight = approximate_min_cut(wg, epsilon=0.4, rng=1)
+        loose = approximate_min_cut(wg, epsilon=2.0)
+        tight = approximate_min_cut(wg, epsilon=0.4)
         assert tight.num_trees >= loose.num_trees

@@ -20,7 +20,7 @@ from repro.graphs import (
     is_connected,
     with_random_weights,
 )
-from repro.shortcuts import build_ghaffari_haeupler_shortcut, build_naive_shortcut
+from repro.shortcuts import Shortcut, build_ghaffari_haeupler_shortcut, build_naive_shortcut
 
 
 def to_networkx(wg: WeightedGraph) -> nx.Graph:
@@ -121,28 +121,36 @@ class TestBoruvkaRoundAccounting:
         assert all(r > 0 for r in result.rounds_per_phase)
         assert len(result.quality_per_phase) == result.phases
 
+    def test_each_phase_measures_once_and_charges_build_plus_aggregation(
+        self, weighted_hub, monkeypatch
+    ):
+        reports = []
+        measure = Shortcut.quality_report
+
+        def counting(shortcut, **kwargs):
+            reports.append(measure(shortcut, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(Shortcut, "quality_report", counting)
+        factory = default_shortcut_factory(diameter_value=6, log_factor=0.25, rng=2)
+        result = boruvka_mst(weighted_hub, shortcut_factory=factory)
+        assert len(reports) == result.phases
+        n = weighted_hub.num_vertices
+        assert result.rounds_per_phase == [
+            2 * estimate_aggregation_rounds(q, n) for q in reports
+        ]
+
     def test_naive_engine_charges_more_than_kp(self):
         g = hub_diameter_graph(150, 6, rng=3)
         wg = with_random_weights(g, rng=4)
 
         kp = boruvka_mst(wg, shortcut_factory=default_shortcut_factory(
             diameter_value=6, log_factor=0.25, rng=1))
-
-        def naive_factory(graph, partition):
-            sc = build_naive_shortcut(graph, partition)
-            q = sc.quality_report(exact_dilation=False)
-            return sc, estimate_aggregation_rounds(q, graph.num_vertices)
-
-        naive = boruvka_mst(wg, shortcut_factory=naive_factory)
+        naive = boruvka_mst(wg, shortcut_factory=build_naive_shortcut)
         assert kp.weight == pytest.approx(naive.weight)
         assert naive.total_rounds > kp.total_rounds
 
     def test_gh_engine_correct(self, weighted_hub):
-        def gh_factory(graph, partition):
-            sc = build_ghaffari_haeupler_shortcut(graph, partition)
-            q = sc.quality_report(exact_dilation=False)
-            return sc, estimate_aggregation_rounds(q, graph.num_vertices)
-
-        result = boruvka_mst(weighted_hub, shortcut_factory=gh_factory)
+        result = boruvka_mst(weighted_hub, shortcut_factory=build_ghaffari_haeupler_shortcut)
         _, kruskal_weight = kruskal_mst(weighted_hub)
         assert result.weight == pytest.approx(kruskal_weight)

@@ -150,7 +150,7 @@ class TestDilation:
         p = Partition(g, [set(range(36))], validate=False)
         sc = Shortcut(p, [[]])
         exact = sc.dilation(exact=True)
-        approx = sc.dilation(exact=False, rng=1)
+        approx = sc.dilation(exact=False)
         assert exact / 2 <= approx <= exact
 
     def test_dilation_per_part_maximum(self):
