@@ -64,10 +64,8 @@ from .shortcuts import (
 )
 from .applications import (
     approximate_min_cut,
-    boruvka_mst,
     dijkstra,
     kruskal_mst,
-    partwise_aggregate,
     shortcut_accelerated_sssp,
     shortcut_boruvka_mst,
     shortcut_connected_components,
@@ -106,10 +104,8 @@ __all__ = [
     "build_naive_shortcut",
     "verify_shortcut",
     "approximate_min_cut",
-    "boruvka_mst",
     "dijkstra",
     "kruskal_mst",
-    "partwise_aggregate",
     "shortcut_accelerated_sssp",
     "shortcut_boruvka_mst",
     "shortcut_connected_components",

@@ -60,7 +60,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from ..applications.mincut import approximate_min_cut, stoer_wagner_min_cut
-from ..applications.mst import boruvka_mst, default_shortcut_factory, kruskal_mst
+from ..applications.mst import kruskal_mst
+from ..applications.shortcut_mst import shortcut_boruvka_mst
 from ..applications.sssp import bellman_ford, dijkstra, shortcut_accelerated_sssp
 from ..applications.two_ecss import two_ecss_approximation
 from ..graphs.generators import (
@@ -701,22 +702,18 @@ def plan_distributed_scale_experiment(
 def _mst_cell(
     *, kind: str, n: int, diameter_value: int, log_factor: float, seed: int
 ) -> list:
-    """E6 cell: Boruvka with all three engines on one weighted workload."""
+    """E6 cell: the simulated Boruvka consumer with all three shortcut engines."""
     weighted, diameter_actual = make_weighted_workload(
         kind, n, diameter_value, seed=derive_seed(seed, "E6", n, "workload")
     )
     _, kruskal_weight = kruskal_mst(weighted)
 
-    factories = [
-        default_shortcut_factory(
-            diameter_value=diameter_actual, log_factor=log_factor,
-            rng=derive_seed(seed, "E6", n, "kp"),
-        ),
-        build_ghaffari_haeupler_shortcut,
-        build_naive_shortcut,
-    ]
     kp, gh, naive = [
-        boruvka_mst(weighted, shortcut_factory=factory) for factory in factories
+        shortcut_boruvka_mst(
+            weighted, engine=engine, diameter_value=diameter_actual,
+            log_factor=log_factor, rng=derive_seed(seed, "E6", n, engine),
+        )
+        for engine in ("shortcut", "ghaffari-haeupler", "naive")
     ]
     return [
         kind,
@@ -738,9 +735,11 @@ def plan_mst_experiment(
     log_factor: float = 0.25,
     seed: int = 23,
 ) -> ExperimentPlan:
-    """E6: Boruvka-over-shortcuts MST — correctness and charged rounds per engine.
+    """E6: Boruvka-over-shortcuts MST — correctness and simulated rounds per engine.
 
-    One cell per size.
+    Runs :func:`~repro.applications.shortcut_mst.shortcut_boruvka_mst` once
+    per shortcut engine (Kogan-Parter, Ghaffari-Haeupler, naive) on one
+    weighted workload.  One cell per size.
     """
     tasks = [
         CellTask("E6", dict(kind=kind, n=n, diameter_value=diameter_value,
@@ -754,23 +753,27 @@ def plan_mst_experiment(
             "workload", "n", "D", "kp_rounds", "gh_rounds", "naive_rounds",
             "phases", "weight_matches_kruskal",
         ],
-        notes=[f"kind={kind}, log_factor={log_factor}, seed={seed}"],
+        notes=[
+            f"kind={kind}, log_factor={log_factor}, seed={seed}",
+            "rounds are simulated: shortcut_boruvka_mst with engine 'shortcut' "
+            "(KP), 'ghaffari-haeupler' and 'naive'",
+        ],
     )
 
 
 # ----------------------------------------------------------------------
 # E7: approximate min-cut
 # ----------------------------------------------------------------------
-def _mincut_cell(*, half: int, cut_k: int, log_factor: float, seed: int) -> list:
+def _mincut_cell(*, half: int, cut_k: int, seed: int) -> list:
     """E7 cell: one planted-cut instance."""
     graph = planted_cut_graph(
         half, cut_k, rng=derive_seed(seed, "E7", half, cut_k, "graph")
     )
     exact_value, _ = stoer_wagner_min_cut(graph)
-    factory = default_shortcut_factory(
-        log_factor=log_factor, rng=derive_seed(seed, "E7", half, cut_k, "factory")
+    approx = approximate_min_cut(
+        graph, epsilon=0.5, num_trees=4,
+        rng=derive_seed(seed, "E7", half, cut_k, "packing"),
     )
-    approx = approximate_min_cut(graph, epsilon=0.5, num_trees=4, shortcut_factory=factory)
     ratio = approx.value / exact_value if exact_value else float("inf")
     return [
         graph.num_vertices,
@@ -788,14 +791,14 @@ def plan_mincut_experiment(
     half_sizes: Sequence[int] = (30, 50),
     cut_edges: Sequence[int] = (3, 6),
     seed: int = 29,
-    log_factor: float = 0.25,
 ) -> ExperimentPlan:
     """E7: approximate min-cut value and rounds on planted-cut instances.
 
-    One cell per (half size, planted cut size).
+    Every packed tree is one run of the simulated Boruvka consumer over
+    Kogan-Parter shortcuts.  One cell per (half size, planted cut size).
     """
     tasks = [
-        CellTask("E7", dict(half=half, cut_k=k, log_factor=log_factor, seed=seed))
+        CellTask("E7", dict(half=half, cut_k=k, seed=seed))
         for half in half_sizes
         for k in cut_edges
     ]
@@ -805,7 +808,11 @@ def plan_mincut_experiment(
         headers=[
             "n", "planted_cut", "exact", "approx", "ratio", "trees", "rounds",
         ],
-        notes=[f"seed={seed}, log_factor={log_factor}"],
+        notes=[
+            f"seed={seed}",
+            "rounds are simulated: the packing's shortcut_boruvka_mst runs "
+            "(KP shortcuts at log_factor 0.25), summed over trees",
+        ],
     )
 
 
@@ -843,10 +850,9 @@ def _applications_cell(
     ecss_graph = planted_cut_graph(
         max(10, n // 2), 4, rng=derive_seed(seed, "E8", n, "ecss_graph")
     )
-    factory = default_shortcut_factory(
-        log_factor=log_factor, rng=derive_seed(seed, "E8", n, "ecss_factory")
+    ecss = two_ecss_approximation(
+        ecss_graph, rng=derive_seed(seed, "E8", n, "ecss")
     )
-    ecss = two_ecss_approximation(ecss_graph, shortcut_factory=factory)
     weight_ratio = ecss.weight / ecss.mst_weight if ecss.mst_weight else float("inf")
 
     return [
@@ -887,6 +893,9 @@ def plan_applications_experiment(
             f"kind={kind}, log_factor={log_factor}, seed={seed}",
             "bf_baseline_stretch = stretch of plain Bellman-Ford run for the same number of phases",
             "ecss_weight_ratio = 2-ECSS weight / MST weight (MST is a lower bound on OPT)",
+            "sssp_rounds are charged (c + d*ceil(log2 n) per aggregation, Fact 4.1); "
+            "ecss_rounds are simulated (shortcut_boruvka_mst, KP shortcuts at "
+            "log_factor 0.25, plus its last phase again for the cover sweep)",
         ],
     )
 
@@ -991,8 +1000,6 @@ def _distributed_mst_cell(
     *, n: int, diameter_value: int, log_factor: float, seed: int
 ) -> list:
     """E10 cell: shortcut vs raw-fragment-tree Boruvka consumer at one size."""
-    from ..applications.shortcut_mst import shortcut_boruvka_mst
-
     inst = _cached_lower_bound_instance(n, diameter_value)
     weighted = with_random_weights(
         inst.graph, rng=derive_seed(seed, "E10", n, "weights")
@@ -1252,7 +1259,6 @@ def _fault_tolerance_cell(
     partial metrics folded into the round count.
     """
     from ..applications.components import shortcut_connected_components
-    from ..applications.shortcut_mst import shortcut_boruvka_mst
     from ..congest.network import PartialRunError
     from ..graphs.components import connected_components
     from ..graphs.generators import GENERATOR_FAMILIES, disjoint_union, make_family_graph

@@ -1,12 +1,13 @@
 """Distributed optimization applications built on low-congestion shortcuts.
 
 These modules reproduce Section 4 of the paper: every application consumes
-shortcuts exclusively through the part-wise aggregation primitive, so its
-round complexity inherits the shortcut quality — the property the
-application experiments (E6-E8) measure by swapping shortcut engines.
+shortcuts through the part-wise aggregation primitive, so its round
+complexity inherits the shortcut quality.  MST, min-cut and 2-ECSS take
+their trees and rounds from one simulated Boruvka loop
+(:mod:`.shortcut_mst`); E6 swaps its shortcut engine.  SSSP charges the
+Fact 4.1 cost analytically (:func:`.sssp.estimate_aggregation_rounds`).
 """
 
-from .aggregation import AggregationResult, estimate_aggregation_rounds, partwise_aggregate
 from .components import ComponentsResult, shortcut_connected_components
 from .mincut import (
     MinCutResult,
@@ -14,13 +15,7 @@ from .mincut import (
     cut_value,
     stoer_wagner_min_cut,
 )
-from .mst import (
-    MSTResult,
-    ShortcutFactory,
-    boruvka_mst,
-    default_shortcut_factory,
-    kruskal_mst,
-)
+from .mst import kruskal_mst
 from .shortcut_mst import (
     CONSUMER_ENGINES,
     NO_CANDIDATE,
@@ -32,6 +27,7 @@ from .sssp import (
     UNREACHABLE,
     bellman_ford,
     dijkstra,
+    estimate_aggregation_rounds,
     shortcut_accelerated_sssp,
 )
 from .two_ecss import (
@@ -42,19 +38,12 @@ from .two_ecss import (
 )
 
 __all__ = [
-    "AggregationResult",
-    "estimate_aggregation_rounds",
-    "partwise_aggregate",
     "ComponentsResult",
     "shortcut_connected_components",
     "CONSUMER_ENGINES",
     "NO_CANDIDATE",
     "ShortcutMSTResult",
     "shortcut_boruvka_mst",
-    "MSTResult",
-    "ShortcutFactory",
-    "boruvka_mst",
-    "default_shortcut_factory",
     "kruskal_mst",
     "MinCutResult",
     "approximate_min_cut",
@@ -64,6 +53,7 @@ __all__ = [
     "UNREACHABLE",
     "bellman_ford",
     "dijkstra",
+    "estimate_aggregation_rounds",
     "shortcut_accelerated_sssp",
     "TwoECSSResult",
     "find_bridges",

@@ -61,7 +61,7 @@ class ComponentsResult:
             leader-exchange round + the measured two-stage aggregation).
         rounds_per_phase: the per-phase breakdown.
         messages: messages delivered across all simulated stages.
-        engine: ``"shortcut"`` or ``"raw"``.
+        engine: the routing substrate the phases used.
     """
 
     labels: list[int]
@@ -79,8 +79,7 @@ def shortcut_connected_components(
     engine: str = "shortcut",
     diameter_value: Optional[int] = None,
     log_factor: float = 0.25,
-    rng: RandomLike = None,
-    max_rounds_per_phase: int = 200_000,
+    rng: RandomLike,
     max_phases: Optional[int] = None,
     drop_rate: float = 0.0,
     crashes: int = 0,
@@ -92,12 +91,13 @@ def shortcut_connected_components(
     Args:
         graph: the host graph (disconnected inputs are the interesting
             case).
-        engine: routing substrate per phase — ``"shortcut"`` or ``"raw"``.
+        engine: routing substrate per phase, one of
+            :data:`~repro.applications.shortcut_mst.CONSUMER_ENGINES`.
         diameter_value: host diameter for the shortcut parameters (default:
             the largest component diameter, measured once).
         log_factor: sampling-probability factor of the per-phase shortcut.
-        rng: randomness for sampling and scheduler delays.
-        max_rounds_per_phase: safety cap per simulated stage.
+        rng: randomness for sampling and scheduler delays; required, so a
+            run is reproducible from its arguments.
         max_phases: phase cap (default ``ceil(log2 n) + 2``).
         drop_rate: Bernoulli message-drop probability per delivery; any
             positive rate turns on the retry/ack protocol stack (labels
@@ -122,8 +122,7 @@ def shortcut_connected_components(
         graph, lambda r: [r.random() for _ in range(graph.num_edges)],
         "components",
         engine=engine, diameter_value=diameter_value, log_factor=log_factor,
-        rng=rng, max_rounds_per_phase=max_rounds_per_phase,
-        max_phases=max_phases, drop_rate=drop_rate, crashes=crashes,
+        rng=rng, max_phases=max_phases, drop_rate=drop_rate, crashes=crashes,
         adversary_seed=adversary_seed, recover_after=recover_after,
     )
     # Canonical labels: smallest member id per fragment, via one find per

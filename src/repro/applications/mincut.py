@@ -11,8 +11,10 @@ reproduction:
 * a **greedy spanning-tree packing**: ``T`` spanning trees are built one
   after another, each minimizing the accumulated load of the previously
   packed trees (Karger's classic packing; the minimum cut 2-respects one of
-  the packed trees w.h.p.).  Every tree construction is one Boruvka run
-  whose rounds are charged through the shortcut engine.
+  the packed trees w.h.p.).  Every tree construction is one run of the
+  simulated Boruvka consumer over Kogan-Parter shortcuts
+  (:func:`~repro.applications.shortcut_mst.shortcut_boruvka_mst`), whose
+  simulated rounds the result reports.
 * **cut candidate evaluation**: for every packed tree, all cuts induced by
   removing one tree edge (1-respecting cuts) plus all single-vertex cuts are
   evaluated; each tree's evaluation is a constant number of part-wise
@@ -20,10 +22,10 @@ reproduction:
 
 On the planted-cut workloads of the experiment harness the returned value
 matches the exact minimum cut (computed by the Stoer-Wagner reference
-implementation below), and the charged rounds scale with the shortcut
-quality exactly as the corollary states.  The approximation guarantee of the
-simplified candidate set is weaker than ``(1 + ε)`` in the worst case;
-``repro experiments --experiment E7`` reports the measured cut ratio.
+implementation below), and the rounds are those of the packing's simulated
+Boruvka runs.  The approximation guarantee of the simplified candidate set
+is weaker than ``(1 + ε)`` in the worst case; ``repro experiments
+--experiment E7`` reports the measured cut ratio.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..graphs.graph import WeightedGraph, edge_key
-from .mst import ShortcutFactory, boruvka_mst, default_shortcut_factory
+from ..rng import RandomLike, ensure_rng
+from .shortcut_mst import shortcut_boruvka_mst
 
 
 @dataclass
@@ -44,8 +47,8 @@ class MinCutResult:
         value: the best (smallest) cut value found.
         side: one side of the corresponding cut (vertex set).
         num_trees: number of packed spanning trees.
-        total_rounds: charged round count across packing and evaluation.
-        tree_rounds: rounds charged per packed tree.
+        total_rounds: simulated rounds of the packing, summed over trees.
+        tree_rounds: simulated rounds per packed tree.
     """
 
     value: float
@@ -126,7 +129,7 @@ def approximate_min_cut(
     *,
     epsilon: float = 0.5,
     num_trees: Optional[int] = None,
-    shortcut_factory: Optional[ShortcutFactory] = None,
+    rng: RandomLike,
 ) -> MinCutResult:
     """Approximate the minimum cut via greedy tree packing over shortcuts.
 
@@ -136,9 +139,10 @@ def approximate_min_cut(
             trees (``ceil(3 ln n / epsilon^2)``, capped at 12 to keep the
             simulation tractable).
         num_trees: override the number of packed trees.
-        shortcut_factory: shortcut engine used by the per-tree Boruvka runs
-            (default: Kogan-Parter).  The packed trees, the cut value and
-            the charged rounds are deterministic given the factory.
+        rng: randomness of the per-tree Boruvka runs (shortcut sampling
+            and scheduler delays), threaded through the trees in order.
+            The packed trees and the cut value do not depend on it; the
+            rounds are deterministic given it.
 
     Returns:
         A :class:`MinCutResult`; ``value`` is an upper bound on the true
@@ -147,8 +151,7 @@ def approximate_min_cut(
     n = graph.num_vertices
     if n < 2:
         raise ValueError("minimum cut needs at least two vertices")
-    if shortcut_factory is None:
-        shortcut_factory = default_shortcut_factory()
+    r = ensure_rng(rng)
     if num_trees is None:
         num_trees = min(12, max(2, math.ceil(3.0 * math.log(max(n, 2)) / (epsilon ** 2))))
     loads: dict[tuple[int, int], float] = {e: 0.0 for e in graph.edges()}
@@ -159,13 +162,12 @@ def approximate_min_cut(
     for _t in range(num_trees):
         # Build a spanning tree minimizing the accumulated load (scaled by
         # the edge weight so that heavy edges absorb more packing).  The tree
-        # computation is a Boruvka run over a load-reweighted graph, charged
-        # through the shortcut engine.
+        # computation is a simulated Boruvka run over a load-reweighted graph.
         reweighted = WeightedGraph(n)
         for (u, v), load in loads.items():
             w = graph.weight(u, v)
             reweighted.add_weighted_edge(u, v, 1e-9 + load / w)
-        mst = boruvka_mst(reweighted, shortcut_factory=shortcut_factory)
+        mst = shortcut_boruvka_mst(reweighted, rng=r)
         tree_edges = mst.edges
         tree_rounds.append(mst.total_rounds)
         for e in tree_edges:

@@ -20,9 +20,12 @@ composition on the CONGEST simulator.  Every phase
 
 The ``engine`` argument swaps the routing substrate while keeping the
 algorithm fixed: ``"shortcut"`` routes over the Kogan-Parter augmented
-subgraphs, ``"raw"`` over the bare fragment trees (an empty shortcut).
-The measured per-phase rounds therefore isolate the quantity the paper
-promises — rounds saved by routing aggregates through shortcut edges.
+subgraphs, ``"ghaffari-haeupler"`` over the Ghaffari-Haeupler baseline
+shortcut, ``"naive"`` over the whole-graph shortcut and ``"raw"`` over the
+bare fragment trees (an empty shortcut).  The measured per-phase rounds
+therefore isolate the quantity the paper promises — rounds saved by routing
+aggregates through shortcut edges — and experiment E6 compares the
+engines on one weighted workload.
 
 The reported rounds cover the aggregation runtime (the per-phase loop
 above); the cost of *constructing* each shortcut distributedly is measured
@@ -49,12 +52,19 @@ from ..graphs.components import UnionFind
 from ..graphs.graph import WeightedGraph, edge_key
 from ..graphs.traversal import max_component_diameter
 from ..rng import RandomLike, derive_seed, ensure_rng
-from ..shortcuts.baselines import build_empty_shortcut
+from ..shortcuts.baselines import (
+    build_empty_shortcut,
+    build_ghaffari_haeupler_shortcut,
+    build_naive_shortcut,
+)
 from ..shortcuts.kogan_parter import build_kogan_parter_shortcut
 from ..shortcuts.partition import Partition
 
 #: Routing substrates of the simulated consumers.
-CONSUMER_ENGINES = ("shortcut", "raw")
+CONSUMER_ENGINES = ("shortcut", "raw", "ghaffari-haeupler", "naive")
+
+#: Safety cap on the rounds of each simulated stage.
+MAX_ROUNDS_PER_STAGE = 200_000
 
 #: MWOE candidate of a node with no outgoing edge (compares larger than
 #: every real ``(weight, u, v)`` candidate).
@@ -77,7 +87,7 @@ class ShortcutMSTResult:
         aggregation_rounds_per_phase: convergecast/broadcast stage rounds
             per phase.
         messages: messages delivered across all simulated stages.
-        engine: ``"shortcut"`` or ``"raw"``.
+        engine: one of :data:`CONSUMER_ENGINES`.
     """
 
     edges: list[tuple[int, int]]
@@ -152,8 +162,7 @@ def shortcut_boruvka_mst(
     engine: str = "shortcut",
     diameter_value: Optional[int] = None,
     log_factor: float = 0.25,
-    rng: RandomLike = None,
-    max_rounds_per_phase: int = 200_000,
+    rng: RandomLike,
     max_phases: Optional[int] = None,
     drop_rate: float = 0.0,
     crashes: int = 0,
@@ -166,13 +175,15 @@ def shortcut_boruvka_mst(
         graph: a weighted graph (a disconnected graph yields the minimum
             spanning forest).
         engine: ``"shortcut"`` (route each phase's aggregation over a fresh
-            Kogan-Parter shortcut of the fragment partition) or ``"raw"``
-            (route over the bare fragment trees).
+            Kogan-Parter shortcut of the fragment partition),
+            ``"ghaffari-haeupler"`` or ``"naive"`` (the baseline shortcuts
+            of the same partition) or ``"raw"`` (route over the bare
+            fragment trees).
         diameter_value: host diameter ``D`` for the shortcut parameters
             (default: the largest component diameter, measured once).
         log_factor: sampling-probability factor of the per-phase shortcut.
-        rng: randomness for the per-phase sampling and scheduler delays.
-        max_rounds_per_phase: safety cap per simulated stage.
+        rng: randomness for the per-phase sampling and scheduler delays;
+            required, so a run is reproducible from its arguments.
         max_phases: phase cap (default ``ceil(log2 n) + 2``).
         drop_rate: Bernoulli message-drop probability per delivery; any
             positive rate turns on the retry/ack protocol stack (the MST
@@ -197,8 +208,7 @@ def shortcut_boruvka_mst(
     return _boruvka_phases(
         graph, lambda r: graph.weight_array(), "mst",
         engine=engine, diameter_value=diameter_value, log_factor=log_factor,
-        rng=rng, max_rounds_per_phase=max_rounds_per_phase,
-        max_phases=max_phases, drop_rate=drop_rate, crashes=crashes,
+        rng=rng, max_phases=max_phases, drop_rate=drop_rate, crashes=crashes,
         adversary_seed=adversary_seed, recover_after=recover_after,
     )[1]
 
@@ -212,7 +222,6 @@ def _boruvka_phases(
     diameter_value: Optional[int],
     log_factor: float,
     rng: RandomLike,
-    max_rounds_per_phase: int,
     max_phases: Optional[int],
     drop_rate: float,
     crashes: int,
@@ -284,11 +293,17 @@ def _boruvka_phases(
         if not candidates:
             # Every fragment is a finished component (spanning forest done).
             break
+        # The builders are looked up at call time, so a wrapper installed
+        # on this module's globals sees every per-phase construction.
         if engine == "shortcut":
             shortcut = build_kogan_parter_shortcut(
                 graph, partition, diameter_value=diameter_value,
                 log_factor=log_factor, rng=r,
             ).shortcut
+        elif engine == "ghaffari-haeupler":
+            shortcut = build_ghaffari_haeupler_shortcut(graph, partition)
+        elif engine == "naive":
+            shortcut = build_naive_shortcut(graph, partition)
         else:
             shortcut = build_empty_shortcut(graph, partition)
         adversary = None
@@ -301,7 +316,7 @@ def _boruvka_phases(
         outcome = aggregate_over_shortcut(
             shortcut, candidates, "min",
             network=network, identity=NO_CANDIDATE, rng=r,
-            max_rounds=max_rounds_per_phase,
+            max_rounds=MAX_ROUNDS_PER_STAGE,
             retry=retry, adversary=adversary,
         )
         # One extra round per phase for the neighbour fragment-id exchange

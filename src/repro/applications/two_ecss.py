@@ -6,29 +6,28 @@ rounds.  The [DG19] machinery (tree embeddings into the fragments) is used
 as a black box by the paper; this module implements the classical
 *tree-plus-augmentation* scheme that exposes the same shortcut dependence:
 
-1. compute an MST with the shortcut-driven Boruvka of
-   :mod:`repro.applications.mst` (``~O(quality · log n)`` rounds);
+1. compute an MST with the simulated Boruvka consumer of
+   :mod:`repro.applications.shortcut_mst` (``~O(quality · log n)`` rounds);
 2. for every MST edge, find the minimum-weight non-tree edge that covers it
    (i.e. whose tree path contains it) and add those cover edges — each
    "find the best cover" is a part-wise min aggregation over the fragments
-   on the two sides of the edge, charged through the shortcut quality.
+   on the two sides of the edge, charged as one more MST phase.
 
 When the input graph is 2-edge-connected the output is 2-edge-connected
 (every bridge of the MST is covered), and its weight is at most
 ``MST + sum of covers <= 2 · OPT`` for the augmentation step on top of the
 tree (the classical analysis); experiment E8 reports the measured weight
-ratio against the connectivity lower bound (max of MST weight and the
-cheapest 2-regular bound) and the charged rounds per shortcut engine.
+ratio against the MST weight (a lower bound on OPT) and the rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..graphs.graph import Graph, WeightedGraph, edge_key
 from ..graphs.traversal import bfs_tree
-from .mst import ShortcutFactory, boruvka_mst, default_shortcut_factory
+from ..rng import RandomLike
+from .shortcut_mst import shortcut_boruvka_mst
 
 
 @dataclass
@@ -42,7 +41,8 @@ class TwoECSSResult:
         is_two_edge_connected: whether the selected subgraph is bridgeless
             and spanning (always ``True`` when the input graph is
             2-edge-connected).
-        total_rounds: charged rounds (MST + augmentation aggregations).
+        total_rounds: the MST's simulated rounds plus the augmentation
+            sweep, charged as a repeat of the MST's last phase.
         uncovered_edges: MST edges for which no covering non-tree edge
             exists (these are bridges of the input graph itself).
     """
@@ -114,23 +114,21 @@ def is_two_edge_connected(graph: Graph, edges: list[tuple[int, int]]) -> bool:
 def two_ecss_approximation(
     graph: WeightedGraph,
     *,
-    shortcut_factory: Optional[ShortcutFactory] = None,
+    rng: RandomLike,
 ) -> TwoECSSResult:
     """Approximate the minimum-weight 2-ECSS by MST + cheapest cover edges.
 
     Args:
         graph: a weighted graph; the result is 2-edge-connected iff the
             input is (bridges of the input can never be covered).
-        shortcut_factory: the shortcut engine used by the MST phase and
-            charged for the augmentation aggregations.  The edge set and
-            the charged rounds are deterministic given the factory.
+        rng: randomness of the MST run (shortcut sampling and scheduler
+            delays).  The edge set does not depend on it; the rounds are
+            deterministic given it.
 
     Returns:
         A :class:`TwoECSSResult`.
     """
-    if shortcut_factory is None:
-        shortcut_factory = default_shortcut_factory()
-    mst = boruvka_mst(graph, shortcut_factory=shortcut_factory)
+    mst = shortcut_boruvka_mst(graph, rng=rng)
     tree_edges = set(mst.edges)
 
     # Root the tree and record parent/depth so that "the tree path of a
@@ -170,12 +168,12 @@ def two_ecss_approximation(
         chosen.add(edge_key(cover[1], cover[2]))
 
     weight = graph.total_weight(chosen)
-    # Round accounting: the MST rounds plus one aggregation per O(log n)
-    # batch of cover selections (the covers for all tree edges are found by
-    # one bottom-up sweep of part-wise min aggregations in [DG19]); we charge
-    # a single sweep of aggregations proportional to the tree depth factor.
-    quality_rounds = mst.rounds_per_phase[-1] if mst.rounds_per_phase else 0
-    total_rounds = mst.total_rounds + quality_rounds
+    # Round accounting: the MST rounds plus one sweep of cover selections
+    # (the covers for all tree edges are found by one bottom-up sweep of
+    # part-wise min aggregations in [DG19]), charged as the MST's last
+    # simulated phase, an aggregation over the near-final fragments.
+    sweep_rounds = mst.rounds_per_phase[-1] if mst.rounds_per_phase else 0
+    total_rounds = mst.total_rounds + sweep_rounds
 
     return TwoECSSResult(
         edges=sorted(chosen),

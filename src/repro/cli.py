@@ -8,10 +8,11 @@ writing a script:
 * ``shortcut``    — generate a workload, build a shortcut with a chosen
                     engine and print its quality report (optionally save it
                     as JSON);
-* ``mst``         — run Boruvka-over-shortcuts on a generated weighted
-                    workload and report rounds / weight vs Kruskal
-                    (``--engine shortcut``/``raw`` run the fully simulated
-                    consumer, ``analytic`` the charged-cost model);
+* ``mst``         — run the simulated Boruvka-over-shortcuts consumer on a
+                    generated weighted workload and report rounds / weight
+                    vs Kruskal (``--engine`` picks the routing substrate:
+                    ``shortcut`` (Kogan-Parter, the default),
+                    ``ghaffari-haeupler``, ``naive`` or ``raw``);
 * ``components``  — run the simulated connected-components consumer on a
                     multi-piece workload and check its labels
                     (``shortcut``/``mst``/``components`` all take
@@ -42,7 +43,7 @@ from .analysis.experiments import (
     EXPERIMENT_RUNNERS, experiment_id_order, make_workload, run_all_experiments,
 )
 from .applications.components import shortcut_connected_components
-from .applications.mst import boruvka_mst, default_shortcut_factory, kruskal_mst
+from .applications.mst import kruskal_mst
 from .applications.shortcut_mst import CONSUMER_ENGINES, shortcut_boruvka_mst
 from .graphs.components import connected_components
 from .graphs.generators import (
@@ -130,11 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     mst.add_argument("--n", type=int, default=300)
     mst.add_argument("--diameter", "-D", type=int, default=6)
     mst.add_argument("--workload", choices=("hub", "lower_bound", "cluster"), default="hub")
-    mst.add_argument("--engine", choices=("analytic",) + CONSUMER_ENGINES, default="analytic",
-                     help="'analytic' charges rounds from the shortcut quality; "
-                          "'shortcut'/'raw' run the fully simulated consumer "
-                          "(aggregation routed over KP-augmented vs bare "
-                          "fragment trees)")
+    mst.add_argument("--engine", choices=CONSUMER_ENGINES, default="shortcut",
+                     help="routing substrate of every phase's simulated MWOE "
+                          "aggregation: 'shortcut' (Kogan-Parter), "
+                          "'ghaffari-haeupler' or 'naive' shortcuts of the "
+                          "fragment partition, or 'raw' (bare fragment trees)")
     mst.add_argument("--log-factor", type=float, default=0.25)
     mst.add_argument("--seed", type=int, default=0)
     _add_fault_args(mst)
@@ -290,39 +291,25 @@ def _command_shortcut(args: argparse.Namespace) -> int:
 
 
 def _command_mst(args: argparse.Namespace) -> int:
-    faulty = args.drop_rate > 0.0 or args.crash > 0
-    if faulty and args.engine == "analytic":
-        print("error: --drop-rate/--crash need a simulated engine "
-              "(--engine shortcut or raw); the analytic model has no "
-              "message deliveries to attack", file=sys.stderr)
-        return 2
     workload = make_workload(args.workload, args.n, args.diameter, seed=args.seed)
     weighted = with_random_weights(workload.graph, rng=args.seed + 1)
     _, kruskal_weight = kruskal_mst(weighted)
     print(f"workload        : {workload.name} (n={weighted.num_vertices}, D={workload.diameter})")
     print(f"engine          : {args.engine}")
-    if args.engine == "analytic":
-        factory = default_shortcut_factory(
-            diameter_value=workload.diameter, log_factor=args.log_factor, rng=args.seed
-        )
-        result = boruvka_mst(weighted, shortcut_factory=factory)
-        rounds_label = "charged rounds  "
-    else:
-        if faulty:
-            print(f"fault model     : drop_rate={args.drop_rate}, "
-                  f"crashes={args.crash}")
-        result = shortcut_boruvka_mst(
-            weighted, engine=args.engine, diameter_value=workload.diameter,
-            log_factor=args.log_factor, rng=args.seed,
-            drop_rate=args.drop_rate, crashes=args.crash,
-            adversary_seed=args.adversary_seed, recover_after=16,
-        )
-        rounds_label = "simulated rounds"
+    if args.drop_rate > 0.0 or args.crash > 0:
+        print(f"fault model     : drop_rate={args.drop_rate}, "
+              f"crashes={args.crash}")
+    result = shortcut_boruvka_mst(
+        weighted, engine=args.engine, diameter_value=workload.diameter,
+        log_factor=args.log_factor, rng=args.seed,
+        drop_rate=args.drop_rate, crashes=args.crash,
+        adversary_seed=args.adversary_seed, recover_after=16,
+    )
     print(f"MST weight      : {result.weight:.2f}")
     print(f"Kruskal weight  : {kruskal_weight:.2f}")
     print(f"weights match   : {abs(result.weight - kruskal_weight) < 1e-6}")
     print(f"phases          : {result.phases}")
-    print(f"{rounds_label}: {result.total_rounds}")
+    print(f"simulated rounds: {result.total_rounds}")
     print(f"rounds per phase: {result.rounds_per_phase}")
     return 0
 

@@ -6,8 +6,7 @@ associative aggregate (min / max / sum) per part over the part's
 shortcut-augmented subgraph, and make the result known to the part*.  This
 module is the CONGEST runtime for that operation — the piece that actually
 routes aggregates through shortcut edges instead of charging their cost
-analytically (:func:`repro.applications.aggregation.partwise_aggregate`
-keeps the analytic model).
+analytically.
 
 The execution is the paper's recipe, fully simulated and CSR-native:
 
@@ -635,10 +634,9 @@ def aggregate_over_shortcut(
 ) -> ShortcutAggregationResult:
     """Aggregate ``node_values`` inside every part, routed over ``shortcut``.
 
-    The simulated counterpart of :func:`repro.applications.aggregation.
-    partwise_aggregate`: each part's aggregate travels over its augmented
-    subgraph ``G[S_i] ∪ H_i``, so the measured rounds inherit the
-    shortcut's congestion + dilation.  Passing a shortcut with empty
+    Each part's aggregate travels over its augmented subgraph
+    ``G[S_i] ∪ H_i``, so the measured rounds inherit the shortcut's
+    congestion + dilation.  Passing a shortcut with empty
     ``H_i`` (e.g. :func:`repro.shortcuts.baselines.build_empty_shortcut`)
     degrades the routing to the raw part trees — the comparison experiment
     E14 measures exactly that gap.

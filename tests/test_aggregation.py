@@ -1,13 +1,15 @@
-"""Unit tests for the part-wise aggregation primitive."""
+"""Unit tests for the part-wise aggregation primitive and its Fact 4.1 charge."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.applications import estimate_aggregation_rounds, partwise_aggregate
+from repro.applications import estimate_aggregation_rounds
 from repro.congest.primitives.aggregation import aggregate_over_shortcut
 from repro.graphs import cluster_star_graph, cycle_graph, grid_graph, grid_strip_partition
 from repro.shortcuts import Partition, Shortcut, build_kogan_parter_shortcut
+
+from partwise_oracle import partwise_fold
 
 
 @pytest.fixture
@@ -19,46 +21,38 @@ def cluster_setup():
     return g, partition, shortcut
 
 
-class TestAnalyticAggregation:
+class TestAggregateValues:
     def test_min_per_part(self, cluster_setup):
         g, partition, shortcut = cluster_setup
         values = {v: float(v) for v in g.vertices()}
-        result = partwise_aggregate(shortcut, values, op="min")
+        result = aggregate_over_shortcut(shortcut, values, "min", rng=1)
         for idx in range(partition.num_parts):
             assert result.values[idx] == float(min(partition.part(idx)))
 
     def test_max_per_part(self, cluster_setup):
         g, partition, shortcut = cluster_setup
         values = {v: float(v) for v in g.vertices()}
-        result = partwise_aggregate(shortcut, values, op="max")
+        result = aggregate_over_shortcut(shortcut, values, "max", rng=1)
         for idx in range(partition.num_parts):
             assert result.values[idx] == float(max(partition.part(idx)))
 
     def test_sum_per_part(self, cluster_setup):
         g, partition, shortcut = cluster_setup
         values = {v: 1 for v in g.vertices()}
-        result = partwise_aggregate(shortcut, values, op="sum")
+        result = aggregate_over_shortcut(shortcut, values, "sum", rng=1)
         for idx in range(partition.num_parts):
             assert result.values[idx] == len(partition.part(idx))
 
     def test_missing_values_skipped(self, cluster_setup):
         g, partition, shortcut = cluster_setup
         values = {min(partition.part(0)): 5.0}
-        result = partwise_aggregate(shortcut, values, op="min")
+        result = aggregate_over_shortcut(shortcut, values, "min", rng=1)
         assert result.values == {0: 5.0}
 
     def test_unsupported_op(self, cluster_setup):
         _, _, shortcut = cluster_setup
         with pytest.raises(ValueError):
-            partwise_aggregate(shortcut, {}, op="median")
-
-    def test_rounds_positive_and_scale_with_quality(self, cluster_setup):
-        g, partition, shortcut = cluster_setup
-        values = {v: 1 for v in g.vertices()}
-        result = partwise_aggregate(shortcut, values, op="sum")
-        assert result.rounds >= 1
-        quality = shortcut.quality_report()
-        assert result.rounds == estimate_aggregation_rounds(quality, g.num_vertices)
+            aggregate_over_shortcut(shortcut, {}, "median")
 
 
 class TestEstimateRounds:
@@ -82,14 +76,13 @@ class TestEstimateRounds:
 
 class TestSimulatedAggregation:
     """The simulated aggregation over ``G[S_i] ∪ H_i`` agrees with the
-    analytic one part for part."""
+    sequential per-part fold part for part."""
 
-    def test_simulated_matches_analytic_on_clusters(self, cluster_setup):
+    def test_simulated_matches_oracle_on_clusters(self, cluster_setup):
         g, partition, shortcut = cluster_setup
         values = {v: float(v) for v in g.vertices()}
-        analytic = partwise_aggregate(shortcut, values, op="min")
         simulated = aggregate_over_shortcut(shortcut, values, "min", rng=3)
-        assert simulated.values == analytic.values
+        assert simulated.values == partwise_fold(partition, values, "min")
         assert simulated.rounds > 0
         assert simulated.rounds == simulated.bfs_rounds + simulated.aggregation_rounds
 
@@ -98,9 +91,8 @@ class TestSimulatedAggregation:
         partition = Partition(g, grid_strip_partition(6, 6, strip_height=2))
         kp = build_kogan_parter_shortcut(g, partition, diameter_value=10, log_factor=0.3, rng=1)
         values = {v: float(v % 7) for v in g.vertices()}
-        analytic = partwise_aggregate(kp.shortcut, values, op="min")
         simulated = aggregate_over_shortcut(kp.shortcut, values, "min", rng=5)
-        assert simulated.values == analytic.values
+        assert simulated.values == partwise_fold(partition, values, "min")
         assert sorted(simulated.simulated_parts) == list(range(partition.num_parts))
 
     def test_simulated_sum(self, cluster_setup):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.applications.shortcut_mst import CONSUMER_ENGINES
 from repro.cli import ENGINES, build_parser, main
 from repro.io import load_json
 from repro.shortcuts import Shortcut
@@ -125,12 +126,11 @@ class TestMSTCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "weights match   : True" in out
-        assert "charged rounds" in out
+        assert "simulated rounds" in out
 
-    def test_analytic_engine_is_seed_deterministic(self, capsys):
-        # Regression: the analytic engine's per-phase dilation measurement
-        # once drew OS entropy, so same-seed runs printed different charged
-        # rounds; it is now the deterministic double sweep.
+    def test_default_engine_is_seed_deterministic(self, capsys):
+        # Same-seed runs print the same simulated rounds: every random draw
+        # of the consumer comes from --seed.
         args = ["mst", "--n", "150", "-D", "6", "--workload", "hub", "--seed", "5"]
         assert main(args) == 0
         first = capsys.readouterr().out
@@ -201,7 +201,7 @@ class TestUnknownDiameterFlag:
 
 
 class TestMSTEngines:
-    @pytest.mark.parametrize("engine", ["shortcut", "raw"])
+    @pytest.mark.parametrize("engine", CONSUMER_ENGINES)
     def test_simulated_engines_report_match(self, engine, capsys):
         code = main([
             "mst", "--n", "100", "-D", "6", "--workload", "hub",
@@ -213,12 +213,12 @@ class TestMSTEngines:
         assert "weights match   : True" in out
         assert "simulated rounds" in out
 
-    def test_analytic_engine_is_default(self, capsys):
+    def test_shortcut_engine_is_default(self, capsys):
         code = main(["mst", "--n", "100", "-D", "6", "--seed", "2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "engine          : analytic" in out
-        assert "charged rounds" in out
+        assert "engine          : shortcut" in out
+        assert "simulated rounds" in out
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SystemExit):
@@ -298,11 +298,6 @@ class TestFaultFlags:
         out = capsys.readouterr().out
         assert "fault model     : drop_rate=0.05, crashes=0" in out
         assert "weights match   : True" in out
-
-    def test_mst_analytic_engine_rejects_faults(self, capsys):
-        code = main(["mst", "--engine", "analytic", "--drop-rate", "0.1"])
-        assert code == 2
-        assert "simulated engine" in capsys.readouterr().err
 
     def test_components_exact_under_drops(self, capsys):
         code = main([

@@ -3,8 +3,8 @@
 These tests pin down behaviours the measurements rely on: bandwidth only
 changes *when* messages arrive (never the final outputs), congestion shows
 up as backlog and extra rounds, strict mode catches overloads, and the
-simulated part-wise aggregation agrees with the analytic one under varying
-bandwidth.
+simulated part-wise aggregation agrees with the sequential per-part fold
+under varying bandwidth.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.applications import partwise_aggregate
 from repro.congest import (
     BandwidthExceededError,
     Network,
@@ -24,6 +23,7 @@ from repro.congest.primitives.aggregation import aggregate_over_shortcut
 from repro.graphs import bfs_distances, erdos_renyi_graph, grid_graph, path_graph
 from repro.shortcuts import Partition, build_kogan_parter_shortcut
 
+from partwise_oracle import partwise_fold
 from random_delay_scheduler import RandomDelayScheduler
 
 
@@ -74,20 +74,19 @@ class TestBandwidthEffects:
 
 class TestSimulatedAggregationConsistency:
     @pytest.mark.parametrize("bandwidth", [1, 2])
-    def test_simulated_matches_analytic_under_bandwidth(self, bandwidth, lb_instance):
+    def test_simulated_matches_oracle_under_bandwidth(self, bandwidth, lb_instance):
         partition = Partition(lb_instance.graph, lb_instance.parts)
         shortcut = build_kogan_parter_shortcut(
             lb_instance.graph, partition, diameter_value=6, log_factor=0.3, rng=2
         ).shortcut
         values = {v: float((v * 7) % 23) for v in lb_instance.graph.vertices()}
-        analytic = partwise_aggregate(shortcut, values, op="min")
         # The bulk kernels only model unit bandwidth, so bandwidth 2 runs
         # the per-node engine.
         simulated = aggregate_over_shortcut(
             shortcut, values, "min",
             network=Network(lb_instance.graph, bandwidth=bandwidth), rng=4,
         )
-        assert simulated.values == analytic.values
+        assert simulated.values == partwise_fold(partition, values, "min")
         assert simulated.rounds > 0
 
 

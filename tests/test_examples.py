@@ -37,7 +37,7 @@ def test_mst_and_mincut_example():
 
 def test_mst_and_mincut_example_is_deterministic():
     # Every random draw in the example is seeded, so two runs print the
-    # same report byte for byte (the per-phase charged rounds included).
+    # same report byte for byte (the simulated rounds included).
     assert run_example("mst_and_mincut.py") == run_example("mst_and_mincut.py")
 
 

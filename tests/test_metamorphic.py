@@ -5,8 +5,8 @@ its observable output even though their internal mechanics (simulated
 CONGEST routing vs analytic charging, distributed sampler vs in-memory
 sampler) differ entirely:
 
-* the fully simulated ``shortcut`` and ``raw`` MST consumers and the
-  Kruskal oracle all produce the same forest weight, for any seed;
+* the fully simulated MST consumer under every routing engine and the
+  Kruskal oracle all produce the same forest, for any seed;
 * the distributed CONGEST pipeline and the in-memory sampler both produce
   structurally valid shortcuts when driven from the same derived seed;
 * the simulated connected-components consumer matches the sequential
@@ -19,7 +19,7 @@ import pytest
 
 from repro.applications.components import shortcut_connected_components
 from repro.applications.mst import kruskal_mst
-from repro.applications.shortcut_mst import shortcut_boruvka_mst
+from repro.applications.shortcut_mst import CONSUMER_ENGINES, shortcut_boruvka_mst
 from repro.graphs.components import connected_components
 from repro.graphs.generators import (
     disjoint_union,
@@ -36,33 +36,32 @@ from repro.shortcuts.verification import is_valid_shortcut, verify_shortcut
 
 
 class TestMSTEnginesAgree:
-    """``mst --engine shortcut`` ≡ ``--engine raw`` ≡ Kruskal weight."""
+    """Every ``mst --engine`` ≡ Kruskal weight."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_engines_and_oracle_agree_on_hub(self, seed):
         graph = hub_diameter_graph(90, 6, extra_edge_prob=0.04, rng=seed)
         weighted = with_random_weights(graph, rng=derive_seed(seed, "weights"))
         _, kruskal_weight = kruskal_mst(weighted)
-        routed = shortcut_boruvka_mst(
-            weighted, engine="shortcut", diameter_value=6, log_factor=0.25,
-            rng=derive_seed(seed, "mst", "shortcut"),
-        )
-        bare = shortcut_boruvka_mst(
-            weighted, engine="raw", diameter_value=6, log_factor=0.25,
-            rng=derive_seed(seed, "mst", "raw"),
-        )
-        assert routed.weight == pytest.approx(kruskal_weight)
-        assert bare.weight == pytest.approx(kruskal_weight)
+        results = [
+            shortcut_boruvka_mst(
+                weighted, engine=engine, diameter_value=6, log_factor=0.25,
+                rng=derive_seed(seed, "mst", engine),
+            )
+            for engine in CONSUMER_ENGINES
+        ]
+        for result in results:
+            assert result.weight == pytest.approx(kruskal_weight), result.engine
         # Unique weights make the MST edge set unique, so the engines agree
         # edge-for-edge, not just in total weight.
-        assert sorted(routed.edges) == sorted(bare.edges)
+        assert all(result.edges == results[0].edges for result in results)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_engines_agree_on_lower_bound_instance(self, seed):
         inst = lower_bound_instance(120, 6)
         weighted = with_random_weights(inst.graph, rng=derive_seed(seed, "weights"))
         _, kruskal_weight = kruskal_mst(weighted)
-        for engine in ("shortcut", "raw"):
+        for engine in CONSUMER_ENGINES:
             result = shortcut_boruvka_mst(
                 weighted, engine=engine, diameter_value=6, log_factor=0.25,
                 rng=derive_seed(seed, "mst", engine),

@@ -1,16 +1,11 @@
-"""Unit tests for the MST application (Kruskal reference and Boruvka-over-shortcuts)."""
+"""Unit tests for the MST application (Kruskal reference and the simulated Boruvka consumer)."""
 
 from __future__ import annotations
 
 import networkx as nx
 import pytest
 
-from repro.applications import (
-    boruvka_mst,
-    default_shortcut_factory,
-    estimate_aggregation_rounds,
-    kruskal_mst,
-)
+from repro.applications import kruskal_mst, shortcut_boruvka_mst
 from repro.graphs import (
     WeightedGraph,
     cycle_graph,
@@ -20,7 +15,6 @@ from repro.graphs import (
     is_connected,
     with_random_weights,
 )
-from repro.shortcuts import Shortcut, build_ghaffari_haeupler_shortcut, build_naive_shortcut
 
 
 def to_networkx(wg: WeightedGraph) -> nx.Graph:
@@ -68,18 +62,18 @@ class TestBoruvkaCorrectness:
     def test_matches_kruskal_on_random_graphs(self, seed):
         g = erdos_renyi_graph(35, 0.2, rng=seed)
         wg = with_random_weights(g, rng=seed + 10)
-        result = boruvka_mst(wg)
+        result = shortcut_boruvka_mst(wg, rng=seed)
         _, kruskal_weight = kruskal_mst(wg)
         assert result.weight == pytest.approx(kruskal_weight)
 
     def test_matches_kruskal_on_hub_graph(self, weighted_hub):
-        result = boruvka_mst(weighted_hub)
+        result = shortcut_boruvka_mst(weighted_hub, rng=1)
         _, kruskal_weight = kruskal_mst(weighted_hub)
         assert result.weight == pytest.approx(kruskal_weight)
         assert len(result.edges) == weighted_hub.num_vertices - 1
 
     def test_mst_edges_form_spanning_tree(self, weighted_hub):
-        result = boruvka_mst(weighted_hub)
+        result = shortcut_boruvka_mst(weighted_hub, rng=1)
         from repro.graphs import Graph
 
         tree = Graph(weighted_hub.num_vertices, result.edges)
@@ -92,22 +86,22 @@ class TestBoruvkaCorrectness:
         wg = WeightedGraph(25)
         for u, v in g.edges():
             wg.add_weighted_edge(u, v, 1.0)
-        result = boruvka_mst(wg)
+        result = shortcut_boruvka_mst(wg, rng=1)
         assert len(result.edges) == 24
         assert result.weight == pytest.approx(24.0)
 
     def test_empty_graph(self):
-        result = boruvka_mst(WeightedGraph(0))
+        result = shortcut_boruvka_mst(WeightedGraph(0), rng=1)
         assert result.edges == []
         assert result.weight == 0.0
 
     def test_single_vertex(self):
-        result = boruvka_mst(WeightedGraph(1))
+        result = shortcut_boruvka_mst(WeightedGraph(1), rng=1)
         assert result.edges == []
         assert result.phases == 0
 
     def test_phase_count_logarithmic(self, weighted_hub):
-        result = boruvka_mst(weighted_hub)
+        result = shortcut_boruvka_mst(weighted_hub, rng=1)
         import math
 
         assert result.phases <= math.ceil(math.log2(weighted_hub.num_vertices)) + 2
@@ -115,42 +109,25 @@ class TestBoruvkaCorrectness:
 
 class TestBoruvkaRoundAccounting:
     def test_rounds_recorded_per_phase(self, weighted_hub):
-        result = boruvka_mst(weighted_hub)
+        result = shortcut_boruvka_mst(weighted_hub, rng=1)
         assert len(result.rounds_per_phase) == result.phases
         assert result.total_rounds == sum(result.rounds_per_phase)
         assert all(r > 0 for r in result.rounds_per_phase)
-        assert len(result.quality_per_phase) == result.phases
+        assert len(result.aggregation_rounds_per_phase) == result.phases
 
-    def test_each_phase_measures_once_and_charges_build_plus_aggregation(
-        self, weighted_hub, monkeypatch
-    ):
-        reports = []
-        measure = Shortcut.quality_report
-
-        def counting(shortcut, **kwargs):
-            reports.append(measure(shortcut, **kwargs))
-            return reports[-1]
-
-        monkeypatch.setattr(Shortcut, "quality_report", counting)
-        factory = default_shortcut_factory(diameter_value=6, log_factor=0.25, rng=2)
-        result = boruvka_mst(weighted_hub, shortcut_factory=factory)
-        assert len(reports) == result.phases
-        n = weighted_hub.num_vertices
-        assert result.rounds_per_phase == [
-            2 * estimate_aggregation_rounds(q, n) for q in reports
-        ]
-
-    def test_naive_engine_charges_more_than_kp(self):
-        g = hub_diameter_graph(150, 6, rng=3)
+    def test_naive_engine_costs_more_than_kp(self):
+        # Chords between the leaves give the host cycles: on a bare hub tree
+        # every engine can only route over the same tree edges.
+        g = hub_diameter_graph(150, 6, extra_edge_prob=0.02, rng=3)
         wg = with_random_weights(g, rng=4)
 
-        kp = boruvka_mst(wg, shortcut_factory=default_shortcut_factory(
-            diameter_value=6, log_factor=0.25, rng=1))
-        naive = boruvka_mst(wg, shortcut_factory=build_naive_shortcut)
-        assert kp.weight == pytest.approx(naive.weight)
+        kp = shortcut_boruvka_mst(wg, engine="shortcut", diameter_value=6,
+                                  log_factor=0.25, rng=1)
+        naive = shortcut_boruvka_mst(wg, engine="naive", rng=1)
+        assert kp.edges == naive.edges
         assert naive.total_rounds > kp.total_rounds
 
     def test_gh_engine_correct(self, weighted_hub):
-        result = boruvka_mst(weighted_hub, shortcut_factory=build_ghaffari_haeupler_shortcut)
+        result = shortcut_boruvka_mst(weighted_hub, engine="ghaffari-haeupler", rng=1)
         _, kruskal_weight = kruskal_mst(weighted_hub)
         assert result.weight == pytest.approx(kruskal_weight)

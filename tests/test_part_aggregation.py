@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiments import make_workload
-from repro.applications.aggregation import partwise_aggregate
 from repro.congest.network import Network
 from repro.congest.primitives.aggregation import (
     PartAggregation,
@@ -18,35 +17,22 @@ from repro.shortcuts.baselines import build_empty_shortcut
 from repro.shortcuts.kogan_parter import build_kogan_parter_shortcut
 from repro.shortcuts.partition import Partition
 
-
-def _oracle_values(partition, node_values, combine):
-    """Sequential per-part aggregation (the ground truth)."""
-    expected = {}
-    for i in range(partition.num_parts):
-        acc = None
-        for v in partition.part(i):
-            if v not in node_values:
-                continue
-            acc = node_values[v] if acc is None else combine(acc, node_values[v])
-        if acc is not None:
-            expected[i] = acc
-    return expected
+from partwise_oracle import partwise_fold
 
 
 class TestAggregateOverShortcut:
     @pytest.mark.parametrize("kind,diameter", [("hub", 6), ("cluster", 4), ("lower_bound", 6)])
     @pytest.mark.parametrize("op", ["min", "max", "sum"])
-    def test_matches_analytic_oracle(self, kind, diameter, op):
+    def test_matches_sequential_oracle(self, kind, diameter, op):
         workload = make_workload(kind, 150, diameter, seed=5)
         shortcut = build_kogan_parter_shortcut(
             workload.graph, workload.partition, diameter_value=workload.diameter,
             log_factor=0.5, rng=5,
         ).shortcut
         values = {v: (v * 7) % 101 for v in workload.partition.covered_vertices()}
-        analytic = partwise_aggregate(shortcut, values, op)
         simulated = aggregate_over_shortcut(shortcut, values, op, rng=9,
                                             min_simulated_size=1)
-        assert simulated.values == analytic.values
+        assert simulated.values == partwise_fold(workload.partition, values, op)
         assert simulated.rounds == simulated.bfs_rounds + simulated.aggregation_rounds
         assert simulated.rounds > 0
 

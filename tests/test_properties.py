@@ -28,7 +28,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.applications import boruvka_mst, kruskal_mst
+from repro.applications import kruskal_mst, shortcut_boruvka_mst
 from repro.graphs import (
     Graph,
     UnionFind,
@@ -646,7 +646,7 @@ class TestMSTProperties:
     @given(weighted_graphs(connected=True))
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_boruvka_matches_kruskal(self, wg):
-        boruvka = boruvka_mst(wg)
+        boruvka = shortcut_boruvka_mst(wg, rng=0)
         _, kruskal_weight = kruskal_mst(wg)
         assert math.isclose(boruvka.weight, kruskal_weight, rel_tol=1e-9)
         if is_connected(wg):
@@ -655,7 +655,7 @@ class TestMSTProperties:
     @given(weighted_graphs(connected=True))
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_mst_is_spanning_and_acyclic(self, wg):
-        result = boruvka_mst(wg)
+        result = shortcut_boruvka_mst(wg, rng=0)
         tree = Graph(wg.num_vertices, result.edges)
         comps_graph = connected_components(wg)
         comps_tree = connected_components(tree)

@@ -2,7 +2,7 @@
 
 The acceptance contract of the applications layer: the fully simulated
 Boruvka MST reproduces the Kruskal oracle (weight *and* edge set) on every
-generator family and both routing engines, and the hooking
+generator family and every routing engine, and the hooking
 connected-components consumer reproduces the sequential traversal labels.
 """
 
@@ -11,11 +11,13 @@ from __future__ import annotations
 import pytest
 
 from repro.applications.components import shortcut_connected_components
+from repro.applications.mincut import approximate_min_cut
 from repro.applications.mst import kruskal_mst
 from repro.applications.shortcut_mst import (
     CONSUMER_ENGINES,
     shortcut_boruvka_mst,
 )
+from repro.applications.two_ecss import two_ecss_approximation
 from repro.graphs import cycle_graph, grid_graph, hub_diameter_graph
 from repro.graphs.components import connected_components
 from repro.graphs.generators import (
@@ -87,13 +89,30 @@ class TestShortcutMSTOracle:
     def test_unknown_engine_rejected(self):
         weighted = with_random_weights(make_family_graph("hub", 40, rng=1), rng=1)
         with pytest.raises(ValueError):
-            shortcut_boruvka_mst(weighted, engine="warp")
+            shortcut_boruvka_mst(weighted, engine="warp", rng=1)
 
     def test_empty_graph(self):
         from repro.graphs.graph import WeightedGraph
 
-        result = shortcut_boruvka_mst(WeightedGraph(0))
+        result = shortcut_boruvka_mst(WeightedGraph(0), rng=1)
         assert result.edges == [] and result.weight == 0.0
+
+    def test_five_seeded_calls_agree(self):
+        # Regression: with an OS-entropy default rng, five identical calls
+        # on this instance reported five different round totals.
+        weighted = with_random_weights(lower_bound_instance(345, 4).graph, rng=2)
+        runs = [shortcut_boruvka_mst(weighted, rng=2) for _ in range(5)]
+        assert len({(tuple(r.rounds_per_phase), r.messages) for r in runs}) == 1
+        assert all(r.edges == runs[0].edges for r in runs)
+
+    @pytest.mark.parametrize("consumer", [
+        shortcut_boruvka_mst, shortcut_connected_components,
+        approximate_min_cut, two_ecss_approximation,
+    ])
+    def test_rng_is_required(self, consumer):
+        weighted = with_random_weights(cycle_graph(6), rng=1)
+        with pytest.raises(TypeError, match="rng"):
+            consumer(weighted)
 
 
 class TestBoruvkaSmallInstances:
@@ -195,7 +214,7 @@ class TestComponentsOracle:
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            shortcut_connected_components(Graph(3), engine="warp")
+            shortcut_connected_components(Graph(3), engine="warp", rng=1)
 
     # (family, drop rate, block sizes, rounds per phase, messages) of a
     # two-block union (80- and 40-vertex family graphs), captured before

@@ -64,7 +64,7 @@ class TestIsTwoEdgeConnected:
 class TestTwoECSSApproximation:
     def test_on_planted_cut_graph(self):
         wg = planted_cut_graph(12, 4, rng=1)
-        result = two_ecss_approximation(wg)
+        result = two_ecss_approximation(wg, rng=1)
         assert result.is_two_edge_connected
         assert result.uncovered_edges == []
         assert result.weight >= result.mst_weight
@@ -75,14 +75,14 @@ class TestTwoECSSApproximation:
         2x the optimum; check the weaker, directly verifiable bound against
         the full graph weight and the MST."""
         wg = planted_cut_graph(10, 3, rng=2)
-        result = two_ecss_approximation(wg)
+        result = two_ecss_approximation(wg, rng=1)
         assert result.weight <= wg.total_weight()
         assert result.weight <= 2.5 * result.mst_weight
 
     def test_on_complete_graph(self):
         g = complete_graph(10)
         wg = with_random_weights(g, rng=3)
-        result = two_ecss_approximation(wg)
+        result = two_ecss_approximation(wg, rng=1)
         assert result.is_two_edge_connected
         _, mst_weight = kruskal_mst(wg)
         assert result.mst_weight == pytest.approx(mst_weight)
@@ -93,19 +93,19 @@ class TestTwoECSSApproximation:
         for u, v in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
             wg.add_weighted_edge(u, v, 1.0)
         wg.add_weighted_edge(2, 3, 1.0)
-        result = two_ecss_approximation(wg)
+        result = two_ecss_approximation(wg, rng=1)
         assert not result.is_two_edge_connected
         assert (2, 3) in result.uncovered_edges
 
     def test_round_accounting(self):
         wg = planted_cut_graph(10, 3, rng=5)
-        result = two_ecss_approximation(wg)
+        result = two_ecss_approximation(wg, rng=1)
         assert result.total_rounds > 0
 
     def test_cycle_input_returns_cycle(self):
         g = cycle_graph(8)
         wg = with_random_weights(g, rng=6)
-        result = two_ecss_approximation(wg)
+        result = two_ecss_approximation(wg, rng=1)
         # The only 2-ECSS of a cycle is the cycle itself.
         assert sorted(result.edges) == sorted(g.edges())
         assert result.is_two_edge_connected
@@ -113,6 +113,6 @@ class TestTwoECSSApproximation:
     def test_edges_exist_in_graph(self):
         g = grid_graph(4, 4)
         wg = with_random_weights(g, rng=7)
-        result = two_ecss_approximation(wg)
+        result = two_ecss_approximation(wg, rng=1)
         for u, v in result.edges:
             assert wg.has_edge(u, v)
