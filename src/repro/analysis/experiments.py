@@ -1176,8 +1176,10 @@ def _aggregation_routing_cell(
     ).shortcut
     raw = build_empty_shortcut(graph, partition)
     values = {v: v for v in partition.covered_vertices()}
-    # Both routings draw their scheduler delays from the same derived seed,
-    # so the comparison isolates the tree structure, not the delay draws.
+    # Both routings draw their start delays from the same derived seed,
+    # each bounded by its own mask congestion: the raw part trees share no
+    # link, so they start at once, and a single part (broom, caterpillar)
+    # starts at once under either routing.
     agg_seed = derive_seed(seed, "E14", family, size, "aggregate")
     routed = aggregate_over_shortcut(shortcut, values, "min", rng=agg_seed)
     bare = aggregate_over_shortcut(raw, values, "min", rng=agg_seed)

@@ -86,6 +86,10 @@ class ShortcutMSTResult:
         bfs_rounds_per_phase: tree-growing stage rounds per phase.
         aggregation_rounds_per_phase: convergecast/broadcast stage rounds
             per phase.
+        congestion_per_phase: the congestion ``ĉ`` of each phase's
+            simulated fragment masks, which bounded its start delays
+            (1 on ``"raw"``, the number of simulated fragments on
+            ``"naive"``; 0 when every fragment was folded locally).
         messages: messages delivered across all simulated stages.
         engine: one of :data:`CONSUMER_ENGINES`.
     """
@@ -97,6 +101,7 @@ class ShortcutMSTResult:
     rounds_per_phase: list[int] = field(default_factory=list)
     bfs_rounds_per_phase: list[int] = field(default_factory=list)
     aggregation_rounds_per_phase: list[int] = field(default_factory=list)
+    congestion_per_phase: list[int] = field(default_factory=list)
     messages: int = 0
     engine: str = "shortcut"
 
@@ -281,6 +286,7 @@ def _boruvka_phases(
     rounds_per_phase: list[int] = []
     bfs_rounds: list[int] = []
     agg_rounds: list[int] = []
+    congestion: list[int] = []
     messages = 0
     keys = edge_keys(r)
 
@@ -324,6 +330,7 @@ def _boruvka_phases(
         rounds_per_phase.append(1 + outcome.rounds)
         bfs_rounds.append(outcome.bfs_rounds)
         agg_rounds.append(outcome.aggregation_rounds)
+        congestion.append(outcome.congestion)
         messages += outcome.messages
 
         merged_any = False
@@ -350,6 +357,7 @@ def _boruvka_phases(
         rounds_per_phase=rounds_per_phase,
         bfs_rounds_per_phase=bfs_rounds,
         aggregation_rounds_per_phase=agg_rounds,
+        congestion_per_phase=congestion,
         messages=messages,
         engine=engine,
     )

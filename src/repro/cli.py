@@ -311,6 +311,7 @@ def _command_mst(args: argparse.Namespace) -> int:
     print(f"phases          : {result.phases}")
     print(f"simulated rounds: {result.total_rounds}")
     print(f"rounds per phase: {result.rounds_per_phase}")
+    print(f"congestion per phase: {result.congestion_per_phase}")
     return 0
 
 

@@ -64,7 +64,7 @@ from ..bulk import LazyRows, SlotLayout
 from ..message import Message
 from ..network import Network
 from ..node import NodeContext
-from ..scheduler import draw_random_delays
+from ..scheduler import draw_random_delays, mask_congestion
 from .concurrent_bfs import UNREACHED, ConcurrentMaskedBFS
 from .reliable import ReliableChannel
 
@@ -481,6 +481,9 @@ class FleetAggregationResult:
         bfs_rounds: rounds of the concurrent tree-growing stage.
         aggregation_rounds: rounds of the convergecast/broadcast stage.
         messages: messages delivered across both stages.
+        congestion: the masks' congestion ``ĉ`` (see
+            :func:`~repro.congest.scheduler.mask_congestion`), which bounded
+            both stages' start delays to ``[0, ĉ - 1]``.
         fleet: the tree-stage fleet (per-instance ``dist``/``parent``
             labels, for callers that need the trees).
     """
@@ -491,6 +494,7 @@ class FleetAggregationResult:
     bfs_rounds: int
     aggregation_rounds: int
     messages: int
+    congestion: int
     fleet: ConcurrentMaskedBFS
 
 
@@ -503,7 +507,7 @@ def run_part_aggregation(
     *,
     identity: Any = None,
     broadcast_result: bool = True,
-    rng: RandomLike = None,
+    rng: RandomLike,
     max_rounds: int = 200_000,
     retry: Optional[RetryPolicy] = None,
     adversary: Optional[Adversary] = None,
@@ -516,6 +520,13 @@ def run_part_aggregation(
     delays.  Both stages execute on ``network`` (which is reset first) and
     the reported rounds are the sum of the two measured stages.
 
+    Both stages draw one start delay per instance uniformly from
+    ``[0, ĉ - 1]``, where ``ĉ`` is the congestion of ``masks`` — the most
+    instance masks that permit one directed link — as Theorem 2.1 asks.
+    Masks that share no link (``ĉ <= 1``) start every instance at once.
+    Like the masks, ``ĉ`` is a property of the shortcut the caller hands
+    in; building it is not charged here.
+
     Args:
         network: the CONGEST network of the host graph.
         roots: one tree root per instance (the part leaders).
@@ -524,9 +535,9 @@ def run_part_aggregation(
         op: aggregation operator name.
         identity: operator identity override (see :class:`PartAggregation`).
         broadcast_result: push results back down the trees.
-        rng: randomness for the two delay draws; the random start delays
-            are bounded by ``max(1, num_instances // 4)``, matching the
-            application experiments' convention.
+        rng: randomness for the two delay draws (one ``randint`` per
+            instance per stage); required, so a run is reproducible from
+            its arguments.
         max_rounds: safety cap per stage.
         retry: enable the drop-tolerant ack/retransmit mode in both stages
             (required for correct results under a lossy ``adversary``).
@@ -540,7 +551,8 @@ def run_part_aggregation(
     if not (num == len(masks) == len(values)):
         raise ValueError("roots, masks and values must align")
     r = ensure_rng(rng)
-    max_delay = max(1, num // 4)
+    congestion = mask_congestion(masks)
+    max_delay = max(0, congestion - 1)
     network.reset()
     prefixes = [f"pa{i}_" for i in range(num)]
     # The tree stage is never truncated (depth budget = vertex count).  It
@@ -575,6 +587,7 @@ def run_part_aggregation(
         bfs_rounds=bfs_metrics.rounds,
         aggregation_rounds=agg_metrics.rounds,
         messages=bfs_metrics.messages_delivered + agg_metrics.messages_delivered,
+        congestion=congestion,
         fleet=fleet,
     )
 
@@ -589,6 +602,8 @@ class ShortcutAggregationResult:
         rounds: simulated rounds of the two fleet stages (parts folded
             locally contribute zero rounds).
         bfs_rounds / aggregation_rounds / messages: stage breakdown.
+        congestion: the simulated parts' mask congestion, which bounded
+            the start delays (0 when no part was simulated).
         simulated_parts: part indices that ran on the simulator.
         folded_parts: part indices resolved locally (size below
             ``min_simulated_size``; see :func:`aggregate_over_shortcut`).
@@ -599,6 +614,7 @@ class ShortcutAggregationResult:
     bfs_rounds: int
     aggregation_rounds: int
     messages: int
+    congestion: int
     simulated_parts: list[int]
     folded_parts: list[int]
 
@@ -626,7 +642,7 @@ def aggregate_over_shortcut(
     network: Optional[Network] = None,
     identity: Any = None,
     broadcast_result: bool = True,
-    rng: RandomLike = None,
+    rng: RandomLike,
     max_rounds: int = 200_000,
     min_simulated_size: int = 2,
     retry: Optional[RetryPolicy] = None,
@@ -685,7 +701,7 @@ def aggregate_over_shortcut(
     if not simulated:
         return ShortcutAggregationResult(
             values=values_out, rounds=0, bfs_rounds=0, aggregation_rounds=0,
-            messages=0, simulated_parts=[], folded_parts=folded,
+            messages=0, congestion=0, simulated_parts=[], folded_parts=folded,
         )
     if network is None:
         network = Network(partition.graph)
@@ -705,6 +721,7 @@ def aggregate_over_shortcut(
         bfs_rounds=outcome.bfs_rounds,
         aggregation_rounds=outcome.aggregation_rounds,
         messages=outcome.messages,
+        congestion=outcome.congestion,
         simulated_parts=simulated,
         folded_parts=folded,
     )

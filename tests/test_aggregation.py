@@ -52,7 +52,7 @@ class TestAggregateValues:
     def test_unsupported_op(self, cluster_setup):
         _, _, shortcut = cluster_setup
         with pytest.raises(ValueError):
-            aggregate_over_shortcut(shortcut, {}, "median")
+            aggregate_over_shortcut(shortcut, {}, "median", rng=1)
 
 
 class TestEstimateRounds:

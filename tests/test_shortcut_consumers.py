@@ -8,6 +8,8 @@ connected-components consumer reproduces the sequential traversal labels.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.applications.components import shortcut_connected_components
@@ -115,6 +117,56 @@ class TestShortcutMSTOracle:
             consumer(weighted)
 
 
+class TestCongestionPerPhase:
+    """Each phase reports the congestion that bounded its start delays: the
+    most simulated fragment masks sharing one directed link."""
+
+    @staticmethod
+    def _record(monkeypatch, engine):
+        from repro.applications import shortcut_mst
+
+        real = shortcut_mst.aggregate_over_shortcut
+        calls = []
+
+        def recording(shortcut, *args, **kwargs):
+            outcome = real(shortcut, *args, **kwargs)
+            calls.append((shortcut, outcome))
+            return outcome
+
+        monkeypatch.setattr(shortcut_mst, "aggregate_over_shortcut", recording)
+        weighted = with_random_weights(make_family_graph("hub", 90, rng=3), rng=9)
+        result = shortcut_boruvka_mst(weighted, engine=engine, rng=6)
+        assert result.congestion_per_phase == [o.congestion for _, o in calls]
+        assert len(calls) == result.phases >= 3
+        return calls
+
+    def test_raw_parts_share_no_link(self, monkeypatch):
+        # Phase 1 folds every singleton fragment locally: nothing is
+        # scheduled, so no congestion bounds it.
+        calls = self._record(monkeypatch, "raw")
+        assert [o.congestion for _, o in calls] == [
+            1 if o.simulated_parts else 0 for _, o in calls
+        ]
+        assert calls[0][1].congestion == 0
+        assert all(o.congestion == 1 for _, o in calls[1:])
+
+    def test_naive_shares_every_link(self, monkeypatch):
+        calls = self._record(monkeypatch, "naive")
+        assert [o.congestion for _, o in calls] == [
+            len(o.simulated_parts) for _, o in calls
+        ]
+
+    def test_shortcut_load_over_simulated_parts(self, monkeypatch):
+        calls = self._record(monkeypatch, "shortcut")
+        for shortcut, outcome in calls:
+            load = Counter(
+                e for i in outcome.simulated_parts
+                for e in shortcut.augmented_edge_id_array(i).tolist()
+            )
+            assert outcome.congestion == max(load.values(), default=0)
+        assert max(o.congestion for _, o in calls) > 1
+
+
 class TestBoruvkaSmallInstances:
     @pytest.mark.parametrize("engine", CONSUMER_ENGINES)
     def test_matches_kruskal_on_grid(self, engine):
@@ -217,22 +269,22 @@ class TestComponentsOracle:
             shortcut_connected_components(Graph(3), engine="warp", rng=1)
 
     # (family, drop rate, block sizes, rounds per phase, messages) of a
-    # two-block union (80- and 40-vertex family graphs), captured before
-    # the components consumer ran on the MST consumer's phase loop (the
-    # 5%-drop rows with the reliable channel's per-unit timers).
+    # two-block union (80- and 40-vertex family graphs), captured with the
+    # start delays bounded by each phase's mask congestion (the 5%-drop
+    # rows with the reliable channel's per-unit timers).
     PINS = [
-        ("broom", 0.0, (80, 40), [1, 24], 2018),
-        ("broom", 0.05, (80, 40), [1, 57], 4308),
-        ("caterpillar", 0.0, (79, 39), [1, 36, 14], 5391),
-        ("caterpillar", 0.05, (79, 39), [1, 151, 49], 13430),
-        ("expander", 0.0, (80, 40), [1, 35, 33], 8241),
-        ("expander", 0.05, (80, 40), [1, 74, 109], 23310),
-        ("hub", 0.0, (80, 40), [1, 37, 26], 8460),
-        ("hub", 0.05, (80, 40), [1, 110, 86], 24000),
-        ("preferential", 0.0, (80, 40), [1, 35, 28], 10906),
-        ("preferential", 0.05, (80, 40), [1, 101, 81], 32663),
-        ("torus", 0.0, (72, 36), [1, 33, 38], 6712),
-        ("torus", 0.05, (72, 36), [1, 104, 94], 18753),
+        ("broom", 0.0, (80, 40), [1, 26], 2024),
+        ("broom", 0.05, (80, 40), [1, 60], 4348),
+        ("caterpillar", 0.0, (79, 39), [1, 37, 13], 5404),
+        ("caterpillar", 0.05, (79, 39), [1, 121, 46], 12790),
+        ("expander", 0.0, (80, 40), [1, 24, 37], 8194),
+        ("expander", 0.05, (80, 40), [1, 72, 146], 18421),
+        ("hub", 0.0, (80, 40), [1, 39, 31], 8437),
+        ("hub", 0.05, (80, 40), [1, 107, 85], 23616),
+        ("preferential", 0.0, (80, 40), [1, 41, 33], 10862),
+        ("preferential", 0.05, (80, 40), [1, 166, 128], 30296),
+        ("torus", 0.0, (72, 36), [1, 30, 41], 6707),
+        ("torus", 0.05, (72, 36), [1, 67, 96], 15543),
     ]
 
     @pytest.mark.parametrize("family, drop_rate, sizes, rounds, messages", PINS)
