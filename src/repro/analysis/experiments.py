@@ -894,8 +894,8 @@ def plan_applications_experiment(
             "bf_baseline_stretch = stretch of plain Bellman-Ford run for the same number of phases",
             "ecss_weight_ratio = 2-ECSS weight / MST weight (MST is a lower bound on OPT)",
             "sssp_rounds are charged (c + d*ceil(log2 n) per aggregation, Fact 4.1); "
-            "ecss_rounds are simulated (shortcut_boruvka_mst, KP shortcuts at "
-            "log_factor 0.25, plus its last phase again for the cover sweep)",
+            "ecss_rounds are the simulated MST rounds (shortcut_boruvka_mst, KP "
+            "shortcuts at log_factor 0.25); covers are chosen centrally and not charged",
         ],
     )
 

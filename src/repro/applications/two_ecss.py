@@ -9,9 +9,10 @@ as a black box by the paper; this module implements the classical
 1. compute an MST with the simulated Boruvka consumer of
    :mod:`repro.applications.shortcut_mst` (``~O(quality · log n)`` rounds);
 2. for every MST edge, find the minimum-weight non-tree edge that covers it
-   (i.e. whose tree path contains it) and add those cover edges — each
-   "find the best cover" is a part-wise min aggregation over the fragments
-   on the two sides of the edge, charged as one more MST phase.
+   (i.e. whose tree path contains it) and add those cover edges.  The
+   covers are chosen centrally, by walking tree paths, and are not charged
+   any rounds: no aggregation is simulated for them, so the reported
+   rounds are the MST's simulated rounds alone.
 
 When the input graph is 2-edge-connected the output is 2-edge-connected
 (every bridge of the MST is covered), and its weight is at most
@@ -41,8 +42,8 @@ class TwoECSSResult:
         is_two_edge_connected: whether the selected subgraph is bridgeless
             and spanning (always ``True`` when the input graph is
             2-edge-connected).
-        total_rounds: the MST's simulated rounds plus the augmentation
-            sweep, charged as a repeat of the MST's last phase.
+        total_rounds: the MST's simulated rounds (the covers are chosen
+            centrally and not charged).
         uncovered_edges: MST edges for which no covering non-tree edge
             exists (these are bridges of the input graph itself).
     """
@@ -167,20 +168,12 @@ def two_ecss_approximation(
             continue
         chosen.add(edge_key(cover[1], cover[2]))
 
-    weight = graph.total_weight(chosen)
-    # Round accounting: the MST rounds plus one sweep of cover selections
-    # (the covers for all tree edges are found by one bottom-up sweep of
-    # part-wise min aggregations in [DG19]), charged as the MST's last
-    # simulated phase, an aggregation over the near-final fragments.
-    sweep_rounds = mst.rounds_per_phase[-1] if mst.rounds_per_phase else 0
-    total_rounds = mst.total_rounds + sweep_rounds
-
     return TwoECSSResult(
         edges=sorted(chosen),
-        weight=weight,
+        weight=graph.total_weight(chosen),
         mst_weight=mst.weight,
         is_two_edge_connected=is_two_edge_connected(graph, sorted(chosen)),
-        total_rounds=total_rounds,
+        total_rounds=mst.total_rounds,
         uncovered_edges=uncovered,
     )
 

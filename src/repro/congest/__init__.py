@@ -1,12 +1,13 @@
 """A synchronous CONGEST-model simulator.
 
 The simulator executes distributed algorithms written against a strictly
-local node API (:class:`NodeContext`) on an arbitrary communication graph,
-enforcing the CONGEST bandwidth of one O(log n)-bit message per edge per
-direction per round.  Excess traffic is queued per link, so congestion
-manifests as extra rounds — the quantity the paper's shortcut quality bounds
-are designed to control.  Run metrics report rounds, message counts and
-per-edge congestion.
+local node API (:class:`NodeContext`) on an arbitrary communication graph.
+It has one link model, the CONGEST bandwidth: each directed link delivers
+at most one O(log n)-bit message per round, and excess traffic is queued
+on the link, so congestion manifests as extra rounds — the quantity the
+paper's shortcut quality bounds are designed to control.  Every
+:class:`NodeContext` belongs to a :class:`Network`.  Run metrics report
+rounds, message counts and per-edge congestion.
 """
 
 from .adversary import (
@@ -23,13 +24,7 @@ from .adversary import (
     random_crash_schedule,
 )
 from .algorithm import DistributedAlgorithm
-from .message import (
-    BandwidthExceededError,
-    LinkQueue,
-    MAX_PAYLOAD_FIELDS,
-    Message,
-    check_payload,
-)
+from .message import MAX_PAYLOAD_FIELDS, Message, check_payload
 from .network import Network, PartialRunError, RoundLimitExceeded, RunMetrics
 from .node import NodeContext
 from .scheduler import draw_random_delays
@@ -47,8 +42,6 @@ __all__ = [
     "StackedAdversary",
     "make_fault_adversary",
     "random_crash_schedule",
-    "BandwidthExceededError",
-    "LinkQueue",
     "MAX_PAYLOAD_FIELDS",
     "Message",
     "check_payload",

@@ -808,8 +808,6 @@ class FleetKernel:
 
     @classmethod
     def build(cls, algorithm, network) -> Optional["FleetKernel"]:
-        if network.bandwidth != 1 or network.strict_bandwidth:
-            return None
         n = network._csr.num_vertices
         if n > _PACKED_NODE_LIMIT:
             return None
@@ -1257,8 +1255,6 @@ class PartAggregationKernel:
 
     @classmethod
     def build(cls, algorithm, network) -> Optional["PartAggregationKernel"]:
-        if network.bandwidth != 1 or network.strict_bandwidth:
-            return None
         n = network._csr.num_vertices
         if (len(algorithm.masks) + 1) * n >= 2**62 or n > _PACKED_NODE_LIMIT:
             return None

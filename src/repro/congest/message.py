@@ -1,15 +1,11 @@
-"""Messages and bandwidth accounting for the CONGEST simulator.
+"""Messages for the CONGEST simulator.
 
 In the CONGEST model each node may send one ``O(log n)``-bit message to each
-neighbour per synchronous round.  The simulator models this by treating one
-:class:`Message` as one bandwidth unit on a *directed link* ``(sender,
-receiver)``; link queues enforce the per-round capacity by queueing excess
-messages, so that congestion automatically translates into extra rounds
-exactly as it would on a real network.  (The engine in
-:mod:`repro.congest.network` keeps its per-link queues as flat ring-buffered
-lists indexed by dense link ids; the :class:`LinkQueue` class here is the
-same ring-buffer discipline as a stand-alone object, used by tests and by
-code that wants a single metered link.)
+neighbour per synchronous round.  The simulator treats one :class:`Message`
+as one bandwidth unit on a *directed link* ``(sender, receiver)``: the
+engine in :mod:`repro.congest.network` delivers at most one message per
+link per round and queues the rest, so congestion translates into extra
+rounds exactly as it would on a real network.
 
 Payloads are required to be small hashable tuples of integers/floats/strings
 (checked loosely) so that a message plausibly fits in ``O(log n)`` bits; the
@@ -20,10 +16,6 @@ ship whole data structures in one message.
 from __future__ import annotations
 
 from typing import Any
-
-
-class BandwidthExceededError(RuntimeError):
-    """Raised in strict mode when a link must carry more than its capacity."""
 
 
 #: Maximum number of scalar fields allowed in a payload before a warning-level
@@ -100,80 +92,3 @@ class Message:
 
     def __hash__(self) -> int:
         return hash((self.sender, self.receiver, self.tag, self.payload, self.algorithm_id))
-
-
-class LinkQueue:
-    """Ring-buffered FIFO queue of messages waiting on one directed link.
-
-    Messages are appended to a flat list and drained ``capacity_per_round``
-    at a time by advancing a head cursor; the buffer is compacted only when
-    the dead prefix dominates, so steady-state operation is amortized O(1)
-    per message with no per-item node allocation.
-
-    Attributes:
-        capacity_per_round: how many messages may be delivered per round
-            (1 in the plain CONGEST model).
-        delivered_count: total messages ever delivered over this link.
-        max_backlog: largest backlog observed (a direct measure of link
-            congestion).
-    """
-
-    __slots__ = ("capacity_per_round", "delivered_count", "max_backlog", "_buf", "_head")
-
-    def __init__(self, capacity_per_round: int = 1) -> None:
-        self.capacity_per_round = capacity_per_round
-        self.delivered_count = 0
-        self.max_backlog = 0
-        self._buf: list[Message] = []
-        self._head = 0
-
-    def enqueue(self, message: Message, *, strict: bool = False) -> None:
-        """Accept a message for later delivery.
-
-        Args:
-            strict: if ``True``, raise :class:`BandwidthExceededError` as soon
-                as the backlog exceeds the per-round capacity instead of
-                queueing (useful for asserting that an algorithm respects its
-                claimed congestion bound).
-        """
-        backlog = len(self._buf) - self._head
-        if strict and backlog >= self.capacity_per_round:
-            raise BandwidthExceededError(
-                f"link {message.sender}->{message.receiver} exceeded capacity "
-                f"{self.capacity_per_round} per round"
-            )
-        self._buf.append(message)
-        backlog += 1
-        if backlog > self.max_backlog:
-            self.max_backlog = backlog
-
-    def drain(self) -> list[Message]:
-        """Remove and return up to ``capacity_per_round`` messages for delivery."""
-        head = self._head
-        take = min(self.capacity_per_round, len(self._buf) - head)
-        batch = self._buf[head:head + take]
-        head += take
-        if head >= len(self._buf):
-            self._buf.clear()
-            head = 0
-        elif head > 64 and head * 2 >= len(self._buf):
-            del self._buf[:head]
-            head = 0
-        self._head = head
-        self.delivered_count += take
-        return batch
-
-    @property
-    def backlog(self) -> int:
-        """Number of messages currently waiting on this link."""
-        return len(self._buf) - self._head
-
-    @property
-    def pending(self) -> list[Message]:
-        """The waiting messages, oldest first.
-
-        This is a snapshot copy (the seed version exposed the live deque):
-        mutating the returned list does not affect the queue.  Use
-        :meth:`enqueue` / :meth:`drain` to change queue state.
-        """
-        return self._buf[self._head:]

@@ -4,19 +4,20 @@ The :class:`Network` wraps a :class:`~repro.graphs.graph.Graph` and executes
 a :class:`~repro.congest.algorithm.DistributedAlgorithm` in synchronous
 rounds:
 
-1. every directed link with pending traffic delivers up to ``bandwidth``
-   queued messages;
+1. every directed link with pending traffic delivers its oldest queued
+   message;
 2. every *touched* node — awake (not halted), or a receiver of a message
    this round — runs its ``on_round`` handler;
 3. the messages the handlers produce are enqueued on their links for
    delivery in the next round.
 
-Messages beyond a link's per-round bandwidth are *queued*, so an algorithm
-that overloads a link simply takes more rounds — exactly the penalty the
-CONGEST model charges.  The engine records the metrics the paper's bounds
-talk about: total rounds to quiescence, total messages, the maximum backlog
-observed on any link (a per-link congestion proxy) and per-edge message
-counts.
+This is the one link model of the simulator, CONGEST's: at most one
+message per directed link per round.  Messages beyond it are *queued*, so
+an algorithm that overloads a link simply takes more rounds — exactly the
+penalty the CONGEST model charges.  The engine records the metrics the
+paper's bounds talk about: total rounds to quiescence, total messages, the
+maximum backlog observed on any link (a per-link congestion proxy) and
+per-edge message counts.
 
 A run ends one of two ways: at quiescence, or by raising
 :class:`RoundLimitExceeded` (:class:`PartialRunError` under an adversary)
@@ -37,9 +38,9 @@ A round costs O(nodes-and-links-actually-touched), not O(n + links):
 * **Active-link worklist.**  Links are indexed by dense *directed link ids*
   derived from the graph's CSR snapshot: the undirected edge with id ``e``
   (canonical ``(u, v)``, ``u < v``) owns link ``2e`` for ``u -> v`` and
-  ``2e + 1`` for ``v -> u``.  A link's queue is drained ``bandwidth``
-  messages at a time behind a head cursor and dropped once empty; only
-  links with pending traffic are visited.
+  ``2e + 1`` for ``v -> u``.  A link's queue is drained one message per
+  round behind a head cursor and dropped once empty; only links with
+  pending traffic are visited.
 * **Wiring from the CSR arrays.**  A fresh network allocates flat per-link
   and per-node tables only: queues, heads, link maxima, active flags,
   inbox slots and the awake set.  The contexts (with their neighbour
@@ -315,25 +316,16 @@ class RunMetrics:
 class Network:
     """A CONGEST network over a given communication graph.
 
+    Each directed link delivers at most one message per round; the rest
+    wait on the link.  ``RunMetrics.max_link_backlog`` is 1 exactly when no
+    link ever held more than that.
+
     Args:
         graph: the communication topology.
-        bandwidth: messages a directed link may deliver per round (1 for the
-            standard model; larger values model CONGEST with B-bit messages,
-            used by a few tests to isolate algorithmic from congestion
-            effects).
-        strict_bandwidth: if ``True``, overloading a link raises
-            :class:`~repro.congest.message.BandwidthExceededError` instead of
-            queueing (the error surfaces from the offending ``send``, i.e.
-            mid-round, with the other queues in whatever partially drained
-            state the round reached).
     """
 
-    def __init__(self, graph: Graph, *, bandwidth: int = 1, strict_bandwidth: bool = False) -> None:
-        if bandwidth < 1:
-            raise ValueError("bandwidth must be at least 1")
+    def __init__(self, graph: Graph) -> None:
         self.graph = graph
-        self.bandwidth = bandwidth
-        self.strict_bandwidth = strict_bandwidth
         self._wiring_csr = None
         self._ran = False
         self._quiescent = True
@@ -377,7 +369,6 @@ class Network:
 
     def _build_contexts(self) -> list[NodeContext]:
         """Wire one context per node, then apply the queued kernel outputs."""
-        strict_limit = self.bandwidth if self.strict_bandwidth else float("inf")
         queues, heads = self._queues, self._heads
         link_max, is_active = self._link_max_backlog, self._is_active
         active, awake, sent = self._active, self._awake, self._sent
@@ -393,9 +384,9 @@ class Network:
             # n = 10^4 nodes.
             contexts = self._contexts = [
                 NodeContext(
-                    v, neighbor_tuples[v], {}, v not in awake, None, sent,
-                    None, link_table, queues, heads, link_max, is_active,
-                    active, awake, strict_limit, None,
+                    v, neighbor_tuples[v], {}, v not in awake, sent, None,
+                    link_table, queues, heads, link_max, is_active, active,
+                    awake,
                 )
                 for v in range(len(neighbor_tuples))
             ]
@@ -839,7 +830,6 @@ class Network:
         receivers: list[int] = []
         if not active:
             return receivers
-        bandwidth = self.bandwidth
         queues = self._queues
         heads = self._heads
         receiver_of = self._receiver_of
@@ -859,36 +849,26 @@ class Network:
             size = len(buf)
             receiver = receiver_of[link]
             edge = link >> 1
-            receiver_crashed = receiver in crashed
             inbox = inbox_of[receiver]
             if inbox is None:
                 inbox = inbox_of[receiver] = []
             had_mail = bool(inbox)
-            quota = bandwidth
-            while quota and head < size:
-                msg = buf[head]
-                if receiver_crashed:
-                    head += 1
-                    quota -= 1
-                    edge_counts[edge] += 1
-                    dropped += 1
-                    continue
-                action = on_deliver(link, msg, round_no)
-                if action == 3:  # HOLD: freeze this link for the round
-                    break
+            msg = buf[head]
+            # A message to a crashed receiver is dropped unseen.
+            action = 1 if receiver in crashed else on_deliver(link, msg, round_no)
+            if action != 3:  # HOLD freezes this link for the round
                 head += 1
-                quota -= 1
                 edge_counts[edge] += 1
                 if action == 1:  # DROP
                     dropped += 1
-                    continue
-                if action == 2:  # DUPLICATE
+                else:
+                    if action == 2:  # DUPLICATE
+                        inbox.append(msg)
+                        edge_counts[edge] += 1
+                        delivered += 1
+                        duplicated += 1
                     inbox.append(msg)
-                    edge_counts[edge] += 1
                     delivered += 1
-                    duplicated += 1
-                inbox.append(msg)
-                delivered += 1
             if head >= size:
                 queues[link] = None
                 if heads[link]:
@@ -935,7 +915,6 @@ class Network:
         receivers: list[int] = []
         if not active:
             return receivers
-        bandwidth = self.bandwidth
         queues = self._queues
         heads = self._heads
         receiver_of = self._receiver_of
@@ -945,7 +924,6 @@ class Network:
         is_active = self._is_active
         max_backlog = metrics.max_link_backlog
         still_active: list[int] = []
-        delivered = 0
         for link in active:
             buf = queues[link]
             head = heads[link]
@@ -956,34 +934,22 @@ class Network:
                 receivers.append(receiver)
                 if inbox is None:
                     inbox = inbox_of[receiver] = []
-            backlog = size - head
-            if backlog <= bandwidth:
-                # Common case: the whole queue fits in one round (with unit
-                # bandwidth this is the only uncongested shape).
-                if backlog == 1:
-                    inbox.append(buf[head])
-                else:
-                    inbox.extend(buf[head:] if head else buf)
-                take = backlog
+            inbox.append(buf[head])
+            head += 1
+            if head == size:
+                # Common case: the queue held one message, the only
+                # uncongested shape.
                 queues[link] = None
-                if head:
+                if head > 1:
                     heads[link] = 0
                 is_active[link] = 0
             else:
-                take = bandwidth
-                if take == 1:
-                    inbox.append(buf[head])
-                else:
-                    inbox.extend(buf[head:head + take])
-                head += take
                 if head > 64 and head * 2 >= size:
                     del buf[:head]
                     head = 0
                 heads[link] = head
                 still_active.append(link)
-
-            delivered += take
-            edge_counts[link >> 1] += take
+            edge_counts[link >> 1] += 1
             lm = link_max[link]
             if lm > max_backlog:
                 max_backlog = lm
@@ -992,7 +958,7 @@ class Network:
             # backlog of at least 1 was observed.
             max_backlog = 1
         metrics.max_link_backlog = max_backlog
-        metrics.messages_delivered += delivered
+        metrics.messages_delivered += len(active)
         # In-place so the wired NodeContexts' cached reference stays valid.
         active[:] = still_active
         return receivers

@@ -11,16 +11,17 @@ algorithms.
 
 Engine wiring
 -------------
-A context created by :class:`~repro.congest.network.Network` is *wired*: it
-holds direct references to the engine's link arrays plus a precomputed
-``neighbor -> directed link id`` dict derived from the graph's CSR
-snapshot, so :meth:`send` resolves the target link with a single int-keyed
-dict lookup and enqueues the message straight onto the link's queue —
-no per-message ``(sender, receiver)`` tuple key, no global link dict, no
-outbox, and no neighbour-set rebuild.  A send onto an idle link (one whose
+Every context is created by a :class:`~repro.congest.network.Network` and
+is *wired* to it: it holds direct references to the engine's link arrays
+plus a precomputed ``neighbor -> directed link id`` dict derived from the
+graph's CSR snapshot, so :meth:`send` resolves the target link with a
+single int-keyed dict lookup and enqueues the message straight onto the
+link's queue — no per-message ``(sender, receiver)`` tuple key, no global
+link dict, no outbox, and no neighbour-set rebuild.  The engine delivers
+one message per link per round; a send onto an idle link (one whose
 ``is_active`` flag is clear, so its queue is empty) starts a fresh queue
-list; only a send onto a busy link reads the backlog for the strict-capacity
-check and the backlog maximum.  Every wired context of one network shares a
+list, and only a send onto a busy link reads the backlog to track the
+backlog maximum.  Every wired context of one network shares a
 single duplicate-send set: its keys pack the directed link id, which already
 names the sender, and the engine clears it after every handler.
 :meth:`halt` / :meth:`wake` incrementally maintain the engine's awake-node
@@ -38,11 +39,6 @@ without its link dict: :meth:`send`, :meth:`multicast` and
 their first call (one ``is None`` test per call), and that table builds
 every node's dict at once on the first request.  A context that is only
 read never builds one; :meth:`multicast_links` needs none.
-
-A context created standalone (``NodeContext(node_id=..., neighbors=...)``,
-as the unit tests and the legacy reference engine do) has no engine; sends
-then fall back to buffering messages in an outbox that the owner collects
-with ``_collect_outbox``, preserving the seed repository's semantics.
 """
 
 from __future__ import annotations
@@ -50,12 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .message import (
-    MAX_PAYLOAD_FIELDS,
-    BandwidthExceededError,
-    Message,
-    check_payload,
-)
+from .message import MAX_PAYLOAD_FIELDS, Message, check_payload
 
 
 @dataclass(slots=True)
@@ -72,29 +63,24 @@ class NodeContext:
 
     node_id: int
     neighbors: tuple[int, ...]
-    state: dict[str, Any] = field(default_factory=dict)
-    halted: bool = False
-    # Standalone contexts buffer sends in their own outbox and guard
-    # duplicates with their own set.  Wired contexts have no outbox
-    # (``None``) and share the owning Network's duplicate-send set.
-    _outbox: Optional[list[Message]] = field(default_factory=list)
-    _sent_this_round: set = field(default_factory=set)
-    # Engine wiring (all None/empty for standalone contexts).  The link
-    # arrays are shared with — and mutated in place by — the owning Network;
-    # keeping direct references here saves two attribute hops per message on
-    # the hottest path in the simulator.
-    # A wired context fetches its ``neighbor -> link`` dict from the
-    # network's shared link table (``_link_table.row(node_id)``) on its
-    # first send, so a context that is only read never builds one.
-    _out_link: Optional[dict[int, int]] = field(default=None, repr=False, compare=False)
-    _link_table: Any = field(default=None, repr=False, compare=False)
-    _queues: Optional[list] = field(default=None, repr=False, compare=False)
-    _heads: Optional[Any] = field(default=None, repr=False, compare=False)
-    _link_max: Optional[Any] = field(default=None, repr=False, compare=False)
-    _link_is_active: Optional[bytearray] = field(default=None, repr=False, compare=False)
-    _link_active: Optional[list] = field(default=None, repr=False, compare=False)
-    _awake: Optional[set] = field(default=None, repr=False, compare=False)
-    _strict_limit: Any = field(default=None, repr=False, compare=False)
+    state: dict[str, Any]
+    halted: bool
+    # The owning Network's duplicate-send set, shared by all its contexts.
+    _sent_this_round: set = field(repr=False, compare=False)
+    # Fetched from the network's shared link table
+    # (``_link_table.row(node_id)``) on the first send, so a context that
+    # is only read never builds one.
+    _out_link: Optional[dict[int, int]] = field(repr=False, compare=False)
+    _link_table: Any = field(repr=False, compare=False)
+    # The link arrays are shared with — and mutated in place by — the
+    # owning Network; keeping direct references here saves two attribute
+    # hops per message on the hottest path in the simulator.
+    _queues: list = field(repr=False, compare=False)
+    _heads: list = field(repr=False, compare=False)
+    _link_max: list = field(repr=False, compare=False)
+    _link_is_active: bytearray = field(repr=False, compare=False)
+    _link_active: list = field(repr=False, compare=False)
+    _awake: set = field(repr=False, compare=False)
     # One-slot payload-validation memo: a broadcast/announce passes the same
     # payload object to every neighbour, so re-validating it per send is
     # pure overhead.  Holding the reference keeps the identity test sound
@@ -112,35 +98,8 @@ class NodeContext:
             ValueError: if ``neighbor`` is not adjacent, the payload is too
                 large, or a second message to the same neighbour is attempted
                 for the same algorithm id in one round.
-            BandwidthExceededError: on a strict-bandwidth network, if the
-                target link already holds a full round's worth of messages.
         """
-        queues = self._queues
-        if queues is None:
-            # Standalone mode (unit tests, the legacy reference engine):
-            # validate against the neighbour set and buffer in the outbox.
-            if neighbor not in self._neighbor_set():
-                raise ValueError(f"node {self.node_id} has no neighbor {neighbor}")
-            check_payload(payload)
-            key = (neighbor, algorithm_id)
-            if key in self._sent_this_round:
-                raise ValueError(
-                    f"node {self.node_id} already sent to {neighbor} for algorithm {algorithm_id} this round"
-                )
-            self._sent_this_round.add(key)
-            self._outbox.append(
-                Message(
-                    sender=self.node_id,
-                    receiver=neighbor,
-                    tag=tag,
-                    payload=payload,
-                    algorithm_id=algorithm_id,
-                )
-            )
-            return
-
-        # Wired fast path: resolve the directed link from the precomputed
-        # per-node table.
+        # Resolve the directed link from the precomputed per-node table.
         out_link = self._out_link
         if out_link is None:
             out_link = self._wire_links()
@@ -162,20 +121,15 @@ class NodeContext:
                 f"node {self.node_id} already sent to {neighbor} for algorithm {algorithm_id} this round"
             )
         sent.add(key)
+        queues = self._queues
         if self._link_is_active[link]:
-            # Already-queued traffic: enforce strict capacity and track the
-            # backlog maximum.  A backlog of exactly 1 (the uncongested
-            # norm) is implied by any delivery, so only larger backlogs are
-            # recorded; _deliver floors the reported maximum at 1 once
-            # anything has been delivered.
+            # Already-queued traffic: track the backlog maximum.  A backlog
+            # of exactly 1 (the uncongested norm) is implied by any
+            # delivery, so only larger backlogs are recorded; _deliver
+            # floors the reported maximum at 1 once anything has been
+            # delivered.
             buf = queues[link]
-            backlog = len(buf) - self._heads[link]
-            if backlog >= self._strict_limit:
-                raise BandwidthExceededError(
-                    f"link {self.node_id}->{neighbor} exceeded capacity "
-                    f"{self._strict_limit} per round"
-                )
-            backlog += 1
+            backlog = len(buf) - self._heads[link] + 1
             link_max = self._link_max
             if backlog > link_max[link]:
                 link_max[link] = backlog
@@ -190,19 +144,13 @@ class NodeContext:
         """Send the same message to every neighbour in ``targets``.
 
         Semantically identical to calling :meth:`send` once per target (the
-        CONGEST cost is still one message per link), but the engine-wired
-        implementation validates the payload once, allocates a *single*
-        :class:`Message` shared by every target, and enqueues in one pass
-        with the hot locals hoisted — this is the per-message fast path the
-        flooding primitives use.  The shared message's ``receiver`` field is
+        CONGEST cost is still one message per link), but it validates the
+        payload once, allocates a *single* :class:`Message` shared by every
+        target, and enqueues in one pass with the hot locals hoisted — this
+        is the per-message fast path the flooding primitives use.  The shared message's ``receiver`` field is
         the sentinel ``-1``: delivery routes by directed link id, never by
         the field, and no algorithm-facing API exposes it for multicasts.
         """
-        queues = self._queues
-        if queues is None:
-            for v in targets:
-                self.send(v, tag, payload, algorithm_id)
-            return
         if not (0 <= algorithm_id < 1048576):
             for v in targets:
                 self.send(v, tag, payload, algorithm_id)
@@ -229,11 +177,11 @@ class NodeContext:
         sent = self._sent_this_round
         node_id = self.node_id
         message = Message(node_id, -1, tag, payload, algorithm_id)
+        queues = self._queues
         heads = self._heads
         link_max = self._link_max
         is_active = self._link_is_active
         active = self._link_active
-        strict_limit = self._strict_limit
         for v in targets:
             try:
                 link = out_link[v]
@@ -247,13 +195,7 @@ class NodeContext:
             sent.add(key)
             if is_active[link]:
                 buf = queues[link]
-                backlog = len(buf) - heads[link]
-                if backlog >= strict_limit:
-                    raise BandwidthExceededError(
-                        f"link {node_id}->{v} exceeded capacity "
-                        f"{strict_limit} per round"
-                    )
-                backlog += 1
+                backlog = len(buf) - heads[link] + 1
                 if backlog > link_max[link]:
                     link_max[link] = backlog
                 buf.append(message)
@@ -269,8 +211,10 @@ class NodeContext:
         The link-mask variant of :meth:`multicast`, used by the primitives
         that carry a :class:`~repro.graphs.csr.CSRLinkMask`: ``links`` and
         ``targets`` are the parallel per-node slices of the mask (link ids
-        and the neighbours they lead to), so the engine-wired path skips the
-        per-target ``neighbor -> link`` dict lookups entirely.
+        and the neighbours they lead to), so a send skips the per-target
+        ``neighbor -> link`` dict lookups entirely.  The links alone route
+        the message; ``targets`` serves contexts that route by receiver,
+        such as the test suite's reference engine.
 
         Trust contract: the caller guarantees that (a) every link id is a
         valid out-link of this node for the wired network's topology (true
@@ -282,32 +226,18 @@ class NodeContext:
         validation is skipped too (the in-tree primitives only ever send
         ``(int, int)`` announcements over this path, plus the reliable
         channel's wire tuples, whose fields it validates once per unit).
-        Per-link bandwidth accounting (strict capacity, backlog maxima) is
-        identical to :meth:`multicast`.
+        Backlog accounting is identical to :meth:`multicast`.
         """
+        message = Message(self.node_id, -1, tag, payload, algorithm_id)
         queues = self._queues
-        if queues is None:
-            # Standalone mode: fall back to validated per-target sends.
-            for v in targets:
-                self.send(v, tag, payload, algorithm_id)
-            return
-        node_id = self.node_id
-        message = Message(node_id, -1, tag, payload, algorithm_id)
         heads = self._heads
         link_max = self._link_max
         is_active = self._link_is_active
         active = self._link_active
-        strict_limit = self._strict_limit
         for link in links:
             if is_active[link]:
                 buf = queues[link]
-                backlog = len(buf) - heads[link]
-                if backlog >= strict_limit:
-                    raise BandwidthExceededError(
-                        f"link {node_id}->{self._link_receiver(link)} exceeded "
-                        f"capacity {strict_limit} per round"
-                    )
-                backlog += 1
+                backlog = len(buf) - heads[link] + 1
                 if backlog > link_max[link]:
                     link_max[link] = backlog
                 buf.append(message)
@@ -316,17 +246,13 @@ class NodeContext:
                 is_active[link] = 1
                 active.append(link)
 
-    def out_link_ids(self, targets) -> Optional[list[int]]:
-        """Directed link ids of sends to these neighbours, or ``None``.
+    def out_link_ids(self, targets) -> list[int]:
+        """Directed link ids of sends to these neighbours.
 
-        ``None`` on standalone (engine-less) contexts, where no link table
-        exists; callers then fall back to :meth:`multicast`.  Used by
-        primitives that repeatedly multicast to a fixed neighbour set (e.g.
-        the pipelined numbering's down-stream) to precompute their
-        :meth:`multicast_links` arguments once.
+        Used by primitives that repeatedly multicast to a fixed neighbour
+        set (e.g. the pipelined numbering's down-stream) to precompute
+        their :meth:`multicast_links` arguments once.
         """
-        if self._queues is None:
-            return None
         out = self._out_link
         if out is None:
             out = self._wire_links()
@@ -336,13 +262,6 @@ class NodeContext:
         """Fetch this wired context's ``neighbor -> link`` dict (first use)."""
         out = self._out_link = self._link_table.row(self.node_id)
         return out
-
-    def _link_receiver(self, link: int) -> int:
-        """Best-effort reverse lookup of a link's receiver (error paths only)."""
-        for neighbor, out in self._wire_links().items():
-            if out == link:
-                return neighbor
-        return -1
 
     def broadcast(self, tag: str, payload: Any = None, *, algorithm_id: int = 0) -> None:
         """Send the same message to every neighbour."""
@@ -357,29 +276,10 @@ class NodeContext:
         """
         if not self.halted:
             self.halted = True
-            awake = self._awake
-            if awake is not None:
-                awake.discard(self.node_id)
+            self._awake.discard(self.node_id)
 
     def wake(self) -> None:
         """Clear the halted flag (called by the engine on message arrival)."""
         if self.halted:
             self.halted = False
-            awake = self._awake
-            if awake is not None:
-                awake.add(self.node_id)
-
-    # ------------------------------------------------------------------
-    # engine-side helpers (not part of the algorithm-facing API)
-    # ------------------------------------------------------------------
-    def _collect_outbox(self) -> list[Message]:
-        out, self._outbox = self._outbox, []
-        self._sent_this_round.clear()
-        return out
-
-    def _neighbor_set(self) -> set[int]:
-        cached = self.state.get("__neighbors_set")
-        if cached is None:
-            cached = set(self.neighbors)
-            self.state["__neighbors_set"] = cached
-        return cached
+            self._awake.add(self.node_id)

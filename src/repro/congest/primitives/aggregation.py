@@ -605,8 +605,8 @@ class ShortcutAggregationResult:
         congestion: the simulated parts' mask congestion, which bounded
             the start delays (0 when no part was simulated).
         simulated_parts: part indices that ran on the simulator.
-        folded_parts: part indices resolved locally (size below
-            ``min_simulated_size``; see :func:`aggregate_over_shortcut`).
+        folded_parts: part indices resolved locally (the singleton parts;
+            see :func:`aggregate_over_shortcut`).
     """
 
     values: dict[int, Any]
@@ -644,7 +644,6 @@ def aggregate_over_shortcut(
     broadcast_result: bool = True,
     rng: RandomLike,
     max_rounds: int = 200_000,
-    min_simulated_size: int = 2,
     retry: Optional[RetryPolicy] = None,
     adversary: Optional[Adversary] = None,
 ) -> ShortcutAggregationResult:
@@ -657,11 +656,10 @@ def aggregate_over_shortcut(
     degrades the routing to the raw part trees — the comparison experiment
     E14 measures exactly that gap.
 
-    Parts smaller than ``min_simulated_size`` are resolved locally at zero
-    round cost: a fragment leader that knows its fragment has one member
-    (fragment sizes are local knowledge in every Boruvka-style consumer,
-    maintained across merges) already holds the aggregate and needs no
-    tree.  Pass ``min_simulated_size=1`` to simulate every part regardless.
+    Singleton parts are resolved locally at zero round cost: a fragment
+    leader that knows its fragment has one member (fragment sizes are local
+    knowledge in every Boruvka-style consumer, maintained across merges)
+    already holds the aggregate and needs no tree.
 
     Args:
         shortcut: the shortcut whose augmented subgraphs carry the traffic.
@@ -672,7 +670,6 @@ def aggregate_over_shortcut(
             (reset by the run); one is built when omitted.
         identity, broadcast_result, rng, max_rounds, retry, adversary:
             forwarded to :func:`run_part_aggregation`.
-        min_simulated_size: smallest part size that runs on the simulator.
 
     Returns:
         A :class:`ShortcutAggregationResult`.
@@ -688,7 +685,7 @@ def aggregate_over_shortcut(
     for i in range(partition.num_parts):
         part = partition.part(i)
         part_values = {v: node_values[v] for v in part if v in node_values}
-        if len(part) < min_simulated_size:
+        if len(part) < 2:
             folded.append(i)
             if part_values:
                 acc = None

@@ -9,20 +9,18 @@ pipelining".  :class:`PipelinedNumbering` is that primitive, made concrete:
   deep chain of tokens pipelines instead of serialising — each stream
   terminated by an ``end`` marker once all of a node's children have ended;
 * the root ranks the collected tokens in ascending order and streams the
-  results back *down*, again pipelined one item per round.  In ``"full"``
-  broadcast mode every ``(token, rank)`` pair floods the whole tree and
-  every node records the count plus any watched token's rank; in
-  ``"count"`` mode each pair instead retraces the *reverse convergecast
-  path* recorded while its token travelled up — so only the contributor
-  that injected the token learns its rank — and only the final count
-  floods the full tree.
+  results back *down*, again pipelined one item per round: each
+  ``(token, rank)`` pair retraces the *reverse convergecast path* recorded
+  while its token travelled up — so only the contributor that injected
+  the token learns its rank — and only the final count floods the full
+  tree.
 
-``"count"`` is what the shortcut construction needs: a node sampling edges
-for the large parts ``1 .. N'`` only needs the count (its samples are
-tagged with abstract indices), and only each part *leader* must know which
-index is its own (it tags its stage-4 BFS with it).  Full dissemination
-costs ``Θ(N'·n)`` messages; the reverse-path mode ``O(N'·D + n)`` — the
-rounds are ``O(D + N')`` pipelined either way.
+That is what the shortcut construction needs: a node sampling edges for
+the large parts ``1 .. N'`` only needs the count (its samples are tagged
+with abstract indices), and only each part *leader* must know which index
+is its own (it tags its stage-4 BFS with it).  The down-stream costs
+``O(N'·D + n)`` messages, where flooding every pair would cost
+``Θ(N'·n)``.
 
 Child discovery costs one round: each non-root node tells its tree parent
 "I am your child" during initialization; because the algorithm is
@@ -38,7 +36,6 @@ counts every queueing and pipelining round like any other algorithm.
 from __future__ import annotations
 
 from sys import intern
-from typing import Callable, Optional
 
 from ..algorithm import DistributedAlgorithm
 from ..message import Message
@@ -55,16 +52,6 @@ class PipelinedNumbering(DistributedAlgorithm):
     Args:
         tokens: map ``node id -> token`` of the contributors (each
             contributes exactly one token; tokens must be distinct ints).
-        watch_token_of: optional callable ``node id -> token or None``; a
-            node watching a token stores that token's rank in
-            ``<prefix>rank`` when the down-stream passes.  (A part member
-            watches its leader's id.)  Passing a sequence indexed by node
-            id instead of a callable avoids a Python call per broadcast
-            pair per node on the hot path.  Only meaningful in ``"full"``
-            broadcast mode.
-        broadcast: ``"full"`` floods every ranked pair to every tree node;
-            ``"count"`` routes each pair back to its contributor only and
-            floods just the count (see the module docstring).
         tree_prefix: state prefix under which a previous
             :class:`~repro.congest.primitives.bfs.DistributedBFS` left the
             tree's ``parent`` pointers.  Nodes without a parent pointer do
@@ -75,8 +62,7 @@ class PipelinedNumbering(DistributedAlgorithm):
     Outputs:
 
     * ``<prefix>count`` (every tree node): the number of tokens ``N'``;
-    * ``<prefix>rank``: the 1-based rank — on watching nodes in ``"full"``
-      mode, on the contributors themselves in ``"count"`` mode;
+    * ``<prefix>rank`` (each contributor): the 1-based rank of its token;
     * :attr:`ranking` (driver-side, written at the root): the full
       ``token -> rank`` map.
     """
@@ -87,27 +73,16 @@ class PipelinedNumbering(DistributedAlgorithm):
         self,
         tokens: dict[int, int],
         *,
-        watch_token_of: Optional[Callable[[int], Optional[int]]] = None,
         tree_prefix: str = "gt_",
         prefix: str = "num_",
         algorithm_id: int = 0,
-        broadcast: str = "full",
     ) -> None:
-        if broadcast not in ("full", "count"):
-            raise ValueError(f"unknown broadcast mode {broadcast!r}")
         self.tokens = dict(tokens)
         if len(set(self.tokens.values())) != len(self.tokens):
             raise ValueError("contributor tokens must be distinct")
-        self.watch_token_of = watch_token_of
-        self._watch_seq = (
-            watch_token_of
-            if watch_token_of is not None and not callable(watch_token_of)
-            else None
-        )
         self.tree_prefix = tree_prefix
         self.prefix = prefix
         self.algorithm_id = algorithm_id
-        self.broadcast_mode = broadcast
         self.ranking: dict[int, int] = {}
         self._tag_claim = intern(prefix + "claim")
         self._tag_up = intern(prefix + "up")
@@ -211,10 +186,7 @@ class PipelinedNumbering(DistributedAlgorithm):
                 down = [(_KIND_TOKEN, t, r) for t, r in self.ranking.items()]
                 down.append((_KIND_END, len(collected), 0))
                 state[self._key_down_queue] = down
-                self._record_count(node, len(collected))
-                if self.broadcast_mode == "full":
-                    for t, r in self.ranking.items():
-                        self._record_rank(node, t, r)
+                state[self._key_count] = len(collected)
                 self._stream_down(node)
                 return
             node.halt()
@@ -238,8 +210,7 @@ class PipelinedNumbering(DistributedAlgorithm):
         """Multicast one down-stream item to the (fixed) children.
 
         The child set never changes once the down-phase starts, so the
-        directed link ids are resolved once and reused (``None`` marks an
-        engine-less context, which keeps the validated multicast path).
+        directed link ids are resolved once and reused.
         """
         state = node.state
         children = state[self._key_children]
@@ -248,14 +219,11 @@ class PipelinedNumbering(DistributedAlgorithm):
         cached = state.get(self._key_child_links)
         if cached is None:
             cached = state[self._key_child_links] = node.out_link_ids(children)
-        if cached is None:
-            node.multicast(children, self._tag_down, payload, self.algorithm_id)
-        else:
-            node.multicast_links(cached, children, self._tag_down, payload,
-                                 self.algorithm_id)
+        node.multicast_links(cached, children, self._tag_down, payload,
+                             self.algorithm_id)
 
     def _route_or_record(self, node: NodeContext, payload) -> None:
-        """Count mode: hand a ranked pair back down its reverse up-path."""
+        """Hand a ranked pair back down its reverse up-path."""
         token = payload[1]
         child = node.state[self._key_route].get(token, -1)
         if child is None:
@@ -266,13 +234,9 @@ class PipelinedNumbering(DistributedAlgorithm):
 
     def _handle_down(self, node: NodeContext, payload) -> None:
         if payload[0] == _KIND_TOKEN:
-            if self.broadcast_mode == "count":
-                self._route_or_record(node, payload)
-                return
-            _, token, rank = payload
-            self._record_rank(node, token, rank)
-        else:
-            self._record_count(node, payload[1])
+            self._route_or_record(node, payload)
+            return
+        node.state[self._key_count] = payload[1]
         # Forward immediately: the root emits one item per round, so at most
         # one down message arrives per round and per-link bandwidth holds.
         self._forward_down(node, payload)
@@ -282,7 +246,7 @@ class PipelinedNumbering(DistributedAlgorithm):
         down = state[self._key_down_queue]
         if down:
             item = down.pop(0)
-            if self.broadcast_mode == "count" and item[0] == _KIND_TOKEN:
+            if item[0] == _KIND_TOKEN:
                 self._route_or_record(node, item)
             else:
                 self._forward_down(node, item)
@@ -292,16 +256,3 @@ class PipelinedNumbering(DistributedAlgorithm):
         else:
             del state[self._key_down_queue]
             node.halt()
-
-    def _record_count(self, node: NodeContext, count: int) -> None:
-        node.state[self._key_count] = count
-
-    def _record_rank(self, node: NodeContext, token: int, rank: int) -> None:
-        seq = self._watch_seq
-        if seq is not None:
-            if seq[node.node_id] == token:
-                node.state[self._key_rank] = rank
-            return
-        watcher = self.watch_token_of
-        if watcher is not None and watcher(node.node_id) == token:
-            node.state[self._key_rank] = rank

@@ -356,9 +356,8 @@ class ReliableChannel:
         route = self._links.get(link_key)
         if route is None:
             targets = (nbr,)
-            # Standalone contexts have no link ids (and ignore them).
             route = self._links[link_key] = (
-                targets, tuple(node.out_link_ids(targets) or ()), [0],
+                targets, tuple(node.out_link_ids(targets)), [0],
             )
         return route
 

@@ -223,7 +223,6 @@ def detect_large_parts(
 def measure_diameter_probe(
     graph: Graph,
     *,
-    bandwidth: int = 1,
     source: int = 0,
     max_rounds: int = 200_000,
 ) -> tuple[int, int]:
@@ -235,7 +234,7 @@ def measure_diameter_probe(
     Raises:
         ValueError: if the graph is disconnected (some node unreached).
     """
-    network = Network(graph, bandwidth=bandwidth)
+    network = Network(graph)
     bfs = DistributedBFS({source}, prefix="probe_")
     metrics = network.run(bfs, max_rounds=max_rounds)
     ecc = 0
@@ -259,7 +258,6 @@ def build_distributed_kogan_parter(
     probability: Optional[float] = None,
     depth_budget_factor: float = 4.0,
     rng: RandomLike = None,
-    bandwidth: int = 1,
     max_rounds: int = 200_000,
 ) -> DistributedShortcutResult:
     """Run the distributed shortcut construction and measure its rounds.
@@ -282,7 +280,6 @@ def build_distributed_kogan_parter(
         depth_budget_factor: the stage-4 BFS depth budget is
             ``ceil(depth_budget_factor · k_D · ln n)``.
         rng: randomness for sampling and the scheduler delays.
-        bandwidth: CONGEST link bandwidth (1 = standard model).
         max_rounds: safety cap per simulated stage.
 
     Returns:
@@ -300,9 +297,7 @@ def build_distributed_kogan_parter(
             diameter_value = int(measured)
         guesses = [diameter_value]
     else:
-        ecc, probe_rounds = measure_diameter_probe(
-            graph, bandwidth=bandwidth, max_rounds=max_rounds
-        )
+        ecc, probe_rounds = measure_diameter_probe(graph, max_rounds=max_rounds)
         guesses = geometric_guesses(max(2, ecc), 2 * ecc)
 
     intra_mask = _intra_part_mask(partition)
@@ -326,7 +321,6 @@ def build_distributed_kogan_parter(
                 probability=probability,
                 depth_budget_factor=depth_budget_factor,
                 rng=r,
-                bandwidth=bandwidth,
                 max_rounds=max_rounds,
             )
         total_rounds += result.total_rounds
@@ -371,7 +365,6 @@ def _run_single_guess(
     probability: Optional[float],
     depth_budget_factor: float,
     rng: Random,
-    bandwidth: int,
     max_rounds: int,
 ) -> DistributedShortcutResult:
     """Run stages 1-5 for one diameter guess (all rounds measured)."""
@@ -389,7 +382,7 @@ def _run_single_guess(
         detection_depth, math.ceil(depth_budget_factor * k_d * math.log(max(n, 2)))
     )
 
-    network = Network(graph, bandwidth=bandwidth)
+    network = Network(graph)
     breakdown: dict[str, int] = {}
 
     # Stage 1: large-part detection (truncated BFS + max-convergecast).
@@ -406,14 +399,13 @@ def _run_single_guess(
     global_tree = DistributedBFS({root}, prefix="gt_")
     tree_metrics = network.run(global_tree, reset=False, max_rounds=max_rounds)
     large_leaders = [partition.leader(i) for i in large]
-    # Reverse-path ("count") mode: every node learns N' (all a sampler
-    # needs — its per-part samples carry abstract indices 1..N'), and each
-    # large-part leader learns its own rank to tag its stage-4 BFS with.
+    # Every node learns N' (all a sampler needs — its per-part samples
+    # carry abstract indices 1..N'), and each large-part leader learns its
+    # own rank to tag its stage-4 BFS with.
     numbering = PipelinedNumbering(
         {leader: leader for leader in large_leaders},
         tree_prefix="gt_",
         prefix="num_",
-        broadcast="count",
     )
     numbering_metrics = network.run(numbering, reset=False, max_rounds=max_rounds)
     breakdown["number_large_parts"] = tree_metrics.rounds + numbering_metrics.rounds

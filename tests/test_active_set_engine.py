@@ -1,16 +1,16 @@
 """Equivalence and behaviour tests for the active-set CONGEST engine.
 
-Extends the replica pattern of ``tests/test_csr.py``: the pre-refactor
-engine semantics (full per-round node scans, ``LinkQueue``-per-link
-delivery, the delay-rescanning scheduler) are re-implemented here as
-reference oracles and compared metric-for-metric against the production
+The pre-refactor engine (full per-round node scans, activation-order
+delivery; :class:`reference_engine.PreRefactorNetwork`) and the
+delay-rescanning scheduler (:class:`LegacyScheduler` below) are the
+reference oracles, compared metric-for-metric against the production
 active-set engine — ``rounds``, ``messages_sent``, ``messages_delivered``,
 ``max_link_backlog`` and ``per_edge_messages`` must be identical on flood,
 BFS, leader election and random-delay-scheduler workloads, for
 single-channel and multi-channel algorithms alike.
 
 Also covers the engine behaviours the refactor introduced or preserved:
-ring-buffer compaction, strict bandwidth raising mid-run, ``reset=False``
+ring-buffer compaction, overload showing as link backlog, ``reset=False``
 composition with the awake-node worklist, the cached
 ``RunMetrics.per_edge_messages`` dict and the ``top_k_edges`` helper.
 """
@@ -21,14 +21,11 @@ import numpy as np
 import pytest
 
 from repro.congest import (
-    BandwidthExceededError,
     DistributedAlgorithm,
     Network,
     RoundLimitExceeded,
     draw_random_delays,
 )
-from repro.congest.message import Message
-from repro.congest.node import NodeContext
 from repro.congest.primitives.bfs import DistributedBFS, extract_bfs_tree
 from repro.congest.primitives.leader import FloodMax, read_leaders
 from repro.congest.primitives.aggregation import PartAggregation
@@ -43,108 +40,9 @@ from repro.graphs.generators import (
 from repro.graphs.lower_bound import lower_bound_instance
 
 from random_delay_scheduler import RandomDelayScheduler
-from test_csr import LegacyNetwork
+from reference_engine import PreRefactorNetwork
 
 SEEDS = list(range(12))
-
-
-class PreRefactorNetwork:
-    """Replica of the pre-refactor (PR 1) engine: dense directed link ids,
-    ring-buffered queues drained in link-activation order, a full per-round
-    scan over all nodes, and outbox collection after each round.
-
-    Multi-channel workloads are sensitive to delivery order, so the oracle
-    must reproduce the activation-order semantics exactly (the seed-era
-    ``LegacyNetwork`` in ``test_csr.py`` delivers in link-creation order
-    instead, which only coincides for order-insensitive algorithms).
-    """
-
-    def __init__(self, graph, bandwidth=1):
-        self.graph = graph
-        self.bandwidth = bandwidth
-        self.nodes = {
-            v: NodeContext(node_id=v, neighbors=tuple(sorted(graph.neighbors(v))))
-            for v in graph.vertices()
-        }
-        csr = graph.csr()
-        num_links = 2 * csr.num_edges
-        self._link_of = {}
-        self._receiver_of = [0] * num_links
-        for eid, (u, v) in enumerate(csr.edge_list):
-            self._link_of[(u, v)] = 2 * eid
-            self._link_of[(v, u)] = 2 * eid + 1
-            self._receiver_of[2 * eid] = v
-            self._receiver_of[2 * eid + 1] = u
-        self._edge_list = csr.edge_list
-        self._queues = [[] for _ in range(num_links)]
-        self._heads = [0] * num_links
-        self._link_max = [0] * num_links
-        self._active = []
-        self._is_active = bytearray(num_links)
-
-    def run(self, algorithm, max_rounds=100_000):
-        metrics = {
-            "rounds": 0, "messages_sent": 0, "messages_delivered": 0,
-            "max_link_backlog": 0, "edge_counts": {},
-        }
-        for ctx in self.nodes.values():
-            algorithm.initialize(ctx)
-        self._collect(metrics)
-        while metrics["rounds"] < max_rounds:
-            if not self._active and all(c.halted for c in self.nodes.values()):
-                metrics["per_edge_messages"] = dict(metrics.pop("edge_counts"))
-                return metrics
-            metrics["rounds"] += 1
-            inboxes = self._deliver(metrics)
-            for v, ctx in self.nodes.items():
-                incoming = inboxes.get(v)
-                if incoming:
-                    ctx.wake()
-                    algorithm.on_round(ctx, incoming)
-                elif not ctx.halted:
-                    algorithm.on_round(ctx, [])
-            self._collect(metrics)
-        raise AssertionError("pre-refactor reference engine hit the round limit")
-
-    def _deliver(self, metrics):
-        inboxes = {}
-        still_active = []
-        for link in self._active:
-            buf = self._queues[link]
-            head = self._heads[link]
-            take = min(self.bandwidth, len(buf) - head)
-            batch = buf[head:head + take]
-            head += take
-            if head >= len(buf):
-                buf.clear()
-                head = 0
-                self._is_active[link] = 0
-            else:
-                still_active.append(link)
-            self._heads[link] = head
-            receiver = self._receiver_of[link]
-            inboxes.setdefault(receiver, []).extend(batch)
-            metrics["messages_delivered"] += take
-            edge = self._edge_list[link >> 1]
-            metrics["edge_counts"][edge] = metrics["edge_counts"].get(edge, 0) + take
-            if self._link_max[link] > metrics["max_link_backlog"]:
-                metrics["max_link_backlog"] = self._link_max[link]
-        self._active = still_active
-        return inboxes
-
-    def _collect(self, metrics):
-        for ctx in self.nodes.values():
-            for message in ctx._collect_outbox():
-                link = self._link_of[(message.sender, message.receiver)]
-                buf = self._queues[link]
-                buf.append(message)
-                backlog = len(buf) - self._heads[link]
-                if backlog > self._link_max[link]:
-                    self._link_max[link] = backlog
-                if not self._is_active[link]:
-                    self._is_active[link] = 1
-                    self._active.append(link)
-                metrics["messages_sent"] += 1
 
 
 class LegacyScheduler(DistributedAlgorithm):
@@ -208,7 +106,7 @@ class TestExpressLaneEquivalence:
     def test_bfs_flood_matches_legacy(self, seed):
         g = random_connected_graph(35 + seed, extra_edge_prob=0.08, rng=seed)
         new_metrics = Network(g).run(DistributedBFS({0}))
-        legacy = LegacyNetwork(g).run(DistributedBFS({0}))
+        legacy = PreRefactorNetwork(g).run(DistributedBFS({0}))
         _assert_metrics_match(new_metrics, legacy)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -217,7 +115,7 @@ class TestExpressLaneEquivalence:
         sources = {0, 3, 7}
         algo = lambda: DistributedBFS(sources, max_depth=3)  # noqa: E731
         new_metrics = Network(g).run(algo())
-        legacy = LegacyNetwork(g).run(algo())
+        legacy = PreRefactorNetwork(g).run(algo())
         _assert_metrics_match(new_metrics, legacy)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -225,7 +123,7 @@ class TestExpressLaneEquivalence:
         g = random_connected_graph(30 + seed, extra_edge_prob=0.1, rng=100 + seed)
         new_net = Network(g)
         new_metrics = new_net.run(FloodMax())
-        legacy_net = LegacyNetwork(g)
+        legacy_net = PreRefactorNetwork(g)
         legacy = legacy_net.run(FloodMax())
         _assert_metrics_match(new_metrics, legacy)
         # Same elected leader everywhere, same per-node state.
@@ -238,14 +136,14 @@ class TestExpressLaneEquivalence:
     def test_flood_on_lower_bound_instance_matches_legacy(self):
         inst = lower_bound_instance(200, 6)
         new_metrics = Network(inst.graph).run(DistributedBFS({0}))
-        legacy = LegacyNetwork(inst.graph).run(DistributedBFS({0}))
+        legacy = PreRefactorNetwork(inst.graph).run(DistributedBFS({0}))
         _assert_metrics_match(new_metrics, legacy)
 
     def test_grid_bfs_states_match_legacy(self):
         g = grid_graph(12, 12)
         new_net = Network(g)
         new_net.run(DistributedBFS({0}))
-        legacy_net = LegacyNetwork(g)
+        legacy_net = PreRefactorNetwork(g)
         legacy_net.run(DistributedBFS({0}))
         _parent, new_dist = extract_bfs_tree(new_net)
         for v in g.vertices():
@@ -275,18 +173,19 @@ class TestSchedulerEquivalence:
         )
         _assert_metrics_match(new_metrics, legacy)
 
-    @pytest.mark.parametrize("bandwidth", [1, 2, 4])
-    def test_scheduler_bandwidth_variants_match(self, bandwidth):
+    def test_scheduler_congested_path_matches(self):
         g = path_graph(12)
         num = 5
         delays = [0] * num
-        new_metrics = Network(g, bandwidth=bandwidth).run(
+        new_metrics = Network(g).run(
             RandomDelayScheduler(self._make_algos(num), list(delays))
         )
-        legacy = PreRefactorNetwork(g, bandwidth=bandwidth).run(
+        legacy = PreRefactorNetwork(g).run(
             LegacyScheduler(self._make_algos(num), list(delays))
         )
         _assert_metrics_match(new_metrics, legacy)
+        # The concurrent waves share links, so some message waited.
+        assert new_metrics.max_link_backlog > 1
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_scheduler_node_states_match(self, seed):
@@ -309,7 +208,8 @@ class TestSchedulerEquivalence:
 # ----------------------------------------------------------------------
 class _Burst(DistributedAlgorithm):
     """Node 0 sends ``count`` messages to node 1 in the first round, using
-    distinct algorithm ids to load a single link far beyond bandwidth."""
+    distinct algorithm ids to load a single link far beyond its one
+    message per round."""
 
     name = "burst"
 
@@ -329,45 +229,33 @@ class _Burst(DistributedAlgorithm):
 
 class TestRingBufferCompaction:
     def test_compaction_branch_preserves_fifo(self):
-        # bandwidth 66 with a 200-message burst drives the head cursor past
-        # 64 while half the buffer is dead, exercising the `head > 64 and
+        # A 200-message burst drives the head cursor past 64 while half the
+        # buffer is dead (head 100), exercising the `head > 64 and
         # head * 2 >= len(buf)` compaction branch in _deliver.
-        net = Network(path_graph(2), bandwidth=66)
+        net = Network(path_graph(2))
         metrics = net.run(_Burst(200))
         assert metrics.terminated
         assert metrics.messages_delivered == 200
         assert net.node(1).state["got"] == list(range(200))
-        assert metrics.rounds == -(-200 // 66)  # ceil(200/66) delivery rounds
+        assert metrics.rounds == 200  # one delivery round per message
         assert metrics.max_link_backlog == 200
         assert metrics.per_edge_messages == {(0, 1): 200}
 
-    @pytest.mark.parametrize("bandwidth,count", [(1, 150), (3, 200), (66, 200), (70, 139)])
-    def test_compaction_never_reorders_or_drops(self, bandwidth, count):
-        net = Network(path_graph(2), bandwidth=bandwidth)
+    @pytest.mark.parametrize("count", [64, 129, 150, 201])
+    def test_compaction_never_reorders_or_drops(self, count):
+        net = Network(path_graph(2))
         metrics = net.run(_Burst(count))
         assert metrics.terminated
         assert net.node(1).state["got"] == list(range(count))
         assert metrics.messages_delivered == count
 
-    def test_linkqueue_compaction_standalone(self):
-        from repro.congest.message import LinkQueue
-
-        q = LinkQueue(capacity_per_round=66)
-        messages = [Message(0, 1, "t", i) for i in range(200)]
-        for m in messages:
-            q.enqueue(m)
-        drained = []
-        while q.backlog:
-            drained.extend(q.drain())
-        assert drained == messages
-
 
 # ----------------------------------------------------------------------
-# strict bandwidth mid-run
+# overload mid-run
 # ----------------------------------------------------------------------
 class _LateOverload(DistributedAlgorithm):
     """Pings along a path for a few rounds, then bursts two messages onto
-    one link (distinct algorithm ids) to trigger strict mode mid-run."""
+    one link (distinct algorithm ids) to overload it mid-run."""
 
     name = "late_overload"
 
@@ -382,40 +270,45 @@ class _LateOverload(DistributedAlgorithm):
     def on_round(self, node, messages):
         for msg in messages:
             if msg.tag != "tick":
+                node.state.setdefault("burst", []).append(msg.payload)
                 continue
             count = msg.payload + 1
             node.state["seen"] = count
             if node.node_id == 1 and count >= self.burst_round:
-                # Two messages on link 1->0 in one round: the second send
-                # must raise with the first still queued (partially drained
-                # queues elsewhere in the network).
-                node.send(0, "tick", count, algorithm_id=0)
-                node.send(0, "tick", count, algorithm_id=1)
+                # Two messages on link 1->0 in one round: the second waits
+                # a round behind the first.
+                node.send(0, "burst", count, algorithm_id=0)
+                node.send(0, "burst", count, algorithm_id=1)
             else:
                 node.send(msg.sender, "tick", count)
         node.halt()
 
 
-class TestStrictBandwidthMidRun:
-    def test_strict_raises_mid_run_with_queues_partially_drained(self):
-        net = Network(path_graph(2), strict_bandwidth=True)
-        with pytest.raises(BandwidthExceededError):
-            net.run(_LateOverload(burst_round=4))
-        # The run progressed before aborting: earlier ticks were delivered.
-        assert net.node(1).state["seen"] >= 4
+class TestOverloadMidRun:
+    def test_late_overload_queues_behind_the_link(self):
+        net = Network(path_graph(2))
+        metrics = net.run(_LateOverload(burst_round=4))
+        assert metrics.terminated
+        # Five tick rounds, then the burst's second message waits one round
+        # behind the first.
+        assert (net.node(0).state["seen"], net.node(1).state["seen"]) == (4, 5)
+        assert net.node(0).state["burst"] == [5, 5]
+        assert metrics.rounds == 7
+        assert metrics.max_link_backlog == 2
 
-    def test_strict_ok_without_overload(self):
-        net = Network(grid_graph(4, 4), strict_bandwidth=True)
+    def test_no_overload_without_concurrency(self):
+        net = Network(grid_graph(4, 4))
         metrics = net.run(DistributedBFS({0}))
         assert metrics.terminated
+        assert metrics.max_link_backlog == 1
 
-    def test_strict_scheduler_overload_raises(self):
+    def test_scheduler_overload_shows_as_backlog(self):
         g = path_graph(5)
         num = 3
         algos = [DistributedBFS({0}, prefix=f"x{i}_", algorithm_id=i) for i in range(num)]
-        net = Network(g, strict_bandwidth=True)
-        with pytest.raises(BandwidthExceededError):
-            net.run(RandomDelayScheduler(algos, [0] * num))
+        metrics = Network(g).run(RandomDelayScheduler(algos, [0] * num))
+        assert metrics.terminated
+        assert metrics.max_link_backlog == num
 
 
 # ----------------------------------------------------------------------
@@ -462,7 +355,7 @@ class TestResetFalseComposition:
         net.run(FloodMax())
         new_second = net.run(DistributedBFS({g.num_vertices - 1}), reset=False)
 
-        legacy_net = LegacyNetwork(g)
+        legacy_net = PreRefactorNetwork(g)
         legacy_net.run(FloodMax())
         legacy_second = legacy_net.run(DistributedBFS({g.num_vertices - 1}))
         assert new_second.rounds == legacy_second["rounds"]
@@ -538,15 +431,14 @@ class TestResetFalseComposition:
         # First run's outputs are still readable.
         assert net.node(24).state["bfs_dist"] == 8
 
-    @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("bulk", [True, False])
-    def test_cutoff_refuses_reset_false_follow_up(self, bulk, strict, monkeypatch):
+    def test_cutoff_refuses_reset_false_follow_up(self, bulk, monkeypatch):
         # A BFS cut off at round 1 has node 1's announcements still in
         # flight on 1->0 and 1->2.  It raises with the partial metrics and
         # the labels it reached, and the traffic is never delivered: a
         # follow-up must reset the network first.
         monkeypatch.setattr(DistributedBFS, "bulk_capable", bulk)
-        net = Network(path_graph(4), strict_bandwidth=strict)
+        net = Network(path_graph(4))
         with pytest.raises(RoundLimitExceeded) as cut:
             net.run(DistributedBFS({0}), max_rounds=1)
         partial = cut.value.metrics
@@ -751,10 +643,3 @@ class TestWiredNodeContext:
         assert 1 not in net._awake
         ctx.wake()
         assert 1 in net._awake
-
-    def test_standalone_context_still_buffers_outbox(self):
-        node = NodeContext(node_id=0, neighbors=(1, 2))
-        node.multicast((1, 2), "t", 7)
-        out = node._collect_outbox()
-        assert [m.receiver for m in out] == [1, 2]
-        assert all(m.payload == 7 for m in out)

@@ -5,10 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.congest import (
-    BandwidthExceededError,
     DistributedAlgorithm,
-    LinkQueue,
-    Message,
     Network,
     NodeContext,
     RoundLimitExceeded,
@@ -36,80 +33,94 @@ class TestPayloadCheck:
             check_payload({"a": 1})
 
 
-class TestLinkQueue:
-    def test_fifo_delivery(self):
-        q = LinkQueue(capacity_per_round=1)
-        m1 = Message(0, 1, "t", 1)
-        m2 = Message(0, 1, "t", 2)
-        q.enqueue(m1)
-        q.enqueue(m2)
-        assert q.drain() == [m1]
-        assert q.drain() == [m2]
-        assert q.drain() == []
+class _Record(DistributedAlgorithm):
+    """Starts halted; every node records ``(sender, tag, payload,
+    algorithm_id)`` of each message it receives."""
 
-    def test_capacity_respected(self):
-        q = LinkQueue(capacity_per_round=2)
-        for i in range(5):
-            q.enqueue(Message(0, 1, "t", i))
-        assert len(q.drain()) == 2
-        assert q.backlog == 3
+    name = "record"
 
-    def test_strict_mode_raises(self):
-        q = LinkQueue(capacity_per_round=1)
-        q.enqueue(Message(0, 1, "t", 1), strict=True)
-        with pytest.raises(BandwidthExceededError):
-            q.enqueue(Message(0, 1, "t", 2), strict=True)
+    def initialize(self, node: NodeContext) -> None:
+        node.halt()
 
-    def test_max_backlog_tracked(self):
-        q = LinkQueue()
-        for i in range(4):
-            q.enqueue(Message(0, 1, "t", i))
-        assert q.max_backlog == 4
+    def on_round(self, node: NodeContext, messages) -> None:
+        got = node.state.setdefault("got", [])
+        got.extend((m.sender, m.tag, m.payload, m.algorithm_id) for m in messages)
+        node.halt()
+
+
+class _SendTwice(_Record):
+    """Node 1 sends to node 0 in ``initialize`` and again in round 1."""
+
+    name = "send_twice"
+
+    def initialize(self, node: NodeContext) -> None:
+        if node.node_id == 1:
+            node.send(0, "t", 1)
+        else:
+            node.halt()
+
+    def on_round(self, node: NodeContext, messages) -> None:
+        if node.node_id == 1 and "sent_again" not in node.state:
+            node.state["sent_again"] = True
+            node.send(0, "t", 2)
+        super().on_round(node, messages)
 
 
 class TestNodeContext:
-    def make_node(self):
-        return NodeContext(node_id=0, neighbors=(1, 2))
+    """The context API on the wired contexts of a three-node path; node 1
+    has neighbours 0 and 2.  Sends made outside a run wait on their links
+    until a ``reset=False`` run delivers them."""
+
+    def make_network(self):
+        return Network(path_graph(3))
 
     def test_send_to_neighbor(self):
-        node = self.make_node()
-        node.send(1, "t", 5)
-        out = node._collect_outbox()
-        assert len(out) == 1
-        assert out[0].receiver == 1 and out[0].payload == 5
+        net = self.make_network()
+        net.node(1).send(0, "t", 5)
+        metrics = net.run(_Record(), reset=False)
+        assert metrics.messages_delivered == 1
+        assert net.node(0).state["got"] == [(1, "t", 5, 0)]
+        assert "got" not in net.node(2).state
 
     def test_send_to_non_neighbor_rejected(self):
-        node = self.make_node()
-        with pytest.raises(ValueError):
-            node.send(7, "t", 1)
+        net = self.make_network()
+        with pytest.raises(ValueError, match="no neighbor"):
+            net.node(0).send(2, "t", 1)
 
     def test_double_send_same_round_rejected(self):
-        node = self.make_node()
-        node.send(1, "t", 1)
-        with pytest.raises(ValueError):
-            node.send(1, "t", 2)
+        net = self.make_network()
+        node = net.node(1)
+        node.send(0, "t", 1)
+        with pytest.raises(ValueError, match="already sent"):
+            node.send(0, "t", 2)
 
     def test_double_send_different_algorithm_ids_allowed(self):
-        node = self.make_node()
-        node.send(1, "t", 1, algorithm_id=0)
-        node.send(1, "t", 2, algorithm_id=1)
-        assert len(node._collect_outbox()) == 2
+        net = self.make_network()
+        node = net.node(1)
+        node.send(0, "t", 1, algorithm_id=0)
+        node.send(0, "t", 2, algorithm_id=1)
+        metrics = net.run(_Record(), reset=False)
+        # One link, one message per round: the second waits a round.
+        assert (metrics.rounds, metrics.max_link_backlog) == (2, 2)
+        assert net.node(0).state["got"] == [(1, "t", 1, 0), (1, "t", 2, 1)]
 
-    def test_outbox_clears_per_round(self):
-        node = self.make_node()
-        node.send(1, "t", 1)
-        node._collect_outbox()
-        node.send(1, "t", 2)  # allowed again after collection
-        assert len(node._collect_outbox()) == 1
+    def test_send_guard_clears_per_round(self):
+        net = self.make_network()
+        metrics = net.run(_SendTwice())
+        assert metrics.messages_delivered == 2
+        assert metrics.max_link_backlog == 1
+        assert net.node(0).state["got"] == [(1, "t", 1, 0), (1, "t", 2, 0)]
 
     def test_broadcast(self):
-        node = self.make_node()
-        node.broadcast("t", 3)
-        out = node._collect_outbox()
-        assert {m.receiver for m in out} == {1, 2}
+        net = self.make_network()
+        net.node(1).broadcast("t", 3)
+        net.run(_Record(), reset=False)
+        assert net.node(0).state["got"] == [(1, "t", 3, 0)]
+        assert net.node(2).state["got"] == [(1, "t", 3, 0)]
 
     def test_halt_and_wake(self):
-        node = self.make_node()
+        net = self.make_network()
+        node = net.node(1)
         node.halt()
         assert node.halted
         node.wake()
@@ -187,10 +198,6 @@ class TestNetworkEngine:
         metrics = net.run(_PingPong(hops=4))
         assert metrics.per_edge_messages == {(0, 1): 4}
         assert metrics.max_edge_messages == 4
-
-    def test_bandwidth_validation(self):
-        with pytest.raises(ValueError):
-            Network(path_graph(3), bandwidth=0)
 
     def test_reset_clears_state(self):
         net = Network(path_graph(2))

@@ -2,10 +2,10 @@
 
 The CSR refactor promises bit-identical measured quantities.  This module
 pins that promise down by re-implementing the seed repository's set/dict
-algorithms (BFS, components, per-edge congestion counting, and the
-link-scanning CONGEST delivery loop) as reference oracles and comparing them
-against the production implementations on randomized graphs across many
-seeds.
+algorithms (BFS, components, per-edge congestion counting) as reference
+oracles, and by running the CONGEST engine against the reference engine of
+``reference_engine.py``, comparing them with the production implementations
+on randomized graphs across many seeds.
 """
 
 from __future__ import annotations
@@ -14,18 +14,18 @@ from collections import deque
 
 import pytest
 
-from repro.congest.message import LinkQueue
 from repro.congest.network import Network
 from repro.congest.primitives.bfs import DistributedBFS
-from repro.congest.node import NodeContext
 from repro.graphs.csr import CSRGraph, UNREACHED, bfs_levels, component_labels
 from repro.graphs.components import connected_components, components_from_edges
 from repro.graphs.generators import random_connected_graph, erdos_renyi_graph
-from repro.graphs.graph import Graph, edge_key
+from repro.graphs.graph import Graph
 from repro.graphs.lower_bound import lower_bound_instance
 from repro.graphs.traversal import bfs_distances, bfs_tree, distances_to_set
 from repro.shortcuts.kogan_parter import build_kogan_parter_shortcut
 from repro.shortcuts.partition import Partition
+
+from reference_engine import PreRefactorNetwork
 
 SEEDS = list(range(20))
 
@@ -89,62 +89,6 @@ def legacy_edge_loads(shortcut):
         for e in edges:
             load[e] = load.get(e, 0) + 1
     return load
-
-
-class LegacyNetwork:
-    """The seed repository's CONGEST engine: scan every directed link per round."""
-
-    def __init__(self, graph, bandwidth=1):
-        self.graph = graph
-        self.bandwidth = bandwidth
-        self.nodes = {
-            v: NodeContext(node_id=v, neighbors=tuple(sorted(graph.neighbors(v))))
-            for v in graph.vertices()
-        }
-        self._links = {}
-        for u, v in graph.edges():
-            self._links[(u, v)] = LinkQueue(capacity_per_round=bandwidth)
-            self._links[(v, u)] = LinkQueue(capacity_per_round=bandwidth)
-
-    def run(self, algorithm, max_rounds=100_000):
-        metrics = {
-            "rounds": 0, "messages_sent": 0, "messages_delivered": 0,
-            "max_link_backlog": 0, "per_edge_messages": {},
-        }
-        for ctx in self.nodes.values():
-            algorithm.initialize(ctx)
-        self._collect(metrics)
-        while metrics["rounds"] < max_rounds:
-            if not any(q.backlog for q in self._links.values()) and all(
-                ctx.halted for ctx in self.nodes.values()
-            ):
-                return metrics
-            metrics["rounds"] += 1
-            inboxes = {}
-            for (u, v), queue in self._links.items():
-                if not queue.backlog:
-                    continue
-                for message in queue.drain():
-                    inboxes.setdefault(v, []).append(message)
-                    metrics["messages_delivered"] += 1
-                    key = edge_key(u, v)
-                    metrics["per_edge_messages"][key] = metrics["per_edge_messages"].get(key, 0) + 1
-                if queue.max_backlog > metrics["max_link_backlog"]:
-                    metrics["max_link_backlog"] = queue.max_backlog
-            for v, ctx in self.nodes.items():
-                incoming = inboxes.get(v, [])
-                if incoming:
-                    ctx.wake()
-                if incoming or not ctx.halted:
-                    algorithm.on_round(ctx, incoming)
-            self._collect(metrics)
-        raise AssertionError("legacy reference engine hit the round limit")
-
-    def _collect(self, metrics):
-        for ctx in self.nodes.values():
-            for message in ctx._collect_outbox():
-                self._links[(message.sender, message.receiver)].enqueue(message)
-                metrics["messages_sent"] += 1
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +230,7 @@ class TestEngineEquivalence:
         g = _random_graph(seed)
         sources = {0}
         new_metrics = Network(g).run(DistributedBFS(sources))
-        legacy = LegacyNetwork(g).run(DistributedBFS(sources))
+        legacy = PreRefactorNetwork(g).run(DistributedBFS(sources))
         assert new_metrics.rounds == legacy["rounds"]
         assert new_metrics.messages_sent == legacy["messages_sent"]
         assert new_metrics.messages_delivered == legacy["messages_delivered"]
@@ -294,11 +238,10 @@ class TestEngineEquivalence:
         assert new_metrics.per_edge_messages == legacy["per_edge_messages"]
         assert new_metrics.terminated
 
-    @pytest.mark.parametrize("bandwidth", [1, 2, 4])
-    def test_bandwidth_variants_match(self, bandwidth):
+    def test_multi_source_metrics_match_legacy_engine(self):
         g = random_connected_graph(25, extra_edge_prob=0.15, rng=7)
-        new_metrics = Network(g, bandwidth=bandwidth).run(DistributedBFS({0, 5}))
-        legacy = LegacyNetwork(g, bandwidth=bandwidth).run(DistributedBFS({0, 5}))
+        new_metrics = Network(g).run(DistributedBFS({0, 5}))
+        legacy = PreRefactorNetwork(g).run(DistributedBFS({0, 5}))
         assert new_metrics.rounds == legacy["rounds"]
         assert new_metrics.messages_delivered == legacy["messages_delivered"]
         assert new_metrics.per_edge_messages == legacy["per_edge_messages"]
@@ -307,7 +250,7 @@ class TestEngineEquivalence:
         g = random_connected_graph(30, extra_edge_prob=0.1, rng=11)
         net = Network(g)
         net.run(DistributedBFS({0}))
-        legacy = LegacyNetwork(g)
+        legacy = PreRefactorNetwork(g)
         legacy.run(DistributedBFS({0}))
         for v in g.vertices():
             assert net.node(v).state.get("bfs_dist") == legacy.nodes[v].state.get("bfs_dist")

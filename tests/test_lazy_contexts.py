@@ -21,9 +21,9 @@ are halted, and bulk kernels queue their per-node outputs for the build.
 * **Link dicts on first send.**  A read builds no ``neighbor -> link``
   row: a context fetches it from the topology's shared table on its first
   ``send``, ``multicast`` or ``out_link_ids``, onto exactly the edge-loop
-  reference links (an overloaded ``multicast_links`` fetches it to name
-  the receiver), and a per-node run after a read equals one with no
-  earlier read.  The table holds no reference to the network, so a
+  reference links (``multicast_links`` needs none, even onto a busy
+  link), and a per-node run after a read equals one with no earlier
+  read.  The table holds no reference to the network, so a
   dropped network is freed without the cyclic collector, and the build
   leaves the collector as enabled or disabled as it found it.
 """
@@ -39,7 +39,7 @@ import pytest
 
 from repro.applications.mst import kruskal_mst
 from repro.applications.shortcut_mst import shortcut_boruvka_mst
-from repro.congest import BandwidthExceededError, Network, RoundLimitExceeded
+from repro.congest import Network, RoundLimitExceeded
 from repro.congest.primitives.aggregation import run_part_aggregation
 from repro.congest.primitives.bfs import DistributedBFS
 from repro.congest.primitives.concurrent_bfs import ConcurrentMaskedBFS
@@ -267,16 +267,19 @@ def test_read_context_sends_onto_reference_links(name):
     ]
 
 
-def test_overloaded_multicast_links_names_receiver_of_read_context():
+def test_read_context_multicasts_links_onto_a_busy_link_without_a_row():
     graph = WIRING_GRAPHS["isolated-vertices"]()
     _, _, out_links = reference_tables(graph)
-    net = Network(graph, strict_bandwidth=True)
+    net = Network(graph)
     hub = net.node(5)
     link = out_links[5][7]
     hub.multicast_links([link], [7], "x", algorithm_id=0)
+    hub.multicast_links([link], [7], "x", algorithm_id=1)
     assert hub._out_link is None
-    with pytest.raises(BandwidthExceededError, match="link 5->7 exceeded"):
-        hub.multicast_links([link], [7], "x", algorithm_id=1)
+    metrics = net.run(_Listen(), reset=False)
+    # The second message waited a round behind the first.
+    assert (metrics.rounds, metrics.max_link_backlog) == (2, 2)
+    assert net.node(7).state["got"] == 2
 
 
 @pytest.mark.parametrize("name", GRAPHS)

@@ -36,8 +36,9 @@ class TestAggregateOverShortcut:
             log_factor=0.5, rng=5,
         ).shortcut
         values = {v: (v * 7) % 101 for v in workload.partition.covered_vertices()}
-        simulated = aggregate_over_shortcut(shortcut, values, op, rng=9,
-                                            min_simulated_size=1)
+        simulated = aggregate_over_shortcut(shortcut, values, op, rng=9)
+        # These workloads have no singleton part: every part is simulated.
+        assert simulated.folded_parts == []
         assert simulated.values == partwise_fold(workload.partition, values, op)
         assert simulated.rounds == simulated.bfs_rounds + simulated.aggregation_rounds
         assert simulated.rounds > 0

@@ -25,7 +25,6 @@ from repro.congest.adversary import RetryPolicy, StackedAdversary
 from repro.congest.algorithm import DistributedAlgorithm
 from repro.congest.primitives import DistributedBFS, extract_bfs_tree
 from repro.congest.message import Message
-from repro.congest.node import NodeContext
 from repro.congest.primitives.aggregation import PartAggregation, aggregate_over_shortcut
 from repro.congest.primitives.concurrent_bfs import UNREACHED, ConcurrentMaskedBFS
 from repro.congest.primitives.reliable import ACK_ONLY, ReliableChannel
@@ -43,6 +42,8 @@ from repro.graphs.generators import (
 from repro.rng import derive_rng
 from repro.graphs.partitions import random_connected_partition, singleton_free
 from repro.shortcuts import Partition, build_kogan_parter_shortcut
+
+from reference_engine import OutboxContext
 
 pytestmark = pytest.mark.faults
 
@@ -288,11 +289,11 @@ class TestReliableChannel:
     def _deliver(self, channel, sender, receiver, current_round=0):
         """End ``sender``'s round and decode its wire messages at ``receiver``."""
         channel.end_round(sender, current_round)
-        return channel.receive(receiver, sender._collect_outbox(), self.TAGS)
+        return channel.receive(receiver, sender.collect_outbox(), self.TAGS)
 
     def test_same_kind_supersedes_pending_unit(self):
         channel = ReliableChannel({0: "t"}, RetryPolicy())
-        a, b = NodeContext(0, (1,)), NodeContext(1, (0,))
+        a, b = OutboxContext(0, (1,)), OutboxContext(1, (0,))
         channel.send_unit(0, 0, 1, 0, (3, 0))
         channel.send_unit(0, 0, 1, 0, (2, 0))
         assert channel.total_pending == 1
@@ -307,23 +308,23 @@ class TestReliableChannel:
 
     def test_superseded_numbers_never_stall_the_ack(self):
         channel = ReliableChannel({0: "t"}, RetryPolicy())
-        a, b = NodeContext(0, (1,)), NodeContext(1, (0,))
+        a, b = OutboxContext(0, (1,)), OutboxContext(1, (0,))
         # Number 0 is superseded before it is sent, number 1 while in
         # flight (its wire message is lost): the floor of the message that
         # carries number 2 moves b's cumulative ack past both.
         channel.send_unit(0, 0, 1, 0, 10)
         channel.send_unit(0, 0, 1, 0, 11)
         channel.end_round(a, 0)
-        assert [m.payload[0] for m in a._collect_outbox()] == [1]
+        assert [m.payload[0] for m in a.collect_outbox()] == [1]
         channel.send_unit(0, 0, 1, 0, 12)
         assert [m.payload for m in self._deliver(channel, a, b, 1)] == [12]
         channel.end_round(b, 1)
-        ack = b._collect_outbox()
+        ack = b.collect_outbox()
         assert [m.payload[3] for m in ack] == [3]
         channel.receive(a, ack, self.TAGS)
         assert channel.total_pending == 0
         channel.end_round(a, 2)
-        assert a.halted and a._collect_outbox() == []
+        assert a.halted and a.collect_outbox() == []
 
     def test_other_kinds_stay_pending_side_by_side(self):
         channel = ReliableChannel({0: "t"}, RetryPolicy())
@@ -333,7 +334,7 @@ class TestReliableChannel:
 
     def test_recovered_sender_units_are_processed(self):
         channel = ReliableChannel({0: "t"}, RetryPolicy())
-        a, b = NodeContext(0, (1,)), NodeContext(1, (0,))
+        a, b = OutboxContext(0, (1,)), OutboxContext(1, (0,))
         channel.send_unit(0, 0, 1, 0, 7)
         assert [m.payload for m in self._deliver(channel, a, b)] == [7]
         channel.on_crash(0)
@@ -344,7 +345,7 @@ class TestReliableChannel:
 
     def test_timer_retransmits_only_unacked_units(self):
         channel = ReliableChannel({0: "t"}, RetryPolicy())
-        a, b = NodeContext(0, (1,)), NodeContext(1, (0,))
+        a, b = OutboxContext(0, (1,)), OutboxContext(1, (0,))
         channel.send_unit(0, 0, 1, 0, 5)
         channel.send_unit(0, 0, 1, 1, 6)
         # One wire message per endpoint per round: unit 0 leaves the link
@@ -354,29 +355,29 @@ class TestReliableChannel:
         assert channel.total_pending == 1
         assert [m.payload for m in self._deliver(channel, a, b, 1)] == [6]
         channel.end_round(b, 2)
-        b._collect_outbox()  # the ack of unit 1 is lost
+        b.collect_outbox()  # the ack of unit 1 is lost
         for rnd in range(2, 6):
             channel.end_round(a, rnd)
-            assert a._collect_outbox() == [] and not a.halted
+            assert a.collect_outbox() == [] and not a.halted
         # timeout (4) rounds after unit 1 left the queue, it alone goes out
         # again, and the receiver drops the duplicate.
         channel.end_round(a, 6)
-        resent = a._collect_outbox()
+        resent = a.collect_outbox()
         assert [m.payload[0] for m in resent] == [1]
         assert channel.receive(b, resent, self.TAGS) == []
         self._deliver(channel, b, a, 7)
         assert channel.total_pending == 0
         channel.end_round(a, 7)
-        assert a._collect_outbox() == [] and a.halted
+        assert a.collect_outbox() == [] and a.halted
 
     def test_unanswered_unit_is_abandoned_after_max_attempts(self):
         channel = ReliableChannel({0: "t"}, RetryPolicy(timeout=2, max_attempts=2))
-        a = NodeContext(0, (1,))
+        a = OutboxContext(0, (1,))
         channel.send_unit(0, 0, 1, 0, 5)
         sent_in = []
         for rnd in range(20):
             channel.end_round(a, rnd)
-            if a._collect_outbox():
+            if a.collect_outbox():
                 sent_in.append(rnd)
             if rnd < 17:
                 assert not a.halted

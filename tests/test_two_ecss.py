@@ -9,6 +9,7 @@ from repro.applications import (
     find_bridges,
     is_two_edge_connected,
     kruskal_mst,
+    shortcut_boruvka_mst,
     two_ecss_approximation,
 )
 from repro.graphs import (
@@ -98,9 +99,12 @@ class TestTwoECSSApproximation:
         assert (2, 3) in result.uncovered_edges
 
     def test_round_accounting(self):
+        # The rounds are the simulated MST's; the central cover choice
+        # is not charged.
         wg = planted_cut_graph(10, 3, rng=5)
         result = two_ecss_approximation(wg, rng=1)
         assert result.total_rounds > 0
+        assert result.total_rounds == shortcut_boruvka_mst(wg, rng=1).total_rounds
 
     def test_cycle_input_returns_cycle(self):
         g = cycle_graph(8)
