@@ -40,7 +40,7 @@ from repro.graphs.generators import (
 from repro.graphs.lower_bound import lower_bound_instance
 
 from random_delay_scheduler import RandomDelayScheduler
-from reference_engine import PreRefactorNetwork
+from reference_engine import OutboxContext, PreRefactorNetwork
 
 SEEDS = list(range(12))
 
@@ -173,9 +173,9 @@ class TestSchedulerEquivalence:
         )
         _assert_metrics_match(new_metrics, legacy)
 
-    def test_scheduler_congested_path_matches(self):
+    @pytest.mark.parametrize("num", [3, 4, 5, 8])
+    def test_scheduler_congested_path_matches(self, num):
         g = path_graph(12)
-        num = 5
         delays = [0] * num
         new_metrics = Network(g).run(
             RandomDelayScheduler(self._make_algos(num), list(delays))
@@ -241,7 +241,7 @@ class TestRingBufferCompaction:
         assert metrics.max_link_backlog == 200
         assert metrics.per_edge_messages == {(0, 1): 200}
 
-    @pytest.mark.parametrize("count", [64, 129, 150, 201])
+    @pytest.mark.parametrize("count", [64, 65, 129, 150, 201, 300])
     def test_compaction_never_reorders_or_drops(self, count):
         net = Network(path_graph(2))
         metrics = net.run(_Burst(count))
@@ -643,3 +643,33 @@ class TestWiredNodeContext:
         assert 1 not in net._awake
         ctx.wake()
         assert 1 in net._awake
+
+
+# ----------------------------------------------------------------------
+# the reference engine's outbox-buffering context
+# ----------------------------------------------------------------------
+class TestOutboxContext:
+    """The oracle's node context must refuse what a wired context refuses,
+    or the oracle could run a schedule the production engine rejects."""
+
+    def test_buffers_multicast_until_collected(self):
+        node = OutboxContext(0, (1, 2))
+        node.multicast((1, 2), "t", 7)
+        out = node.collect_outbox()
+        assert [(m.sender, m.receiver, m.payload) for m in out] == [(0, 1, 7), (0, 2, 7)]
+        assert node.collect_outbox() == []
+        node.send(1, "t", 8)  # each collection clears the duplicate guard
+        assert [m.payload for m in node.collect_outbox()] == [8]
+
+    def test_rejects_what_a_wired_context_rejects(self):
+        wired = Network(path_graph(3)).node(0)
+        oracle = OutboxContext(0, (1,))
+        for ctx in (wired, oracle):
+            with pytest.raises(ValueError, match="no neighbor"):
+                ctx.send(2, "t", 1)
+            with pytest.raises(ValueError, match="not a valid"):
+                ctx.send(1, "t", {"a": 1})
+            ctx.send(1, "t", 1)
+            with pytest.raises(ValueError, match="already sent"):
+                ctx.send(1, "t", 2)
+            ctx.send(1, "t", 2, algorithm_id=1)

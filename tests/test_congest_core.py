@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.congest import (
@@ -127,6 +129,74 @@ class TestNodeContext:
         assert not node.halted
 
 
+class _Load(DistributedAlgorithm):
+    """In ``initialize``, each ``(sender, receiver, count)`` entry queues
+    ``count`` messages on one directed link (payloads ``0..count-1``,
+    distinct algorithm ids).  Receivers record ``(round, sender, payload)``
+    for every delivery."""
+
+    name = "load"
+
+    def __init__(self, loads) -> None:
+        self.loads = loads
+
+    def initialize(self, node: NodeContext) -> None:
+        for sender, receiver, count in self.loads:
+            if sender == node.node_id:
+                for i in range(count):
+                    node.send(receiver, "t", i, algorithm_id=i)
+        node.halt()
+
+    def on_round(self, node: NodeContext, messages) -> None:
+        got = node.state.setdefault("got", [])
+        got.extend((self.current_round, m.sender, m.payload) for m in messages)
+        node.halt()
+
+
+class TestLinkDelivery:
+    """Every directed link delivers at most one message per round, first in
+    first out, and queues the rest."""
+
+    def test_fifo_delivery(self):
+        net = Network(path_graph(2))
+        net.run(_Load([(0, 1, 3)]))
+        assert net.node(1).state["got"] == [(1, 0, 0), (2, 0, 1), (3, 0, 2)]
+
+    def test_one_message_per_link_per_round(self):
+        net = Network(path_graph(2))
+        metrics = net.run(_Load([(0, 1, 5)]))
+        assert [r for r, _, _ in net.node(1).state["got"]] == [1, 2, 3, 4, 5]
+        assert (metrics.rounds, metrics.messages_delivered) == (5, 5)
+
+    def test_max_backlog_tracked(self):
+        metrics = Network(path_graph(2)).run(_Load([(0, 1, 4)]))
+        assert metrics.max_link_backlog == 4
+        assert metrics.per_edge_messages == {(0, 1): 4}
+
+    def test_opposite_directions_are_separate_links(self):
+        net = Network(path_graph(2))
+        metrics = net.run(_Load([(0, 1, 2), (1, 0, 2)]))
+        assert metrics.rounds == 2
+        assert net.node(0).state["got"] == [(1, 1, 0), (2, 1, 1)]
+        assert net.node(1).state["got"] == [(1, 0, 0), (2, 0, 1)]
+        assert metrics.per_edge_messages == {(0, 1): 4}
+
+    def test_links_to_different_neighbours_are_separate(self):
+        net = Network(path_graph(3))
+        metrics = net.run(_Load([(1, 0, 3), (1, 2, 3)]))
+        assert (metrics.rounds, metrics.max_link_backlog) == (3, 3)
+        expected = [(1, 1, 0), (2, 1, 1), (3, 1, 2)]
+        assert net.node(0).state["got"] == net.node(2).state["got"] == expected
+
+    def test_links_into_one_node_are_separate(self):
+        net = Network(path_graph(3))
+        metrics = net.run(_Load([(0, 1, 2), (2, 1, 2)]))
+        assert metrics.rounds == 2
+        assert sorted(net.node(1).state["got"]) == [
+            (1, 0, 0), (1, 2, 0), (2, 0, 1), (2, 2, 1),
+        ]
+
+
 class _PingPong(DistributedAlgorithm):
     """Node 0 sends a counter to node 1 and back, `hops` times in total."""
 
@@ -198,6 +268,12 @@ class TestNetworkEngine:
         metrics = net.run(_PingPong(hops=4))
         assert metrics.per_edge_messages == {(0, 1): 4}
         assert metrics.max_edge_messages == 4
+
+    def test_network_takes_only_the_graph(self):
+        # One link model: no bandwidth or capacity setting to choose.
+        assert list(inspect.signature(Network).parameters) == ["graph"]
+        with pytest.raises(TypeError):
+            Network(path_graph(3), bandwidth=2)
 
     def test_reset_clears_state(self):
         net = Network(path_graph(2))

@@ -8,6 +8,7 @@ aggregation agrees with the sequential per-part fold.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,23 @@ class TestBandwidthEffects:
         metrics = Network(g).run(RandomDelayScheduler(algos, [0] * num))
         assert metrics.max_link_backlog == num
 
+    def test_backlog_leaves_every_bfs_result_unchanged(self):
+        # Queueing only changes when messages arrive: each of the
+        # concurrent BFS waves still labels the grid with exact distances.
+        g = grid_graph(6, 6)
+        num = 4
+        sources = [0, 5, 30, 35]
+        algos = [
+            DistributedBFS({s}, prefix=f"c{i}_", algorithm_id=i)
+            for i, s in enumerate(sources)
+        ]
+        net = Network(g)
+        metrics = net.run(RandomDelayScheduler(algos, [0] * num))
+        assert metrics.max_link_backlog > 1
+        for i, s in enumerate(sources):
+            _, dist = extract_bfs_tree(net, prefix=f"c{i}_")
+            assert dist == bfs_distances(g, s)
+
     def test_single_algorithm_never_overloads(self):
         g = grid_graph(5, 5)
         net = Network(g)
@@ -47,16 +65,17 @@ class TestBandwidthEffects:
 
 
 class TestSimulatedAggregationConsistency:
-    def test_simulated_matches_oracle(self, lb_instance):
+    @pytest.mark.parametrize("op", ["min", "max", "sum"])
+    def test_simulated_matches_oracle(self, op, lb_instance):
         partition = Partition(lb_instance.graph, lb_instance.parts)
         shortcut = build_kogan_parter_shortcut(
             lb_instance.graph, partition, diameter_value=6, log_factor=0.3, rng=2
         ).shortcut
         values = {v: float((v * 7) % 23) for v in lb_instance.graph.vertices()}
         simulated = aggregate_over_shortcut(
-            shortcut, values, "min", network=Network(lb_instance.graph), rng=4,
+            shortcut, values, op, network=Network(lb_instance.graph), rng=4,
         )
-        assert simulated.values == partwise_fold(partition, values, "min")
+        assert simulated.values == partwise_fold(partition, values, op)
         assert simulated.rounds > 0
 
 

@@ -364,6 +364,26 @@ class TestPipelinedNumbering:
         assert numbering.ranking == {35: 1, 36: 2, 37: 3, 38: 4, 39: 5}
         assert metrics.rounds <= 3 * 39 + 2 * len(tokens) + 6
 
+    def test_root_contributes_with_the_others(self):
+        g = grid_graph(5, 5)
+        net = _tree_network(g, 0)
+        tokens = {0: 40, 12: 7, 24: 19}
+        numbering = PipelinedNumbering(tokens, tree_prefix="gt_")
+        net.run(numbering, reset=False)
+        assert numbering.ranking == {7: 1, 19: 2, 40: 3}
+        assert [net.node(v).state.get("num_rank") for v in (0, 12, 24)] == [3, 1, 2]
+
+    def test_single_contributor_at_the_deepest_leaf(self):
+        g = path_graph(30)
+        net = _tree_network(g, 0)
+        numbering = PipelinedNumbering({29: 5}, tree_prefix="gt_")
+        metrics = net.run(numbering, reset=False)
+        assert numbering.ranking == {5: 1}
+        assert net.node(29).state.get("num_rank") == 1
+        assert all(net.node(v).state.get("num_count") == 1 for v in range(30))
+        assert all("num_rank" not in net.node(v).state for v in range(29))
+        assert metrics.rounds <= 3 * 29 + 6
+
     def test_empty_contributors(self):
         g = path_graph(6)
         net = _tree_network(g, 0)
