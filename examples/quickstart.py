@@ -52,7 +52,7 @@ def main() -> None:
 
     print("\n--- Kogan-Parter shortcut ---")
     print(f"sampling probability p      : {params.probability:.4f}")
-    print(f"large parts                 : {len(result.large_part_indices)} / {partition.num_parts}")
+    print(f"sampled parts               : {len(result.large_part_indices)} / {partition.num_parts}")
     print(f"congestion                  : {report.congestion}")
     print(f"dilation                    : {report.dilation}")
     print(f"quality (c + d)             : {report.quality}")

@@ -207,22 +207,19 @@ def _command_info(args: argparse.Namespace) -> int:
 
 
 def _build_engine_shortcut(engine: str, graph, partition, diameter_value, log_factor, seed):
-    if engine == "kogan-parter":
-        return build_kogan_parter_shortcut(
-            graph, partition, diameter_value=diameter_value,
-            log_factor=log_factor, rng=seed,
-        ).shortcut
-    if engine == "kitamura":
-        return build_kitamura_style_shortcut(
-            graph, partition, diameter_value=diameter_value,
-            log_factor=log_factor, rng=seed,
-        ).shortcut
+    """Return ``(shortcut, sampler result or None)`` for a non-distributed engine."""
+    if engine in ("kogan-parter", "kitamura"):
+        build = (build_kogan_parter_shortcut if engine == "kogan-parter"
+                 else build_kitamura_style_shortcut)
+        result = build(graph, partition, diameter_value=diameter_value,
+                       log_factor=log_factor, rng=seed)
+        return result.shortcut, result
     if engine == "ghaffari-haeupler":
-        return build_ghaffari_haeupler_shortcut(graph, partition)
+        return build_ghaffari_haeupler_shortcut(graph, partition), None
     if engine == "naive":
-        return build_naive_shortcut(graph, partition)
+        return build_naive_shortcut(graph, partition), None
     if engine == "empty":
-        return build_empty_shortcut(graph, partition)
+        return build_empty_shortcut(graph, partition), None
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -232,7 +229,7 @@ def _command_shortcut(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     workload = make_workload(args.workload, args.n, args.diameter, seed=args.seed)
-    distributed_result = None
+    distributed_result = sampled = None
     if args.engine == "distributed":
         distributed_result = build_distributed_kogan_parter(
             workload.graph, workload.partition,
@@ -242,7 +239,7 @@ def _command_shortcut(args: argparse.Namespace) -> int:
         )
         shortcut = distributed_result.shortcut
     else:
-        shortcut = _build_engine_shortcut(
+        shortcut, sampled = _build_engine_shortcut(
             args.engine, workload.graph, workload.partition, workload.diameter,
             args.log_factor, args.seed,
         )
@@ -251,6 +248,10 @@ def _command_shortcut(args: argparse.Namespace) -> int:
     print(f"workload        : {workload.name} (n={n}, m={workload.graph.num_edges}, D={workload.diameter})")
     print(f"parts           : {workload.partition.num_parts}")
     print(f"engine          : {args.engine}")
+    if sampled is not None:
+        print(f"sampled parts   : {len(sampled.large_part_indices)} / "
+              f"{workload.partition.num_parts} "
+              f"(radius > ⌈k_D⌉ = {sampled.parameters.detection_depth})")
     print(f"congestion      : {report.congestion}")
     print(f"dilation        : {report.dilation}")
     print(f"quality         : {report.quality}")

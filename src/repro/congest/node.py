@@ -204,17 +204,14 @@ class NodeContext:
                 is_active[link] = 1
                 active.append(link)
 
-    def multicast_links(self, links, targets, tag: str, payload: Any = None,
+    def multicast_links(self, links, tag: str, payload: Any = None,
                         algorithm_id: int = 0) -> None:
         """Send one shared message over precomputed directed link ids.
 
         The link-mask variant of :meth:`multicast`, used by the primitives
-        that carry a :class:`~repro.graphs.csr.CSRLinkMask`: ``links`` and
-        ``targets`` are the parallel per-node slices of the mask (link ids
-        and the neighbours they lead to), so a send skips the per-target
-        ``neighbor -> link`` dict lookups entirely.  The links alone route
-        the message; ``targets`` serves contexts that route by receiver,
-        such as the test suite's reference engine.
+        that carry a :class:`~repro.graphs.csr.CSRLinkMask`: ``links`` is
+        the per-node slice of the mask's directed link ids, so a send skips
+        the per-target ``neighbor -> link`` dict lookups entirely.
 
         Trust contract: the caller guarantees that (a) every link id is a
         valid out-link of this node for the wired network's topology (true

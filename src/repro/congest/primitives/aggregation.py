@@ -315,10 +315,7 @@ class PartAggregation(DistributedAlgorithm):
             if self._channel is not None:
                 self._channel.send_units(idx, v, mask.targets[s:e], _ANN, parent)
                 return
-            node.multicast_links(
-                mask.links[s:e], mask.targets[s:e], self._tags_ann[idx],
-                parent, idx,
-            )
+            node.multicast_links(mask.links[s:e], self._tags_ann[idx], parent, idx)
         else:
             # Isolated participant (a singleton part with no permitted
             # links): its aggregate is its own value, available at once.
@@ -434,8 +431,7 @@ class PartAggregation(DistributedAlgorithm):
                 self._channel.send_units(idx, v, targets, _DOWN, value)
                 return
             node.multicast_links(
-                self._child_links[idx][v], targets, self._tags_down[idx],
-                value, idx,
+                self._child_links[idx][v], self._tags_down[idx], value, idx,
             )
 
     # ------------------------------------------------------------------

@@ -176,7 +176,6 @@ class DistributedBFS(DistributedAlgorithm):
             if s != e:
                 node.multicast_links(
                     mask.links[s:e],
-                    mask.targets[s:e],
                     self._tag_explore,
                     (dist, node.state[self._key_root]),
                     self.algorithm_id,

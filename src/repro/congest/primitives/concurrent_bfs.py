@@ -210,7 +210,7 @@ class ConcurrentMaskedBFS(DistributedAlgorithm):
         """Announce ``payload`` over one instance's links (the transport)."""
         channel = self._channel
         if channel is None:
-            node.multicast_links(links, targets, self.tags[idx], payload, idx)
+            node.multicast_links(links, self.tags[idx], payload, idx)
         else:
             channel.send_units(idx, node.node_id, targets, _ANNOUNCE, payload)
 
@@ -362,7 +362,7 @@ class ConcurrentMaskedBFS(DistributedAlgorithm):
                                 del links[at]
                             if targets:
                                 node.multicast_links(
-                                    links, targets, self.tags[idx], (nd, root), idx
+                                    links, self.tags[idx], (nd, root), idx
                                 )
             else:
                 self._dispatch(node, messages)

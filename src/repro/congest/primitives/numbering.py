@@ -219,8 +219,7 @@ class PipelinedNumbering(DistributedAlgorithm):
         cached = state.get(self._key_child_links)
         if cached is None:
             cached = state[self._key_child_links] = node.out_link_ids(children)
-        node.multicast_links(cached, children, self._tag_down, payload,
-                             self.algorithm_id)
+        node.multicast_links(cached, self._tag_down, payload, self.algorithm_id)
 
     def _route_or_record(self, node: NodeContext, payload) -> None:
         """Hand a ranked pair back down its reverse up-path."""

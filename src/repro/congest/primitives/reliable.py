@@ -111,8 +111,8 @@ class _Endpoint:
     def __init__(self, idx: int, nbr: int) -> None:
         self.idx = idx
         self.nbr = nbr
-        #: ``((nbr,), (link id,), departure cell)``, resolved at the first
-        #: send: the arguments of the node's trusted ``multicast_links``
+        #: ``((link id,), departure cell)``, resolved at the first send:
+        #: the links argument of the node's trusted ``multicast_links``
         #: path, and the one-slot list holding the round the last wire
         #: message on the ``v -> nbr`` link leaves its queue (shared by all
         #: of ``v``'s endpoints towards ``nbr``).
@@ -355,10 +355,7 @@ class ReliableChannel:
         link_key = node.node_id << _SHIFT | nbr
         route = self._links.get(link_key)
         if route is None:
-            targets = (nbr,)
-            route = self._links[link_key] = (
-                targets, tuple(node.out_link_ids(targets)), [0],
-            )
+            route = self._links[link_key] = (tuple(node.out_link_ids((nbr,))), [0])
         return route
 
     def flush(self, node: NodeContext) -> None:
@@ -397,7 +394,7 @@ class ReliableChannel:
             route = end.route
             if route is None:
                 route = end.route = self._route(node, end.nbr)
-            cell = route[2]
+            cell = route[1]
             depart = cell[0] + 1
             if depart <= now:
                 depart = now + 1
@@ -430,7 +427,7 @@ class ReliableChannel:
                 continue
             end.owed = False
             cell[0] = depart
-            send(route[1], route[0], tags[end.idx], wire, end.idx)
+            send(route[0], tags[end.idx], wire, end.idx)
             if end.data is None:
                 del active[key]
         if not active:

@@ -216,7 +216,7 @@ def non_covering_subsets(
 
     Unlike :func:`random_connected_partition` the parts never cover the whole
     vertex set; leftover vertices stay unassigned.  Useful for tests where a
-    precise part size matters (large vs. small part classification).
+    precise part size matters.
     """
     if part_size < 1:
         raise ValueError("part_size must be positive")

@@ -46,15 +46,6 @@ def num_large_parts(n: int, diameter: int) -> int:
     return math.ceil(n / k_d_value(n, diameter))
 
 
-def large_part_threshold(n: int, diameter: int) -> float:
-    """Return the size threshold above which a part is *large* (``k_D``).
-
-    A part ``S_i`` with ``|S_i| <= k_D`` is small: its induced diameter is
-    already at most ``k_D`` so it needs no shortcut edges.
-    """
-    return k_d_value(n, diameter)
-
-
 def sampling_probability(n: int, diameter: int) -> float:
     """Return the per-repetition edge sampling probability of Step (2).
 

@@ -46,7 +46,6 @@ from .params import (
     elkin_lower_bound,
     ghaffari_haeupler_quality,
     k_d_value,
-    large_part_threshold,
     num_large_parts,
     predicted_congestion,
     predicted_dilation,
@@ -89,7 +88,6 @@ __all__ = [
     "elkin_lower_bound",
     "ghaffari_haeupler_quality",
     "k_d_value",
-    "large_part_threshold",
     "num_large_parts",
     "predicted_congestion",
     "predicted_dilation",

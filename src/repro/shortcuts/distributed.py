@@ -10,8 +10,8 @@ sampling construction that runs in ``~O(k_D)`` rounds:
    ``~k_D``.
 2. **Numbering** — the large parts are numbered ``1 .. N'`` over a global
    BFS tree with a pipelined convergecast/broadcast (``O(D + N')`` rounds).
-3. **Local sampling** — every node samples its incident edges into each
-   ``H_i`` locally; no communication.
+3. **Local sampling** — every node samples its incident edges into the
+   ``H_i`` of each part flagged in stage 1, locally; no communication.
 4. **Parallel truncated BFS** — a BFS tree of depth ``~O(k_D log n)`` is
    grown in every augmented subgraph ``G[S_i] ∪ H_i`` simultaneously using
    the random-delay scheduler (Theorem 2.1); this is where congestion and
@@ -41,8 +41,9 @@ random-delay schedule specialised to CSR link masks, with the provably
 useless parent-echo announce suppressed — see that module's docstring);
 stage 5 is a single instance over the stage-2 tree's own edges, so it costs
 ``O(D)`` rounds and ``4(n - 1)`` messages.  Stage 3 is free
-(communication-less) and reuses the centralized sampler, which produces the
-identical distribution from the same node-local information.
+(communication-less) and reuses the centralized sampler on stage 1's flagged
+parts, which produces the identical distribution from the same node-local
+information.
 
 With ``known_diameter=False`` the driver first runs one full-graph BFS (its
 rounds are charged as ``probe_rounds``), reads off the source eccentricity
@@ -79,11 +80,7 @@ from ..congest.scheduler import draw_random_delays
 from ..graphs.csr import CSRGraph, CSRLinkMask
 from ..graphs.graph import Graph
 from .baselines import build_empty_shortcut
-from .kogan_parter import (
-    KoganParterParameters,
-    build_kogan_parter_shortcut,
-    resolve_parameters,
-)
+from .kogan_parter import KoganParterParameters, _sample_shortcut, resolve_parameters
 from .partition import Partition
 from .shortcut import Shortcut
 
@@ -170,11 +167,19 @@ def detect_large_parts(
 ) -> tuple[list[int], int]:
     """Stage 1: find the parts whose radius from their leader exceeds ``depth``.
 
-    A part with radius greater than ``k_D`` necessarily has more than
-    ``k_D`` vertices, so every part flagged here is large in the paper's
-    size sense; parts that are *not* flagged already have augmented diameter
-    at most ``2 · depth`` without any shortcut edges, which is within the
-    target dilation, so it is sound to skip them.
+    This is the one large-part rule: every sampler (stage 3 here, and the
+    central :func:`~repro.shortcuts.kogan_parter.build_kogan_parter_shortcut`
+    and :func:`~repro.shortcuts.odd_diameter.build_odd_diameter_shortcut`
+    through :func:`~repro.shortcuts.kogan_parter.radius_large_parts`)
+    samples exactly the parts flagged at ``depth = max(1, ceil(k_D))``.
+    It is sound.  A part that is not flagged has every member within
+    ``depth`` hops of its leader inside ``G[S_i]``, so any two members are
+    joined in ``G[S_i] ∪ H_i`` by at most ``2 · depth`` edges: its dilation
+    is O(k_D) with no sampled edge, which is all Ghaffari–Haeupler's
+    part-wise aggregation asks of it.  A flagged part holds a shortest path
+    of ``depth + 1 > k_D`` edges, hence more than ``k_D`` vertices; the
+    parts are disjoint, so at most ``N = ceil(n / k_D)`` parts are flagged
+    and Theorem 1.1's congestion and dilation bounds hold as stated.
 
     Both phases are simulated.  A BFS truncated at ``depth + 1`` grows every
     part's tree over the intra-part link mask; parts are connected, so some
@@ -377,7 +382,7 @@ def _run_single_guess(
         log_factor=log_factor,
     )
     k_d = params.k_d
-    detection_depth = max(1, math.ceil(k_d))
+    detection_depth = params.detection_depth
     depth_budget = max(
         detection_depth, math.ceil(depth_budget_factor * k_d * math.log(max(n, 2)))
     )
@@ -410,20 +415,11 @@ def _run_single_guess(
     numbering_metrics = network.run(numbering, reset=False, max_rounds=max_rounds)
     breakdown["number_large_parts"] = tree_metrics.rounds + numbering_metrics.rounds
 
-    # Stage 3: local sampling (no communication).  The centralized sampler
-    # consumes only node-local information (incident edges, N', p), so its
+    # Stage 3: local sampling (no communication) for exactly the parts
+    # stage 1 flagged.  The centralized sampler consumes only node-local
+    # information (incident edges, N', p, the leader's flag), so its
     # output distribution is exactly what per-node sampling produces.
-    kp = build_kogan_parter_shortcut(
-        graph,
-        partition,
-        diameter_value=diameter_guess,
-        probability=params.probability,
-        repetitions=params.repetitions,
-        log_factor=log_factor,
-        large_threshold=params.large_threshold,
-        rng=rng,
-    )
-    shortcut = kp.shortcut
+    shortcut = _sample_shortcut(graph, partition, params, large, rng).shortcut
     breakdown["local_sampling"] = 0
 
     # Stage 4: concurrent truncated BFS in every augmented subgraph of a

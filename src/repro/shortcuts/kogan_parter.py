@@ -10,9 +10,10 @@ subdivision argument, see :func:`build_kogan_parter_shortcut` and
    ``H_i`` independently with probability ``p = k_D · log n / N``;
 3. step 2 is repeated ``D`` independent times.
 
-Only *large* parts (``|S_i| > k_D``) receive sampled edges — a small part's
-induced diameter is already at most ``k_D``, and there are at most
-``N = ceil(n / k_D)`` large parts because the parts are disjoint.
+Only parts whose leader-rooted radius in ``G[S_i]`` exceeds
+``max(1, ceil(k_D))`` receive sampled edges (:func:`radius_large_parts`, the
+parts stage 1 of the distributed construction flags); why that is sound is
+stated once, in :func:`repro.shortcuts.distributed.detect_large_parts`.
 
 The congestion bound ``O(D · k_D · log n)`` follows from a Chernoff bound on
 the per-edge sampling; the dilation bound ``O(k_D · log n)`` is the paper's
@@ -26,7 +27,7 @@ Implementation notes
   :meth:`~repro.shortcuts.shortcut.Shortcut.from_edge_ids` one sorted
   edge-id array per part.  Step 1 is one vectorized pass over the edge
   endpoint arrays for all parts at once (:func:`incident_edge_ids`);
-  Steps 2-3 draw, per (large part, repetition), one vectorized
+  Steps 2-3 draw, per (sampled part, repetition), one vectorized
   Bernoulli(p) mask over all directed edges.  Each (edge, repetition,
   part) remains an independent Bernoulli(p) — exactly the paper's
   per-node coin flips — but the Python-level work is proportional to the
@@ -50,10 +51,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..graphs.csr import sorted_unique
+from ..graphs.csr import CSRLinkMask, sorted_unique
 from ..graphs.graph import Graph
 from ..graphs.traversal import diameter as graph_diameter
-from ..params import k_d_value, large_part_threshold, num_large_parts
+from ..params import k_d_value, num_large_parts
 from ..rng import RandomLike, ensure_rng
 from .partition import Partition
 from .shortcut import Shortcut
@@ -71,7 +72,6 @@ class KoganParterParameters:
         probability: the per-repetition sampling probability actually used.
         repetitions: number of independent sampling repetitions (``D`` by
             default).
-        large_threshold: size above which a part is large.
         log_factor: multiplier applied to the ``log n`` term of ``p``.
     """
 
@@ -81,8 +81,13 @@ class KoganParterParameters:
     num_large_parts_bound: int
     probability: float
     repetitions: int
-    large_threshold: float
     log_factor: float
+
+    @property
+    def detection_depth(self) -> int:
+        """``max(1, ceil(k_D))``: a part is sampled when its leader-rooted
+        radius in ``G[S_i]`` exceeds this depth."""
+        return max(1, math.ceil(self.k_d))
 
 
 @dataclass
@@ -112,7 +117,6 @@ def resolve_parameters(
     probability: Optional[float] = None,
     repetitions: Optional[int] = None,
     log_factor: float = 1.0,
-    large_threshold: Optional[float] = None,
 ) -> KoganParterParameters:
     """Compute the construction parameters for ``graph``.
 
@@ -123,8 +127,6 @@ def resolve_parameters(
         probability: override the sampling probability entirely.
         repetitions: override the number of repetitions (default ``D``).
         log_factor: multiplier on the ``log n`` factor of the default ``p``.
-        large_threshold: override the large-part size threshold (default
-            ``k_D``).
     """
     n = graph.num_vertices
     if diameter_value is None:
@@ -134,7 +136,7 @@ def resolve_parameters(
         diameter_value = int(measured)
     if diameter_value < 2:
         # Diameter-1 graphs (cliques) are handled by the D=2 parameterisation:
-        # k_D = 1, every part with more than one vertex is large.
+        # k_D = 1, every part of radius above 1 is sampled.
         diameter_value = 2
     k_d = k_d_value(n, diameter_value)
     n_large = num_large_parts(n, diameter_value)
@@ -146,8 +148,6 @@ def resolve_parameters(
         repetitions = max(1, diameter_value)
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    if large_threshold is None:
-        large_threshold = large_part_threshold(n, diameter_value)
     return KoganParterParameters(
         n=n,
         diameter=diameter_value,
@@ -155,7 +155,6 @@ def resolve_parameters(
         num_large_parts_bound=n_large,
         probability=probability,
         repetitions=repetitions,
-        large_threshold=large_threshold,
         log_factor=log_factor,
     )
 
@@ -180,6 +179,36 @@ def incident_edge_ids(partition: Partition) -> list[np.ndarray]:
     return [ids[bounds[i]:bounds[i + 1]] for i in range(partition.num_parts)]
 
 
+def radius_large_parts(partition: Partition, depth: int) -> list[int]:
+    """Return the parts with a member farther than ``depth`` from their
+    leader in ``G[S_i]`` (ascending): the set stage 1 flags at that depth.
+
+    One multi-source BFS from every leader over the intra-part links, a
+    whole frontier per step, stopped after ``depth`` levels; the parts are
+    disjoint, so a member still unreached lies beyond ``depth``.
+    """
+    labels = partition.vertex_labels()
+    mask = CSRLinkMask.intra_partition(partition.graph.csr(), labels)
+    starts, targets, _ = mask.arrays()
+    degree = np.diff(starts)
+    # Vertices outside every part count as reached: only members can flag.
+    reached = labels < 0
+    frontier = np.asarray(partition.leaders(), dtype=np.int64)
+    reached[frontier] = True
+    for _ in range(depth):
+        counts = degree[frontier]
+        total = int(counts.sum())
+        if not total:
+            break
+        # Ragged gather of every frontier vertex's adjacency slice.
+        entries = np.arange(total, dtype=np.int64)
+        entries += np.repeat(starts[frontier] - (np.cumsum(counts) - counts), counts)
+        found = targets[entries]
+        frontier = sorted_unique(found[~reached[found]])
+        reached[frontier] = True
+    return sorted_unique(labels[~reached]).tolist()
+
+
 def build_kogan_parter_shortcut(
     graph: Graph,
     partition: Partition,
@@ -188,11 +217,13 @@ def build_kogan_parter_shortcut(
     probability: Optional[float] = None,
     repetitions: Optional[int] = None,
     log_factor: float = 1.0,
-    large_threshold: Optional[float] = None,
     rng: RandomLike = None,
     track_repetitions: bool = False,
 ) -> KoganParterResult:
     """Run the centralized Kogan-Parter construction.
+
+    Only parts of leader-rooted radius above ``detection_depth`` are
+    sampled (:func:`radius_large_parts`).
 
     Odd diameters: the paper subdivides every edge (making the diameter
     ``2D``, even) and samples each half-edge with probability ``sqrt(p)``,
@@ -209,7 +240,7 @@ def build_kogan_parter_shortcut(
     Args:
         graph: the host graph (assumed connected).
         partition: the parts to shortcut.
-        diameter_value, probability, repetitions, log_factor, large_threshold:
+        diameter_value, probability, repetitions, log_factor:
             see :func:`resolve_parameters`.
         rng: seed or :class:`random.Random` controlling the sampling.
         track_repetitions: record which repetition sampled each directed
@@ -224,28 +255,42 @@ def build_kogan_parter_shortcut(
         probability=probability,
         repetitions=repetitions,
         log_factor=log_factor,
-        large_threshold=large_threshold,
     )
+    large = radius_large_parts(partition, params.detection_depth)
+    return _sample_shortcut(
+        graph, partition, params, large, rng, track_repetitions=track_repetitions
+    )
+
+
+def _sample_shortcut(
+    graph: Graph,
+    partition: Partition,
+    params: KoganParterParameters,
+    large: list[int],
+    rng: RandomLike,
+    *,
+    track_repetitions: bool = False,
+) -> KoganParterResult:
+    """Steps 1-3 of the construction, sampling for the parts ``large``."""
     r = ensure_rng(rng)
     np_rng = np.random.default_rng(r.getrandbits(64))
 
     csr = graph.csr()
-    large = partition.large_part_indices(threshold=params.large_threshold)
     repetition_edges: Optional[dict[int, list[set[tuple[int, int]]]]] = None
     if track_repetitions:
         repetition_edges = {i: [set() for _ in range(params.repetitions)] for i in large}
 
     # ------------------------------------------------------------------
     # Step 1: every node of S_i contributes all its incident edges to H_i.
-    # (Applied to every part, large or small: it is free congestion-wise —
+    # (Applied to every part, sampled or not: it is free congestion-wise —
     # an edge can gain at most 2 this way — and it is what the paper states.)
     # ------------------------------------------------------------------
     subgraph_ids = incident_edge_ids(partition)
 
     # ------------------------------------------------------------------
-    # Steps 2-3: sampled edges for large parts only.  Directed edge d < 2m
-    # covers edge id d >> 1 in direction lo->hi (even d) or hi->lo (odd d);
-    # one Bernoulli(p) mask per (part, repetition) is drawn vectorized.
+    # Steps 2-3: sampled edges for the radius-large parts only.  Directed
+    # edge d < 2m covers edge id d >> 1 in direction lo->hi (even d) or
+    # hi->lo (odd d); one Bernoulli(p) mask per (part, repetition) is drawn.
     # ------------------------------------------------------------------
     if large and params.probability > 0:
         m = csr.num_edges

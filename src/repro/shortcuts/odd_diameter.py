@@ -35,7 +35,12 @@ import numpy as np
 
 from ..graphs.graph import Graph
 from ..rng import RandomLike, ensure_rng
-from .kogan_parter import KoganParterParameters, incident_edge_ids, resolve_parameters
+from .kogan_parter import (
+    KoganParterParameters,
+    incident_edge_ids,
+    radius_large_parts,
+    resolve_parameters,
+)
 from .partition import Partition
 from .shortcut import Shortcut
 
@@ -109,9 +114,10 @@ def build_odd_diameter_shortcut(
     """Run the literal odd-diameter construction of the paper.
 
     Every directed original edge is considered once per repetition for every
-    large part: its two halves in ``G'`` are sampled independently with
-    probability ``sqrt(p)`` and the original edge joins ``H_i`` only if both
-    succeed.  Step-1 edges (incident to the part) are taken with their full
+    sampled part (the even builder's radius rule,
+    :func:`~repro.shortcuts.kogan_parter.radius_large_parts`): its two halves
+    in ``G'`` are sampled independently with probability ``sqrt(p)`` and the
+    original edge joins ``H_i`` only if both succeed.  Step-1 edges (incident to the part) are taken with their full
     two-edge path, i.e. deterministically, exactly as in the even case.
 
     Args:
@@ -143,13 +149,13 @@ def build_odd_diameter_shortcut(
     sqrt_p = math.sqrt(params.probability)
 
     csr = graph.csr()
-    large = partition.large_part_indices(threshold=params.large_threshold)
+    large = radius_large_parts(partition, params.detection_depth)
 
     # Step 1: all edges incident to the part, deterministically (their
     # two-edge subdivided paths are taken with probability 1).
     subgraph_ids = incident_edge_ids(partition)
 
-    # Steps 2-3 on G': for each large part, repetition and directed original
+    # Steps 2-3 on G': for each sampled part, repetition and directed original
     # edge, sample the two halves independently with sqrt(p) each (the two
     # vectorized masks below are exactly those independent half-edge flips).
     num_directed = 2 * csr.num_edges

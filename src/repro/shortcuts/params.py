@@ -10,7 +10,6 @@ from ..params import (
     elkin_lower_bound,
     ghaffari_haeupler_quality,
     k_d_value,
-    large_part_threshold,
     num_large_parts,
     predicted_congestion,
     predicted_dilation,
@@ -23,7 +22,6 @@ __all__ = [
     "elkin_lower_bound",
     "ghaffari_haeupler_quality",
     "k_d_value",
-    "large_part_threshold",
     "num_large_parts",
     "predicted_congestion",
     "predicted_dilation",

@@ -4,8 +4,7 @@ A :class:`Partition` wraps a graph together with a collection of
 vertex-disjoint connected vertex subsets.  It provides the bookkeeping every
 shortcut construction needs: membership lookup, part leaders (the maximum id
 inside each part, following the distributed input convention of [GH16] used
-by the paper), the large/small classification with respect to the ``k_D``
-threshold, and induced-subgraph diameters.
+by the paper), and induced-subgraph diameters.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 from ..graphs.graph import Graph
 from ..graphs.partitions import validate_parts
 from ..graphs.traversal import diameter
-from ..params import large_part_threshold
 
 
 class Partition:
@@ -118,32 +116,3 @@ class Partition:
         """Return the diameter of the induced subgraph ``G[S_index]``."""
         part = set(self._parts[index])
         return diameter(self.graph, vertices=part, allowed=part)
-
-    # ------------------------------------------------------------------
-    def large_part_indices(self, n: Optional[int] = None, diameter_value: Optional[int] = None,
-                           *, threshold: Optional[float] = None) -> list[int]:
-        """Return the indices of *large* parts.
-
-        A part is large when ``|S_i| > k_D``; only large parts need shortcut
-        edges (a small part's induced diameter is already at most ``k_D``).
-
-        Args:
-            n: number of graph vertices (default: the host graph's).
-            diameter_value: the diameter ``D`` used to compute ``k_D``.
-            threshold: give the size threshold directly instead of via
-                ``(n, diameter_value)``.
-        """
-        if threshold is None:
-            if diameter_value is None:
-                raise ValueError("provide either threshold or diameter_value")
-            if n is None:
-                n = self.graph.num_vertices
-            threshold = large_part_threshold(n, diameter_value)
-        return [i for i, part in enumerate(self._parts) if len(part) > threshold]
-
-    def small_part_indices(self, n: Optional[int] = None, diameter_value: Optional[int] = None,
-                           *, threshold: Optional[float] = None) -> list[int]:
-        """Return the indices of parts that are not large (complement of
-        :meth:`large_part_indices`)."""
-        large = set(self.large_part_indices(n, diameter_value, threshold=threshold))
-        return [i for i in range(len(self._parts)) if i not in large]

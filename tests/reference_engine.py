@@ -25,14 +25,16 @@ class OutboxContext:
     It offers the algorithm-facing API of
     :class:`repro.congest.node.NodeContext` with the same checks (neighbours
     only, small payloads, one message per neighbour per round per algorithm
-    id), but routes by receiver: the link ids that :meth:`out_link_ids`
-    hands out are the neighbour ids themselves, and :meth:`multicast_links`
-    sends to its ``targets``.
+    id), but routes by receiver: :meth:`multicast_links` maps each directed
+    link id back to its receiver through ``csr``, the graph's snapshot (edge
+    ``e = (lo, hi)`` owns link ``2e`` for ``lo -> hi`` and ``2e + 1`` for
+    ``hi -> lo``).
     """
 
-    def __init__(self, node_id: int, neighbors: tuple[int, ...]) -> None:
+    def __init__(self, node_id: int, neighbors: tuple[int, ...], csr) -> None:
         self.node_id = node_id
         self.neighbors = neighbors
+        self._csr = csr
         self.state: dict = {}
         self.halted = False
         self._neighbor_set = set(neighbors)
@@ -56,11 +58,15 @@ class OutboxContext:
         for v in targets:
             self.send(v, tag, payload, algorithm_id)
 
-    def multicast_links(self, links, targets, tag, payload=None, algorithm_id=0) -> None:
-        self.multicast(targets, tag, payload, algorithm_id)
+    def multicast_links(self, links, tag, payload=None, algorithm_id=0) -> None:
+        edge_list = self._csr.edge_list
+        for link in links:
+            lo, hi = edge_list[link >> 1]
+            self.send(lo if link & 1 else hi, tag, payload, algorithm_id)
 
     def out_link_ids(self, targets) -> list[int]:
-        return list(targets)
+        u = self.node_id
+        return [2 * self._csr.edge_id(u, v) + (u > v) for v in targets]
 
     def broadcast(self, tag, payload=None, *, algorithm_id=0) -> None:
         self.multicast(self.neighbors, tag, payload, algorithm_id)
@@ -90,11 +96,11 @@ class PreRefactorNetwork:
 
     def __init__(self, graph) -> None:
         self.graph = graph
+        csr = graph.csr()
         self.nodes = {
-            v: OutboxContext(v, tuple(sorted(graph.neighbors(v))))
+            v: OutboxContext(v, tuple(sorted(graph.neighbors(v))), csr)
             for v in graph.vertices()
         }
-        csr = graph.csr()
         num_links = 2 * csr.num_edges
         self._link_of = {}
         self._receiver_of = [0] * num_links

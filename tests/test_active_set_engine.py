@@ -653,7 +653,7 @@ class TestOutboxContext:
     or the oracle could run a schedule the production engine rejects."""
 
     def test_buffers_multicast_until_collected(self):
-        node = OutboxContext(0, (1, 2))
+        node = OutboxContext(0, (1, 2), star_graph(3).csr())
         node.multicast((1, 2), "t", 7)
         out = node.collect_outbox()
         assert [(m.sender, m.receiver, m.payload) for m in out] == [(0, 1, 7), (0, 2, 7)]
@@ -663,7 +663,7 @@ class TestOutboxContext:
 
     def test_rejects_what_a_wired_context_rejects(self):
         wired = Network(path_graph(3)).node(0)
-        oracle = OutboxContext(0, (1,))
+        oracle = OutboxContext(0, (1,), path_graph(2).csr())
         for ctx in (wired, oracle):
             with pytest.raises(ValueError, match="no neighbor"):
                 ctx.send(2, "t", 1)

@@ -45,6 +45,16 @@ class TestShortcutCommand:
         out = capsys.readouterr().out
         assert "congestion" in out and "dilation" in out and "quality" in out
 
+    def test_prints_sampled_parts(self, capsys):
+        # Hub workload, seed 1: one of 12 path parts is longer than
+        # ceil(k_D) = 11 hops from its leader.
+        assert main(["shortcut", "--workload", "hub", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "sampled parts   : 1 / 12 (radius > ⌈k_D⌉ = 11)" in out
+        assert main(["shortcut", "--workload", "hub", "--seed", "1",
+                     "--engine", "naive"]) == 0
+        assert "sampled parts" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("engine", ENGINES)
     def test_every_engine_runs(self, engine, capsys):
         code = main([

@@ -45,7 +45,7 @@ from repro.shortcuts import (
     geometric_guesses,
     measure_diameter_probe,
 )
-from repro.shortcuts.distributed import _intra_part_mask
+from repro.shortcuts.kogan_parter import radius_large_parts
 
 from random_delay_scheduler import RandomDelayScheduler
 
@@ -467,6 +467,47 @@ class TestDetectLargeParts:
         assert large == []
 
 
+class TestOneLargePartRule:
+    """Stage 1 and every sampler share one rule: a part is sampled when its
+    leader-rooted radius exceeds ``max(1, ceil(k_D))``."""
+
+    @staticmethod
+    def _family_partition(family):
+        g = GENERATOR_FAMILIES[family](120, random.Random(3))
+        return g, Partition(g, random_connected_partition(g, 6, rng=4))
+
+    @pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
+    def test_central_sampler_samples_what_stage_one_flags(self, family):
+        g, partition = self._family_partition(family)
+        for diameter_value in (2, 3, 4):
+            kp = build_kogan_parter_shortcut(g, partition,
+                                             diameter_value=diameter_value, rng=1)
+            network = Network(g)
+            network.reset()
+            flagged, _ = detect_large_parts(network, partition,
+                                            kp.parameters.detection_depth)
+            assert kp.large_part_indices == flagged
+
+    @pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
+    def test_stage_three_equals_central_sampler(self, family):
+        g, partition = self._family_partition(family)
+        sampled = []
+        for diameter_value in (2, 3):
+            central = build_kogan_parter_shortcut(
+                g, partition, diameter_value=diameter_value, log_factor=0.3, rng=5,
+            )
+            sampled += central.large_part_indices
+            distributed = build_distributed_kogan_parter(
+                g, partition, diameter_value=diameter_value, log_factor=0.3, rng=5,
+            )
+            for i in range(partition.num_parts):
+                assert np.array_equal(
+                    distributed.shortcut.subgraph_edge_id_array(i),
+                    central.shortcut.subgraph_edge_id_array(i),
+                )
+        assert sampled  # the equality covers sampled parts, not just step 1
+
+
 # ----------------------------------------------------------------------
 # Diameter guessing
 # ----------------------------------------------------------------------
@@ -534,8 +575,7 @@ class TestPipelineRounds:
         # Stage 1: truncated BFS rounds plus the depth + 2 convergecast.
         assert breakdown["detect_large_parts"] > depth + 2
         # Stage 2: at least the global tree depth, at most O(D + N').
-        num_large = len(result.shortcut.partition.large_part_indices(
-            threshold=result.parameters.large_threshold))
+        num_large = len(radius_large_parts(partition, depth))
         assert 0 < breakdown["number_large_parts"] <= 6 * (6 + num_large) + 12
         assert breakdown["local_sampling"] == 0
         assert result.total_rounds == sum(breakdown.values())

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro.graphs import (
-    Graph,
+    bfs_distances,
     cluster_star_graph,
     complete_graph,
     hub_diameter_graph,
@@ -119,10 +119,13 @@ class TestConstructionStructure:
         parts = [set(range(1 + c * 3, 1 + (c + 1) * 3)) for c in range(6)]
         partition = Partition(g, parts)
         result = build_kogan_parter_shortcut(g, partition, diameter_value=4, rng=2)
-        # k_D(19, 4) ~ 2.7 so 3-vertex clusters are large; force them small:
-        result = build_kogan_parter_shortcut(
-            g, partition, diameter_value=4, large_threshold=10, rng=2
-        )
+        # k_D(19, 4) ~ 2.7, so every cluster has more than k_D vertices, but
+        # none has leader-rooted radius above ceil(k_D) = 3: none is sampled.
+        depth = result.parameters.detection_depth
+        assert depth == 3
+        for i in range(partition.num_parts):
+            assert len(parts[i]) > result.parameters.k_d
+            assert max(bfs_distances(g, partition.leader(i), allowed=parts[i]).values()) <= depth
         assert result.large_part_indices == []
         for i in range(partition.num_parts):
             for u, v in result.shortcut.subgraph_edges(i):
@@ -131,9 +134,16 @@ class TestConstructionStructure:
     def test_large_part_classification(self, lb_setup):
         inst, partition = lb_setup
         result = build_kogan_parter_shortcut(inst.graph, partition, diameter_value=6, rng=1)
-        threshold = result.parameters.large_threshold
+        depth = result.parameters.detection_depth
+        radius = [
+            max(bfs_distances(inst.graph, partition.leader(i),
+                              allowed=set(partition.part(i))).values())
+            for i in range(partition.num_parts)
+        ]
+        assert result.large_part_indices == [i for i, r in enumerate(radius) if r > depth]
+        assert result.large_part_indices
         for i in result.large_part_indices:
-            assert len(partition.part(i)) > threshold
+            assert len(partition.part(i)) > result.parameters.k_d
 
     def test_result_shortcut_is_valid(self, lb_setup):
         inst, partition = lb_setup

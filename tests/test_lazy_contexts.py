@@ -273,8 +273,8 @@ def test_read_context_multicasts_links_onto_a_busy_link_without_a_row():
     net = Network(graph)
     hub = net.node(5)
     link = out_links[5][7]
-    hub.multicast_links([link], [7], "x", algorithm_id=0)
-    hub.multicast_links([link], [7], "x", algorithm_id=1)
+    hub.multicast_links([link], "x", algorithm_id=0)
+    hub.multicast_links([link], "x", algorithm_id=1)
     assert hub._out_link is None
     metrics = net.run(_Listen(), reset=False)
     # The second message waited a round behind the first.

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graphs import cycle_graph, diameter, hub_diameter_graph, path_graph, path_partition
+from repro.graphs import (
+    cycle_graph,
+    diameter,
+    hub_diameter_graph,
+    lower_bound_instance,
+    path_graph,
+    path_partition,
+)
 from repro.shortcuts import (
     Partition,
     build_kogan_parter_shortcut,
@@ -74,7 +81,7 @@ class TestOddDiameterConstruction:
             g, partition, diameter_value=5, log_factor=0.3, rng=3
         )
         assert shortcut_digest(result.shortcut) == (
-            "a1aa2d07992495fbfa149ce9bffce651c056d98a3d41e2241669aa1d885eef23"
+            "21fa518572120473e5e1b0066048d14021925cb7bcf91e41f463f38876972e6e"
         )
 
     def test_half_edge_probability_is_sqrt(self, odd_setup):
@@ -100,6 +107,27 @@ class TestOddDiameterConstruction:
         e_total = explicit.shortcut.total_shortcut_edges()
         d_total = direct.shortcut.total_shortcut_edges()
         assert 0.6 <= (e_total + 1) / (d_total + 1) <= 1.7
+
+    def test_samples_radius_large_parts_like_direct_construction(self, shortcut_digest):
+        """No part of ``odd_setup`` has radius above ``ceil(k_D)``, so the
+        two-half sampling is exercised here, on long lower-bound paths: both
+        builders sample the same parts and keep comparably many edges."""
+        inst = lower_bound_instance(200, 5)
+        partition = Partition(inst.graph, inst.parts)
+        explicit = build_odd_diameter_shortcut(
+            inst.graph, partition, diameter_value=5, log_factor=0.05, rng=11
+        )
+        direct = build_kogan_parter_shortcut(
+            inst.graph, partition, diameter_value=5, log_factor=0.05, rng=12
+        )
+        assert explicit.large_part_indices == direct.large_part_indices
+        assert explicit.large_part_indices == list(range(partition.num_parts))
+        e_total = explicit.shortcut.total_shortcut_edges()
+        d_total = direct.shortcut.total_shortcut_edges()
+        assert 0.6 <= (e_total + 1) / (d_total + 1) <= 1.7
+        assert shortcut_digest(explicit.shortcut) == (
+            "64724a81a6ae805af0c1e4e9c23e93f171b35b07a5262b998db3ccc7a79b1865"
+        )
 
     def test_step_one_edges_always_present(self, odd_setup):
         g, partition = odd_setup

@@ -10,7 +10,6 @@ from repro.params import (
     elkin_lower_bound,
     ghaffari_haeupler_quality,
     k_d_value,
-    large_part_threshold,
     num_large_parts,
     predicted_congestion,
     predicted_dilation,
@@ -18,6 +17,8 @@ from repro.params import (
     predicted_rounds_distributed,
     sampling_probability,
 )
+from repro.graphs import path_graph
+from repro.shortcuts import resolve_parameters
 
 
 class TestKdValue:
@@ -55,8 +56,10 @@ class TestDerivedParameters:
         n = 1000
         assert num_large_parts(n, 4) == math.ceil(n / k_d_value(n, 4))
 
-    def test_large_part_threshold_equals_k_d(self):
-        assert large_part_threshold(500, 6) == k_d_value(500, 6)
+    def test_detection_depth_is_ceil_k_d(self):
+        for n, d in ((500, 6), (100, 4), (10_000, 2)):
+            params = resolve_parameters(path_graph(n), diameter_value=d)
+            assert params.detection_depth == max(1, math.ceil(k_d_value(n, d)))
 
     def test_sampling_probability_clamped(self):
         # For small n the paper's p exceeds 1 and must be clamped.

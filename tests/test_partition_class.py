@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.graphs import cycle_graph, grid_graph, path_graph
 from repro.params import k_d_value
-from repro.shortcuts import Partition
+from repro.shortcuts import Partition, build_kogan_parter_shortcut
+from repro.shortcuts.kogan_parter import radius_large_parts
 
 
 class TestPartitionBasics:
@@ -94,25 +97,29 @@ class TestPartEdgesAndDiameter:
         assert p.induced_diameter(0) == 0
 
 
-class TestLargeSmallClassification:
-    def test_threshold_override(self):
-        g = grid_graph(6, 6)
-        p = Partition(g, [set(range(6)), {10, 11}], validate=False)
-        assert p.large_part_indices(threshold=3) == [0]
-        assert p.small_part_indices(threshold=3) == [1]
+class TestRadiusClassification:
+    """A part is sampled when its leader-rooted radius in ``G[S_i]`` exceeds
+    the depth (the one large-part rule, ``radius_large_parts``)."""
 
-    def test_uses_k_d_by_default(self):
+    def test_depth_decides(self):
+        g = grid_graph(6, 6)
+        # Row 0 is a path led by 5 (radius 5); {10, 11} has radius 1.
+        p = Partition(g, [set(range(6)), {10, 11}], validate=False)
+        assert radius_large_parts(p, 3) == [0]
+        assert radius_large_parts(p, 5) == []
+        assert radius_large_parts(p, 0) == [0, 1]
+
+    def test_sampler_uses_ceil_k_d(self):
         g = grid_graph(10, 10)
-        big = set(range(30))
+        big = set(range(30))  # rows 0-2: radius 11 from leader 29
         small = {90, 91}
         p = Partition(g, [big, small], validate=False)
-        threshold = k_d_value(100, 4)
-        large = p.large_part_indices(diameter_value=4)
-        assert 0 in large
-        assert (1 in large) == (len(small) > threshold)
+        result = build_kogan_parter_shortcut(g, p, diameter_value=4, rng=1)
+        depth = result.parameters.detection_depth
+        assert depth == math.ceil(k_d_value(100, 4))
+        assert result.large_part_indices == [0]
 
-    def test_requires_threshold_or_diameter(self):
+    def test_unreachable_member_is_beyond_every_depth(self):
         g = path_graph(5)
-        p = Partition(g, [{0, 1}])
-        with pytest.raises(ValueError):
-            p.large_part_indices()
+        p = Partition(g, [{0, 4}, {2}], validate=False)
+        assert radius_large_parts(p, 10) == [0]

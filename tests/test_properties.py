@@ -640,6 +640,37 @@ class TestVerificationAgainstOracle:
 
 
 # ----------------------------------------------------------------------
+# the one large-part rule
+# ----------------------------------------------------------------------
+class TestLargePartRuleSoundness:
+    """The samplers give sampled edges to the parts whose leader-rooted
+    radius exceeds ``max(1, ceil(k_D))``, checked against the sequential BFS
+    restricted to each part: an unsampled part meets the dilation bound
+    with no sampled edge, a sampled part is big, and few parts are sampled."""
+
+    @given(family_graphs_with_partitions(), st.integers(2, 8), st.integers(0, 1000))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_rule_is_sound(self, gp, diameter_value, seed):
+        g, partition = gp
+        result = build_kogan_parter_shortcut(
+            g, partition, diameter_value=diameter_value, log_factor=0.4, rng=seed
+        )
+        k_d = result.parameters.k_d
+        depth = math.ceil(k_d)
+        sampled = set(result.large_part_indices)
+        for i in range(partition.num_parts):
+            part = set(partition.part(i))
+            radius = max(bfs_distances(g, partition.leader(i), allowed=part).values())
+            if i in sampled:
+                assert radius > depth
+                assert len(part) > k_d
+            else:
+                assert radius <= depth
+                assert result.shortcut.part_dilation(i) <= 2 * depth
+        assert len(sampled) <= math.ceil(g.num_vertices / k_d)
+
+
+# ----------------------------------------------------------------------
 # MST invariants
 # ----------------------------------------------------------------------
 class TestMSTProperties:

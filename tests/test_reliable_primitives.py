@@ -31,7 +31,7 @@ from repro.congest.primitives.reliable import ACK_ONLY, ReliableChannel
 from repro.congest.scheduler import draw_random_delays
 from repro.graphs import bfs_distances
 from repro.graphs.components import connected_components
-from repro.graphs.csr import CSRLinkMask
+from repro.graphs.csr import CSRGraph, CSRLinkMask
 from repro.graphs.generators import (
     GENERATOR_FAMILIES,
     disjoint_union,
@@ -283,6 +283,10 @@ class TestReliableAggregation:
             channel.send_unit(0, 0, 1, 0, (1, 2, 3, 4))
 
 
+#: The one-edge graph the hand-delivered channel tests run on.
+PAIR = CSRGraph(2, [(0, 1)])
+
+
 class TestReliableChannel:
     TAGS = ({0: "t"}, {0: "t"})
 
@@ -293,7 +297,7 @@ class TestReliableChannel:
 
     def test_same_kind_supersedes_pending_unit(self):
         channel = ReliableChannel({0: "t"}, RetryPolicy())
-        a, b = OutboxContext(0, (1,)), OutboxContext(1, (0,))
+        a, b = OutboxContext(0, (1,), PAIR), OutboxContext(1, (0,), PAIR)
         channel.send_unit(0, 0, 1, 0, (3, 0))
         channel.send_unit(0, 0, 1, 0, (2, 0))
         assert channel.total_pending == 1
@@ -308,7 +312,7 @@ class TestReliableChannel:
 
     def test_superseded_numbers_never_stall_the_ack(self):
         channel = ReliableChannel({0: "t"}, RetryPolicy())
-        a, b = OutboxContext(0, (1,)), OutboxContext(1, (0,))
+        a, b = OutboxContext(0, (1,), PAIR), OutboxContext(1, (0,), PAIR)
         # Number 0 is superseded before it is sent, number 1 while in
         # flight (its wire message is lost): the floor of the message that
         # carries number 2 moves b's cumulative ack past both.
@@ -334,7 +338,7 @@ class TestReliableChannel:
 
     def test_recovered_sender_units_are_processed(self):
         channel = ReliableChannel({0: "t"}, RetryPolicy())
-        a, b = OutboxContext(0, (1,)), OutboxContext(1, (0,))
+        a, b = OutboxContext(0, (1,), PAIR), OutboxContext(1, (0,), PAIR)
         channel.send_unit(0, 0, 1, 0, 7)
         assert [m.payload for m in self._deliver(channel, a, b)] == [7]
         channel.on_crash(0)
@@ -345,7 +349,7 @@ class TestReliableChannel:
 
     def test_timer_retransmits_only_unacked_units(self):
         channel = ReliableChannel({0: "t"}, RetryPolicy())
-        a, b = OutboxContext(0, (1,)), OutboxContext(1, (0,))
+        a, b = OutboxContext(0, (1,), PAIR), OutboxContext(1, (0,), PAIR)
         channel.send_unit(0, 0, 1, 0, 5)
         channel.send_unit(0, 0, 1, 1, 6)
         # One wire message per endpoint per round: unit 0 leaves the link
@@ -372,7 +376,7 @@ class TestReliableChannel:
 
     def test_unanswered_unit_is_abandoned_after_max_attempts(self):
         channel = ReliableChannel({0: "t"}, RetryPolicy(timeout=2, max_attempts=2))
-        a = OutboxContext(0, (1,))
+        a = OutboxContext(0, (1,), PAIR)
         channel.send_unit(0, 0, 1, 0, 5)
         sent_in = []
         for rnd in range(20):
@@ -507,12 +511,13 @@ class TestConsumersUnderLoss:
     def test_mst_matches_kruskal_under_drops(self, family):
         g = make_family_graph(family, 56, rng=derive_rng(31, "mst", family))
         weighted = with_random_weights(g, rng=derive_rng(31, "mst-w", family))
-        _, kruskal_weight = kruskal_mst(weighted)
+        kruskal_edges, kruskal_weight = kruskal_mst(weighted)
         result = shortcut_boruvka_mst(
             weighted, rng=derive_rng(31, "mst-run", family),
             drop_rate=0.05, adversary_seed=37,
         )
         assert abs(result.weight - kruskal_weight) < 1e-6
+        assert result.edges == sorted(kruskal_edges)
 
     @pytest.mark.parametrize("family", ("torus", "preferential"))
     def test_components_match_traversal_under_drops(self, family):

@@ -270,21 +270,22 @@ class TestComponentsOracle:
 
     # (family, drop rate, block sizes, rounds per phase, messages) of a
     # two-block union (80- and 40-vertex family graphs), captured with the
-    # start delays bounded by each phase's mask congestion (the 5%-drop
-    # rows with the reliable channel's per-unit timers).
+    # start delays bounded by each phase's mask congestion, sampled edges
+    # for the radius-large fragments only (the 5%-drop rows with the
+    # reliable channel's per-unit timers).
     PINS = [
-        ("broom", 0.0, (80, 40), [1, 26], 2024),
-        ("broom", 0.05, (80, 40), [1, 60], 4348),
-        ("caterpillar", 0.0, (79, 39), [1, 37, 13], 5404),
-        ("caterpillar", 0.05, (79, 39), [1, 121, 46], 12790),
-        ("expander", 0.0, (80, 40), [1, 24, 37], 8194),
-        ("expander", 0.05, (80, 40), [1, 72, 146], 18421),
-        ("hub", 0.0, (80, 40), [1, 39, 31], 8437),
-        ("hub", 0.05, (80, 40), [1, 107, 85], 23616),
-        ("preferential", 0.0, (80, 40), [1, 41, 33], 10862),
-        ("preferential", 0.05, (80, 40), [1, 166, 128], 30296),
-        ("torus", 0.0, (72, 36), [1, 30, 41], 6707),
-        ("torus", 0.05, (72, 36), [1, 67, 96], 15543),
+        ("broom", 0.0, (80, 40), [1, 14], 1031),
+        ("broom", 0.05, (80, 40), [1, 94], 2136),
+        ("caterpillar", 0.0, (79, 39), [1, 16, 12], 1979),
+        ("caterpillar", 0.05, (79, 39), [1, 74, 63], 4164),
+        ("expander", 0.0, (80, 40), [1, 19, 22], 3541),
+        ("expander", 0.05, (80, 40), [1, 55, 73], 7462),
+        ("hub", 0.0, (80, 40), [1, 17, 19], 2313),
+        ("hub", 0.05, (80, 40), [1, 89, 52], 4940),
+        ("preferential", 0.0, (80, 40), [1, 19, 22], 3255),
+        ("preferential", 0.05, (80, 40), [1, 60, 86], 6892),
+        ("torus", 0.0, (72, 36), [1, 19, 28], 3005),
+        ("torus", 0.05, (72, 36), [1, 53, 91], 6461),
     ]
 
     @pytest.mark.parametrize("family, drop_rate, sizes, rounds, messages", PINS)
