@@ -262,6 +262,8 @@ def _command_shortcut(args: argparse.Namespace) -> int:
         print(f"total rounds    : {distributed_result.total_rounds}")
         print(f"attempted guesses: {distributed_result.attempted_guesses}")
         print(f"spanning ok     : {distributed_result.spanning_ok}")
+        print(f"fleet congestion: {distributed_result.fleet_congestion} "
+              f"(stage-4 delays in [0, ĉ - 1])")
         for stage, rounds in distributed_result.rounds_breakdown.items():
             print(f"  rounds[{stage}] : {rounds}")
     if args.drop_rate > 0.0 or args.crash > 0:

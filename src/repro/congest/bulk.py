@@ -95,6 +95,22 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=I64) - np.repeat(ends - counts, counts)
 
 
+def _stable_sort(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(sorted keys, stable order)`` for int64 keys in ``[0, bound)``.
+
+    Each key carries its position in its low bits, so one plain value sort
+    yields both; numpy sorts int64 values several times faster than it
+    argsorts them stably.  Keys too wide to pack take the stable argsort.
+    """
+    size = len(keys)
+    shift = max(size - 1, 0).bit_length()
+    if max(bound - 1, 0).bit_length() + shift <= 62:
+        packed = np.sort((keys << shift) | np.arange(size, dtype=I64))
+        return packed >> shift, packed & ((1 << shift) - 1)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
+
+
 def _flat_slices(starts: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions of each node's CSR slice, concatenated in node order.
 
@@ -154,67 +170,69 @@ class _LinkScheduler:
         self.linkmax = np.zeros(num_links, dtype=I64)
         self.recorded_max = 0
 
-    def schedule(self, rnd: int, links: np.ndarray, record: bool) -> tuple[np.ndarray, np.ndarray]:
+    def schedule(self, rnd: int, links: np.ndarray, record: bool) -> np.ndarray:
         """Book delivery rounds for sends made during round ``rnd``.
 
         ``links`` is the round's full send stream in engine dispatch order.
-        Returns ``(delivery_rounds, activation_stamps)`` parallel to it.
+        Returns the delivery rounds parallel to it; each send's activation
+        stamp is ``act[link]`` until it is delivered (a link with a message
+        in flight is not reactivated).
         """
         nsend = len(links)
-        order = np.argsort(links, kind="stable")
-        slinks = links[order]
-        firsts = np.flatnonzero(np.r_[True, slinks[1:] != slinks[:-1]])
-        glinks = slinks[firsts]
-        counts = np.diff(np.append(firsts, nsend))
-        prev_avail = self.avail[glinks]
+        count = np.bincount(links, minlength=len(self.avail))[links]
+        rank = np.zeros(nsend, dtype=I64)
+        shared = np.flatnonzero(count > 1)
+        if len(shared):
+            # A link's sends take its free rounds in stream order: rank the
+            # sends of shared links within their link (a stable sort);
+            # every other send is alone on its link.
+            slinks, order = _stable_sort(links[shared], len(self.avail))
+            firsts = np.flatnonzero(np.r_[True, slinks[1:] != slinks[:-1]])
+            rank[shared[order]] = _ranks(np.diff(np.append(firsts, len(shared))))
+        prev_avail = self.avail[links]
         base = np.maximum(prev_avail, rnd + 1)
-        newly = np.flatnonzero(prev_avail <= rnd + 1)
+        # Stamp empty->nonempty transitions in the order of each link's
+        # first send in the stream (engine active-list append order).
+        newly = np.flatnonzero((rank == 0) & (prev_avail <= rnd + 1))
         if len(newly):
-            # Stamp empty->nonempty transitions in the order of each link's
-            # first send in the stream (engine active-list append order).
-            first_orig = order[firsts[newly]]
-            na_order = newly[np.argsort(first_orig, kind="stable")]
-            self.act[glinks[na_order]] = self.seq + np.arange(len(na_order), dtype=I64)
-            self.seq += len(na_order)
-        sdeliv = np.repeat(base, counts) + _ranks(counts)
-        self.avail[glinks] = base + counts
+            self.act[links[newly]] = self.seq + np.arange(len(newly), dtype=I64)
+            self.seq += len(newly)
+        # All sends of one link store the same values.
+        self.avail[links] = base + count
         if record:
-            gmax = base + counts - 1 - rnd
-            np.maximum(self.linkmax[glinks], gmax, out=gmax)
-            self.linkmax[glinks] = gmax
+            gmax = base + count - 1 - rnd
+            np.maximum(self.linkmax[links], gmax, out=gmax)
+            self.linkmax[links] = gmax
             top = int(gmax.max())
             if top > self.recorded_max:
                 self.recorded_max = top
-        deliv = np.empty(nsend, dtype=I64)
-        deliv[order] = sdeliv
-        return deliv, self.act[links]
+        return base + rank
 
 
 def _bucket_push(buckets: dict, rnd: int, deliv: np.ndarray, cols: tuple) -> None:
     """File the sends of round ``rnd`` into the round buckets.
 
-    ``deliv`` holds each send's delivery round (all after ``rnd``).  The
-    columns are gathered once in delivery order (stable, so sends keep
-    their stream order within a round) and each round's rows are a slice
-    of that gather, appended to the round's list of chunks;
-    :func:`_bucket_pop` joins a round's chunks once, when it is due.  Only
-    the next round's slices stay views: a later round's are copied, so a
-    few queued rows do not keep the whole gather alive for many rounds.
+    ``deliv`` holds each send's delivery round (all after ``rnd``).  Each
+    round's rows join that round's list of chunks in stream order;
+    :func:`_bucket_pop` joins a round's chunks once, when it is due.  Most
+    sends leave next round, so those rows take one compress per column and
+    only the later ones are grouped by round, with one stable sort.
     """
-    offsets = deliv - (rnd + 1)
-    if len(offsets) and int(offsets.max()) <= np.iinfo(np.int16).max:
-        # Same order, but numpy sorts 16-bit keys with a stable radix sort.
-        offsets = offsets.astype(np.int16)
-    order = np.argsort(offsets, kind="stable")
-    so = offsets[order]
-    cuts = np.flatnonzero(np.r_[True, so[1:] != so[:-1]]).tolist()
-    bounds = cuts[1:] + [len(so)]
-    sorted_cols = tuple(c[order] for c in cols)
-    for lo, hi, off in zip(cuts, bounds, so[cuts].tolist()):
-        chunk = tuple(c[lo:hi] for c in sorted_cols)
-        if off:
-            chunk = tuple(c.copy() for c in chunk)
-        buckets.setdefault(rnd + 1 + off, []).append(chunk)
+    nxt = rnd + 1
+    later = np.flatnonzero(deliv > nxt)
+    if not len(later):
+        buckets.setdefault(nxt, []).append(cols)
+        return
+    if len(later) < len(deliv):
+        now = np.flatnonzero(deliv == nxt)
+        buckets.setdefault(nxt, []).append(tuple(c[now] for c in cols))
+    ldeliv = deliv[later]
+    rounds, order = _stable_sort(ldeliv - nxt, int(ldeliv.max()) - rnd)
+    rows = later[order]
+    cuts = np.flatnonzero(np.r_[True, rounds[1:] != rounds[:-1]]).tolist()
+    for lo, hi, off in zip(cuts, cuts[1:] + [len(rows)], rounds[cuts].tolist()):
+        sel = rows[lo:hi]
+        buckets.setdefault(nxt + off, []).append(tuple(c[sel] for c in cols))
 
 
 def _bucket_pop(buckets: dict, rnd: int) -> Optional[tuple]:
@@ -754,13 +772,16 @@ class FleetKernel:
     Participants of every instance get a *slot* of the fleet's
     :class:`SlotLayout` (the mask participants plus any source outside its
     mask); labels, announce slices and the relaxation all operate on flat
-    per-slot arrays.  Per round, delivered candidates are ranked by the
-    packed ``((dist + 1) * n + root) * n + sender`` key — a single
-    ``np.minimum.at`` reproduces the per-node lexicographic
-    ``(dist, root, sender)`` minimum — and improvements re-announce over
-    their mask slices, minus the same-round senders the parent-echo
-    suppression provably cannot improve.  The labels stay in the slot
-    arrays: ``finish`` leaves them behind the fleet's :class:`LazyRows`.
+    per-slot arrays.  A queued send is two numbers: its announce row (which
+    names the link, target and target slot) and the packed
+    ``((dist + 1) * n + root) * n + sender`` key it carries, made once at
+    send time.  Per round, one stable sort groups the delivered rows by
+    target slot and ``np.minimum.reduceat`` takes each slot's smallest key
+    — the per-node lexicographic ``(dist, root, sender)`` minimum — and
+    improvements re-announce over their mask slices, minus the same-round
+    senders the parent-echo suppression provably cannot improve.  The
+    labels stay in the slot arrays: ``finish`` leaves them behind the
+    fleet's :class:`LazyRows`.
     """
 
     bulk_state = ("dist", "parent", "root", "buckets", "start_events",
@@ -776,7 +797,7 @@ class FleetKernel:
         self.suppress = algorithm.suppress_parent_echo
         self.layout = layout
         self.slot_keys, self.slot_i, self.slot_v = layout.keys, layout.slot_i, layout.slot_v
-        self.ann_starts, self.ann_targets, self.ann_links, self.ann_tslot = layout.rows()
+        self.ann_starts, _, self.ann_links, self.ann_tslot = layout.rows()
         num_slots = len(self.slot_keys)
         self.dist = np.full(num_slots, _HUGE, dtype=I64)
         self.parent = np.full(num_slots, UNREACHED, dtype=I64)
@@ -799,6 +820,10 @@ class FleetKernel:
         self.tick_last = tick_last
         self.sched = _LinkScheduler(2 * csr.num_edges)
         self.inherited = np.asarray(network._link_max_backlog, dtype=I64)
+        self.inherited_top = int(self.inherited.max()) if len(self.inherited) else 0
+        # Scratch for the parent-echo suppression, all UNREACHED between
+        # rounds: the receiving slot of each suppressed echo's link.
+        self.echo_slot = np.full(2 * csr.num_edges, UNREACHED, dtype=I64)
         self.buckets: dict[int, list] = {}
         self.sent = 0
         self.delivered = 0
@@ -873,6 +898,7 @@ class FleetKernel:
 
     def _do_round(self, rnd: int, starts, chunk) -> None:
         n = self.n
+        nn = n * n
         stream0 = stream1 = None
         if starts:
             vs = np.asarray([e[0] for e in starts], dtype=I64)
@@ -884,109 +910,97 @@ class FleetKernel:
             if 0 < self.max_depth:
                 flat, cnts = _flat_slices(self.ann_starts, slots)
                 if len(flat):
-                    nodes = np.repeat(vs, cnts)
-                    stream0 = (
-                        nodes,
-                        np.repeat(np.arange(len(slots), dtype=I64), cnts),
-                        self.ann_links[flat],
-                        self.ann_targets[flat],
-                        self.ann_tslot[flat],
-                        nodes,
-                        np.zeros(len(flat), dtype=I64),
-                        np.repeat(vs, cnts),
-                    )
+                    stream0 = (np.repeat(vs, cnts), flat,
+                               np.repeat((n + vs) * n + vs, cnts))
         if chunk is not None:
-            acts, links, targets, tslots, senders, dists, roots = chunk
-            self.delivered += len(links)
+            rows, keys = chunk
+            links = self.ann_links[rows]
+            self.delivered += len(rows)
             self.edge_counts += np.bincount(
                 links >> 1, minlength=len(self.edge_counts)
             )
-            seen = int(self.inherited[links].max())
-            if seen > self.seen_linkmax:
-                self.seen_linkmax = seen
-            order = np.lexsort((acts, targets))
-            slots_s = tslots[order]
-            senders_s = senders[order]
-            dists_s = dists[order]
-            roots_s = roots[order]
-            uq, first_pos, inv = np.unique(
-                slots_s, return_index=True, return_inverse=True
-            )
-            packed = ((dists_s + 1) * n + roots_s) * n + senders_s
-            best = np.full(len(uq), _HUGE, dtype=I64)
-            np.minimum.at(best, inv, packed)
-            nd = best // (n * n)
-            rem = best - nd * n * n
+            if self.inherited_top > self.seen_linkmax:
+                seen = int(self.inherited[links].max())
+                if seen > self.seen_linkmax:
+                    self.seen_linkmax = seen
+            tslots, order = _stable_sort(self.ann_tslot[rows], len(self.dist))
+            keys = keys[order]
+            links = links[order]
+            firsts = np.flatnonzero(np.r_[True, tslots[1:] != tslots[:-1]])
+            uq = tslots[firsts]
+            best = np.minimum.reduceat(keys, firsts)
+            nd = best // nn
             improved = nd < self.dist[uq]
             win = np.flatnonzero(improved)
             if len(win):
                 islots = uq[win]
+                rem = best[win] - nd[win] * nn
                 self.dist[islots] = nd[win]
-                self.root[islots] = rem[win] // n
-                self.parent[islots] = rem[win] % n
+                self.root[islots] = rem // n
+                self.parent[islots] = rem % n
             announcing = np.flatnonzero(improved & (nd < self.max_depth))
             if len(announcing):
                 # Per-node announce order: instances in first-message order.
-                announcing = announcing[
-                    np.argsort(first_pos[announcing], kind="stable")
-                ]
+                # A node's delivering links carry distinct activation
+                # stamps, so a slot's first message has its smallest stamp.
+                first_act = np.minimum.reduceat(
+                    self.sched.act[links], firsts
+                )[announcing]
                 a_slots = uq[announcing]
+                _, by_node = _stable_sort(
+                    self.slot_v[a_slots] * self.sched.seq + first_act,
+                    n * self.sched.seq,
+                )
+                a_slots = a_slots[by_node]
                 flat, cnts = _flat_slices(self.ann_starts, a_slots)
-                e_nodes = np.repeat(self.slot_v[a_slots], cnts)
-                e_sub = np.repeat(np.arange(len(a_slots), dtype=I64), cnts)
-                e_links = self.ann_links[flat]
-                e_targets = self.ann_targets[flat]
-                e_tslots = self.ann_tslot[flat]
-                e_d = np.repeat(self.dist[a_slots], cnts)
-                e_root = np.repeat(self.root[a_slots], cnts)
+                a_links = self.ann_links[flat]
+                owner = np.repeat(a_slots, cnts)
+                a_keys = np.repeat(
+                    ((self.dist[a_slots] + 1) * n + self.root[a_slots]) * n
+                    + self.slot_v[a_slots], cnts,
+                )
                 if self.suppress:
                     # Same-round senders whose announced distance is within
-                    # one of the new label cannot be improved by the echo.
-                    supp = improved[inv] & (dists_s <= self.dist[slots_s] + 1)
+                    # one of the new label (candidate distance at most
+                    # ``label + 2``: keys below ``(label + 3) * n²``) cannot
+                    # be improved by the echo.
+                    # The echo to sender ``u`` leaves over the reverse of
+                    # the link ``u`` delivered on, and a link delivers once
+                    # per round, so marking those links by slot finds it.
+                    limit = np.where(improved, (nd + 3) * nn, 0)
+                    supp = keys < np.repeat(limit, np.diff(np.append(firsts, len(keys))))
                     if supp.any():
-                        # Sort-based membership: hashing np.unique/np.isin
-                        # cost several times more on these key batches.
-                        supp_keys = sorted_unique(
-                            inv[supp] * n + senders_s[supp]
-                        )
-                        probe = np.repeat(announcing, cnts) * n + e_targets
-                        at = np.minimum(
-                            np.searchsorted(supp_keys, probe), len(supp_keys) - 1
-                        )
-                        keep = supp_keys[at] != probe
-                        e_nodes = e_nodes[keep]
-                        e_sub = e_sub[keep]
-                        e_links = e_links[keep]
-                        e_targets = e_targets[keep]
-                        e_tslots = e_tslots[keep]
-                        e_d = e_d[keep]
-                        e_root = e_root[keep]
-                if len(e_links):
-                    stream1 = (e_nodes, e_sub, e_links, e_targets, e_tslots,
-                               e_nodes, e_d, e_root)
+                        mark = self.echo_slot
+                        supp_links = links[supp] ^ 1
+                        mark[supp_links] = tslots[supp]
+                        keep = np.flatnonzero(mark[a_links] != owner)
+                        mark[supp_links] = UNREACHED
+                        flat = flat[keep]
+                        a_links = a_links[keep]
+                        owner = owner[keep]
+                        a_keys = a_keys[keep]
+                if len(flat):
+                    stream1 = (owner, flat, a_keys, a_links)
         if stream0 is None and stream1 is None:
             return
         if stream1 is None:
-            cols = stream0
-            bands = np.zeros(len(cols[0]), dtype=I64)
+            _, rows, keys = stream0
+            links = self.ann_links[rows]
         elif stream0 is None:
-            cols = stream1
-            bands = np.zeros(len(cols[0]), dtype=I64)
+            _, rows, keys, links = stream1
         else:
-            cols = tuple(np.concatenate(pair) for pair in zip(stream0, stream1))
-            bands = np.concatenate((
-                np.zeros(len(stream0[0]), dtype=I64),
-                np.ones(len(stream1[0]), dtype=I64),
-            ))
-        nodes, subs, links, targets, tslots, senders, dists, roots = cols
-        order = np.lexsort((subs, bands, nodes))
-        links_o = links[order]
-        deliv, acts = self.sched.schedule(rnd, links_o, rnd < self.max_rounds)
-        self.sent += len(links_o)
-        _bucket_push(self.buckets, rnd, deliv, (
-            acts, links_o, targets[order], tslots[order], senders[order],
-            dists[order], roots[order],
-        ))
+            # Engine dispatch order ``(node, band, sub)``: each stream is
+            # already in ``(node, sub)`` order, and the starts (band 0) go
+            # before a node's relaxations (band 1).
+            _, order = _stable_sort(np.concatenate(
+                (2 * stream0[0], 2 * self.slot_v[stream1[0]] + 1)
+            ), 2 * n)
+            rows = np.concatenate((stream0[1], stream1[1]))[order]
+            keys = np.concatenate((stream0[2], stream1[2]))[order]
+            links = self.ann_links[rows]
+        deliv = self.sched.schedule(rnd, links, rnd < self.max_rounds)
+        self.sent += len(rows)
+        _bucket_push(self.buckets, rnd, deliv, (rows, keys))
 
     def awake_at_cutoff(self, rnd: int) -> int:
         return sum(
@@ -1399,10 +1413,10 @@ class PartAggregationKernel:
         nodes, subs, bands, kinds, links, targets, tslots, senders, ivals = vec
         order = np.lexsort((subs, bands, nodes))
         links_o = links[order]
-        deliv, acts = self.sched.schedule(rnd, links_o, rnd < self.max_rounds)
+        deliv = self.sched.schedule(rnd, links_o, rnd < self.max_rounds)
         self.sent += len(links_o)
         _bucket_push(self.buckets, rnd, deliv, (
-            acts, kinds[order], links_o, targets[order], tslots[order],
+            self.sched.act[links_o], kinds[order], links_o, targets[order], tslots[order],
             senders[order], ivals[order],
         ))
 

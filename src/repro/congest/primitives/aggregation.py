@@ -552,7 +552,7 @@ def run_part_aggregation(
     network.reset()
     prefixes = [f"pa{i}_" for i in range(num)]
     # The tree stage is never truncated (depth budget = vertex count).  It
-    # drops the provably useless parent echoes (lossless; see
+    # drops the provably useless parent echoes (every distance is kept; see
     # ``ConcurrentMaskedBFS``) and stores labels sparsely, which suits
     # fleets of many small instances; the schedule is identical either way.
     fleet = ConcurrentMaskedBFS(

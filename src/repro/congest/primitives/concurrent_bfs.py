@@ -40,10 +40,12 @@ distance ``nd`` to a neighbour that announced ``d_w`` *in the same round*
 can never cause an update when ``d_w <= nd + 1`` (that neighbour's label
 is already at most ``d_w <= nd + 1``, and the echo offers ``nd + 1``,
 which is no strict improvement) — in particular the adopted parent
-(``d_w = nd - 1``) is always such a neighbour.  The resulting trees are
-identical on every other link; total messages drop by about one per tree
-edge, and the measured rounds are those of this (still perfectly honest)
-CONGEST algorithm.
+(``d_w = nd - 1``) is always such a neighbour.  The distances and roots
+are those of the unsuppressed fleet; total messages drop by about one per
+tree edge, and the measured rounds are those of this (still perfectly
+honest) CONGEST algorithm.  A parent can differ where links queue: with no
+echo ahead of it, another neighbour at the same distance may be heard
+first, so the tree keeps its depths but not always its edges.
 
 Retry mode (``retry=RetryPolicy(...)``) keeps the start-delay ticking and
 the relaxation code of the clean fleet and swaps only the transport: each

@@ -14,8 +14,10 @@ convergecasts the same way.  :func:`draw_random_delays` draws those start
 delays from shared randomness, exactly as the paper assumes: the delays are
 drawn once by the caller and given to every node, modelling the
 ``O(log^2 n)``-bit shared string.  :func:`mask_congestion` measures the
-``c`` of a fleet of link masks; the part-wise aggregation draws its delays
-from ``[0, c - 1]`` (no delay at all when no link is shared).
+``c`` of a fleet of link masks, and both users draw their delays from
+``[0, c - 1]``: the construction's stage-4 BFS fleet over the masks of the
+augmented subgraphs, and the part-wise aggregation over its parts' masks
+(no delay at all when no link is shared).
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ def draw_random_delays(
 ) -> list[int]:
     """Draw one start delay per sub-algorithm, uniform in ``[0, max_delay]``.
 
-    The paper sets ``max_delay`` proportional to the congestion bound
-    (``O(k_D log n)`` for the shortcut BFS trees).  Using a single shared
-    random string for all delays matches the shared-randomness assumption of
-    Theorem 2.1.
+    Theorem 2.1 asks for a range of about the congestion ``c`` of the
+    scheduled algorithms; the callers pass ``max_delay = c - 1`` with ``c``
+    from :func:`mask_congestion`.  Using a single shared random string for
+    all delays matches the shared-randomness assumption of Theorem 2.1.
     """
     if num_algorithms < 0:
         raise ValueError("num_algorithms must be non-negative")

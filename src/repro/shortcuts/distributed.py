@@ -14,8 +14,9 @@ sampling construction that runs in ``~O(k_D)`` rounds:
    ``H_i`` of each part flagged in stage 1, locally; no communication.
 4. **Parallel truncated BFS** — a BFS tree of depth ``~O(k_D log n)`` is
    grown in every augmented subgraph ``G[S_i] ∪ H_i`` simultaneously using
-   the random-delay scheduler (Theorem 2.1); this is where congestion and
-   dilation translate into measured rounds.
+   the random-delay scheduler (Theorem 2.1), with start delays drawn from
+   ``[0, ĉ - 1]`` for the congestion ``ĉ`` of those subgraphs' link masks;
+   this is where congestion and dilation translate into measured rounds.
 5. **Verification** — a max-convergecast and broadcast over the stage-2
    global tree of one bit per node, "my part's stage-4 tree missed me", so
    every node learns whether all large parts are spanned; with an unknown
@@ -76,7 +77,7 @@ from ..congest.primitives.aggregation import PartAggregation, shortcut_link_mask
 from ..congest.primitives.bfs import DistributedBFS
 from ..congest.primitives.concurrent_bfs import UNREACHED, ConcurrentMaskedBFS
 from ..congest.primitives.numbering import PipelinedNumbering
-from ..congest.scheduler import draw_random_delays
+from ..congest.scheduler import draw_random_delays, mask_congestion
 from ..graphs.csr import CSRGraph, CSRLinkMask
 from ..graphs.graph import Graph
 from .baselines import build_empty_shortcut
@@ -106,6 +107,9 @@ class DistributedShortcutResult:
         bfs_metrics: the raw :class:`RunMetrics` of the stage-4 concurrent
             BFS of the accepted guess (rounds, messages, per-edge load).
         spanning_ok: whether every large part's tree spanned its part.
+        fleet_congestion: ĉ of the accepted guess's stage-4 masks (the
+            most of them permitting one directed link); its start delays
+            were drawn from ``[0, ĉ - 1]``.  0 when no part was flagged.
     """
 
     shortcut: Shortcut
@@ -117,6 +121,7 @@ class DistributedShortcutResult:
     probe_rounds: int = 0
     bfs_metrics: Optional[RunMetrics] = None
     spanning_ok: bool = True
+    fleet_congestion: int = 0
 
 
 def geometric_guesses(lower: int, upper: int) -> list[int]:
@@ -341,6 +346,7 @@ def build_distributed_kogan_parter(
                 probe_rounds=probe_rounds,
                 bfs_metrics=result.bfs_metrics,
                 spanning_ok=True,
+                fleet_congestion=result.fleet_congestion,
             )
 
     # No guess verified (can happen when the depth budget is too small for
@@ -357,6 +363,7 @@ def build_distributed_kogan_parter(
         probe_rounds=probe_rounds,
         bfs_metrics=last_result.bfs_metrics,
         spanning_ok=False,
+        fleet_congestion=last_result.fleet_congestion,
     )
 
 
@@ -424,8 +431,12 @@ def _run_single_guess(
 
     # Stage 4: concurrent truncated BFS in every augmented subgraph of a
     # large part, scheduled with random delays (the round-dominant stage).
+    # As Theorem 2.1 asks, the delays are drawn from ``[0, ĉ - 1]``, where
+    # ĉ is the congestion of the masks scheduled (the part-wise aggregation
+    # draws from the same range).
     bfs_metrics: Optional[RunMetrics] = None
     fleet: Optional[ConcurrentMaskedBFS] = None
+    congestion = 0
     if large:
         # Per-part permits from the sampler's edge-id arrays.  For the KP
         # sampler ``H_i`` already contains every edge incident to a part
@@ -435,8 +446,8 @@ def _run_single_guess(
             CSRLinkMask.from_edge_ids(csr, shortcut.subgraph_edge_id_array(part_idx))
             for part_idx in large
         ]
-        max_delay = max(1, math.ceil(params.k_d * math.log(max(n, 2))))
-        delays = draw_random_delays(len(large), max_delay, rng)
+        congestion = mask_congestion(masks)
+        delays = draw_random_delays(len(large), max(0, congestion - 1), rng)
         fleet = ConcurrentMaskedBFS(
             large_leaders,
             masks,
@@ -484,4 +495,5 @@ def _run_single_guess(
         accepted_guess=diameter_guess,
         bfs_metrics=bfs_metrics,
         spanning_ok=spanning_ok,
+        fleet_congestion=congestion,
     )

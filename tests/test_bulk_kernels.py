@@ -36,7 +36,9 @@ from repro.congest.primitives.leader import FloodMax, read_leaders
 from repro.graphs.csr import CSRLinkMask
 from repro.graphs import Graph, path_graph
 from repro.graphs.generators import GENERATOR_FAMILIES
+from repro.params import k_d_value
 
+from test_distributed_pipeline import DELAY_REGIMES, regime_delays
 from test_network_wiring import _LeaderBurst
 
 FAMILIES = sorted(GENERATOR_FAMILIES)
@@ -156,6 +158,40 @@ def test_fleet_bulk_matches_per_node(family, sparse, bulk_toggle):
         )
         m = net.run(fleet, reset=False, max_rounds=200_000)
         return metrics_tuple(m), fleet_labels(fleet, 4)
+
+    assert once(True) == once(False)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("regime", DELAY_REGIMES)
+def test_crowded_fleet_bulk_matches_per_node(family, regime, bulk_toggle):
+    # Thirty instances over random 80% edge samples share most links, as
+    # stage 4's augmented subgraphs do, so sends queue several deep; the
+    # delays come from either of stage 4's ranges.
+    def once(enabled):
+        bulk_toggle(enabled)
+        g = family_graph(family, n=48)
+        n = g.num_vertices
+        csr = g.csr()
+        rng = random.Random(9)
+        num = 30
+        masks = [
+            CSRLinkMask.from_edge_ids(csr, [
+                e for e in range(csr.num_edges) if rng.random() < 0.8
+            ])
+            for _ in range(num)
+        ]
+        roots = [rng.randrange(n) for _ in range(num)]
+        delays = regime_delays(regime, masks, k_d_value(n, 6), n,
+                               random.Random(11))
+        net = Network(g)
+        fleet = ConcurrentMaskedBFS(
+            roots, masks, delays, n, [f"c{i}_" for i in range(num)], n,
+            suppress_parent_echo=True,
+        )
+        m = net.run(fleet, reset=False, max_rounds=200_000)
+        assert m.max_link_backlog >= 3
+        return metrics_tuple(m), fleet_labels(fleet, num), node_states(net)
 
     assert once(True) == once(False)
 

@@ -117,6 +117,7 @@ class TestShortcutCommand:
         assert "total rounds" in out
         assert "rounds[concurrent_bfs]" in out
         assert "attempted guesses: [4]" in out
+        assert "fleet congestion:" in out
 
     def test_distributed_engine_unknown_diameter(self, tmp_path, capsys):
         out_file = tmp_path / "sc.json"

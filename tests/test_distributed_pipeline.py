@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from repro.congest.primitives.concurrent_bfs import (
     ConcurrentMaskedBFS,
 )
 from repro.congest.primitives.numbering import PipelinedNumbering
-from repro.congest.scheduler import draw_random_delays
+from repro.congest.scheduler import draw_random_delays, mask_congestion
 from repro.graphs.csr import CSRLinkMask
 from repro.graphs.generators import (
     GENERATOR_FAMILIES,
@@ -36,6 +37,7 @@ from repro.graphs.generators import (
 from repro.graphs.lower_bound import lower_bound_instance
 from repro.graphs.partitions import random_connected_partition
 from repro.graphs.traversal import bfs_distances, eccentricity
+from repro.params import k_d_value
 from repro.rng import ensure_rng
 from repro.shortcuts import (
     Partition,
@@ -45,6 +47,7 @@ from repro.shortcuts import (
     geometric_guesses,
     measure_diameter_probe,
 )
+from repro.shortcuts import distributed
 from repro.shortcuts.kogan_parter import radius_large_parts
 
 from random_delay_scheduler import RandomDelayScheduler
@@ -175,7 +178,22 @@ class TestMaskedBFSEquivalence:
 # ----------------------------------------------------------------------
 # ConcurrentMaskedBFS vs RandomDelayScheduler + DistributedBFS (oracle)
 # ----------------------------------------------------------------------
-def _fleet_fixture(n, seed, *, num_parts=None):
+#: Stage 4's two start-delay ranges: ``[0, ⌈k_D · ln n⌉]``, which it drew
+#: from until it took the congestion ĉ of its masks, and ``[0, ĉ - 1]``.
+#: The second puts about ĉ/2 messages on a link shared by every mask.
+DELAY_REGIMES = ("log", "congestion")
+
+
+def regime_delays(regime, masks, k_d, n, rng):
+    """One start delay per mask, uniform over the ``regime``'s range."""
+    if regime == "log":
+        top = max(1, math.ceil(k_d * math.log(max(n, 2))))
+    else:
+        top = max(0, mask_congestion(masks) - 1)
+    return draw_random_delays(len(masks), top, rng)
+
+
+def _fleet_fixture(n, seed, *, regime, num_parts=None):
     """A lower-bound instance with its sampled shortcut masks and delays."""
     inst = lower_bound_instance(n, 6)
     g = inst.graph
@@ -189,30 +207,31 @@ def _fleet_fixture(n, seed, *, num_parts=None):
         large = large[:num_parts]
     k_d = kp.parameters.k_d
     depth_budget = max(1, math.ceil(4.0 * k_d * math.log(max(params_n, 2))))
-    delays = draw_random_delays(
-        len(large), max(1, math.ceil(k_d * math.log(max(params_n, 2)))),
-        ensure_rng(seed + 5),
-    )
     csr = g.csr()
     masks = [
         CSRLinkMask.from_edge_ids(csr, shortcut.augmented_edge_id_array(i))
         for i in large
     ]
+    delays = regime_delays(regime, masks, k_d, params_n, ensure_rng(seed + 5))
     return g, partition, shortcut, large, masks, depth_budget, delays
 
 
-def _run_oracle_fleet(g, partition, shortcut, large, depth_budget, delays):
+def _run_oracle(g, subs, delays):
+    """The reference schedule: per-node BFS instances behind the scheduler."""
     network = Network(g)
     network.reset()
-    subs = [
+    metrics = network.run(RandomDelayScheduler(subs, delays),
+                          reset=False, max_rounds=400_000)
+    return network, metrics
+
+
+def _run_oracle_fleet(g, partition, shortcut, large, depth_budget, delays):
+    return _run_oracle(g, [
         DistributedBFS({partition.leader(i)},
                        allowed_adjacency=shortcut.augmented_adjacency(i),
                        max_depth=depth_budget, prefix=f"sc{i}_", algorithm_id=o)
         for o, i in enumerate(large)
-    ]
-    metrics = network.run(RandomDelayScheduler(subs, delays),
-                          reset=False, max_rounds=400_000)
-    return network, metrics
+    ], delays)
 
 
 def _run_masked_fleet(g, partition, masks, large, depth_budget, delays, **kw):
@@ -226,33 +245,62 @@ def _run_masked_fleet(g, partition, masks, large, depth_budget, delays, **kw):
     return fleet, metrics
 
 
+def _assert_fleet_matches_oracle(net, m_a, fleet, m_b, prefixes):
+    """Rounds, message counts, backlog, per-edge traffic and every label."""
+    assert m_b.bulk_declined is None
+    assert (m_a.rounds, m_a.messages_sent, m_a.messages_delivered,
+            m_a.max_link_backlog) == (
+        m_b.rounds, m_b.messages_sent, m_b.messages_delivered,
+        m_b.max_link_backlog)
+    assert m_a.per_edge_messages == m_b.per_edge_messages
+    for order, prefix in enumerate(prefixes):
+        for v in range(net.graph.num_vertices):
+            st = net.node(v).state
+            for name in ("dist", "parent", "root"):
+                label = st.get(prefix + name)
+                assert getattr(fleet, name)[order][v] == (
+                    label if label is not None else UNREACHED)
+
+
 class TestConcurrentMaskedBFSEquivalence:
+    @pytest.mark.parametrize("regime", DELAY_REGIMES)
     @pytest.mark.parametrize("seed", range(3))
-    def test_metrics_and_outputs_match_oracle(self, seed):
+    def test_metrics_and_outputs_match_oracle(self, seed, regime):
         g, partition, shortcut, large, masks, depth_budget, delays = \
-            _fleet_fixture(90, seed)
+            _fleet_fixture(90, seed, regime=regime)
         net, m_a = _run_oracle_fleet(g, partition, shortcut, large,
                                      depth_budget, delays)
         fleet, m_b = _run_masked_fleet(g, partition, masks, large,
                                        depth_budget, delays)
-        assert (m_a.rounds, m_a.messages_sent, m_a.messages_delivered,
-                m_a.max_link_backlog) == (
-            m_b.rounds, m_b.messages_sent, m_b.messages_delivered,
-            m_b.max_link_backlog)
-        assert m_a.per_edge_messages == m_b.per_edge_messages
-        for order, i in enumerate(large):
-            prefix = f"sc{i}_"
-            for v in range(g.num_vertices):
-                st = net.node(v).state
-                dist = st.get(prefix + "dist")
-                assert fleet.dist[order][v] == (
-                    dist if dist is not None else UNREACHED)
-                parent = st.get(prefix + "parent")
-                assert fleet.parent[order][v] == (
-                    parent if parent is not None else UNREACHED)
-                root = st.get(prefix + "root")
-                assert fleet.root[order][v] == (
-                    root if root is not None else UNREACHED)
+        _assert_fleet_matches_oracle(net, m_a, fleet, m_b,
+                                     [f"sc{i}_" for i in large])
+
+    @pytest.mark.parametrize("regime", DELAY_REGIMES)
+    def test_deep_queues_match_oracle(self, regime):
+        # A hundred trees over the whole graph share every link (ĉ = 100),
+        # so the congestion range queues tens of messages on a link: the
+        # depth stage 4 meets on construct-sized instances.
+        g = lower_bound_instance(200, 6).graph
+        n = g.num_vertices
+        csr = g.csr()
+        num = 100
+        masks = [CSRLinkMask.from_edge_ids(csr, range(csr.num_edges))
+                 for _ in range(num)]
+        assert mask_congestion(masks) == num
+        rng = ensure_rng(3)
+        leaders = [rng.randrange(n) for _ in range(num)]
+        delays = regime_delays(regime, masks, k_d_value(n, 6), n, ensure_rng(4))
+        prefixes = [f"x{o}_" for o in range(num)]
+        net, m_a = _run_oracle(g, [
+            DistributedBFS({leaders[o]}, max_depth=60, prefix=prefixes[o],
+                           algorithm_id=o)
+            for o in range(num)
+        ], delays)
+        network = Network(g)
+        fleet = ConcurrentMaskedBFS(leaders, masks, delays, 60, prefixes, n)
+        m_b = network.run(fleet, max_rounds=400_000)
+        _assert_fleet_matches_oracle(net, m_a, fleet, m_b, prefixes)
+        assert m_b.max_link_backlog >= (40 if regime == "congestion" else 15)
 
     def test_zero_delay_and_shared_sources(self):
         # Two instances starting immediately on the same graph region.
@@ -276,23 +324,37 @@ class TestConcurrentMaskedBFSEquivalence:
                 assert fleet.dist[order][v] == (
                     dist if dist is not None else UNREACHED)
 
-    def test_suppression_preserves_outputs_and_saves_messages(self):
+    @pytest.mark.parametrize("regime", DELAY_REGIMES)
+    def test_suppression_preserves_outputs_and_saves_messages(self, regime):
         g, partition, shortcut, large, masks, depth_budget, delays = \
-            _fleet_fixture(90, 1)
+            _fleet_fixture(90, 1, regime=regime)
         plain, m_plain = _run_masked_fleet(g, partition, masks, large,
                                            depth_budget, delays)
         lean, m_lean = _run_masked_fleet(g, partition, masks, large,
                                          depth_budget, delays,
                                          suppress_parent_echo=True)
         assert plain.dist == lean.dist
-        assert plain.parent == lean.parent
         assert plain.root == lean.root
+        if regime == "log":
+            assert plain.parent == lean.parent
+        # Under deeper queues a node can hear its final distance from
+        # another neighbour first once no echo queues ahead of it: the
+        # trees keep their depths, not always their parents.
+        for order, i in enumerate(large):
+            adjacency = shortcut.augmented_adjacency(i)
+            leader = partition.leader(i)
+            dist, parent = lean.dist[order], lean.parent[order]
+            for v in range(g.num_vertices):
+                if dist[v] != UNREACHED and v != leader:
+                    assert parent[v] in adjacency[v]
+                    assert dist[parent[v]] == dist[v] - 1
         assert m_lean.messages_delivered < m_plain.messages_delivered
         assert m_lean.rounds <= m_plain.rounds
 
-    def test_tree_labels(self):
+    @pytest.mark.parametrize("regime", DELAY_REGIMES)
+    def test_tree_labels(self, regime):
         g, partition, shortcut, large, masks, depth_budget, delays = \
-            _fleet_fixture(60, 2)
+            _fleet_fixture(60, 2, regime=regime)
         fleet, _ = _run_masked_fleet(g, partition, masks, large,
                                      depth_budget, delays)
         leader = partition.leader(large[0])
@@ -589,3 +651,74 @@ class TestPipelineRounds:
         assert result.bfs_metrics is not None
         assert result.bfs_metrics.rounds == result.rounds_breakdown["concurrent_bfs"]
         assert result.bfs_metrics.messages_delivered > 0
+
+
+class TestStageFourDelays:
+    """Stage 4 draws its start delays from ``[0, ĉ - 1]``, ĉ the congestion
+    of the masks it schedules, and reports ĉ as ``fleet_congestion``."""
+
+    @staticmethod
+    def _build(monkeypatch, graph, partition, **kwargs):
+        drawn = []
+        real = distributed.draw_random_delays
+
+        def recording(num, max_delay, rng):
+            delays = real(num, max_delay, rng)
+            drawn.append((max_delay, delays))
+            return delays
+
+        monkeypatch.setattr(distributed, "draw_random_delays", recording)
+        result = build_distributed_kogan_parter(graph, partition, **kwargs)
+        return result, drawn
+
+    @staticmethod
+    def _edge_congestion(result, partition):
+        # Brute force over the flagged parts' H_i edge sets (the masks
+        # permit both directions of each edge).
+        large = radius_large_parts(partition, result.parameters.detection_depth)
+        load = Counter(
+            e for i in large
+            for e in result.shortcut.subgraph_edge_id_array(i).tolist()
+        )
+        return large, max(load.values())
+
+    def test_delays_lie_below_the_fleet_congestion(self, monkeypatch):
+        inst = lower_bound_instance(80, 6)
+        partition = Partition(inst.graph, inst.parts)
+        result, drawn = self._build(
+            monkeypatch, inst.graph, partition,
+            diameter_value=6, log_factor=0.3, rng=6,
+        )
+        large, congestion = self._edge_congestion(result, partition)
+        assert result.fleet_congestion == congestion > 1
+        [(max_delay, delays)] = drawn
+        assert max_delay == congestion - 1
+        assert len(delays) == len(large)
+        assert all(0 <= d <= max_delay for d in delays)
+
+    def test_range_is_not_clamped_to_the_old_bound(self, monkeypatch):
+        # Twenty rows of a 20x20 grid, each radius-large at D = 2 (k_D = 1),
+        # sampled with p = 1: every H_i is the whole grid, so ĉ = 20 while
+        # ⌈k_D · ln n⌉ = 6.
+        g = grid_graph(20, 20)
+        partition = Partition(g, [list(range(r * 20, r * 20 + 20))
+                                  for r in range(20)])
+        result, drawn = self._build(
+            monkeypatch, g, partition, diameter_value=2, probability=1.0, rng=5,
+        )
+        assert result.spanning_ok
+        assert result.fleet_congestion == 20
+        old_top = math.ceil(result.parameters.k_d * math.log(g.num_vertices))
+        assert [max_delay for max_delay, _ in drawn] == [19] and old_top == 6
+
+    def test_no_flagged_part_draws_nothing(self, monkeypatch):
+        # Parts of five consecutive grid vertices have radius at most 4,
+        # below k_D = 400^(2/5) ≈ 11 at D = 6.
+        g = grid_graph(20, 20)
+        partition = Partition(g, [list(range(s, s + 5))
+                                  for s in range(0, 400, 5)])
+        result, drawn = self._build(
+            monkeypatch, g, partition, diameter_value=6, rng=5,
+        )
+        assert result.rounds_breakdown["concurrent_bfs"] == 0
+        assert (result.fleet_congestion, drawn) == (0, [])
