@@ -12,7 +12,7 @@ The package is organised in layers:
   shortcut construction (centralized and distributed), the shortcut-tree
   analysis machinery, baselines and verification;
 * :mod:`repro.applications` — the Section 4 applications (MST, approximate
-  min-cut, approximate SSSP, 2-ECSS) driven by part-wise aggregation;
+  min-cut, 2-ECSS) driven by part-wise aggregation;
 * :mod:`repro.analysis` — predicted bound curves and the experiment harness
   that regenerates every experiment table (``repro experiments``).
 
@@ -64,9 +64,7 @@ from .shortcuts import (
 )
 from .applications import (
     approximate_min_cut,
-    dijkstra,
     kruskal_mst,
-    shortcut_accelerated_sssp,
     shortcut_boruvka_mst,
     shortcut_connected_components,
     stoer_wagner_min_cut,
@@ -104,9 +102,7 @@ __all__ = [
     "build_naive_shortcut",
     "verify_shortcut",
     "approximate_min_cut",
-    "dijkstra",
     "kruskal_mst",
-    "shortcut_accelerated_sssp",
     "shortcut_boruvka_mst",
     "shortcut_connected_components",
     "stoer_wagner_min_cut",

@@ -62,7 +62,6 @@ from typing import Callable, Optional, Sequence
 from ..applications.mincut import approximate_min_cut, stoer_wagner_min_cut
 from ..applications.mst import kruskal_mst
 from ..applications.shortcut_mst import shortcut_boruvka_mst
-from ..applications.sssp import bellman_ford, dijkstra, shortcut_accelerated_sssp
 from ..applications.two_ecss import two_ecss_approximation
 from ..graphs.generators import (
     cluster_star_graph,
@@ -817,33 +816,10 @@ def plan_mincut_experiment(
 
 
 # ----------------------------------------------------------------------
-# E8: SSSP and 2-ECSS
+# E8: 2-ECSS
 # ----------------------------------------------------------------------
-def _applications_cell(
-    *, kind: str, n: int, diameter_value: int, log_factor: float, seed: int
-) -> list:
-    """E8 cell: SSSP and 2-ECSS on one size point."""
-    workload = make_workload(
-        kind, n, diameter_value, seed=derive_seed(seed, "E8", n, "workload")
-    )
-    weighted = with_random_weights(
-        workload.graph, rng=derive_seed(seed, "E8", n, "weights")
-    )
-    partition = workload.partition
-    kp = build_kogan_parter_shortcut(
-        weighted, partition, diameter_value=workload.diameter,
-        log_factor=log_factor, rng=derive_seed(seed, "E8", n, "sample"),
-    ).shortcut
-
-    source = 0
-    sssp = shortcut_accelerated_sssp(weighted, source, kp, max_phases=8)
-    baseline = bellman_ford(weighted, source, max_hops=sssp.phases)
-    exact = dijkstra(weighted, source)
-    bf_stretch = 1.0
-    for v, d_exact in exact.items():
-        if d_exact:
-            bf_stretch = max(bf_stretch, baseline.get(v, float("inf")) / d_exact)
-
+def _applications_cell(*, n: int, seed: int) -> list:
+    """E8 cell: 2-ECSS on one size point."""
     # The 2-ECSS experiment needs a 2-edge-connected input (bridges of the
     # input can never be covered); the planted-cut family is
     # 2-edge-connected by construction whenever it has >= 2 crossing edges.
@@ -856,12 +832,7 @@ def _applications_cell(
     weight_ratio = ecss.weight / ecss.mst_weight if ecss.mst_weight else float("inf")
 
     return [
-        weighted.num_vertices,
-        workload.diameter,
-        round(sssp.max_stretch, 3),
-        sssp.phases,
-        sssp.total_rounds,
-        round(bf_stretch, 3),
+        ecss_graph.num_vertices,
         round(weight_ratio, 3),
         ecss.is_two_edge_connected,
         ecss.total_rounds,
@@ -871,29 +842,17 @@ def _applications_cell(
 def plan_applications_experiment(
     *,
     sizes: Sequence[int] = (100, 200),
-    diameter_value: int = 6,
-    kind: str = "hub",
-    log_factor: float = 0.25,
     seed: int = 31,
 ) -> ExperimentPlan:
-    """E8: SSSP stretch/rounds and 2-ECSS weight/rounds over KP shortcuts, one cell per size."""
-    tasks = [
-        CellTask("E8", dict(kind=kind, n=n, diameter_value=diameter_value,
-                            log_factor=log_factor, seed=seed))
-        for n in sizes
-    ]
+    """E8: 2-ECSS weight/rounds over KP shortcut MST trees, one cell per size."""
+    tasks = [CellTask("E8", dict(n=n, seed=seed)) for n in sizes]
     return tasks, _rows_reducer(
         experiment_id="E8",
-        title="Shortcut-driven SSSP and 2-ECSS (Corollaries 4.2, 4.3)",
-        headers=[
-            "n", "D", "sssp_stretch", "sssp_phases", "sssp_rounds",
-            "bf_baseline_stretch", "ecss_weight_ratio", "ecss_2ec", "ecss_rounds",
-        ],
+        title="2-ECSS over shortcut MST trees (Corollary 4.3)",
+        headers=["n", "ecss_weight_ratio", "ecss_2ec", "ecss_rounds"],
         notes=[
-            f"kind={kind}, log_factor={log_factor}, seed={seed}",
-            "bf_baseline_stretch = stretch of plain Bellman-Ford run for the same number of phases",
+            f"seed={seed}",
             "ecss_weight_ratio = 2-ECSS weight / MST weight (MST is a lower bound on OPT)",
-            "sssp_rounds are charged (c + d*ceil(log2 n) per aggregation, Fact 4.1); "
             "ecss_rounds are the simulated MST rounds (shortcut_boruvka_mst, KP "
             "shortcuts at log_factor 0.25); covers are chosen centrally and not charged",
         ],

@@ -4,8 +4,7 @@ These modules reproduce Section 4 of the paper: every application consumes
 shortcuts through the part-wise aggregation primitive, so its round
 complexity inherits the shortcut quality.  MST, min-cut and 2-ECSS take
 their trees and rounds from one simulated Boruvka loop
-(:mod:`.shortcut_mst`); E6 swaps its shortcut engine.  SSSP charges the
-Fact 4.1 cost analytically (:func:`.sssp.estimate_aggregation_rounds`).
+(:mod:`.shortcut_mst`); E6 swaps its shortcut engine.
 """
 
 from .components import ComponentsResult, shortcut_connected_components
@@ -21,14 +20,6 @@ from .shortcut_mst import (
     NO_CANDIDATE,
     ShortcutMSTResult,
     shortcut_boruvka_mst,
-)
-from .sssp import (
-    SSSPResult,
-    UNREACHABLE,
-    bellman_ford,
-    dijkstra,
-    estimate_aggregation_rounds,
-    shortcut_accelerated_sssp,
 )
 from .two_ecss import (
     TwoECSSResult,
@@ -49,12 +40,6 @@ __all__ = [
     "approximate_min_cut",
     "cut_value",
     "stoer_wagner_min_cut",
-    "SSSPResult",
-    "UNREACHABLE",
-    "bellman_ford",
-    "dijkstra",
-    "estimate_aggregation_rounds",
-    "shortcut_accelerated_sssp",
     "TwoECSSResult",
     "find_bridges",
     "is_two_edge_connected",

@@ -28,9 +28,9 @@ aggregates through shortcut edges — and experiment E6 compares the
 engines on one weighted workload.
 
 The reported rounds cover the aggregation runtime (the per-phase loop
-above); the cost of *constructing* each shortcut distributedly is measured
-separately by the E5/E13 pipeline experiments and is not double-charged
-here.  The E10 ablation compares the two engines phase by phase.
+above) and exclude the rounds of *constructing* each shortcut; no table
+adds the two yet.  The E10 ablation compares the two engines phase by
+phase.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ as a black box by the paper; this module implements the classical
 When the input graph is 2-edge-connected the output is 2-edge-connected
 (every bridge of the MST is covered), and its weight is at most
 ``MST + sum of covers <= 2 · OPT`` for the augmentation step on top of the
-tree (the classical analysis); experiment E8 reports the measured weight
-ratio against the MST weight (a lower bound on OPT) and the rounds.
+tree (the classical analysis); experiment E8 is the table of the measured
+weight ratio against the MST weight (a lower bound on OPT) and the rounds.
 """
 
 from __future__ import annotations

@@ -59,7 +59,6 @@ from .lower_bound import (
     lower_bound_instance,
 )
 from .partitions import (
-    components_partition,
     fragment_partition,
     grid_strip_partition,
     non_covering_subsets,
@@ -133,7 +132,6 @@ __all__ = [
     "build_lower_bound_graph",
     "connector_tree_depth",
     "lower_bound_instance",
-    "components_partition",
     "fragment_partition",
     "grid_strip_partition",
     "non_covering_subsets",

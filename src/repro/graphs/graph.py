@@ -9,7 +9,7 @@ The library works on simple undirected graphs whose vertices are integers
 
 ``WeightedGraph``
     A :class:`Graph` whose edges additionally carry a positive weight.  It is
-    used by the application layer (MST, min-cut, SSSP, 2-ECSS).
+    used by the application layer (MST, min-cut, 2-ECSS).
 
 Both classes are deliberately small and explicit: the CONGEST simulator and
 the shortcut constructions only need neighbourhood iteration, edge

@@ -244,8 +244,3 @@ def non_covering_subsets(
             parts.append(region)
             used |= region
     return parts
-
-
-def components_partition(graph: Graph) -> list[set[int]]:
-    """Return the connected components of ``graph`` as a partition."""
-    return connected_components(graph)

@@ -1,12 +1,11 @@
-"""Unit tests for the part-wise aggregation primitive and its Fact 4.1 charge."""
+"""Unit tests for the part-wise aggregation primitive."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.applications import estimate_aggregation_rounds
 from repro.congest.primitives.aggregation import aggregate_over_shortcut
-from repro.graphs import cluster_star_graph, cycle_graph, grid_graph, grid_strip_partition
+from repro.graphs import cluster_star_graph, grid_graph, grid_strip_partition
 from repro.shortcuts import Partition, Shortcut, build_kogan_parter_shortcut
 
 from partwise_oracle import partwise_fold
@@ -53,25 +52,6 @@ class TestAggregateValues:
         _, _, shortcut = cluster_setup
         with pytest.raises(ValueError):
             aggregate_over_shortcut(shortcut, {}, "median", rng=1)
-
-
-class TestEstimateRounds:
-    def test_formula(self):
-        g = cycle_graph(16)
-        p = Partition(g, [set(range(8))])
-        sc = Shortcut(p, [[]])
-        q = sc.quality_report()
-        rounds = estimate_aggregation_rounds(q, 16)
-        assert rounds == int(q.congestion + q.dilation * 4)
-
-    def test_infinite_dilation_charged_as_n(self):
-        from repro.shortcuts import QualityReport
-
-        q = QualityReport(
-            congestion=2, dilation=float("inf"), num_parts=1,
-            num_shortcut_edges=0, max_part_shortcut_edges=0,
-        )
-        assert estimate_aggregation_rounds(q, 32) == 2 + 32 * 5
 
 
 class TestSimulatedAggregation:

@@ -167,8 +167,12 @@ class TestExperimentRunners:
 
     def test_applications_experiment(self):
         t = run_applications_experiment(sizes=(80,), seed=1)
-        assert t.column("sssp_stretch")[0] >= 1.0
-        assert t.column("ecss_2ec")[0] is True
+        assert t.headers == ["n", "ecss_weight_ratio", "ecss_2ec", "ecss_rounds"]
+        assert t.rows == [[80, 1.968, True, 19]]
+
+    def test_applications_experiment_planner_defaults(self):
+        t = run_applications_experiment()  # seed 31, sizes 100 and 200
+        assert t.rows == [[100, 1.975, True, 13], [200, 1.988, True, 15]]
 
     def test_shortcut_tree_experiment(self):
         t = run_shortcut_tree_experiment(sizes=(120,), trials=5, probabilities=(0.2, 0.8), seed=1)
