@@ -22,6 +22,7 @@ from repro.analysis import (
     run_shortcut_tree_experiment,
     summarize_ratios,
 )
+from repro.analysis.experiments import plan_applications_experiment
 from repro.graphs import diameter, is_connected, validate_parts
 
 
@@ -173,6 +174,12 @@ class TestExperimentRunners:
     def test_applications_experiment_planner_defaults(self):
         t = run_applications_experiment()  # seed 31, sizes 100 and 200
         assert t.rows == [[100, 1.975, True, 13], [200, 1.988, True, 15]]
+
+    @pytest.mark.parametrize("knob", ["kind", "diameter_value", "log_factor"])
+    def test_applications_planner_takes_only_sizes_and_seed(self, knob):
+        # These knobs shaped only the removed SSSP workload.
+        with pytest.raises(TypeError):
+            plan_applications_experiment(**{knob: 1})
 
     def test_shortcut_tree_experiment(self):
         t = run_shortcut_tree_experiment(sizes=(120,), trials=5, probabilities=(0.2, 0.8), seed=1)

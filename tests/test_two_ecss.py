@@ -13,12 +13,14 @@ from repro.applications import (
     two_ecss_approximation,
 )
 from repro.graphs import (
+    GENERATOR_FAMILIES,
     Graph,
     WeightedGraph,
     complete_graph,
     cycle_graph,
     erdos_renyi_graph,
     grid_graph,
+    make_family_graph,
     path_graph,
     planted_cut_graph,
     with_random_weights,
@@ -120,3 +122,61 @@ class TestTwoECSSApproximation:
         result = two_ecss_approximation(wg, rng=1)
         for u, v in result.edges:
             assert wg.has_edge(u, v)
+
+
+def family_weighted_graph(family: str) -> WeightedGraph:
+    return with_random_weights(make_family_graph(family, 40, rng=3), rng=4)
+
+
+def to_networkx(graph: Graph) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(graph.vertices())
+    g.add_edges_from(graph.edges())
+    return g
+
+
+@pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
+class TestTwoECSSAcrossFamilies:
+    def test_covers_match_brute_force(self, family):
+        """The output is the MST plus, for every MST edge, the cheapest
+        non-tree edge crossing the cut that removing it leaves (ties broken
+        by edge key), found here by brute force over all non-tree edges."""
+        wg = family_weighted_graph(family)
+        result = two_ecss_approximation(wg, rng=1)
+        tree_edges = set(shortcut_boruvka_mst(wg, rng=1).edges)
+        expected = set(tree_edges)
+        for a, b in tree_edges:
+            forest = nx.Graph()
+            forest.add_nodes_from(wg.vertices())
+            forest.add_edges_from(tree_edges - {(a, b)})
+            side = nx.node_connected_component(forest, a)
+            crossing = [
+                (w, *sorted((u, v)))
+                for u, v, w in wg.weighted_edges()
+                if tuple(sorted((u, v))) not in tree_edges and (u in side) != (v in side)
+            ]
+            if crossing:
+                _, u, v = min(crossing)
+                expected.add((u, v))
+        assert set(result.edges) == expected
+        assert result.weight == pytest.approx(wg.total_weight(expected))
+
+    def test_uncovered_edges_are_the_input_bridges(self, family):
+        wg = family_weighted_graph(family)
+        result = two_ecss_approximation(wg, rng=1)
+        nxg = to_networkx(wg)
+        bridges = {tuple(sorted(e)) for e in nx.bridges(nxg)}
+        assert set(result.uncovered_edges) == bridges
+        assert result.is_two_edge_connected == nx.is_k_edge_connected(nxg, 2)
+        _, mst_weight = kruskal_mst(wg)
+        assert result.mst_weight == pytest.approx(mst_weight)
+
+
+def test_edge_set_does_not_depend_on_rng():
+    # The rng drives only the MST run's sampling and delays, so it may move
+    # the rounds but never the chosen edges.
+    wg = with_random_weights(erdos_renyi_graph(40, 0.15, rng=8), rng=9)
+    first = two_ecss_approximation(wg, rng=1)
+    second = two_ecss_approximation(wg, rng=2)
+    assert first.edges == second.edges
+    assert first.weight == second.weight
